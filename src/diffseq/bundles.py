@@ -98,28 +98,6 @@ class BundleBasis:
             return list(ambient_vec)
         return [ambient_vec[c] for c in self.free_columns]
 
-    def expand_poly_rows(self, coord_rows):
-        """Ambient polynomial rows from rows expressed in this basis.
-
-        ``coord_rows`` has one row per basis element; returns one row per
-        ambient component (A . rows).
-        """
-        if self.is_free:
-            return [list(r) for r in coord_rows]
-        ncols = len(coord_rows[0]) if coord_rows else 0
-        out = []
-        for amb_row in self.ambient_from_coords:
-            acc = None
-            for j, f in enumerate(amb_row):
-                if f:
-                    term = [p.scale(f) for p in coord_rows[j]]
-                    acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-            if acc is None:
-                from .poly import Poly
-                acc = [Poly.zero(self.n) for _ in range(ncols)]
-            out.append(acc)
-        return out
-
 
 def free_basis(label, n, element_labels):
     return BundleBasis(label=label, n=n, element_labels=tuple(element_labels))
@@ -163,10 +141,6 @@ def tangent_space(n):
 
 def sym2_space(n):
     return free_basis("S2T*", n, [f"s{_digits(p)}" for p in sym_tuples(n, 2)])
-
-
-def sym_space(n, q):
-    return free_basis(f"S{q}T*", n, [f"s{_digits(p)}" for p in sym_tuples(n, q)])
 
 
 def ext_space(n, r):

@@ -298,7 +298,7 @@ def main(argv=None):
             return EXIT_OK if ok else EXIT_CHECK_FAILED
 
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, serialize.DocumentError) as exc:
+    except (UsageError, serialize.DocumentError, config.ConfigError) as exc:
         print(f"diffseq: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (config.DegreeCapExceeded, config.ExponentCapExceeded) as exc:

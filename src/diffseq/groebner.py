@@ -15,10 +15,16 @@ Completion is staged by degree.  Since all inputs are homogeneous, the basis
 completed through all S-pairs of degree <= d decides membership for any
 vector of degree <= d; ``minimal_graded_generators`` leans on that to filter
 candidates in one ascending sweep (graded Nakayama).
+
+S-pairs are pruned by the Gebauer-Moeller update (Gebauer & Moeller 1988),
+which drops a pair only when pairs of strictly smaller lcm, hence lower
+degree, cover it, so staging by degree stays sound.  Buchberger's product
+criterion is wrong for module elements and is left out: (x1, 0) and
+(x2, x2) have coprime leads x1*e0 and x2*e0, yet their S-pair yields the
+new basis element (0, x1*x2).
 """
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -71,13 +77,18 @@ class _Order:
     def __init__(self, shifts, block_start=None):
         self.shifts = shifts
         self.block_start = block_start
+        self._keys = {}
 
     def key(self, term):
-        c, m = term
-        base = (sum(m) + self.shifts[c],) + tuple(-e for e in reversed(m)) + (-c,)
-        if self.block_start is None:
-            return base
-        return (1 if c < self.block_start else 0,) + base
+        """Memoized sort key; the larger term has the smaller key."""
+        k = self._keys.get(term)
+        if k is None:
+            c, m = term
+            k = (-sum(m) - self.shifts[c],) + tuple(reversed(m)) + (c,)
+            if self.block_start is not None:
+                k = (0 if c < self.block_start else 1,) + k
+            self._keys[term] = k
+        return k
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +121,6 @@ class GradedPresentation:
     def generator_degrees(self):
         return tuple(_vec_degree(_to_sparse(g), self.shifts) for g in self.generators)
 
-    def degree_histogram(self):
-        return dict(Counter(self.generator_degrees()))
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -125,42 +133,44 @@ class GroebnerBasis:
     order_tag: str = ORDER_TAG
     _sparse: tuple = field(default=None, repr=False, compare=False)
 
-    def leading_terms(self):
-        order = _Order(self.shifts)
-        return tuple(max(_to_sparse(e), key=order.key) for e in self.elements)
-
 
 # ---------------------------------------------------------------------------
 # the worker
 
 def _reduce_sparse(vec, by_component, order):
-    """Full normal form of a sparse vector against monic reducers."""
+    """Full normal form of a sparse vector against monic reducers.
+
+    Pending terms sit in a heap, largest first; a reduction only adds terms
+    below the one it reduces, so a popped term no longer pending is stale."""
     work = dict(vec)
     out = {}
     key = order.key
-    while work:
-        term = max(work, key=key)
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
+    while heap:
+        term = heapq.heappop(heap)[1]
+        coef = work.pop(term, None)
+        if coef is None:
+            continue
         c, m = term
-        coef = work.pop(term)
-        reducer = None
         for lead_m, red in by_component.get(c, ()):
             if mono_divides(lead_m, m):
-                reducer = (lead_m, red)
                 break
-        if reducer is None:
+        else:
             out[term] = coef
             continue
-        lead_m, red = reducer
         q = mono_sub(m, lead_m)
         for (c2, m2), v in red.items():
             t = (c2, mono_mul(q, m2))
             if t == term:
                 continue
             nv = work.get(t, _ZERO) - coef * v
-            if nv:
-                work[t] = nv
-            else:
-                work.pop(t, None)
+            if not nv:
+                del work[t]
+                continue
+            if t not in work:
+                heapq.heappush(heap, (key(t), t))
+            work[t] = nv
     return out
 
 
@@ -168,36 +178,54 @@ _ZERO = Fraction(0)
 
 
 class ModuleGB:
-    """Incremental Buchberger completion, staged by (shifted) degree."""
+    """Incremental Buchberger completion, staged by (shifted) degree.
+
+    ``stats`` counts S-pairs: ``queued`` formed, ``pruned`` dropped by the
+    pair criteria, ``processed`` reduced, ``zero`` of those reduced to zero.
+    """
 
     def __init__(self, ambient_rank, order, cap):
         self.ambient_rank = ambient_rank
         self.order = order
         self.cap = cap
         self.basis = []
-        self.leads = []
-        self.by_component = {}
-        self.pairs = []
+        self.by_component = {}  # component -> [(lead monomial, element)]
+        self.pairs = []     # heap of (degree, serial, component, a, b)
+        self.live = {}      # component -> {(a, b): lcm} of pairs still due
+        self.stats = {"queued": 0, "pruned": 0, "processed": 0, "zero": 0}
         self._counter = 0
 
     def _register(self, vec):
-        lead = max(vec, key=self.order.key)
+        comp, mono = lead = min(vec, key=self.order.key)
         lc = vec[lead]
         if lc != 1:
             inv = Fraction(1) / lc
             vec = {t: v * inv for t, v in vec.items()}
-        idx = len(self.basis)
         self.basis.append(vec)
-        self.leads.append(lead)
-        comp, mono = lead
-        self.by_component.setdefault(comp, []).append((mono, vec))
-        for j in range(idx):
-            jc, jm = self.leads[j]
-            if jc == comp:
-                lcm = mono_lcm(jm, mono)
-                deg = sum(lcm) + self.order.shifts[comp]
+        members = self.by_component.setdefault(comp, [])
+        live = self.live.setdefault(comp, {})
+        # B: a due pair whose lcm the new lead divides is covered by the two
+        # pairs with the new element, unless one of them has the same lcm.
+        covered = [(a, b) for (a, b), lcm in live.items() if mono_divides(mono, lcm)
+                   and mono_lcm(members[a][0], mono) != lcm
+                   and mono_lcm(members[b][0], mono) != lcm]
+        for pair in covered:
+            del live[pair]
+        # M and F: keep one new pair per minimal lcm.  Ascending degree puts
+        # every strict divisor first, and divisibility is transitive.
+        new = sorted((sum(lcm), a, lcm) for a, lcm in enumerate(
+            mono_lcm(m, mono) for m, _ in members))
+        kept = []
+        for deg, a, lcm in new:
+            if not any(mono_divides(k, lcm) for k in kept):
+                kept.append(lcm)
+                live[(a, len(members))] = lcm
                 self._counter += 1
-                heapq.heappush(self.pairs, (deg, self._counter, j, idx))
+                heapq.heappush(self.pairs, (deg + self.order.shifts[comp],
+                                            self._counter, comp, a, len(members)))
+        self.stats["queued"] += len(new)
+        self.stats["pruned"] += len(covered) + len(new) - len(kept)
+        members.append((mono, vec))
 
     def add(self, vec):
         """Reduce against the current basis and insert if nonzero."""
@@ -208,33 +236,39 @@ class ModuleGB:
         return True
 
     def ensure_degree(self, deg):
-        """Process every queued S-pair of shifted degree <= deg."""
+        """Process every due S-pair of shifted degree <= deg."""
         while self.pairs and self.pairs[0][0] <= deg:
-            _, _, i, j = heapq.heappop(self.pairs)
-            ci, mi = self.leads[i]
-            _, mj = self.leads[j]
-            lcm = mono_lcm(mi, mj)
-            qi, qj = mono_sub(lcm, mi), mono_sub(lcm, mj)
+            _, _, comp, a, b = heapq.heappop(self.pairs)
+            lcm = self.live[comp].pop((a, b), None)
+            if lcm is None:
+                continue  # pruned after it was queued
+            (ma, va), (mb, vb) = self.by_component[comp][a], self.by_component[comp][b]
+            qa, qb = mono_sub(lcm, ma), mono_sub(lcm, mb)
             s = {}
-            for (c, m), v in self.basis[i].items():
-                s[(c, mono_mul(qi, m))] = v
-            for (c, m), v in self.basis[j].items():
-                t = (c, mono_mul(qj, m))
+            for (c, m), v in va.items():
+                s[(c, mono_mul(qa, m))] = v
+            for (c, m), v in vb.items():
+                t = (c, mono_mul(qb, m))
                 nv = s.get(t, _ZERO) - v
                 if nv:
                     s[t] = nv
                 else:
                     s.pop(t, None)
             red = _reduce_sparse(s, self.by_component, self.order)
+            self.stats["processed"] += 1
             if red:
                 self._register(red)
+            else:
+                self.stats["zero"] += 1
 
     def complete(self):
         self.ensure_degree(self.cap)
-        if self.pairs:
-            deg = self.pairs[0][0]
+        due = [sum(lcm) + self.order.shifts[c]
+               for c, pairs in self.live.items() for lcm in pairs.values()]
+        if due:
             raise DegreeCapExceeded(
-                f"completion needs S-pairs of degree {deg}, above cap {self.cap}")
+                f"completion needs S-pairs of degree {min(due)}, above cap {self.cap}",
+                degree=min(due))
 
     def normal_form(self, vec, deg=None):
         if deg is None:
@@ -244,35 +278,26 @@ class ModuleGB:
         return _reduce_sparse(vec, self.by_component, self.order)
 
     def reduced_elements(self):
-        """Unique reduced basis: minimal leads, tails fully reduced, monic."""
+        """Unique reduced basis: minimal leads, tails fully reduced, monic.
+
+        Leads are distinct, so minimality is checked within each component.
+        An element never reduces its own tail, which lies below its lead.
+        """
         self.complete()
-        items = list(zip(self.leads, self.basis))
-        keep = []
-        for idx, (lead, vec) in enumerate(items):
-            c, m = lead
-            redundant = False
-            for jdx, (lead2, _) in enumerate(items):
-                if jdx == idx:
-                    continue
-                c2, m2 = lead2
-                if c2 == c and mono_divides(m2, m) and (m2 != m or jdx < idx):
-                    redundant = True
-                    break
-            if not redundant:
-                keep.append((lead, vec))
+        keep = {}
+        for comp, members in self.by_component.items():
+            leads = [m for m, _ in members]
+            keep[comp] = [
+                (m, vec) for m, vec in members
+                if not any(m2 != m and mono_divides(m2, m) for m2 in leads)]
         final = []
-        for i, (lead, vec) in enumerate(keep):
-            by_comp = {}
-            for j, (lead2, vec2) in enumerate(keep):
-                if j != i:
-                    by_comp.setdefault(lead2[0], []).append((lead2[1], vec2))
-            red = _reduce_sparse(vec, by_comp, self.order)
-            lc = red[max(red, key=self.order.key)]
-            if lc != 1:
-                inv = Fraction(1) / lc
-                red = {t: v * inv for t, v in red.items()}
-            final.append(red)
-        final.sort(key=lambda v: self.order.key(max(v, key=self.order.key)))
+        for comp, members in keep.items():
+            for m, vec in members:
+                tail = dict(vec)
+                red = {(comp, m): tail.pop((comp, m))}
+                red.update(_reduce_sparse(tail, keep, self.order))
+                final.append(red)
+        final.sort(key=lambda v: self.order.key(next(iter(v))), reverse=True)
         return final
 
 
@@ -305,7 +330,7 @@ def normal_form(vec, gb):
     by_comp = {}
     for e in gb.elements:
         s = _to_sparse(e)
-        lead = max(s, key=order.key)
+        lead = min(s, key=order.key)
         by_comp.setdefault(lead[0], []).append((lead[1], s))
     red = _reduce_sparse(_to_sparse(tuple(vec)), by_comp, order)
     return _to_polys(red, gb.ambient_rank, gb.n)

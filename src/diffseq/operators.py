@@ -49,14 +49,6 @@ class OperatorMatrix:
     def is_zero(self):
         return all(p.is_zero() for row in self.rows for p in row)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def row_degrees(self):
-        return tuple(
-            max((p.degree() for p in row if not p.is_zero()), default=0)
-            for row in self.rows)
-
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
@@ -76,27 +68,28 @@ def make_operator(name, n, source, target, rows):
 
 
 def compose(outer, inner):
-    """Operator composition (apply ``inner`` first); symbols multiply."""
+    """Operator composition (apply ``inner`` first); symbols multiply.
+
+    Only nonzero entry pairs are multiplied: each ``inner`` row is indexed
+    by its nonzero columns once, and each output row accumulates per column.
+    """
     if outer.source.key() != inner.target.key():
         raise ValueError(
             f"cannot compose {outer.name} o {inner.name}: "
             f"{outer.source.label} != {inner.target.label}")
     n = outer.n
+    zero = Poly.zero(n)
+    inner_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in inner.rows]
     rows = []
-    for i in range(outer.target.dim):
-        row = []
-        for j in range(inner.source.dim):
-            acc = Poly.zero(n)
-            for k in range(outer.source.dim):
-                a = outer.rows[i][k]
-                if a.is_zero():
-                    continue
-                b = inner.rows[k][j]
-                if b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        rows.append(tuple(row))
+    for outer_row in outer.rows:
+        acc = {}
+        for k, a in enumerate(outer_row):
+            if not a:
+                continue
+            for j, b in inner_nonzero[k]:
+                p = a * b
+                acc[j] = acc[j] + p if j in acc else p
+        rows.append(tuple(acc.get(j, zero) for j in range(inner.source.dim)))
     return OperatorMatrix(
         name=f"{outer.name} o {inner.name}", n=n,
         source=inner.source, target=outer.target, rows=tuple(rows))

@@ -20,10 +20,6 @@ from .config import EXPONENT_CAP, ExponentCapExceeded
 Mono = tuple
 
 
-def mono_degree(m):
-    return sum(m)
-
-
 def mono_key(m):
     """Sort key realizing degrevlex: ``a > b`` iff ``mono_key(a) > mono_key(b)``."""
     return (sum(m),) + tuple(-e for e in reversed(m))
@@ -182,10 +178,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def leading_monomial(self):
         if not self.terms:

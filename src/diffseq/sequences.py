@@ -11,7 +11,7 @@ contradiction, and the contracted-trace identity.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bundles, groebner, linalg, operators
+from . import bundles, config, groebner, linalg, operators
 from .bundles import (
     bianchi_candidate_space,
     ext_space,
@@ -367,7 +367,12 @@ def build_sequence(op, max_steps=None, cap=None):
     ops = [op]
     terminated = False
     while len(ops) < max_steps + 1:
-        cc = operators.compatibility_conditions(ops[-1], cap=cap)
+        try:
+            cc = operators.compatibility_conditions(ops[-1], cap=cap)
+        except config.DegreeCapExceeded as exc:
+            raise config.DegreeCapExceeded(
+                f"conditions of {ops[-1].name} (step {len(ops) - 1}): {exc}",
+                degree=exc.degree) from exc
         if cc.target.dim == 0:
             terminated = True
             break

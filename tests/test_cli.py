@@ -107,6 +107,15 @@ def test_cap_errors_exit_three(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_malformed_degree_cap_is_a_usage_error(monkeypatch, capsys):
+    for value in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", value)
+        code, out = run_cli(["sequence", "killing", "--n", "3"])
+        assert code == 2
+        assert out == ""
+        assert "DIFFSEQ_DEGREE_CAP must be a positive integer" in capsys.readouterr().err
+
+
 def test_malformed_document_is_a_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\"schema_version\": 99}", encoding="utf-8")

@@ -9,8 +9,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from diffseq import linalg
+from diffseq import groebner, linalg
 from diffseq.config import DegreeCapExceeded
 from diffseq.groebner import (
     GradedPresentation,
@@ -21,7 +22,8 @@ from diffseq.groebner import (
     reduced_groebner,
     syzygies,
 )
-from diffseq.poly import Poly, poly_mul
+from diffseq.operators import rows_presentation
+from diffseq.poly import Poly, mono_key, poly_mul
 from diffseq.sequences import killing
 
 ZERO = Fraction(0)
@@ -210,3 +212,100 @@ def test_degree_cap_is_a_loud_error():
         generators=tuple(tuple(r) for r in op.rows))
     with pytest.raises(DegreeCapExceeded):
         syzygies(pres, cap=1)
+
+
+def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
+    made = []
+
+    class Recording(groebner.ModuleGB):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(groebner, "ModuleGB", Recording)
+    syzygies(rows_presentation(killing(4)))
+    (gb,) = made
+    stats = gb.stats
+    assert stats == {"queued": 75, "pruned": 20, "processed": 55, "zero": 25}
+    assert stats["pruned"] > 0
+    assert stats["zero"] < stats["processed"]
+    assert stats["queued"] == stats["pruned"] + stats["processed"]
+
+
+def test_coprime_leads_still_need_their_s_pair():
+    # Buchberger's product criterion would skip this pair: the leads x2*e0
+    # and x1*e0 are coprime, yet the S-pair yields (0, x1*x2).
+    x1, x2 = _vars(2)
+    zero = Poly.zero(2)
+    pres = GradedPresentation(n=2, ambient_rank=2,
+                              generators=((x1, zero), (x2, x2)))
+    gb = reduced_groebner(pres)
+    assert len(gb.elements) == 3
+    assert (zero, x1 * x2) in gb.elements
+
+
+def test_chain_criterion_keeps_pairs_sharing_the_new_lcm():
+    # All three leads have pairwise lcm x1*x2*x3.  A chain criterion that
+    # also dropped the queued pair when a new pair has the same lcm would
+    # keep only one of the three pairs and miss x3^3.
+    x1, x2, x3 = _vars(3)
+    pres = GradedPresentation(
+        n=3, ambient_rank=1,
+        generators=((x1 * x3,), (x1 * x2 + x3 * x3,), (x2 * x3,)))
+    gb = reduced_groebner(pres)
+    assert len(gb.elements) == 4
+    assert (x3 * x3 * x3,) in gb.elements
+
+
+@st.composite
+def homogeneous_presentations(draw):
+    """n <= 3, rank <= 3, entries of degree <= 2, component shifts 0 or 1."""
+    n = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    shifts = tuple(draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank)))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.integers(max(shifts), min(shifts) + 2))
+        vec = []
+        for c in range(rank):
+            monos = monomials_of_degree(n, deg - shifts[c])
+            terms = draw(st.lists(st.tuples(st.sampled_from(monos),
+                                            st.sampled_from((-2, -1, 1, 2))),
+                                  max_size=2))
+            vec.append(sum((Poly.monomial(n, m, v) for m, v in terms),
+                           Poly.zero(n)))
+        if any(vec):
+            gens.append(tuple(vec))
+    assume(gens)
+    return GradedPresentation(n=n, ambient_rank=rank, generators=tuple(gens),
+                              shifts=shifts)
+
+
+def _lead(vec, shifts):
+    def key(cm):
+        c, m = cm
+        k = mono_key(m)
+        return (k[0] + shifts[c],) + k[1:] + (-c,)
+    return max(((c, m) for c, p in enumerate(vec) for m in p.terms), key=key)
+
+
+@settings(deadline=None, max_examples=80)
+@given(homogeneous_presentations())
+def test_every_s_pair_of_the_reduced_basis_reduces_to_zero(pres):
+    gb = reduced_groebner(pres)
+    n = pres.n
+    leads = [_lead(e, pres.shifts) for e in gb.elements]
+    for i, (ci, mi) in enumerate(leads):
+        assert gb.elements[i][ci].terms[mi] == 1
+        for j in range(i + 1, len(leads)):
+            cj, mj = leads[j]
+            if cj != ci:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+            qi = Poly.monomial(n, tuple(a - b for a, b in zip(lcm, mi)))
+            qj = Poly.monomial(n, tuple(a - b for a, b in zip(lcm, mj)))
+            s = tuple(qi * p - qj * q
+                      for p, q in zip(gb.elements[i], gb.elements[j]))
+            assert not any(normal_form(s, gb))
+    for g in pres.generators:
+        assert not any(normal_form(g, gb))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffseq import operators
 from diffseq.bundles import free_basis
@@ -134,3 +135,33 @@ def test_equality_ignores_name_but_not_entries():
     changed = make_operator("three", 2, op.source, op.target,
                             tuple(tuple(r) for r in bumped))
     assert op != changed
+
+
+def _sparse_polys(n):
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(-3, 3))
+    return st.one_of(
+        st.just(Poly.zero(n)),
+        st.lists(term, min_size=1, max_size=3).map(
+            lambda ts: sum((Poly.monomial(n, m, c) for m, c in ts), Poly.zero(n))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_sparse_compose_matches_the_dense_product(data):
+    n = data.draw(st.integers(1, 3))
+    a, b, c = data.draw(st.tuples(*[st.integers(1, 4)] * 3))
+    src, mid, tgt = (free_basis(lab, n, [f"{lab}{i}" for i in range(d)])
+                     for lab, d in (("U", c), ("V", b), ("W", a)))
+    entry = _sparse_polys(n)
+    inner = make_operator("P", n, src, mid, data.draw(
+        st.lists(st.lists(entry, min_size=c, max_size=c), min_size=b, max_size=b)))
+    outer = make_operator("Q", n, mid, tgt, data.draw(
+        st.lists(st.lists(entry, min_size=b, max_size=b), min_size=a, max_size=a)))
+    got = compose(outer, inner)
+    assert got.shape == (a, c)
+    for i in range(a):
+        for j in range(c):
+            want = Poly.zero(n)
+            for k in range(b):
+                want = want + outer.rows[i][k] * inner.rows[k][j]
+            assert got.rows[i][j] == want

@@ -3,7 +3,10 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from diffseq import linalg, operators
+from diffseq.config import DegreeCapExceeded
 from diffseq.bundles import ext_tuples, perm_sign
 from diffseq.groebner import module_equality
 from diffseq.operators import adjoint, apply, compatibility_conditions, compose, \
@@ -239,3 +242,12 @@ def test_flat_killing_solutions_of_low_degree():
     sparse = list(rows.values())
     kernel = linalg.kernel_basis(sparse, len(unknowns))
     assert len(kernel) == 3
+
+
+def test_degree_cap_error_names_operator_step_and_degree():
+    with pytest.raises(DegreeCapExceeded) as info:
+        build_sequence(killing(3), cap=1)
+    assert info.value.degree == 2
+    assert str(info.value) == (
+        "conditions of killing (step 0): "
+        "completion needs S-pairs of degree 2, above cap 1")
