@@ -112,8 +112,7 @@ def constrained_basis(label, n, ambient_labels, constraint_rows):
     ambient_labels = tuple(ambient_labels)
     ncols = len(ambient_labels)
     rows = [dict(r) for r in constraint_rows if r]
-    kernel = linalg.kernel_basis(rows, ncols)
-    free_cols = linalg.free_columns(rows, ncols)
+    kernel, free_cols = linalg.nullspace(rows, ncols)
     a_matrix = tuple(
         tuple(kernel[j][c] for j in range(len(kernel))) for c in range(ncols)
     )

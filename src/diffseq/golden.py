@@ -108,13 +108,6 @@ class GoldenResult:
     def ok(self):
         return self.expected == self.got
 
-    def diff_line(self):
-        mark = "ok  " if self.ok else "FAIL"
-        out = f"{mark} {self.key}: expected {self.expected}"
-        if not self.ok:
-            out += f", got {self.got}"
-        return out
-
 
 @dataclass(frozen=True)
 class GoldenReport:
@@ -123,9 +116,6 @@ class GoldenReport:
     @property
     def ok(self):
         return all(r.ok for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.ok]
 
 
 def _fiber_dims():

@@ -293,25 +293,17 @@ class ConstantMetric:
         self.entries = tuple(rows)
         inv = linalg.invert([list(r) for r in rows])
         self.inverse = tuple(tuple(v for v in row) for row in inv)
-        det = Fraction(1)
-        # determinant via fraction-free expansion of the small dense matrix
-        work = [list(r) for r in rows]
-        sign = 1
+        # determinant by Gaussian elimination; invert has ruled out det 0
+        det, work = Fraction(1), [list(r) for r in rows]
         for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col]), None)
-            if piv is None:
-                det = Fraction(0)
-                break
+            piv = next(r for r in range(col, n) if work[r][col])
             if piv != col:
                 work[col], work[piv] = work[piv], work[col]
-                sign = -sign
+                det = -det
+            det *= work[col][col]
             for r in range(col + 1, n):
                 f = work[r][col] / work[col][col]
                 work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-        else:
-            for col in range(n):
-                det *= work[col][col]
-            det *= sign
         self.det = det
         self.name = name
 

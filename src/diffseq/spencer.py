@@ -52,17 +52,14 @@ class SymbolSpace:
     constraints: tuple      # sparse rows over the S_q-fiber columns
     dim: int
 
-    def indexer(self):
-        return _Indexer(self.n, self.q, self.fiber_dim)
-
     def basis(self):
-        rows = [dict(r) for r in self.constraints]
-        return linalg.kernel_basis(rows, self.indexer().dim)
+        width = comb(self.n + self.q - 1, self.q) * self.fiber_dim
+        return linalg.kernel_basis([dict(r) for r in self.constraints], width)
 
 
 def _make_symbol(n, q, m, rows):
     idx = _Indexer(n, q, m)
-    reduced, pivots = linalg.rref([r for r in rows if r], idx.dim)
+    reduced, pivots = linalg.rref(rows, idx.dim)
     return SymbolSpace(
         n=n, q=q, fiber_dim=m, dim=idx.dim - len(pivots),
         constraints=tuple(tuple(sorted(r.items())) for r in reduced))
@@ -97,21 +94,17 @@ def prolong(g):
     """One prolongation: all first derivatives of the defining equations."""
     n, m = g.n, g.fiber_dim
     idx_new = _Indexer(n, g.q + 1, m)
+    mus = sym_tuples(n, g.q)
     rows = []
     for crow in g.constraints:
         for i in range(1, n + 1):
             out = {}
             for (col, coef) in crow:
-                mu, k = _col_to_pair(g, col)
-                c = idx_new(_sorted_insert(mu, i), k)
-                out[c] = out.get(c, Fraction(0)) + coef
-            rows.append({c: v for c, v in out.items() if v})
+                pos, k = divmod(col, m)
+                c = idx_new(_sorted_insert(mus[pos], i), k)
+                out[c] = out.get(c, 0) + coef
+            rows.append(out)
     return _make_symbol(n, g.q + 1, m, rows)
-
-
-def _col_to_pair(g, col):
-    mus = sym_tuples(g.n, g.q)
-    return mus[col // g.fiber_dim], col % g.fiber_dim
 
 
 def prolong_to(g, q):
@@ -146,7 +139,7 @@ def delta_ambient(n, r, q, m):
                     I = J[:t] + J[t + 1:]
                     sign = -1 if t % 2 else 1
                     col = in_pos[I] * width_in + idx_in(_sorted_insert(nu, i), k)
-                    out[col] = out.get(col, Fraction(0)) + sign
+                    out[col] = out.get(col, 0) + sign
                 rows.append(out)
     return rows
 
@@ -160,7 +153,6 @@ class DeltaComplexSlice:
     q: int
     domain_dim: int
     codomain_dim: int
-    matrix: tuple     # sparse rows over domain columns (basis of ext x g)
     rank: int
 
 
@@ -173,28 +165,23 @@ def delta_map(r, g):
     gdim = len(basis)
     amb = delta_ambient(n, r, q, m)
     width_in = _Indexer(n, q, m).dim
-    cols_out = {}
-    for out_row, row in enumerate(amb):
+    # nonzero (b, basis[b][comp]) for each ambient component comp
+    support = [[(b, vec[comp]) for b, vec in enumerate(basis) if vec[comp]]
+               for comp in range(width_in)]
+    rows = []
+    for row in amb:
+        out = {}
         for col, coef in row.items():
             I_pos, comp = divmod(col, width_in)
-            for b in range(gdim):
-                v = basis[b][comp]
-                if v:
-                    c = I_pos * gdim + b
-                    key = (out_row, c)
-                    cols_out[key] = cols_out.get(key, Fraction(0)) + coef * v
-    nrows = len(amb)
-    sparse_rows = [dict() for _ in range(nrows)]
-    for (i, j), v in cols_out.items():
-        if v:
-            sparse_rows[i][j] = v
+            for b, v in support[comp]:
+                c = I_pos * gdim + b
+                out[c] = out.get(c, 0) + coef * v
+        rows.append(out)
     domain = len(ext_in) * gdim
     codomain = comb(n, r + 1) * _Indexer(n, q - 1, m).dim
-    rank = linalg.rank([dict(r_) for r_ in sparse_rows if r_], domain)
     return DeltaComplexSlice(
         n=n, r=r, q=q, domain_dim=domain, codomain_dim=codomain,
-        matrix=tuple(tuple(sorted(r_.items())) for r_ in sparse_rows),
-        rank=rank)
+        rank=linalg.rank(rows, domain))
 
 
 @dataclass(frozen=True)
@@ -250,23 +237,13 @@ def full_jet_column(n, q_top, m):
     """The delta sequence on full spaces: wedge^r tensor S_{q_top - r}
     tensor a rank-m fiber, for r = 0..q_top; checks exactness everywhere
     (injective at the left end, surjective at the right end)."""
-    dims = []
-    ranks = []
-    for r in range(q_top + 1):
-        dims.append(comb(n, r) * _Indexer(n, q_top - r, m).dim)
-    for r in range(q_top):
-        amb = delta_ambient(n, r, q_top - r, m)
-        rank = linalg.rank([dict(row) for row in amb if row],
-                           comb(n, r) * _Indexer(n, q_top - r, m).dim)
-        ranks.append(rank)
-    exact = True
-    if ranks and ranks[0] != dims[0]:
-        exact = False
-    for r in range(1, q_top):
-        if ranks[r - 1] + ranks[r] != dims[r]:
-            exact = False
-    if ranks and ranks[-1] != dims[-1]:
-        exact = False
+    dims = [comb(n, r) * _Indexer(n, q_top - r, m).dim for r in range(q_top + 1)]
+    ranks = [linalg.rank(delta_ambient(n, r, q_top - r, m), dims[r])
+             for r in range(q_top)]
+    # exact at node r: the incoming and outgoing ranks add up to its dim
+    padded = [0] + ranks + [0]
+    exact = not ranks or all(padded[r] + padded[r + 1] == dims[r]
+                             for r in range(q_top + 1))
     return JetColumnReport(
         n=n, q_top=q_top, fiber_dim=m, node_dims=tuple(dims),
         ranks=tuple(ranks), exact=exact)
@@ -341,15 +318,14 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
         if r >= 1:
             amb = delta_ambient(n, r - 1, q + 1, m)
             rank_delta = linalg.rank(
-                [dict(row) for row in amb if row],
-                comb(n, r - 1) * _Indexer(n, q + 1, m).dim)
+                amb, comb(n, r - 1) * _Indexer(n, q + 1, m).dim)
         f_dim = comb(n, r) * jdim - rank_delta
         return f_dim, f_dim
 
     msrc = op.source.dim
     jdim = jet_fiber_dim(n, q, msrc)
     eq_rows, width = _prolonged_equation_rows(op, q)
-    r_q_basis = linalg.kernel_basis([dict(rr) for rr in eq_rows], width)
+    r_q_basis = linalg.kernel_basis(eq_rows, width)
     dim_rq = len(r_q_basis)
 
     g = prolong_to(symbol_of(op), q)
@@ -360,31 +336,20 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
     c_dim = comb(n, r) * dim_rq - rank_dg
 
     # Janet bundle: full jet space modulo (wedge^r x R_q + delta image)
-    gens = []
-    ext_in, _ = _ext_index(n, r)
-    for pos in range(len(ext_in)):
-        for b in r_q_basis:
-            vec = {}
-            for comp, v in enumerate(b):
-                if v:
-                    vec[pos * width + comp] = v
-            gens.append(vec)
+    gens = [{pos * width + comp: v for comp, v in enumerate(b) if v}
+            for pos in range(comb(n, r)) for b in r_q_basis]
     if r >= 1:
         # delta image generators of wedge^{r-1} x S_{q+1} x E, pushed into
         # jet coordinates (the top-order block of J_q)
         amb = delta_ambient(n, r - 1, q + 1, msrc)
-        in_width = _Indexer(n, q + 1, msrc).dim
-        out_idx = _Indexer(n, q, msrc)
-        ncols_in = comb(n, r - 1) * in_width
+        out_dim = _Indexer(n, q, msrc).dim
         top_offset = jet_fiber_dim(n, q - 1, msrc)
-        for col in range(ncols_in):
-            vec = {}
-            for out_row, row in enumerate(amb):
-                if col in row:
-                    pos, comp = divmod(out_row, out_idx.dim)
-                    vec[pos * width + top_offset + comp] = row[col]
-            if vec:
-                gens.append(vec)
+        image = {}   # delta-image column -> its entries in jet coordinates
+        for out_row, row in enumerate(amb):
+            pos, comp = divmod(out_row, out_dim)
+            for col, v in row.items():
+                image.setdefault(col, {})[pos * width + top_offset + comp] = v
+        gens.extend(image.values())
     rank_sum = linalg.rank(gens, comb(n, r) * width)
     f_dim = comb(n, r) * jdim - rank_sum
     return f_dim, c_dim

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from diffseq import linalg
 
 ZERO = Fraction(0)
@@ -104,3 +107,75 @@ def test_mat_vec_matches_mat_mul():
     v = [Fraction(5), Fraction(-1)]
     col = linalg.mat_mul(a, [[v[0]], [v[1]]])
     assert linalg.mat_vec(a, v) == [col[0][0], col[1][0]]
+
+
+def test_invert_rejects_a_singular_matrix():
+    with pytest.raises(ZeroDivisionError):
+        linalg.invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def reference_rref(rows, ncols):
+    """Dense Gauss-Jordan over Fraction: (reduced nonzero rows, pivot columns)."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        lead = mat[r][col]
+        mat[r] = [v / lead for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows up to 10 x 10: int and Fraction entries with denominators
+    up to 7, stored zeros, empty rows."""
+    ncols = draw(st.integers(0, 10))
+    entry = st.one_of(st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else ()
+        rows.append({c: draw(entry) for c in sorted(cols)})
+    return rows, ncols
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_matrices())
+@example(([], 0))
+@example(([{}, {}], 3))
+@example(([{0: 0, 2: Fraction(0)}, {}], 3))
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: Fraction(1, 3), 2: 5}], 3))
+def test_sparse_elimination_matches_dense_gauss_jordan(matrix):
+    rows, ncols = matrix
+    before = [dict(r) for r in rows]
+    ref_rows, ref_pivots = reference_rref(rows, ncols)
+    ref_free = [c for c in range(ncols) if c not in ref_pivots]
+
+    reduced, pivots = linalg.rref(rows, ncols)
+    assert pivots == ref_pivots
+    assert [[row.get(c, ZERO) for c in range(ncols)] for row in reduced] == ref_rows
+    assert all(type(v) is Fraction and v for row in reduced for v in row.values())
+
+    assert linalg.rank(rows, ncols) == len(ref_pivots)
+    assert linalg.free_columns(rows, ncols) == ref_free
+    kernel = linalg.kernel_basis(rows, ncols)
+    assert linalg.nullspace(rows, ncols) == (kernel, ref_free)
+    assert len(kernel) == len(ref_free)
+    for f, vec in zip(ref_free, kernel):
+        expected = [Fraction(int(c == f)) for c in range(ncols)]
+        for ref_row, c in zip(ref_rows, ref_pivots):
+            expected[c] = -ref_row[f]
+        assert vec == expected
+        assert all(type(v) is Fraction for v in vec)
+    if ncols:
+        assert linalg.dense_rank(dense_of(rows, ncols)) == len(ref_pivots)
+    assert rows == before

@@ -91,6 +91,20 @@ def test_janet_and_spencer_bundle_dimensions():
     assert [p[0] for p in con] == [125, 360, 414, 220, 45]
 
 
+def test_janet_and_spencer_bundle_dimensions_at_n5():
+    """Janet (F) and Spencer (C) tables at n = 5, as in bench/references.json."""
+    tables = {
+        "killing": {"C": [15, 75, 150, 150, 75, 15],
+                    "F": [90, 275, 375, 270, 100, 15]},
+        "conformal_killing": {"C": [21, 105, 210, 210, 105, 21],
+                              "F": [259, 945, 1470, 1190, 495, 84]},
+    }
+    for system, want in tables.items():
+        pairs = [spencer.janet_spencer_bundle_dims(system, r, 5) for r in range(6)]
+        assert [p[0] for p in pairs] == want["F"]
+        assert [p[1] for p in pairs] == want["C"]
+
+
 def test_bundles_fit_the_jet_quotient_exact_sequence():
     """The two resolutions sit in one short exact sequence per degree."""
     full = [spencer.janet_spencer_bundle_dims("jet", r, 4, m=4, q=2)
