@@ -14,12 +14,12 @@ All dimension formulas quoted in tests are recomputed here from the
 constraint ranks, never assumed.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from . import linalg
+from .config import record
 from .poly import ConstantMetric
 
 ZERO = Fraction(0)
@@ -44,7 +44,7 @@ def _digits(t):
     return "".join(str(i) for i in t)
 
 
-@dataclass(frozen=True)
+@record
 class BundleBasis:
     """A finite labeled basis, possibly realized inside an ambient bundle."""
 
@@ -296,7 +296,7 @@ def bianchi_candidate_space(n, metric=None):
 # ---------------------------------------------------------------------------
 # Ricci/Weyl splitting
 
-@dataclass(frozen=True)
+@record
 class SplittingMaps:
     """Rational projectors realizing curvature = Ricci part + Weyl part."""
 

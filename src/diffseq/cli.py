@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from . import config, golden, operators, sequences, serialize
+from .poly import ConstantMetric
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -28,10 +29,7 @@ class UsageError(ValueError):
 def _build_named(name, n, metric_name, form_degree):
     if not 2 <= n <= 6:
         raise UsageError(f"n must be between 2 and 6, got {n}")
-    metric = None
-    if metric_name == "minkowski":
-        from .poly import ConstantMetric
-        metric = ConstantMetric.minkowski(n)
+    metric = ConstantMetric.minkowski(n) if metric_name == "minkowski" else None
     try:
         if name == "exterior_derivative":
             return sequences.exterior_derivative(n, form_degree)

@@ -29,6 +29,43 @@ class ConfigError(ValueError):
     """A limit was set to a value the engines cannot use."""
 
 
+def record(cls):
+    """Frozen record of the annotated fields of ``cls``: ``dataclass(frozen=True)``
+    without its generated source and ``inspect`` import, which were most of the
+    cold-start cost of ``import diffseq.cli``.  Same construction (annotation
+    order, class-level defaults, ``__post_init__``), field-tuple hash, eq and
+    ``Name(f=v, ...)`` repr (a class's own eq or repr is kept), and
+    ``AttributeError`` on assignment or deletion."""
+    names = tuple(cls.__annotations__)
+    defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        values = dict(defaults, **dict(zip(names, args)), **kwargs)
+        if len(args) > len(names) or values.keys() != set(names):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
+        self.__dict__.update((k, values[k]) for k in names)
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self):
+        return tuple([getattr(self, k) for k in names])
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot change {name!r}")
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, frozen, frozen
+    cls.__hash__ = lambda self: hash(fields(self))
+    if "__eq__" not in cls.__dict__:
+        cls.__eq__ = lambda self, other: (
+            fields(self) == fields(other) if other.__class__ is self.__class__
+            else NotImplemented)
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = lambda self: "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            f"{k}={v!r}" for k, v in zip(names, fields(self))))
+    return cls
+
+
 def degree_cap(override=None):
     """Effective completion cap: explicit override, else env var, else default."""
     value = os.environ.get(DEGREE_CAP_ENV) if override is None else override

@@ -7,10 +7,10 @@ scratch and reports a diff for anything that moved, so a regression in
 any layer of the stack surfaces as a named mismatch.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 from . import sequences, spencer
+from .config import record
 
 # chain dims and operator orders per (builder, n)
 CHAINS = {
@@ -98,7 +98,7 @@ JANET_SPENCER = {
 HESSIAN_CC = {2: 4, 3: 24, 4: 80}
 
 
-@dataclass(frozen=True)
+@record
 class GoldenResult:
     key: str
     expected: object
@@ -109,7 +109,7 @@ class GoldenResult:
         return self.expected == self.got
 
 
-@dataclass(frozen=True)
+@record
 class GoldenReport:
     results: tuple
 

@@ -25,10 +25,9 @@ new basis element (0, x1*x2).
 """
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config import DegreeCapExceeded, degree_cap
+from .config import DegreeCapExceeded, degree_cap, record
 from .poly import Poly, mono_divides, mono_lcm, mono_mul, mono_sub
 
 ORDER_TAG = "degrevlex, term over position, low component wins ties"
@@ -94,7 +93,7 @@ class _Order:
 # ---------------------------------------------------------------------------
 # presentations
 
-@dataclass(frozen=True)
+@record
 class GradedPresentation:
     """Homogeneous generators of a graded submodule of R^ambient_rank."""
 
@@ -122,7 +121,7 @@ class GradedPresentation:
         return tuple(_vec_degree(_to_sparse(g), self.shifts) for g in self.generators)
 
 
-@dataclass(frozen=True)
+@record
 class GroebnerBasis:
     """Reduced basis: monic elements, sorted by leading term, autoreduced."""
 
@@ -131,7 +130,6 @@ class GroebnerBasis:
     elements: tuple
     shifts: tuple
     order_tag: str = ORDER_TAG
-    _sparse: tuple = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +318,6 @@ def reduced_groebner(pres, cap=None):
         ambient_rank=pres.ambient_rank,
         elements=tuple(_to_polys(e, pres.ambient_rank, pres.n) for e in elems),
         shifts=pres.shifts,
-        _sparse=tuple(tuple(sorted(e.items())) for e in elems),
     )
 
 

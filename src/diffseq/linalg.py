@@ -202,6 +202,19 @@ def invert(a):
     return [[row.get(k + j, ZERO) for j in range(k)] for row in reduced]
 
 
+def det(a):
+    """Exact determinant: det = cofactor(i, j) / inverse[j][i], recursively."""
+    if not a:
+        return ONE
+    try:
+        inv = invert(a)
+    except ZeroDivisionError:
+        return ZERO
+    j, i = next((j, i) for j, row in enumerate(inv) for i, v in enumerate(row) if v)
+    minor = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
+    return (-1) ** (i + j) * det(minor) / inv[j][i]
+
+
 def dense_rank(a):
     rows = [{j: v for j, v in enumerate(row) if v} for row in a]
     ncols = len(a[0]) if a else 0

@@ -10,14 +10,14 @@ Everything downstream (compatibility conditions, adjoints, generic rank)
 works on this symbol matrix with exact rational arithmetic.
 """
 
-from dataclasses import dataclass, field
 
 from . import groebner
 from .bundles import BundleBasis, free_basis
+from .config import record
 from .poly import Poly
 
 
-@dataclass(frozen=True)
+@record
 class OperatorMatrix:
     """A differential operator between two labeled bundles."""
 
@@ -25,7 +25,7 @@ class OperatorMatrix:
     n: int
     source: BundleBasis
     target: BundleBasis
-    rows: tuple = field(repr=False)   # rows[i][j]: Poly, i over target, j over source
+    rows: tuple   # rows[i][j]: Poly, i over target, j over source
 
     def __post_init__(self):
         if len(self.rows) != self.target.dim:

@@ -15,6 +15,7 @@ engines rely on.
 
 from fractions import Fraction
 
+from . import linalg
 from .config import EXPONENT_CAP, ExponentCapExceeded
 
 Mono = tuple
@@ -279,8 +280,6 @@ class ConstantMetric:
     __slots__ = ("n", "entries", "inverse", "det", "name")
 
     def __init__(self, entries, name="custom"):
-        from . import linalg
-
         rows = [tuple(_as_fraction(v) for v in row) for row in entries]
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -293,18 +292,7 @@ class ConstantMetric:
         self.entries = tuple(rows)
         inv = linalg.invert([list(r) for r in rows])
         self.inverse = tuple(tuple(v for v in row) for row in inv)
-        # determinant by Gaussian elimination; invert has ruled out det 0
-        det, work = Fraction(1), [list(r) for r in rows]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if work[r][col])
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                det = -det
-            det *= work[col][col]
-            for r in range(col + 1, n):
-                f = work[r][col] / work[col][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-        self.det = det
+        self.det = linalg.det(rows)
         self.name = name
 
     @classmethod

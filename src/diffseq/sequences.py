@@ -8,7 +8,6 @@ duality, and the verification reports for the splitting, the potential
 contradiction, and the contracted-trace identity.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bundles, config, groebner, linalg, operators
@@ -25,6 +24,7 @@ from .bundles import (
     tangent_space,
     trace_free_sym2,
 )
+from .config import record
 from .operators import OperatorMatrix, adjoint, compose, make_operator
 from .poly import ConstantMetric, Poly
 
@@ -48,28 +48,43 @@ def _cached(key, build):
     return _CACHE[key]
 
 
-def _chi(n, i):
-    return Poly.variable(n, i)
+def _mono(n, *symbols):
+    """Exponent tuple of the product of the given 1-based symbols."""
+    exps = [0] * n
+    for i in symbols:
+        exps[i - 1] += 1
+    return tuple(exps)
 
 
-def _constrained_rows(space, ambient_rows):
-    """Coordinate rows of an operator landing in a constrained space.
+def _add_term(terms, mono, coef):
+    """``terms[mono] += coef``, dropping a cancelled term as ``Poly.__add__`` does."""
+    s = terms.get(mono, 0) + coef
+    if s:
+        terms[mono] = s
+    else:
+        terms.pop(mono, None)
 
-    Verifies that every ambient row combination satisfies the space's
-    defining constraints, then keeps the rows at the free components.
-    """
-    width = len(ambient_rows[0]) if ambient_rows else 0
+
+def _combine(rows, coefs):
+    """Sum of ``coef * rows[i]`` over the ``(i, coef)`` pairs, entry by entry;
+    rows hold one {monomial: coefficient} dict per entry, and so does the sum."""
+    out = [{} for _ in rows[0]]
+    for i, coef in coefs:
+        for acc, terms in zip(out, rows[i]):
+            for m, v in terms.items():
+                _add_term(acc, m, v * coef)
+    return out
+
+
+def _constrained_rows(space, ambient):
+    """Coordinate rows of an operator landing in a constrained space: checks
+    that the ambient rows (term dicts) satisfy every constraint of the space,
+    then keeps the rows at the free components as polynomials."""
     for crow in bundles.constraint_rows(space):
-        for j in range(width):
-            acc = Poly.zero(space.n)
-            for col, coef in crow.items():
-                p = ambient_rows[col][j]
-                if not p.is_zero():
-                    acc = acc + p.scale(coef)
-            if not acc.is_zero():
-                raise AssertionError(
-                    f"operator image violates a constraint of {space.label}")
-    return [ambient_rows[c] for c in space.free_columns]
+        if any(_combine(ambient, crow.items())):
+            raise AssertionError(
+                f"operator image violates a constraint of {space.label}")
+    return [[Poly(space.n, t) for t in ambient[c]] for c in space.free_columns]
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +101,8 @@ def killing(n, metric=None):
         for i, j in sym_tuples(n, 2):
             row = []
             for k in range(1, n + 1):
-                p = _chi(n, i).scale(w.lower(k, j)) + _chi(n, j).scale(w.lower(i, k))
+                p = (Poly.variable(n, i).scale(w.lower(k, j))
+                     + Poly.variable(n, j).scale(w.lower(i, k)))
                 row.append(p)
             rows.append(row)
         return make_operator("killing", n, src, tgt, rows)
@@ -108,10 +124,11 @@ def conformal_killing(n, metric=None):
         for i, j in sym_tuples(n, 2):
             row = []
             for k in range(1, n + 1):
-                p = (_chi(n, i).scale(w.lower(k, j))
-                     + _chi(n, j).scale(w.lower(i, k))
-                     - _chi(n, k).scale(frac * w.lower(i, j)))
-                row.append(p)
+                terms = {}
+                _add_term(terms, _mono(n, i), w.lower(k, j))
+                _add_term(terms, _mono(n, j), w.lower(i, k))
+                _add_term(terms, _mono(n, k), -frac * w.lower(i, j))
+                row.append(terms)
             ambient.append(row)
         return make_operator("conformal_killing", n, src, tgt,
                              _constrained_rows(tgt, ambient))
@@ -119,23 +136,18 @@ def conformal_killing(n, metric=None):
     return _cached(("conformal_killing", n, w), build)
 
 
-def _riemann_ambient_rows(n):
-    """Ambient symbol rows of the linearized curvature, one per 4-tuple."""
+def _riemann_ambient_terms(n):
+    """Ambient symbol rows of the linearized curvature, one per 4-tuple,
+    as {monomial: coefficient} dicts."""
     pairs = sym_tuples(n, 2)
     pcol = {p: c for c, p in enumerate(pairs)}
     idx = bundles.all_tuples(n, 4)
     rows = []
     for k, l, i, j in idx:
-        row = [Poly.zero(n) for _ in pairs]
-
-        def add(a, b, h1, h2, sign):
-            c = pcol[(min(h1, h2), max(h1, h2))]
-            row[c] = row[c] + (_chi(n, a) * _chi(n, b)).scale(sign * HALF)
-
-        add(l, i, k, j, 1)
-        add(l, j, k, i, -1)
-        add(k, i, l, j, -1)
-        add(k, j, l, i, 1)
+        row = [{} for _ in pairs]
+        for a, b, h1, h2, coef in ((l, i, k, j, HALF), (l, j, k, i, -HALF),
+                                   (k, i, l, j, -HALF), (k, j, l, i, HALF)):
+            _add_term(row[pcol[(min(h1, h2), max(h1, h2))]], _mono(n, a, b), coef)
         rows.append(row)
     return idx, rows
 
@@ -147,7 +159,7 @@ def riemann_linearized(n, metric=None):
     def build():
         src = sym2_space(n)
         tgt = riemann_candidate_space(n)
-        _, ambient = _riemann_ambient_rows(n)
+        _, ambient = _riemann_ambient_terms(n)
         return make_operator("riemann", n, src, tgt,
                              _constrained_rows(tgt, ambient))
 
@@ -167,17 +179,14 @@ def bianchi(n, metric=None):
         rcol = {t: c for c, t in enumerate(idx4)}
         a_r = src.ambient_from_coords
         ambient = []
-        for p in ext_tuples(n, 2):
-            k, l = p
+        for k, l in ext_tuples(n, 2):
             for i, j, r in ext_tuples(n, 3):
-                row = []
-                for c in range(src.dim):
-                    acc = Poly.zero(n)
-                    for d, (a, b) in ((r, (i, j)), (i, (j, r)), (j, (r, i))):
-                        coef = a_r[rcol[(k, l, a, b)]][c]
+                row = [{} for _ in range(src.dim)]
+                for d, (a, b) in ((r, (i, j)), (i, (j, r)), (j, (r, i))):
+                    mono = _mono(n, d)
+                    for c, coef in enumerate(a_r[rcol[(k, l, a, b)]]):
                         if coef:
-                            acc = acc + _chi(n, d).scale(coef)
-                    row.append(acc)
+                            _add_term(row[c], mono, coef)
                 ambient.append(row)
         return make_operator("bianchi", n, src, tgt,
                              _constrained_rows(tgt, ambient))
@@ -194,22 +203,9 @@ def ricci(n, metric=None):
     def build():
         src = sym2_space(n)
         tgt = sym2_space(n)
-        idx4, ambient = _riemann_ambient_rows(n)
-        rcol = {t: c for c, t in enumerate(idx4)}
-        rows = []
-        for i, j in sym_tuples(n, 2):
-            row = []
-            for c in range(src.dim):
-                acc = Poly.zero(n)
-                for r in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        coef = w.upper(r, k)
-                        if coef:
-                            p = ambient[rcol[(k, i, r, j)]][c]
-                            if not p.is_zero():
-                                acc = acc + p.scale(coef)
-                row.append(acc)
-            rows.append(row)
+        _, ambient = _riemann_ambient_terms(n)
+        rows = [[Poly(n, t) for t in _combine(ambient, trace.items())]
+                for trace in bundles.riemann_trace_rows(n, w).values()]
         return make_operator("ricci", n, src, tgt, rows)
 
     return _cached(("ricci", n, w), build)
@@ -217,19 +213,11 @@ def ricci(n, metric=None):
 
 def _scalar_trace_row(n, w, ric):
     """Row of the doubly traced curvature over symmetric-tensor sources."""
-    pairs = sym_tuples(n, 2)
-    pcol = {p: c for c, p in enumerate(pairs)}
-    out = [Poly.zero(n) for _ in range(ric.source.dim)]
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            coef = w.upper(a, b)
-            if not coef:
-                continue
-            r = ric.rows[pcol[(min(a, b), max(a, b))]]
-            for c in range(len(out)):
-                if not r[c].is_zero():
-                    out[c] = out[c] + r[c].scale(coef)
-    return out
+    pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
+    traces = [(pcol[(min(a, b), max(a, b))], w.upper(a, b))
+              for a in range(1, n + 1) for b in range(1, n + 1) if w.upper(a, b)]
+    rows = [[p.terms for p in row] for row in ric.rows]
+    return [Poly(n, t) for t in _combine(rows, traces)]
 
 
 def einstein(n, metric=None):
@@ -271,7 +259,7 @@ def exterior_derivative(n, r):
             for t in range(r + 1):
                 rest = tup[:t] + tup[t + 1:]
                 sign = -1 if t % 2 else 1
-                row[scol[rest]] = row[scol[rest]] + _chi(n, tup[t]).scale(sign)
+                row[scol[rest]] = row[scol[rest]] + Poly.variable(n, tup[t]).scale(sign)
             rows.append(row)
         return make_operator(f"d{r}", n, src, tgt, rows)
 
@@ -291,24 +279,19 @@ def lanczos_candidate(n=4, metric=None):
         _, lcol = lanczos_ambient_index(n)
         a_l = src.ambient_from_coords
 
-        def lval(a, b, c, col):
-            slot, sign = bundles._pair_slot(a, b)
-            if not sign:
-                return ZERO
-            return sign * a_l[lcol[(slot, c)]][col]
-
         ambient = []
         for k, l, i, j in bundles.all_tuples(n, 4):
             terms = ((1, j, (k, l, i)), (-1, i, (k, l, j)),
                      (1, l, (i, j, k)), (-1, k, (i, j, l)))
-            row = []
-            for col in range(src.dim):
-                acc = Poly.zero(n)
-                for sign, d, (a, b, c) in terms:
-                    coef = lval(a, b, c, col)
+            row = [{} for _ in range(src.dim)]
+            for sign, d, (a, b, c) in terms:
+                slot, slot_sign = bundles._pair_slot(a, b)
+                if not slot_sign:
+                    continue
+                mono = _mono(n, d)
+                for col, coef in enumerate(a_l[lcol[(slot, c)]]):
                     if coef:
-                        acc = acc + _chi(n, d).scale(sign * coef)
-                row.append(acc)
+                        _add_term(row[col], mono, sign * slot_sign * coef)
             ambient.append(row)
         return make_operator("lanczos_candidate", n, src, tgt,
                              _constrained_rows(tgt, ambient))
@@ -330,7 +313,7 @@ BUILDERS = {
 # ---------------------------------------------------------------------------
 # sequences
 
-@dataclass(frozen=True)
+@record
 class SequenceStep:
     operator: OperatorMatrix
     order: int
@@ -338,7 +321,7 @@ class SequenceStep:
     target_dim: int
 
 
-@dataclass(frozen=True)
+@record
 class SequenceReport:
     name: str
     n: int
@@ -396,7 +379,7 @@ def build_sequence(op, max_steps=None, cap=None):
 # ---------------------------------------------------------------------------
 # parametrization checks
 
-@dataclass(frozen=True)
+@record
 class ParametrizationVerdict:
     ok: bool
     composes_to_zero: bool
@@ -454,7 +437,7 @@ def parametrization_generators(op, cap=None):
     return make_operator(f"potential({op.name})", op.n, src, op.source, rows)
 
 
-@dataclass(frozen=True)
+@record
 class DoubleDualityReport:
     name: str
     n: int
@@ -516,7 +499,7 @@ def is_self_adjoint_sym2(op, metric=None):
     return True
 
 
-@dataclass(frozen=True)
+@record
 class WeylRelationsReport:
     n: int
     relation_count: int
@@ -573,7 +556,7 @@ def weyl_relations_report(metric=None, cap=None):
 # ---------------------------------------------------------------------------
 # contracted-trace identity
 
-@dataclass(frozen=True)
+@record
 class TraceContractionReport:
     n: int
     identity_ok: bool
@@ -655,8 +638,8 @@ def trace_contraction_check(n=4, metric=None, cap=None):
                     if coef:
                         p = ric.rows[pcol[(min(m, r), max(m, r))]][c]
                         if not p.is_zero():
-                            acc = acc + (_chi(n, s) * p).scale(2 * coef)
-            acc = acc - _chi(n, r) * scal[c]
+                            acc = acc + (Poly.variable(n, s) * p).scale(2 * coef)
+            acc = acc - Poly.variable(n, r) * scal[c]
             row.append(acc)
         rhs_rows.append(row)
     rhs = make_operator("contracted_trace", n, ric.source, covector, rhs_rows)
@@ -724,7 +707,7 @@ def trace_contraction_check(n=4, metric=None, cap=None):
 # ---------------------------------------------------------------------------
 # potential contradiction
 
-@dataclass(frozen=True)
+@record
 class PotentialContradictionReport:
     n: int
     candidate_composition_nonzero: bool
@@ -770,7 +753,7 @@ def hessian_system_cc_count(n, cap=None):
     tgt = bundles.free_basis("S2T*xT", n, labels)
     rows = []
     for i, j in pairs:
-        mono = _chi(n, i) * _chi(n, j)
+        mono = Poly.variable(n, i) * Poly.variable(n, j)
         for k in range(1, n + 1):
             rows.append([mono if m == k else Poly.zero(n)
                          for m in range(1, n + 1)])

@@ -27,7 +27,15 @@ def _coef_string(c):
     return f"{c.numerator}/{c.denominator}"
 
 
+def _integer(value, what, low=0):
+    if type(value) is not int or value < low:
+        raise DocumentError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _parse_coef(s):
+    if type(s) not in (str, int):
+        raise DocumentError(f"coefficient must be a string or an integer, got {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -69,21 +77,26 @@ def document_to_operator(doc):
             raise DocumentError(f"unsupported schema_version {version!r}")
         if doc.get("kind", "operator") != "operator":
             raise DocumentError(f"not an operator document: {doc.get('kind')!r}")
-        n = int(doc["n"])
-        source = free_basis(doc["source"]["label"], n,
-                            tuple(doc["source"]["elements"]))
-        target = free_basis(doc["target"]["label"], n,
-                            tuple(doc["target"]["elements"]))
+        n = _integer(doc["n"], "n", low=1)
+        bases = []
+        for block in (doc["source"], doc["target"]):
+            elements = block["elements"]
+            if type(elements) is not list or any(type(e) is not str for e in elements):
+                raise DocumentError(f"elements must be a list of strings, got {elements!r}")
+            bases.append(free_basis(block["label"], n, elements))
+        source, target = bases
         rows = [[Poly.zero(n) for _ in range(source.dim)]
                 for _ in range(target.dim)]
+        seen = set()
         for entry in doc["entries"]:
-            i, j = int(entry["row"]), int(entry["col"])
-            if not (0 <= i < target.dim and 0 <= j < source.dim):
-                raise DocumentError(f"entry ({i},{j}) outside the matrix shape")
+            i, j = _integer(entry["row"], "row"), _integer(entry["col"], "col")
+            if i >= target.dim or j >= source.dim or (i, j) in seen:
+                raise DocumentError(f"entry ({i},{j}) repeated or outside the matrix shape")
+            seen.add((i, j))
             p = Poly.zero(n)
             for term in entry["terms"]:
-                exp = tuple(int(e) for e in term["exp"])
-                if len(exp) != n or any(e < 0 for e in exp):
+                exp = tuple(_integer(e, "exponent") for e in term["exp"])
+                if len(exp) != n:
                     raise DocumentError(f"bad exponent list {term['exp']!r}")
                 p = p + Poly.monomial(n, exp, _parse_coef(term["coef"]))
             rows[i][j] = p

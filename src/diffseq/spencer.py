@@ -11,12 +11,12 @@ Jet coordinates here carry no multinomial factors: the component at a
 symmetric multi-index stands for the plain mixed partial.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import linalg
 from .bundles import ext_tuples, sym_tuples
+from .config import record
 from .poly import Poly
 
 
@@ -42,7 +42,7 @@ class _Indexer:
         return self.index[(mu, k)]
 
 
-@dataclass(frozen=True)
+@record
 class SymbolSpace:
     """Kernel of linear constraints on S_q T* tensor the source fiber."""
 
@@ -144,7 +144,7 @@ def delta_ambient(n, r, q, m):
     return rows
 
 
-@dataclass(frozen=True)
+@record
 class DeltaComplexSlice:
     """delta restricted to the exterior-power tensor of a symbol space."""
 
@@ -184,7 +184,7 @@ def delta_map(r, g):
         rank=linalg.rank(rows, domain))
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyNode:
     r: int
     dim: int
@@ -223,7 +223,7 @@ def delta_cohomology_dims(op, r_max, q=None):
 # ---------------------------------------------------------------------------
 # full-jet columns
 
-@dataclass(frozen=True)
+@record
 class JetColumnReport:
     n: int
     q_top: int

@@ -1,8 +1,11 @@
 """Command-line behavior: artifacts, formats, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
+
+import pytest
 
 from diffseq import cli, golden, serialize
 from diffseq.sequences import killing
@@ -131,3 +134,77 @@ def test_json_and_markdown_flags_conflict():
     code, _ = run_cli(["sequence", "killing", "--n", "3",
                        "--json", "--markdown"])
     assert code == 2
+
+
+APPEND = object()   # marker: repeat the first element of the list at path
+
+
+def _edit(doc, path, value):
+    """Set ``doc[path[0]][path[1]]...`` to ``value`` (or apply ``APPEND``)."""
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is APPEND:
+        target[path[-1]].append(target[path[-1]][0])
+    else:
+        target[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("n",), "abc"),                                   # not a number at all
+    (("entries", 0, "terms", 0, "coef"), 0.1),         # float coefficient
+    (("entries", 0, "terms", 0, "exp"), [1.5, 0]),     # float exponent
+    (("entries", 0, "row"), 0.9),                      # float row index
+    (("n",), 2.7),                                     # float dimension
+    (("entries", 0, "col"), False),                    # boolean as integer
+    (("source", "elements"), "abc"),                   # string, not a list
+    (("entries",), APPEND),                            # repeated (row, col)
+], ids=["n-string", "coef-float", "exp-float", "row-float", "n-float",
+        "col-bool", "elements-string", "duplicate-entry"])
+def test_malformed_document_fields_exit_two(tmp_path, capsys, path, value):
+    _, out = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(out)
+    _edit(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("adjoint", "cc"):
+        code, stdout = run_cli([command, str(bad)])
+        assert (code, stdout) == (2, "")
+        assert capsys.readouterr().err.startswith("diffseq: ")
+
+
+def _pinned_invocations(tmp_path):
+    """build/sequence/cc/adjoint for every builder at n = 2..4 under both
+    metrics in JSON and markdown, plus three checks."""
+    doc = tmp_path / "op.json"
+    for n in (2, 3, 4):
+        for metric in ("euclidean", "minkowski"):
+            for name in cli.BUILDER_NAMES:
+                for r in range(n) if name == "exterior_derivative" else (0,):
+                    args = [name, "--n", str(n), "--metric", metric,
+                            "--form-degree", str(r)]
+                    code, out = run_cli(["build"] + args)
+                    doc.write_text(out, encoding="utf-8")
+                    for fmt in ("--json", "--markdown"):
+                        yield ["build"] + args + [fmt]
+                        yield ["sequence"] + args + [fmt]
+                        if code == 0:
+                            yield ["cc", str(doc), fmt]
+                            yield ["adjoint", str(doc), fmt]
+    yield ["check", "lemma41"]
+    yield ["check", "double-duality"]
+    yield ["check", "golden-tables", "--n", "3"]
+
+
+def test_cli_output_bytes_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for argv in _pinned_invocations(tmp_path):
+        code, out = run_cli(argv)
+        digest.update(f"{code}\n{out}".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_CLI_SHA256
+
+
+# exit codes and stdout of every invocation above; any change to the CLI's
+# output bytes changes it
+PINNED_CLI_SHA256 = "f35170bdc1836a3b56b18cbbf632cc9d166a24355f84769b9eb3aeac2f757f1a"

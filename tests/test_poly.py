@@ -99,6 +99,16 @@ def test_euclidean_metric_is_the_identity():
     assert w.det == 1
 
 
+def test_metric_determinants_are_exact_fractions():
+    assert ConstantMetric.euclidean(4).det == 1
+    assert ConstantMetric.minkowski(4).det == -1
+    w = ConstantMetric([[2, 1, 0], [1, Fraction(1, 2), 3], [0, 3, 0]])
+    assert w.det == -18   # expansion along the last row: -3 * (2*3 - 0*1)
+    assert ConstantMetric([[0, 1], [1, 0]]).det == -1
+    for m in (ConstantMetric.euclidean(4), ConstantMetric.minkowski(4), w):
+        assert type(m.det) is Fraction
+
+
 def test_minkowski_metric_signature_and_inverse():
     w = ConstantMetric.minkowski(4)
     diag = [w.lower(i, i) for i in range(1, 5)]
