@@ -34,7 +34,7 @@ def record(cls):
     without its generated source and ``inspect`` import, which were most of the
     cold-start cost of ``import diffseq.cli``.  Same construction (annotation
     order, class-level defaults, ``__post_init__``), field-tuple hash, eq and
-    ``Name(f=v, ...)`` repr (a class's own eq or repr is kept), and
+    ``Name(f=v, ...)`` repr (a class's own eq, hash or repr is kept), and
     ``AttributeError`` on assignment or deletion."""
     names = tuple(cls.__annotations__)
     defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
@@ -55,7 +55,8 @@ def record(cls):
         raise AttributeError(f"{cls.__name__} is frozen: cannot change {name!r}")
 
     cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, frozen, frozen
-    cls.__hash__ = lambda self: hash(fields(self))
+    if cls.__dict__.get("__hash__") is None:
+        cls.__hash__ = lambda self: hash(fields(self))
     if "__eq__" not in cls.__dict__:
         cls.__eq__ = lambda self, other: (
             fields(self) == fields(other) if other.__class__ is self.__class__

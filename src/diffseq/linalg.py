@@ -202,14 +202,13 @@ def invert(a):
     return [[row.get(k + j, ZERO) for j in range(k)] for row in reduced]
 
 
-def det(a):
-    """Exact determinant: det = cofactor(i, j) / inverse[j][i], recursively."""
+def det(a, inv=None):
+    """Exact determinant of an invertible matrix (``inv``: its inverse, if known),
+    det = cofactor(i, j) / inverse[j][i] recursively; raises on singular input."""
     if not a:
         return ONE
-    try:
+    if inv is None:
         inv = invert(a)
-    except ZeroDivisionError:
-        return ZERO
     j, i = next((j, i) for j, row in enumerate(inv) for i, v in enumerate(row) if v)
     minor = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
     return (-1) ** (i + j) * det(minor) / inv[j][i]

@@ -80,10 +80,11 @@ def document_to_operator(doc):
         n = _integer(doc["n"], "n", low=1)
         bases = []
         for block in (doc["source"], doc["target"]):
-            elements = block["elements"]
-            if type(elements) is not list or any(type(e) is not str for e in elements):
-                raise DocumentError(f"elements must be a list of strings, got {elements!r}")
-            bases.append(free_basis(block["label"], n, elements))
+            label, elements = block["label"], block["elements"]
+            if type(label) is not str or type(elements) is not list or any(
+                    type(e) is not str for e in elements):
+                raise DocumentError(f"bad label {label!r} or elements {elements!r}")
+            bases.append(free_basis(label, n, elements))
         source, target = bases
         rows = [[Poly.zero(n) for _ in range(source.dim)]
                 for _ in range(target.dim)]

@@ -158,9 +158,10 @@ def _edit(doc, path, value):
     (("n",), 2.7),                                     # float dimension
     (("entries", 0, "col"), False),                    # boolean as integer
     (("source", "elements"), "abc"),                   # string, not a list
+    (("source", "label"), 5),                          # label not a string
     (("entries",), APPEND),                            # repeated (row, col)
 ], ids=["n-string", "coef-float", "exp-float", "row-float", "n-float",
-        "col-bool", "elements-string", "duplicate-entry"])
+        "col-bool", "elements-string", "label-number", "duplicate-entry"])
 def test_malformed_document_fields_exit_two(tmp_path, capsys, path, value):
     _, out = run_cli(["build", "killing", "--n", "2"])
     doc = json.loads(out)

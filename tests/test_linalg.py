@@ -114,6 +114,13 @@ def test_invert_rejects_a_singular_matrix():
         linalg.invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 
 
+def test_det_rejects_a_singular_matrix_and_reuses_a_given_inverse():
+    with pytest.raises(ZeroDivisionError):
+        linalg.det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+    assert linalg.det(a) == linalg.det(a, linalg.invert(a)) == 5
+
+
 def reference_rref(rows, ncols):
     """Dense Gauss-Jordan over Fraction: (reduced nonzero rows, pivot columns)."""
     mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]

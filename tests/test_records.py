@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from diffseq.bundles import free_basis
+from diffseq.bundles import free_basis, riemann_candidate_space
 from diffseq.config import record
 from diffseq.groebner import GradedPresentation
 from diffseq.operators import make_operator
@@ -91,6 +91,13 @@ def test_own_eq_and_repr_are_kept():
     assert op == same   # OperatorMatrix compares bundles and symbols only
     assert repr(op).startswith("OperatorMatrix(killing: T -> S2T*")
     assert isinstance(hash(op), int)
+
+
+def test_own_hash_is_kept():
+    a = riemann_candidate_space(4)
+    back = a.dual().dual()   # same label and elements, no ambient fields
+    assert back == a and hash(back) == hash(a) == hash(a.key())
+    assert back in {a}
 
 
 def test_records_are_frozen():
