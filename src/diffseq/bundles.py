@@ -20,7 +20,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from . import linalg
 from .config import record
-from .poly import ConstantMetric
+from .poly import metric_cache
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -208,10 +208,9 @@ def riemann_trace_rows(n, metric):
     return rows
 
 
-@lru_cache(maxsize=None)
+@metric_cache
 def weyl_candidate_space(n, metric=None):
     """Trace-free part of the curvature candidate space."""
-    metric = metric or ConstantMetric.euclidean(n)
     base = riemann_candidate_space(n)
     rows = constraint_rows(base)
     rows.extend(r for r in riemann_trace_rows(n, metric).values() if r)
@@ -219,9 +218,8 @@ def weyl_candidate_space(n, metric=None):
     return constrained_basis("WeylSpace", n, labels, rows)
 
 
-@lru_cache(maxsize=None)
+@metric_cache
 def trace_free_sym2(n, metric=None):
-    metric = metric or ConstantMetric.euclidean(n)
     pairs = sym_tuples(n, 2)
     row = {}
     for c, (i, j) in enumerate(pairs):
@@ -256,7 +254,7 @@ def lanczos_ambient_index(n):
     return idx, {t: c for c, t in enumerate(idx)}
 
 
-@lru_cache(maxsize=None)
+@metric_cache
 def bianchi_candidate_space(n, metric=None):
     """Value space of the second identity: pairs x triples, alternation killed.
 
@@ -264,7 +262,6 @@ def bianchi_candidate_space(n, metric=None):
     the constraints demand that the full four-index alternation of
     B^k_{l,(triple)} vanishes; the metric raises the first pair index.
     """
-    metric = metric or ConstantMetric.euclidean(n)
     pairs = ext_tuples(n, 2)
     triples = ext_tuples(n, 3)
     idx = [(p, t) for p in pairs for t in triples]
@@ -341,7 +338,7 @@ def _ricci_inject_ambient(n, metric):
     return rows
 
 
-@lru_cache(maxsize=None)
+@metric_cache
 def split_riemann(n, metric=None):
     """Exact splitting of the curvature candidate space at n >= 3.
 
@@ -351,7 +348,6 @@ def split_riemann(n, metric=None):
     """
     if n < 3:
         raise ValueError("splitting needs n >= 3")
-    metric = metric or ConstantMetric.euclidean(n)
     r_space = riemann_candidate_space(n)
     w_space = weyl_candidate_space(n, metric)
     s2 = sym2_space(n)

@@ -140,7 +140,7 @@ def _fiber_dims():
     return fibers
 
 
-def run_golden_checks(ns=(2, 3, 4, 5), include_diagrams=True):
+def run_golden_checks(ns=(2, 3, 4, 5)):
     """Recompute every frozen value whose dimension is in ``ns``."""
     results = []
 
@@ -179,7 +179,7 @@ def run_golden_checks(ns=(2, 3, 4, 5), include_diagrams=True):
                 expected=(dim, rank_out, h),
                 got=(node.dim, node.rank_out, node.h)))
 
-    if include_diagrams and 4 in ns:
+    if 4 in ns:
         fibers = _fiber_dims()
         for diagram, rows in sorted(DIAGRAM_FORMULAS.items()):
             got_rows = tuple(

@@ -95,7 +95,10 @@ class _Order:
 
 @record
 class GradedPresentation:
-    """Homogeneous generators of a graded submodule of R^ambient_rank."""
+    """Homogeneous generators of a graded submodule of R^ambient_rank.
+
+    ``_sparse`` holds the generators as sparse vectors, converted once here;
+    the engines read it and never mutate it."""
 
     n: int
     ambient_rank: int
@@ -108,6 +111,7 @@ class GradedPresentation:
         object.__setattr__(self, "generators", tuple(tuple(g) for g in self.generators))
         if len(self.shifts) != self.ambient_rank:
             raise ValueError("one shift per ambient component required")
+        sparse = []
         for g in self.generators:
             if len(g) != self.ambient_rank:
                 raise ValueError("generator arity does not match ambient rank")
@@ -116,9 +120,11 @@ class GradedPresentation:
                 raise ValueError("zero generator not allowed")
             if not _is_homogeneous(s, self.shifts):
                 raise ValueError("generator is not homogeneous")
+            sparse.append(s)
+        object.__setattr__(self, "_sparse", tuple(sparse))
 
     def generator_degrees(self):
-        return tuple(_vec_degree(_to_sparse(g), self.shifts) for g in self.generators)
+        return tuple(_vec_degree(s, self.shifts) for s in self._sparse)
 
 
 @record
@@ -302,8 +308,8 @@ class ModuleGB:
 def _worker_for(pres, cap=None):
     order = _Order(pres.shifts)
     gb = ModuleGB(pres.ambient_rank, order, degree_cap(cap))
-    for g in pres.generators:
-        gb.add(_to_sparse(g))
+    for s in pres._sparse:
+        gb.add(s)
     return gb
 
 
@@ -340,7 +346,7 @@ def syzygies(pres, cap=None):
     the generator degrees, so its own grading is honest.
     """
     m = pres.ambient_rank
-    gens = [_to_sparse(g) for g in pres.generators]
+    gens = pres._sparse
     k = len(gens)
     degs = tuple(_vec_degree(g, pres.shifts) for g in gens)
     order = _Order(pres.shifts + degs, block_start=m)
@@ -368,7 +374,7 @@ def minimal_graded_generators(pres, cap=None):
     before it; processing degrees in increasing order makes the count per
     degree equal to dim M_d / (R_+ M)_d, which is the minimal possible.
     """
-    gens = [_to_sparse(g) for g in pres.generators]
+    gens = pres._sparse
     order = _Order(pres.shifts)
     decorated = sorted(
         (( _vec_degree(g, pres.shifts), _canonical_rep(g)), i)
@@ -393,22 +399,18 @@ def module_equality(a, b, cap=None):
     """Do two presentations generate the same submodule of R^m?"""
     if a.n != b.n or a.ambient_rank != b.ambient_rank:
         raise ValueError("presentations live in different ambient modules")
+    # zero shifts, not the presentations' own: the cap bounds unshifted degrees
     zero_shifts = (0,) * a.ambient_rank
     wa = ModuleGB(a.ambient_rank, _Order(zero_shifts), degree_cap(cap))
-    for g in a.generators:
-        wa.add(_to_sparse(g))
+    for s in a._sparse:
+        wa.add(s)
     wb = ModuleGB(b.ambient_rank, _Order(zero_shifts), degree_cap(cap))
-    for g in b.generators:
-        wb.add(_to_sparse(g))
+    for s in b._sparse:
+        wb.add(s)
     wa.complete()
     wb.complete()
-    for g in b.generators:
-        if wa.normal_form(_to_sparse(g)):
-            return False
-    for g in a.generators:
-        if wb.normal_form(_to_sparse(g)):
-            return False
-    return True
+    return (not any(wa.normal_form(s) for s in b._sparse)
+            and not any(wb.normal_form(s) for s in a._sparse))
 
 
 def generic_rank(rows, n=None):

@@ -56,6 +56,9 @@ class OperatorMatrix:
                 and self.target.key() == other.target.key()
                 and self.rows == other.rows)
 
+    def __hash__(self):
+        return hash((self.source.key(), self.target.key(), self.rows))
+
     def __repr__(self):
         return (f"OperatorMatrix({self.name}: {self.source.label} -> "
                 f"{self.target.label}, shape {self.shape}, order {self.order})")
@@ -123,7 +126,7 @@ def rows_presentation(op):
     )
 
 
-def compatibility_conditions(op, cap=None, target_label=None):
+def compatibility_conditions(op, cap=None):
     """Minimal generating operator for the relations among the rows of ``op``.
 
     Any operator annihilating the image of ``op`` factors through the
@@ -131,9 +134,9 @@ def compatibility_conditions(op, cap=None, target_label=None):
     """
     syz = groebner.syzygies(rows_presentation(op), cap=cap)
     gens = groebner.minimal_graded_generators(syz, cap=cap)
-    label = target_label or f"CC({op.target.label})"
     k = len(gens.generators)
-    target = free_basis(label, op.n, [f"q{i}" for i in range(1, k + 1)])
+    target = free_basis(f"CC({op.target.label})", op.n,
+                        [f"q{i}" for i in range(1, k + 1)])
     return OperatorMatrix(
         name=f"cc({op.name})", n=op.n, source=op.target, target=target,
         rows=tuple(tuple(g) for g in gens.generators))

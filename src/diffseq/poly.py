@@ -14,6 +14,7 @@ engines rely on.
 """
 
 from fractions import Fraction
+from functools import lru_cache, update_wrapper
 
 from . import linalg
 from .config import EXPONENT_CAP, ExponentCapExceeded
@@ -266,14 +267,6 @@ class Poly:
         return text.replace("+ -", "- ")
 
 
-def poly_mul(p, q):
-    return p * q
-
-
-def negate_vars(p):
-    return p.negate_vars()
-
-
 class ConstantMetric:
     """Symmetric nondegenerate rational matrix with cached inverse and det."""
 
@@ -296,6 +289,7 @@ class ConstantMetric:
         self.name = name
 
     @classmethod
+    @lru_cache(maxsize=None)
     def euclidean(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
                    name="euclidean")
@@ -324,3 +318,27 @@ class ConstantMetric:
 
     def __repr__(self):
         return f"ConstantMetric({self.name}, n={self.n})"
+
+
+def resolve_metric(n, metric):
+    """The metric a function of ``(n, metric)`` works with: ``None`` stands
+    for the euclidean metric, and a metric of another dimension is refused."""
+    if metric is None:
+        return ConstantMetric.euclidean(n)
+    if metric.n != n:
+        raise ValueError(f"metric is for n={metric.n}, requested n={n}")
+    return metric
+
+
+def metric_cache(body):
+    """``lru_cache`` for a pure function ``body(n, metric=None)``, keyed on
+    the resolved metric, so ``None`` and the euclidean metric share one entry.
+    The decorated function stays a plain function with ``body``'s defaults.
+    Results are shared for the life of the process: do not mutate them."""
+    cached = lru_cache(maxsize=None)(body)
+
+    def call(n, metric=None):
+        return cached(n, resolve_metric(n, metric))
+
+    call.__defaults__ = body.__defaults__
+    return update_wrapper(call, body)

@@ -9,6 +9,8 @@ contradiction, and the contracted-trace identity.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import bundles, config, groebner, linalg, operators
 from .bundles import (
@@ -26,26 +28,10 @@ from .bundles import (
 )
 from .config import record
 from .operators import OperatorMatrix, adjoint, compose, make_operator
-from .poly import ConstantMetric, Poly
+from .poly import Poly, metric_cache, resolve_metric
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
-
-_CACHE = {}
-
-
-def _metric(n, metric):
-    if metric is None:
-        return ConstantMetric.euclidean(n)
-    if metric.n != n:
-        raise ValueError(f"metric is for n={metric.n}, requested n={n}")
-    return metric
-
-
-def _cached(key, build):
-    if key not in _CACHE:
-        _CACHE[key] = build()
-    return _CACHE[key]
 
 
 def _mono(n, *symbols):
@@ -90,125 +76,97 @@ def _constrained_rows(space, ambient):
 # ---------------------------------------------------------------------------
 # operator builders
 
+@metric_cache
 def killing(n, metric=None):
     """Lie derivative of the metric: vector fields to symmetric 2-tensors."""
-    w = _metric(n, metric)
-
-    def build():
-        src = tangent_space(n)
-        tgt = sym2_space(n)
-        rows = []
-        for i, j in sym_tuples(n, 2):
-            row = []
-            for k in range(1, n + 1):
-                p = (Poly.variable(n, i).scale(w.lower(k, j))
-                     + Poly.variable(n, j).scale(w.lower(i, k)))
-                row.append(p)
-            rows.append(row)
-        return make_operator("killing", n, src, tgt, rows)
-
-    return _cached(("killing", n, w), build)
+    rows = []
+    for i, j in sym_tuples(n, 2):
+        row = []
+        for k in range(1, n + 1):
+            p = (Poly.variable(n, i).scale(metric.lower(k, j))
+                 + Poly.variable(n, j).scale(metric.lower(i, k)))
+            row.append(p)
+        rows.append(row)
+    return make_operator("killing", n, tangent_space(n), sym2_space(n), rows)
 
 
+@metric_cache
 def conformal_killing(n, metric=None):
     """Trace-free part of the Killing operator (needs n >= 3)."""
     if n < 3:
         raise ValueError("conformal variant needs n >= 3")
-    w = _metric(n, metric)
-
-    def build():
-        src = tangent_space(n)
-        tgt = trace_free_sym2(n, w)
-        frac = Fraction(2, n)
-        ambient = []
-        for i, j in sym_tuples(n, 2):
-            row = []
-            for k in range(1, n + 1):
-                terms = {}
-                _add_term(terms, _mono(n, i), w.lower(k, j))
-                _add_term(terms, _mono(n, j), w.lower(i, k))
-                _add_term(terms, _mono(n, k), -frac * w.lower(i, j))
-                row.append(terms)
-            ambient.append(row)
-        return make_operator("conformal_killing", n, src, tgt,
-                             _constrained_rows(tgt, ambient))
-
-    return _cached(("conformal_killing", n, w), build)
+    tgt = trace_free_sym2(n, metric)
+    frac = Fraction(2, n)
+    ambient = []
+    for i, j in sym_tuples(n, 2):
+        row = []
+        for k in range(1, n + 1):
+            terms = {}
+            _add_term(terms, _mono(n, i), metric.lower(k, j))
+            _add_term(terms, _mono(n, j), metric.lower(i, k))
+            _add_term(terms, _mono(n, k), -frac * metric.lower(i, j))
+            row.append(terms)
+        ambient.append(row)
+    return make_operator("conformal_killing", n, tangent_space(n), tgt,
+                         _constrained_rows(tgt, ambient))
 
 
+@lru_cache(maxsize=None)
 def _riemann_ambient_terms(n):
-    """Ambient symbol rows of the linearized curvature, one per 4-tuple,
-    as {monomial: coefficient} dicts."""
+    """Ambient symbol rows of the linearized curvature, one per 4-tuple, as
+    read-only {monomial: coefficient} maps shared by every caller."""
     pairs = sym_tuples(n, 2)
     pcol = {p: c for c, p in enumerate(pairs)}
-    idx = bundles.all_tuples(n, 4)
     rows = []
-    for k, l, i, j in idx:
+    for k, l, i, j in bundles.all_tuples(n, 4):
         row = [{} for _ in pairs]
         for a, b, h1, h2, coef in ((l, i, k, j, HALF), (l, j, k, i, -HALF),
                                    (k, i, l, j, -HALF), (k, j, l, i, HALF)):
             _add_term(row[pcol[(min(h1, h2), max(h1, h2))]], _mono(n, a, b), coef)
-        rows.append(row)
-    return idx, rows
+        rows.append(tuple(MappingProxyType(t) for t in row))
+    return tuple(rows)
 
 
+@metric_cache
 def riemann_linearized(n, metric=None):
     """Second-order symbol of the curvature of a perturbed flat metric."""
-    w = _metric(n, metric)
-
-    def build():
-        src = sym2_space(n)
-        tgt = riemann_candidate_space(n)
-        _, ambient = _riemann_ambient_terms(n)
-        return make_operator("riemann", n, src, tgt,
-                             _constrained_rows(tgt, ambient))
-
-    return _cached(("riemann", n, w), build)
+    tgt = riemann_candidate_space(n)
+    return make_operator("riemann", n, sym2_space(n), tgt,
+                         _constrained_rows(tgt, _riemann_ambient_terms(n)))
 
 
+@metric_cache
 def bianchi(n, metric=None):
     """Cyclic-derivative identity operator on curvature candidates."""
     if n < 3:
         raise ValueError("second identity needs n >= 3")
-    w = _metric(n, metric)
-
-    def build():
-        src = riemann_candidate_space(n)
-        tgt = bianchi_candidate_space(n, w)
-        idx4 = bundles.all_tuples(n, 4)
-        rcol = {t: c for c, t in enumerate(idx4)}
-        a_r = src.ambient_from_coords
-        ambient = []
-        for k, l in ext_tuples(n, 2):
-            for i, j, r in ext_tuples(n, 3):
-                row = [{} for _ in range(src.dim)]
-                for d, (a, b) in ((r, (i, j)), (i, (j, r)), (j, (r, i))):
-                    mono = _mono(n, d)
-                    for c, coef in enumerate(a_r[rcol[(k, l, a, b)]]):
-                        if coef:
-                            _add_term(row[c], mono, coef)
-                ambient.append(row)
-        return make_operator("bianchi", n, src, tgt,
-                             _constrained_rows(tgt, ambient))
-
-    return _cached(("bianchi", n, w), build)
+    src = riemann_candidate_space(n)
+    tgt = bianchi_candidate_space(n, metric)
+    idx4 = bundles.all_tuples(n, 4)
+    rcol = {t: c for c, t in enumerate(idx4)}
+    a_r = src.ambient_from_coords
+    ambient = []
+    for k, l in ext_tuples(n, 2):
+        for i, j, r in ext_tuples(n, 3):
+            row = [{} for _ in range(src.dim)]
+            for d, (a, b) in ((r, (i, j)), (i, (j, r)), (j, (r, i))):
+                mono = _mono(n, d)
+                for c, coef in enumerate(a_r[rcol[(k, l, a, b)]]):
+                    if coef:
+                        _add_term(row[c], mono, coef)
+            ambient.append(row)
+    return make_operator("bianchi", n, src, tgt, _constrained_rows(tgt, ambient))
 
 
+@metric_cache
 def ricci(n, metric=None):
     """Metric trace of the linearized curvature (symmetric 2-tensor valued)."""
     if n < 3:
         raise ValueError("trace operator needs n >= 3")
-    w = _metric(n, metric)
-
-    def build():
-        src = sym2_space(n)
-        tgt = sym2_space(n)
-        _, ambient = _riemann_ambient_terms(n)
-        rows = [[Poly(n, t) for t in _combine(ambient, trace.items())]
-                for trace in bundles.riemann_trace_rows(n, w).values()]
-        return make_operator("ricci", n, src, tgt, rows)
-
-    return _cached(("ricci", n, w), build)
+    ambient = _riemann_ambient_terms(n)
+    rows = [[Poly(n, t) for t in _combine(ambient, trace.items())]
+            for trace in bundles.riemann_trace_rows(n, metric).values()]
+    return make_operator("ricci", n, sym2_space(n), sym2_space(n), rows)
 
 
 def _scalar_trace_row(n, w, ric):
@@ -220,83 +178,75 @@ def _scalar_trace_row(n, w, ric):
     return [Poly(n, t) for t in _combine(rows, traces)]
 
 
+@metric_cache
 def einstein(n, metric=None):
     """Trace-reverted curvature trace; divergence-free by construction."""
     if n < 3:
         raise ValueError("trace-reverted operator needs n >= 3")
-    w = _metric(n, metric)
-
-    def build():
-        ric = ricci(n, w)
-        scal = _scalar_trace_row(n, w, ric)
-        rows = []
-        for c, (i, j) in enumerate(sym_tuples(n, 2)):
-            wij = w.lower(i, j)
-            row = []
-            for m in range(ric.source.dim):
-                p = ric.rows[c][m]
-                if wij:
-                    p = p - scal[m].scale(HALF * wij)
-                row.append(p)
-            rows.append(row)
-        return make_operator("einstein", n, ric.source, ric.target, rows)
-
-    return _cached(("einstein", n, w), build)
+    ric = ricci(n, metric)
+    scal = _scalar_trace_row(n, metric, ric)
+    rows = []
+    for c, (i, j) in enumerate(sym_tuples(n, 2)):
+        wij = metric.lower(i, j)
+        row = []
+        for m in range(ric.source.dim):
+            p = ric.rows[c][m]
+            if wij:
+                p = p - scal[m].scale(HALF * wij)
+            row.append(p)
+        rows.append(row)
+    return make_operator("einstein", n, ric.source, ric.target, rows)
 
 
 def exterior_derivative(n, r):
     """Alternating first-derivative map on r-forms."""
     if not 0 <= r < n:
         raise ValueError(f"form degree {r} out of range for n={n}")
-
-    def build():
-        src = ext_space(n, r)
-        tgt = ext_space(n, r + 1)
-        scol = {t: c for c, t in enumerate(ext_tuples(n, r))}
-        rows = []
-        for tup in ext_tuples(n, r + 1):
-            row = [Poly.zero(n) for _ in range(src.dim)]
-            for t in range(r + 1):
-                rest = tup[:t] + tup[t + 1:]
-                sign = -1 if t % 2 else 1
-                row[scol[rest]] = row[scol[rest]] + Poly.variable(n, tup[t]).scale(sign)
-            rows.append(row)
-        return make_operator(f"d{r}", n, src, tgt, rows)
-
-    return _cached(("d", n, r), build)
+    return _exterior_derivative(n, r)
 
 
+@lru_cache(maxsize=None)
+def _exterior_derivative(n, r):
+    src = ext_space(n, r)
+    scol = {t: c for c, t in enumerate(ext_tuples(n, r))}
+    rows = []
+    for tup in ext_tuples(n, r + 1):
+        row = [Poly.zero(n) for _ in range(src.dim)]
+        for t in range(r + 1):
+            rest = tup[:t] + tup[t + 1:]
+            sign = -1 if t % 2 else 1
+            row[scol[rest]] = row[scol[rest]] + Poly.variable(n, tup[t]).scale(sign)
+        rows.append(row)
+    return make_operator(f"d{r}", n, src, ext_space(n, r + 1), rows)
+
+
+@metric_cache
 def lanczos_candidate(n=4, metric=None):
     """Antisymmetrized gradient of the constrained potential, aimed at the
     curvature candidate space; deliberately order 1."""
     if n != 4:
         raise ValueError("potential candidate implemented for n = 4")
-    w = _metric(n, metric)
+    src = lanczos_constraint_space(n)
+    tgt = riemann_candidate_space(n)
+    _, lcol = lanczos_ambient_index(n)
+    a_l = src.ambient_from_coords
 
-    def build():
-        src = lanczos_constraint_space(n)
-        tgt = riemann_candidate_space(n)
-        _, lcol = lanczos_ambient_index(n)
-        a_l = src.ambient_from_coords
-
-        ambient = []
-        for k, l, i, j in bundles.all_tuples(n, 4):
-            terms = ((1, j, (k, l, i)), (-1, i, (k, l, j)),
-                     (1, l, (i, j, k)), (-1, k, (i, j, l)))
-            row = [{} for _ in range(src.dim)]
-            for sign, d, (a, b, c) in terms:
-                slot, slot_sign = bundles._pair_slot(a, b)
-                if not slot_sign:
-                    continue
-                mono = _mono(n, d)
-                for col, coef in enumerate(a_l[lcol[(slot, c)]]):
-                    if coef:
-                        _add_term(row[col], mono, sign * slot_sign * coef)
-            ambient.append(row)
-        return make_operator("lanczos_candidate", n, src, tgt,
-                             _constrained_rows(tgt, ambient))
-
-    return _cached(("lanczos_candidate", n, w), build)
+    ambient = []
+    for k, l, i, j in bundles.all_tuples(n, 4):
+        terms = ((1, j, (k, l, i)), (-1, i, (k, l, j)),
+                 (1, l, (i, j, k)), (-1, k, (i, j, l)))
+        row = [{} for _ in range(src.dim)]
+        for sign, d, (a, b, c) in terms:
+            slot, slot_sign = bundles._pair_slot(a, b)
+            if not slot_sign:
+                continue
+            mono = _mono(n, d)
+            for col, coef in enumerate(a_l[lcol[(slot, c)]]):
+                if coef:
+                    _add_term(row[col], mono, sign * slot_sign * coef)
+        ambient.append(row)
+    return make_operator("lanczos_candidate", n, src, tgt,
+                         _constrained_rows(tgt, ambient))
 
 
 BUILDERS = {
@@ -478,7 +428,7 @@ def sym2_pairing_weights(n, metric=None):
     pair weight 2, and raising both indices contributes the inverse-metric
     diagonal (a sign under an indefinite signature).
     """
-    w = _metric(n, metric)
+    w = resolve_metric(n, metric)
     return [Fraction(2 if i != j else 1) * w.upper(i, i) * w.upper(j, j)
             for i, j in sym_tuples(n, 2)]
 
@@ -519,7 +469,7 @@ def weyl_relations_report(metric=None, cap=None):
     conditions and the generic rank complete the bookkeeping.
     """
     n = 4
-    w = _metric(n, metric)
+    w = resolve_metric(n, metric)
     split = split_riemann(n, w)
     inj = operators.from_scalar_matrix(
         "inject_weyl", n, split.weyl_space, split.riemann_space,
@@ -612,7 +562,7 @@ def trace_contraction_check(n=4, metric=None, cap=None):
     """
     if n != 4:
         raise ValueError("implemented for n = 4")
-    w = _metric(n, metric)
+    w = resolve_metric(n, metric)
     b_space = bianchi_candidate_space(n, w)
     tau_amb = _double_trace_matrix(n, w)
     a_b = [list(r) for r in b_space.ambient_from_coords]
@@ -721,7 +671,7 @@ def potential_contradiction_report(metric=None):
     """The order-1 potential candidate is not annihilated by the second
     identity, while actual linearized curvature is: both checked exactly."""
     n = 4
-    w = _metric(n, metric)
+    w = resolve_metric(n, metric)
     b = bianchi(n, w)
     lc = lanczos_candidate(n, w)
     riem = riemann_linearized(n, w)

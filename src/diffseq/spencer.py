@@ -12,6 +12,7 @@ symmetric multi-index stands for the plain mixed partial.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from . import linalg
@@ -53,8 +54,14 @@ class SymbolSpace:
     dim: int
 
     def basis(self):
-        width = comb(self.n + self.q - 1, self.q) * self.fiber_dim
-        return linalg.kernel_basis([dict(r) for r in self.constraints], width)
+        """Kernel basis, eliminated once per distinct space; do not mutate it."""
+        return _symbol_basis(self)
+
+
+@lru_cache(maxsize=None)
+def _symbol_basis(g):
+    width = comb(g.n + g.q - 1, g.q) * g.fiber_dim
+    return linalg.kernel_basis([dict(r) for r in g.constraints], width)
 
 
 def _make_symbol(n, q, m, rows):
@@ -289,6 +296,15 @@ def jet_fiber_dim(n, q, m):
     return sum(comb(n + qq - 1, qq) for qq in range(q + 1)) * m
 
 
+@lru_cache(maxsize=None)
+def _jet_system(op, q):
+    """The part of a Janet/Spencer table that does not depend on r: the width
+    of J_q, a basis of R_q (the order-q jet system of ``op``) and g_{q+1}."""
+    eq_rows, width = _prolonged_equation_rows(op, q)
+    g_next = prolong(prolong_to(symbol_of(op), q))
+    return width, linalg.kernel_basis(eq_rows, width), g_next
+
+
 def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
     """(Janet bundle dim, Spencer bundle dim) at exterior degree r.
 
@@ -324,12 +340,8 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
 
     msrc = op.source.dim
     jdim = jet_fiber_dim(n, q, msrc)
-    eq_rows, width = _prolonged_equation_rows(op, q)
-    r_q_basis = linalg.kernel_basis(eq_rows, width)
+    width, r_q_basis, g_next = _jet_system(op, q)
     dim_rq = len(r_q_basis)
-
-    g = prolong_to(symbol_of(op), q)
-    g_next = prolong(g)
 
     # Spencer bundle: wedge^r x R_q modulo the delta image of g_{q+1}
     rank_dg = delta_map(r - 1, g_next).rank if r >= 1 else 0

@@ -1,0 +1,88 @@
+"""Process-wide caching: one entry per (n, metric), computed once."""
+
+import importlib
+import inspect
+import json
+import os
+
+import pytest
+
+from diffseq import bundles, linalg, sequences, spencer
+from diffseq.poly import ConstantMetric
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+METRIC_CACHED = [
+    sequences.killing, sequences.conformal_killing, sequences.riemann_linearized,
+    sequences.bianchi, sequences.ricci, sequences.einstein,
+    sequences.lanczos_candidate, bundles.weyl_candidate_space,
+    bundles.trace_free_sym2, bundles.bianchi_candidate_space, bundles.split_riemann,
+]
+
+
+@pytest.mark.parametrize("fn", METRIC_CACHED, ids=lambda fn: fn.__name__)
+def test_none_and_the_euclidean_metric_share_one_entry(fn):
+    assert fn(4) is fn(4, ConstantMetric.euclidean(4))
+    assert fn(4, metric=None) is fn(n=4, metric=ConstantMetric.euclidean(4))
+    with pytest.raises(ValueError, match="metric is for n=3"):
+        fn(4, ConstantMetric.euclidean(3))
+
+
+def test_lanczos_candidate_keeps_its_default_dimension():
+    assert sequences.lanczos_candidate() is sequences.lanczos_candidate(4)
+
+
+def test_ricci_reuses_the_curvature_ambient_rows():
+    info = sequences._riemann_ambient_terms.cache_info
+    w = ConstantMetric([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    sequences.riemann_linearized(3, w)
+    before = info()
+    sequences.ricci(3, w)
+    after = info()
+    assert after.misses == before.misses and after.hits > before.hits
+    rows = sequences._riemann_ambient_terms(3)
+    with pytest.raises(TypeError):
+        rows[0][0][(0, 0, 2)] = 1
+
+
+def test_janet_spencer_table_eliminates_its_jet_system_once(monkeypatch):
+    n = 3
+    euclidean = [spencer.janet_spencer_bundle_dims("killing", r, n) for r in range(n + 1)]
+    # a metric no other test uses, so the caches below start empty for it
+    w = ConstantMetric([[3, 0, 0], [0, 1, 0], [0, 0, 1]])
+    widths = []
+    kernel_basis = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        lambda rows, ncols: widths.append(ncols) or kernel_basis(rows, ncols))
+    symbols = []
+    symbol_of = spencer.symbol_of
+    monkeypatch.setattr(spencer, "symbol_of",
+                        lambda op: symbols.append(op) or symbol_of(op))
+
+    table = [spencer.janet_spencer_bundle_dims("killing", r, n, w) for r in range(n + 1)]
+    assert table == euclidean
+    assert widths.count(spencer.jet_fiber_dim(n, 2, n)) == 1   # the R_2 kernel
+    assert len(symbols) == 1
+    # each symbol space is eliminated once: a second table eliminates nothing
+    seen = len(widths)
+    for r in range(n + 1):
+        spencer.janet_spencer_bundle_dims("killing", r, n, w)
+    assert len(widths) == seen
+    g = symbol_of(sequences.killing(n, w))
+    assert g.basis() is g.basis()
+    assert len(widths) == seen + 1
+
+
+def test_benchmark_trace_targets_are_plain_functions():
+    """The benchmark tracer wraps plain functions only: a per-layer target
+    that became a cache object would drop out of the trace."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    for metric in spec["per_layer"]:
+        *target, _ = metric["name"].split(".")
+        if len(target) < 2:
+            continue   # a layer total, or a trace or host figure
+        obj = importlib.import_module(f"diffseq.{target[0]}")
+        for attr in target[1:]:
+            obj = getattr(obj, attr)
+        assert inspect.isfunction(obj), metric["name"]

@@ -23,7 +23,7 @@ from diffseq.groebner import (
     syzygies,
 )
 from diffseq.operators import rows_presentation
-from diffseq.poly import Poly, mono_key, poly_mul
+from diffseq.poly import Poly, mono_key
 from diffseq.sequences import killing
 
 ZERO = Fraction(0)
@@ -61,7 +61,7 @@ def syzygy_slice_dim(pres, gendegs, d):
     rows = {}
     for (i, m), c in col_of.items():
         for comp, p in enumerate(pres.generators[i]):
-            shifted = poly_mul(Poly.monomial(n, m), p)
+            shifted = Poly.monomial(n, m) * p
             for mono, coef in shifted.terms.items():
                 rows.setdefault((comp, mono), {})[c] = coef
     sparse = [r for r in rows.values() if r]
@@ -79,7 +79,7 @@ def span_slice_dim(syz, gendegs, d):
         for m in monomials_of_degree(n, d - s):
             vec = {}
             for i in range(k):
-                p = poly_mul(Poly.monomial(n, m), g[i])
+                p = Poly.monomial(n, m) * g[i]
                 for mono, coef in p.terms.items():
                     vec[(i, mono)] = coef
             vectors.append(vec)
@@ -95,7 +95,7 @@ def assert_syzygies_complete(pres, max_degree):
         total = [Poly.zero(pres.n) for _ in range(pres.ambient_rank)]
         for i, p in enumerate(g):
             for comp in range(pres.ambient_rank):
-                total[comp] = total[comp] + poly_mul(p, pres.generators[i][comp])
+                total[comp] = total[comp] + p * pres.generators[i][comp]
         assert all(t.is_zero() for t in total), "computed syzygy is not a relation"
     gendegs = generator_degrees(pres)
     assert tuple(syz.shifts) == tuple(gendegs)
@@ -146,8 +146,7 @@ def test_free_rows_have_no_relations():
 
 def test_groebner_membership_of_original_generators():
     x1, x2, x3 = _vars(3)
-    gens = ((poly_mul(x1, x2) + poly_mul(x3, x3),), (poly_mul(x2, x3),),
-            (x1 + x2,))
+    gens = ((x1 * x2 + x3 * x3,), (x2 * x3,), (x1 + x2,))
     pres = GradedPresentation(n=3, ambient_rank=1, generators=gens)
     gb = reduced_groebner(pres)
     for g in gens:
@@ -157,10 +156,10 @@ def test_groebner_membership_of_original_generators():
 def test_normal_form_is_idempotent_and_linear():
     x1, x2 = _vars(2)
     pres = GradedPresentation(n=2, ambient_rank=1,
-                              generators=((poly_mul(x1, x1),), (poly_mul(x1, x2),)))
+                              generators=((x1 * x1,), (x1 * x2,)))
     gb = reduced_groebner(pres)
-    u = [poly_mul(poly_mul(x1, x1), x2) + x2]
-    v = [poly_mul(x2, x2) + x1]
+    u = [x1 * x1 * x2 + x2]
+    v = [x2 * x2 + x1]
     nf_u = normal_form(u, gb)
     assert normal_form(list(nf_u), gb) == nf_u
     sum_nf = normal_form([u[0] + v[0]], gb)
@@ -180,9 +179,9 @@ def test_module_equality_distinguishes_modules():
 
 def test_minimal_generators_drop_redundant_ones():
     x1, x2 = _vars(2)
-    g1 = (poly_mul(x1, x1),)
+    g1 = (x1 * x1,)
     g2 = (x2,)
-    g3 = (poly_mul(x1, x1) + poly_mul(x1, x2),)   # g1 + x1*g2
+    g3 = (x1 * x1 + x1 * x2,)   # g1 + x1*g2
     pres = GradedPresentation(n=2, ambient_rank=1, generators=(g1, g2, g3))
     minimal = minimal_graded_generators(pres)
     assert len(minimal.generators) == 2
@@ -191,7 +190,7 @@ def test_minimal_generators_drop_redundant_ones():
 
 def test_generic_rank_detects_dependent_rows():
     x1, x2 = _vars(2)
-    rows = [[x1, x2], [poly_mul(x1, x2), poly_mul(x2, x2)]]
+    rows = [[x1, x2], [x1 * x2, x2 * x2]]
     assert generic_rank(rows, 2) == 1
     rows2 = [[x1, x2], [x2, x1]]
     assert generic_rank(rows2, 2) == 2

@@ -137,6 +137,14 @@ def test_equality_ignores_name_but_not_entries():
     assert op != changed
 
 
+def test_equal_operators_hash_alike():
+    op = killing(3)
+    renamed = make_operator("renamed", 3, op.source, op.target, op.rows)
+    assert renamed == op
+    assert hash(renamed) == hash(op)
+    assert renamed in {op}
+
+
 def _sparse_polys(n):
     term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(-3, 3))
     return st.one_of(
