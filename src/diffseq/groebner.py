@@ -16,6 +16,14 @@ completed through all S-pairs of degree <= d decides membership for any
 vector of degree <= d; ``minimal_graded_generators`` leans on that to filter
 candidates in one ascending sweep (graded Nakayama).
 
+The completion runs on integers: inputs are scaled by their denominators'
+lcm on entry, basis elements are primitive with a positive lead, S-pairs
+are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads ``la``, ``lb`` with gcd
+``g``, and reduction is pseudo-reduction to a remainder of ``scale * vec``
+(Greuel & Pfister, "A Singular Introduction to Commutative Algebra", 2008).
+Fractions return only with results: ``reduced_elements`` divides tails by
+``lead * scale``, public ``normal_form`` by the input's lcm times ``scale``.
+
 S-pairs are pruned by the Gebauer-Moeller update (Gebauer & Moeller 1988),
 which drops a pair only when pairs of strictly smaller lcm, hence lower
 degree, cover it, so staging by degree stays sound.  Buchberger's product
@@ -26,15 +34,19 @@ new basis element (0, x1*x2).
 
 import heapq
 from fractions import Fraction
+from math import gcd
+from operator import add
 
-from .config import DegreeCapExceeded, degree_cap, record
-from .poly import Poly, mono_divides, mono_lcm, mono_mul, mono_sub
+from .config import (EXPONENT_CAP, DegreeCapExceeded, ExponentCapExceeded,
+                     degree_cap, record)
+from .linalg import _integral, _primitive
+from .poly import Poly, mono_divides, mono_lcm, mono_sub
 
 ORDER_TAG = "degrevlex, term over position, low component wins ties"
 
 
 # ---------------------------------------------------------------------------
-# sparse module vectors: dict (component, monomial) -> Fraction
+# sparse module vectors: dict (component, monomial) -> Fraction or int
 
 def _to_sparse(vec):
     out = {}
@@ -53,17 +65,6 @@ def _to_polys(sparse, ambient_rank, n):
 
 def _vec_degree(sparse, shifts):
     return max(sum(m) + shifts[c] for (c, m) in sparse)
-
-
-def _is_homogeneous(sparse, shifts):
-    degs = {sum(m) + shifts[c] for (c, m) in sparse}
-    return len(degs) <= 1
-
-
-def _canonical_rep(sparse):
-    return tuple(sorted(
-        (c, m, v.numerator, v.denominator) for (c, m), v in sparse.items()
-    ))
 
 
 class _Order:
@@ -118,7 +119,7 @@ class GradedPresentation:
             s = _to_sparse(g)
             if not s:
                 raise ValueError("zero generator not allowed")
-            if not _is_homogeneous(s, self.shifts):
+            if len({sum(m) + self.shifts[c] for c, m in s}) > 1:
                 raise ValueError("generator is not homogeneous")
             sparse.append(s)
         object.__setattr__(self, "_sparse", tuple(sparse))
@@ -142,12 +143,19 @@ class GroebnerBasis:
 # the worker
 
 def _reduce_sparse(vec, by_component, order):
-    """Full normal form of a sparse vector against monic reducers.
+    """Pseudo-reduction of an integer vector: ``(scale, remainder)``, with
+    ``scale * vec - remainder`` in the span of the reducers and no term of
+    ``remainder`` divisible by a lead.  ``by_component`` maps a component to
+    ``(lead monomial, lead coefficient, tail)`` with integer leads above 0.
 
-    Pending terms sit in a heap, largest first; a reduction only adds terms
-    below the one it reduces, so a popped term no longer pending is stale."""
+    To cancel a term ``f`` by a lead ``l``, the pending terms and ``scale``
+    are first multiplied by ``l / gcd(l, f)``; finished terms catch up with
+    ``scale`` at the end.  Pending terms sit in a heap, largest first; a
+    reduction only adds terms below the one it reduces, so a popped term no
+    longer pending is stale."""
     work = dict(vec)
-    out = {}
+    out = []
+    scale = 1
     key = order.key
     heap = [(key(t), t) for t in work]
     heapq.heapify(heap)
@@ -156,34 +164,47 @@ def _reduce_sparse(vec, by_component, order):
         coef = work.pop(term, None)
         if coef is None:
             continue
-        c, m = term
-        for lead_m, red in by_component.get(c, ()):
+        m = term[1]
+        for lead_m, lc, tail in by_component.get(term[0], ()):
             if mono_divides(lead_m, m):
                 break
         else:
-            out[term] = coef
+            out.append((term, coef, scale))
             continue
+        g = gcd(lc, coef)
+        if g != lc:
+            a = lc // g
+            scale *= a
+            for t in work:
+                work[t] *= a
+        f = coef // g
         q = mono_sub(m, lead_m)
-        for (c2, m2), v in red.items():
-            t = (c2, mono_mul(q, m2))
-            if t == term:
-                continue
-            nv = work.get(t, _ZERO) - coef * v
+        for (c2, m2), v in tail:
+            t = (c2, tuple(map(add, q, m2)))
+            nv = work.get(t, 0) - f * v
             if not nv:
                 del work[t]
                 continue
             if t not in work:
                 heapq.heappush(heap, (key(t), t))
             work[t] = nv
-    return out
+    return scale, {t: v * (scale // s) for t, v, s in out}
 
 
-_ZERO = Fraction(0)
+def _reducer(vec, order):
+    """``(component, (lead monomial, lead coefficient > 0, tail))``, primitive."""
+    lead = min(vec, key=order.key)
+    sign = 1 if _primitive(vec)[lead] > 0 else -1
+    tail = tuple((t, sign * v) for t, v in vec.items() if t != lead)
+    return lead[0], (lead[1], sign * vec[lead], tail)
 
 
 class ModuleGB:
     """Incremental Buchberger completion, staged by (shifted) degree.
 
+    Reduction keeps the shifted degree of every term it replaces, so the
+    exponent cap is checked once per vector that enters (input or S-pair),
+    against its shifted degree less the lowest shift, and not per product.
     ``stats`` counts S-pairs: ``queued`` formed, ``pruned`` dropped by the
     pair criteria, ``processed`` reduced, ``zero`` of those reduced to zero.
     """
@@ -193,19 +214,20 @@ class ModuleGB:
         self.order = order
         self.cap = cap
         self.basis = []
-        self.by_component = {}  # component -> [(lead monomial, element)]
+        self.by_component = {}  # component -> [(lead monomial, lead coef, tail)]
         self.pairs = []     # heap of (degree, serial, component, a, b)
         self.live = {}      # component -> {(a, b): lcm} of pairs still due
         self.stats = {"queued": 0, "pruned": 0, "processed": 0, "zero": 0}
         self._counter = 0
 
+    def _admit(self, deg):
+        if deg - min(self.order.shifts, default=0) > EXPONENT_CAP:
+            raise ExponentCapExceeded(f"degree {deg} allows exponents above {EXPONENT_CAP}")
+
     def _register(self, vec):
-        comp, mono = lead = min(vec, key=self.order.key)
-        lc = vec[lead]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            vec = {t: v * inv for t, v in vec.items()}
-        self.basis.append(vec)
+        comp, member = _reducer(vec, self.order)
+        mono = member[0]
+        self.basis.append(member)
         members = self.by_component.setdefault(comp, [])
         live = self.live.setdefault(comp, {})
         # B: a due pair whose lcm the new lead divides is covered by the two
@@ -218,7 +240,7 @@ class ModuleGB:
         # M and F: keep one new pair per minimal lcm.  Ascending degree puts
         # every strict divisor first, and divisibility is transitive.
         new = sorted((sum(lcm), a, lcm) for a, lcm in enumerate(
-            mono_lcm(m, mono) for m, _ in members))
+            mono_lcm(m, mono) for m, _, _ in members))
         kept = []
         for deg, a, lcm in new:
             if not any(mono_divides(k, lcm) for k in kept):
@@ -229,11 +251,11 @@ class ModuleGB:
                                             self._counter, comp, a, len(members)))
         self.stats["queued"] += len(new)
         self.stats["pruned"] += len(covered) + len(new) - len(kept)
-        members.append((mono, vec))
+        members.append(member)
 
     def add(self, vec):
         """Reduce against the current basis and insert if nonzero."""
-        red = _reduce_sparse(vec, self.by_component, self.order)
+        red = self.normal_form(vec)
         if not red:
             return False
         self._register(red)
@@ -242,23 +264,24 @@ class ModuleGB:
     def ensure_degree(self, deg):
         """Process every due S-pair of shifted degree <= deg."""
         while self.pairs and self.pairs[0][0] <= deg:
-            _, _, comp, a, b = heapq.heappop(self.pairs)
+            d, _, comp, a, b = heapq.heappop(self.pairs)
             lcm = self.live[comp].pop((a, b), None)
             if lcm is None:
                 continue  # pruned after it was queued
-            (ma, va), (mb, vb) = self.by_component[comp][a], self.by_component[comp][b]
+            self._admit(d)
+            (ma, la, ta), (mb, lb, tb) = self.by_component[comp][a], self.by_component[comp][b]
             qa, qb = mono_sub(lcm, ma), mono_sub(lcm, mb)
-            s = {}
-            for (c, m), v in va.items():
-                s[(c, mono_mul(qa, m))] = v
-            for (c, m), v in vb.items():
-                t = (c, mono_mul(qb, m))
-                nv = s.get(t, _ZERO) - v
+            g = gcd(la, lb)
+            fa, fb = lb // g, la // g  # fa * la == fb * lb: the leads cancel
+            s = {(c, tuple(map(add, qa, m))): fa * v for (c, m), v in ta}
+            for (c, m), v in tb:
+                t = (c, tuple(map(add, qb, m)))
+                nv = s.get(t, 0) - fb * v
                 if nv:
                     s[t] = nv
                 else:
-                    s.pop(t, None)
-            red = _reduce_sparse(s, self.by_component, self.order)
+                    del s[t]
+            red = _reduce_sparse(s, self.by_component, self.order)[1]
             self.stats["processed"] += 1
             if red:
                 self._register(red)
@@ -274,12 +297,10 @@ class ModuleGB:
                 f"completion needs S-pairs of degree {min(due)}, above cap {self.cap}",
                 degree=min(due))
 
-    def normal_form(self, vec, deg=None):
-        if deg is None:
-            self.complete()
-        else:
-            self.ensure_degree(deg)
-        return _reduce_sparse(vec, self.by_component, self.order)
+    def normal_form(self, vec):
+        """Integer remainder of an incoming vector: a positive multiple of its normal form."""
+        self._admit(_vec_degree(vec, self.order.shifts))
+        return _reduce_sparse(_integral(vec)[1], self.by_component, self.order)[1]
 
     def reduced_elements(self):
         """Unique reduced basis: minimal leads, tails fully reduced, monic.
@@ -288,25 +309,21 @@ class ModuleGB:
         An element never reduces its own tail, which lies below its lead.
         """
         self.complete()
-        keep = {}
-        for comp, members in self.by_component.items():
-            leads = [m for m, _ in members]
-            keep[comp] = [
-                (m, vec) for m, vec in members
-                if not any(m2 != m and mono_divides(m2, m) for m2 in leads)]
+        keep = {comp: [e for e in members if not any(
+                    m != e[0] and mono_divides(m, e[0]) for m, _, _ in members)]
+                for comp, members in self.by_component.items()}
         final = []
         for comp, members in keep.items():
-            for m, vec in members:
-                tail = dict(vec)
-                red = {(comp, m): tail.pop((comp, m))}
-                red.update(_reduce_sparse(tail, keep, self.order))
-                final.append(red)
+            for m, lc, tail in members:
+                scale, red = _reduce_sparse(tail, keep, self.order)
+                final.append({(comp, m): Fraction(1), **{
+                    t: Fraction(v, lc * scale) for t, v in red.items()}})
         final.sort(key=lambda v: self.order.key(next(iter(v))), reverse=True)
         return final
 
 
-def _worker_for(pres, cap=None):
-    order = _Order(pres.shifts)
+def _worker_for(pres, cap=None, shifts=None):
+    order = _Order(pres.shifts if shifts is None else shifts)
     gb = ModuleGB(pres.ambient_rank, order, degree_cap(cap))
     for s in pres._sparse:
         gb.add(s)
@@ -328,15 +345,17 @@ def reduced_groebner(pres, cap=None):
 
 
 def normal_form(vec, gb):
-    """Full remainder of a vector of polynomials against a reduced basis."""
+    """Full (exact rational) remainder of a vector of polynomials against a
+    reduced basis."""
     order = _Order(gb.shifts)
     by_comp = {}
     for e in gb.elements:
-        s = _to_sparse(e)
-        lead = min(s, key=order.key)
-        by_comp.setdefault(lead[0], []).append((lead[1], s))
-    red = _reduce_sparse(_to_sparse(tuple(vec)), by_comp, order)
-    return _to_polys(red, gb.ambient_rank, gb.n)
+        comp, member = _reducer(_integral(_to_sparse(e))[1], order)
+        by_comp.setdefault(comp, []).append(member)
+    den, ints = _integral(_to_sparse(tuple(vec)))
+    scale, red = _reduce_sparse(ints, by_comp, order)
+    return _to_polys({t: Fraction(v, den * scale) for t, v in red.items()},
+                     gb.ambient_rank, gb.n)
 
 
 def syzygies(pres, cap=None):
@@ -352,13 +371,9 @@ def syzygies(pres, cap=None):
     order = _Order(pres.shifts + degs, block_start=m)
     gb = ModuleGB(m + k, order, degree_cap(cap))
     for i, g in enumerate(gens):
-        tagged = dict(g)
-        tagged[(m + i, (0,) * pres.n)] = Fraction(1)
-        gb.add(tagged)
-    harvested = []
-    for e in gb.reduced_elements():
-        if all(c >= m for (c, _) in e):
-            harvested.append({(c - m, mono): v for (c, mono), v in e.items()})
+        gb.add({**g, (m + i, (0,) * pres.n): 1})
+    harvested = [{(c - m, mono): v for (c, mono), v in e.items()}
+                 for e in gb.reduced_elements() if all(c >= m for c, _ in e)]
     return GradedPresentation(
         n=pres.n,
         ambient_rank=k,
@@ -376,16 +391,14 @@ def minimal_graded_generators(pres, cap=None):
     """
     gens = pres._sparse
     order = _Order(pres.shifts)
-    decorated = sorted(
-        (( _vec_degree(g, pres.shifts), _canonical_rep(g)), i)
-        for i, g in enumerate(gens)
-    )
+    decorated = sorted(((_vec_degree(g, pres.shifts), sorted(
+        (c, m, v.numerator, v.denominator) for (c, m), v in g.items())), i)
+        for i, g in enumerate(gens))
     gb = ModuleGB(pres.ambient_rank, order, degree_cap(cap))
     kept = []
     for (deg, _), i in decorated:
-        red = gb.normal_form(gens[i], deg=deg)
-        if red:
-            gb._register(red)
+        gb.ensure_degree(deg)
+        if gb.add(gens[i]):
             kept.append(pres.generators[i])
     return GradedPresentation(
         n=pres.n,
@@ -400,13 +413,7 @@ def module_equality(a, b, cap=None):
     if a.n != b.n or a.ambient_rank != b.ambient_rank:
         raise ValueError("presentations live in different ambient modules")
     # zero shifts, not the presentations' own: the cap bounds unshifted degrees
-    zero_shifts = (0,) * a.ambient_rank
-    wa = ModuleGB(a.ambient_rank, _Order(zero_shifts), degree_cap(cap))
-    for s in a._sparse:
-        wa.add(s)
-    wb = ModuleGB(b.ambient_rank, _Order(zero_shifts), degree_cap(cap))
-    for s in b._sparse:
-        wb.add(s)
+    wa, wb = (_worker_for(p, cap, (0,) * a.ambient_rank) for p in (a, b))
     wa.complete()
     wb.complete()
     return (not any(wa.normal_form(s) for s in b._sparse)

@@ -39,6 +39,12 @@ def _primitive(row):
     return row
 
 
+def _integral(row):
+    """``(lcm of the denominators, the row times it with int entries)``."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return scale, {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+
+
 def _echelon(rows, ncols):
     """Forward elimination: ``[(pivot_col, row)]`` in increasing pivot column,
     each row a primitive integer dict that is zero left of its pivot."""
@@ -47,9 +53,7 @@ def _echelon(rows, ncols):
         row = {c: v for c, v in row.items() if v}
         if not row:
             continue
-        scale = lcm(*(v.denominator for v in row.values()))
-        active[i] = _primitive(
-            {c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+        active[i] = _primitive(_integral(row)[1])
         for c in row:
             rows_at.setdefault(c, set()).add(i)
     echelon = []

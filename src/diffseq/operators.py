@@ -10,10 +10,13 @@ Everything downstream (compatibility conditions, adjoints, generic rank)
 works on this symbol matrix with exact rational arithmetic.
 """
 
+from fractions import Fraction
+from operator import add
 
 from . import groebner
 from .bundles import BundleBasis, free_basis
 from .config import record
+from .linalg import _integral
 from .poly import Poly
 
 
@@ -70,32 +73,53 @@ def make_operator(name, n, source, target, rows):
         rows=tuple(tuple(r) for r in rows))
 
 
-def compose(outer, inner):
-    """Operator composition (apply ``inner`` first); symbols multiply.
+def _product_rows(outer_rows, inner_rows):
+    """Rows of an exact symbol product, one at a time, as ``(den, {(column,
+    monomial): int})``; the row is the dict divided by ``den``.  An outer
+    row lists ``(k, {monomial: coefficient})`` entries and ``inner_rows[k]``
+    holds one such dict per column.  The inner rows are scaled to ints by one
+    lcm and each outer row by its own, so Σ_k s_k·row_k is summed in ints."""
+    scale, flat = _integral({(k, j, m): v for k, row in enumerate(inner_rows)
+                             for j, terms in enumerate(row) for m, v in terms.items()})
+    inner = [[] for _ in inner_rows]
+    for (k, j, m), v in flat.items():
+        inner[k].append((j, m, v))
+    for row in outer_rows:
+        den, coefs = _integral({(k, m): v for k, terms in row for m, v in terms.items()})
+        acc = {}
+        for (k, ma), s in coefs.items():
+            for j, mb, v in inner[k]:
+                t = (j, tuple(map(add, ma, mb)))
+                acc[t] = acc.get(t, 0) + s * v
+        yield den * scale, {t: v for t, v in acc.items() if v}
 
-    Only nonzero entry pairs are multiplied: each ``inner`` row is indexed
-    by its nonzero columns once, and each output row accumulates per column.
-    """
+
+def _symbol_product(outer, inner):
+    """:func:`_product_rows` of ``outer o inner`` (apply ``inner`` first)."""
     if outer.source.key() != inner.target.key():
         raise ValueError(
             f"cannot compose {outer.name} o {inner.name}: "
             f"{outer.source.label} != {inner.target.label}")
-    n = outer.n
-    zero = Poly.zero(n)
-    inner_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in inner.rows]
-    rows = []
-    for outer_row in outer.rows:
-        acc = {}
-        for k, a in enumerate(outer_row):
-            if not a:
-                continue
-            for j, b in inner_nonzero[k]:
-                p = a * b
-                acc[j] = acc[j] + p if j in acc else p
-        rows.append(tuple(acc.get(j, zero) for j in range(inner.source.dim)))
+    return _product_rows(
+        [[(k, p.terms) for k, p in enumerate(row) if p] for row in outer.rows],
+        [[p.terms for p in row] for row in inner.rows])
+
+
+def composes_to_zero(outer, inner):
+    """Is ``outer o inner`` exactly zero?  The full product, summed on ints
+    without ``Poly`` entries, up to the first row with a surviving term."""
+    return not any(acc for _, acc in _symbol_product(outer, inner))
+
+
+def compose(outer, inner):
+    """Operator composition (apply ``inner`` first); symbols multiply."""
+    rows = tuple(
+        groebner._to_polys({t: Fraction(v, den) for t, v in acc.items()},
+                           inner.source.dim, outer.n)
+        for den, acc in _symbol_product(outer, inner))
     return OperatorMatrix(
-        name=f"{outer.name} o {inner.name}", n=n,
-        source=inner.source, target=outer.target, rows=tuple(rows))
+        name=f"{outer.name} o {inner.name}", n=outer.n,
+        source=inner.source, target=outer.target, rows=rows)
 
 
 def adjoint(op):

@@ -15,6 +15,7 @@ engines rely on.
 
 from fractions import Fraction
 from functools import lru_cache, update_wrapper
+from operator import le, sub
 
 from . import linalg
 from .config import EXPONENT_CAP, ExponentCapExceeded
@@ -41,15 +42,15 @@ def mono_mul(a, b):
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_sub(b, a):
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _as_fraction(c):

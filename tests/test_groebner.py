@@ -7,12 +7,13 @@ compares dimensions against the span of the computed generators.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diffseq import groebner, linalg
-from diffseq.config import DegreeCapExceeded
+from diffseq.config import EXPONENT_CAP, DegreeCapExceeded, ExponentCapExceeded
 from diffseq.groebner import (
     GradedPresentation,
     generic_rank,
@@ -24,7 +25,7 @@ from diffseq.groebner import (
 )
 from diffseq.operators import rows_presentation
 from diffseq.poly import Poly, mono_key
-from diffseq.sequences import killing
+from diffseq.sequences import conformal_killing, killing
 
 ZERO = Fraction(0)
 
@@ -213,6 +214,54 @@ def test_degree_cap_is_a_loud_error():
         syzygies(pres, cap=1)
 
 
+def test_exponent_cap_is_checked_on_inputs_and_s_pairs():
+    top = EXPONENT_CAP + 1
+    pres = GradedPresentation(n=2, ambient_rank=1, generators=(
+        (Poly.monomial(2, (top, 0)),), (Poly.monomial(2, (0, top)),)))
+    with pytest.raises(ExponentCapExceeded):
+        syzygies(pres, cap=4 * top)
+    # inputs within the cap whose S-pair's shifted degree is not
+    half = EXPONENT_CAP // 2 + 1
+    gb = groebner.ModuleGB(1, groebner._Order((0,)), 4 * top)
+    assert gb.add({(0, (half, 0)): Fraction(1)})
+    assert gb.add({(0, (0, half)): Fraction(1, 2)})
+    with pytest.raises(ExponentCapExceeded):
+        gb.complete()
+
+
+def _non_unit_leads():
+    """Integer generators with non-unit leads and content: the engine keeps
+    leads above 1, and the reduced basis has fractional tails."""
+    x1, x2, x3 = _vars(3)
+    return GradedPresentation(n=3, ambient_rank=2, generators=(
+        (x1.scale(3) + x2.scale(2), x3.scale(4)),
+        (x2.scale(6), x1.scale(4) - x3.scale(10)),
+        (x3.scale(9), x2.scale(3))))
+
+
+def test_normal_form_is_the_exact_rational_remainder():
+    x1, x2, x3 = _vars(3)
+    pres = _non_unit_leads()
+    gb = reduced_groebner(pres)
+    assert any(v.denominator > 1 for e in gb.elements for p in e
+               for v in p.terms.values())
+    vec = (x1 * x1.scale(Fraction(1, 2)) + x2 * x3.scale(Fraction(2, 7)),
+           x1 * x3.scale(Fraction(-5, 3)) + x2 * x2.scale(Fraction(3, 4)))
+    rem = normal_form(vec, gb)
+    diff = tuple(v - r for v, r in zip(vec, rem))
+    assert any(diff)
+    grown = GradedPresentation(n=3, ambient_rank=2,
+                               generators=pres.generators + (diff,))
+    assert module_equality(pres, grown)
+    leads = [_lead(e, gb.shifts) for e in gb.elements]
+    for c, p in enumerate(rem):
+        for m in p.terms:
+            assert not any(lc == c and all(a <= b for a, b in zip(lm, m))
+                           for lc, lm in leads)
+    assert normal_form([p.scale(Fraction(7, 5)) for p in vec], gb) == tuple(
+        p.scale(Fraction(7, 5)) for p in rem)
+
+
 def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
     made = []
 
@@ -229,6 +278,21 @@ def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
     assert stats["pruned"] > 0
     assert stats["zero"] < stats["processed"]
     assert stats["queued"] == stats["pruned"] + stats["processed"]
+
+
+def test_basis_elements_are_primitive_integer_vectors():
+    leads = []
+    for pres in (rows_presentation(conformal_killing(4)), _non_unit_leads()):
+        gb = groebner._worker_for(pres)
+        gb.complete()
+        assert gb.stats["processed"] > 0
+        for members in gb.by_component.values():
+            for _, lc, tail in members:
+                values = [lc] + [v for _, v in tail]
+                assert all(type(v) is int for v in values)
+                assert gcd(*values) == 1
+                leads.append(lc)
+    assert min(leads) > 0 and max(leads) > 1
 
 
 def test_coprime_leads_still_need_their_s_pair():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffseq.config import EXPONENT_CAP, ExponentCapExceeded
 from diffseq.poly import (
     ConstantMetric,
     Poly,
@@ -134,3 +135,12 @@ def test_divexact_rejects_inexact_division():
     q = Poly.variable(2, 2)
     with pytest.raises(ArithmeticError):
         p.divexact(q)
+
+
+def test_products_past_the_exponent_cap_raise():
+    at_cap = Poly.monomial(2, (EXPONENT_CAP - 1, 0)) * Poly.variable(2, 1)
+    assert at_cap.leading_monomial() == (EXPONENT_CAP, 0)
+    with pytest.raises(ExponentCapExceeded):
+        at_cap * Poly.variable(2, 1)
+    with pytest.raises(ExponentCapExceeded):
+        mono_mul((EXPONENT_CAP, 1), (1, 0))

@@ -7,12 +7,13 @@ import pytest
 
 from diffseq import linalg, operators
 from diffseq.config import DegreeCapExceeded
-from diffseq.bundles import ext_tuples, perm_sign
+from diffseq.bundles import ext_tuples, perm_sign, trace_free_sym2
 from diffseq.groebner import module_equality
 from diffseq.operators import adjoint, apply, compatibility_conditions, compose, \
     rows_presentation
 from diffseq.poly import ConstantMetric, Poly
 from diffseq.sequences import (
+    _constrained_rows,
     bianchi,
     build_sequence,
     check_parametrization,
@@ -251,3 +252,26 @@ def test_degree_cap_error_names_operator_step_and_degree():
     assert str(info.value) == (
         "conditions of killing (step 0): "
         "completion needs S-pairs of degree 2, above cap 1")
+
+
+def test_build_sequence_rejects_conditions_that_do_not_annihilate(monkeypatch):
+    real = operators.compatibility_conditions
+
+    def perturbed(op, cap=None):
+        cc = real(op, cap=cap)
+        rows = [list(r) for r in cc.rows]
+        rows[0][0] = rows[0][0] + Poly.monomial(op.n, (2,) + (0,) * (op.n - 1),
+                                                Fraction(1, 3))
+        return operators.make_operator(cc.name, cc.n, cc.source, cc.target, rows)
+
+    monkeypatch.setattr(operators, "compatibility_conditions", perturbed)
+    with pytest.raises(AssertionError, match="do not annihilate"):
+        build_sequence(killing(3))
+
+
+def test_constrained_rows_refuse_an_image_outside_the_space():
+    space = trace_free_sym2(3)
+    ambient = [[{} for _ in range(3)] for _ in range(space.ambient_dim)]
+    ambient[0][0] = {(1, 0, 0): Fraction(1, 2)}
+    with pytest.raises(AssertionError, match="violates a constraint"):
+        _constrained_rows(space, ambient)
