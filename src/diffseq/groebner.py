@@ -67,6 +67,17 @@ def _vec_degree(sparse, shifts):
     return max(sum(m) + shifts[c] for (c, m) in sparse)
 
 
+def _is_homogeneous(sparse, shifts):
+    degs = {sum(m) + shifts[c] for (c, m) in sparse}
+    return len(degs) <= 1
+
+
+def _canonical_rep(sparse):
+    return tuple(sorted(
+        (c, m, v.numerator, v.denominator) for (c, m), v in sparse.items()
+    ))
+
+
 class _Order:
     """Shifted TOP order on R^m terms, optionally with an elimination block.
 
@@ -119,7 +130,7 @@ class GradedPresentation:
             s = _to_sparse(g)
             if not s:
                 raise ValueError("zero generator not allowed")
-            if len({sum(m) + self.shifts[c] for c, m in s}) > 1:
+            if not _is_homogeneous(s, self.shifts):
                 raise ValueError("generator is not homogeneous")
             sparse.append(s)
         object.__setattr__(self, "_sparse", tuple(sparse))
@@ -194,7 +205,8 @@ def _reduce_sparse(vec, by_component, order):
 def _reducer(vec, order):
     """``(component, (lead monomial, lead coefficient > 0, tail))``, primitive."""
     lead = min(vec, key=order.key)
-    sign = 1 if _primitive(vec)[lead] > 0 else -1
+    vec = _primitive(vec)
+    sign = 1 if vec[lead] > 0 else -1
     tail = tuple((t, sign * v) for t, v in vec.items() if t != lead)
     return lead[0], (lead[1], sign * vec[lead], tail)
 
@@ -322,8 +334,8 @@ class ModuleGB:
         return final
 
 
-def _worker_for(pres, cap=None, shifts=None):
-    order = _Order(pres.shifts if shifts is None else shifts)
+def _worker_for(pres, cap=None):
+    order = _Order(pres.shifts)
     gb = ModuleGB(pres.ambient_rank, order, degree_cap(cap))
     for s in pres._sparse:
         gb.add(s)
@@ -371,9 +383,13 @@ def syzygies(pres, cap=None):
     order = _Order(pres.shifts + degs, block_start=m)
     gb = ModuleGB(m + k, order, degree_cap(cap))
     for i, g in enumerate(gens):
-        gb.add({**g, (m + i, (0,) * pres.n): 1})
-    harvested = [{(c - m, mono): v for (c, mono), v in e.items()}
-                 for e in gb.reduced_elements() if all(c >= m for c, _ in e)]
+        tagged = dict(g)
+        tagged[(m + i, (0,) * pres.n)] = Fraction(1)
+        gb.add(tagged)
+    harvested = []
+    for e in gb.reduced_elements():
+        if all(c >= m for (c, _) in e):
+            harvested.append({(c - m, mono): v for (c, mono), v in e.items()})
     return GradedPresentation(
         n=pres.n,
         ambient_rank=k,
@@ -391,9 +407,10 @@ def minimal_graded_generators(pres, cap=None):
     """
     gens = pres._sparse
     order = _Order(pres.shifts)
-    decorated = sorted(((_vec_degree(g, pres.shifts), sorted(
-        (c, m, v.numerator, v.denominator) for (c, m), v in g.items())), i)
-        for i, g in enumerate(gens))
+    decorated = sorted(
+        (( _vec_degree(g, pres.shifts), _canonical_rep(g)), i)
+        for i, g in enumerate(gens)
+    )
     gb = ModuleGB(pres.ambient_rank, order, degree_cap(cap))
     kept = []
     for (deg, _), i in decorated:
@@ -413,7 +430,13 @@ def module_equality(a, b, cap=None):
     if a.n != b.n or a.ambient_rank != b.ambient_rank:
         raise ValueError("presentations live in different ambient modules")
     # zero shifts, not the presentations' own: the cap bounds unshifted degrees
-    wa, wb = (_worker_for(p, cap, (0,) * a.ambient_rank) for p in (a, b))
+    zero_shifts = (0,) * a.ambient_rank
+    wa = ModuleGB(a.ambient_rank, _Order(zero_shifts), degree_cap(cap))
+    for s in a._sparse:
+        wa.add(s)
+    wb = ModuleGB(b.ambient_rank, _Order(zero_shifts), degree_cap(cap))
+    for s in b._sparse:
+        wb.add(s)
     wa.complete()
     wb.complete()
     return (not any(wa.normal_form(s) for s in b._sparse)

@@ -94,29 +94,23 @@ def _product_rows(outer_rows, inner_rows):
         yield den * scale, {t: v for t, v in acc.items() if v}
 
 
-def _symbol_product(outer, inner):
-    """:func:`_product_rows` of ``outer o inner`` (apply ``inner`` first)."""
+def compose(outer, inner):
+    """Operator composition (apply ``inner`` first); symbols multiply.
+
+    The product is summed on ints by :func:`_product_rows`; rows with no
+    surviving term share one tuple of zero polynomials, so the zero test
+    ``compose(outer, inner).is_zero()`` costs little more than the sums."""
     if outer.source.key() != inner.target.key():
         raise ValueError(
             f"cannot compose {outer.name} o {inner.name}: "
             f"{outer.source.label} != {inner.target.label}")
-    return _product_rows(
-        [[(k, p.terms) for k, p in enumerate(row) if p] for row in outer.rows],
-        [[p.terms for p in row] for row in inner.rows])
-
-
-def composes_to_zero(outer, inner):
-    """Is ``outer o inner`` exactly zero?  The full product, summed on ints
-    without ``Poly`` entries, up to the first row with a surviving term."""
-    return not any(acc for _, acc in _symbol_product(outer, inner))
-
-
-def compose(outer, inner):
-    """Operator composition (apply ``inner`` first); symbols multiply."""
+    zero_row = (Poly.zero(outer.n),) * inner.source.dim
     rows = tuple(
         groebner._to_polys({t: Fraction(v, den) for t, v in acc.items()},
-                           inner.source.dim, outer.n)
-        for den, acc in _symbol_product(outer, inner))
+                           inner.source.dim, outer.n) if acc else zero_row
+        for den, acc in _product_rows(
+            [[(k, p.terms) for k, p in enumerate(row) if p] for row in outer.rows],
+            [[p.terms for p in row] for row in inner.rows]))
     return OperatorMatrix(
         name=f"{outer.name} o {inner.name}", n=outer.n,
         source=inner.source, target=outer.target, rows=rows)

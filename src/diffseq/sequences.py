@@ -27,7 +27,7 @@ from .bundles import (
     trace_free_sym2,
 )
 from .config import record
-from .operators import OperatorMatrix, adjoint, compose, composes_to_zero, make_operator
+from .operators import OperatorMatrix, adjoint, compose, make_operator
 from .poly import Poly, metric_cache, resolve_metric
 
 ZERO = Fraction(0)
@@ -311,7 +311,7 @@ def build_sequence(op, max_steps=None, cap=None):
         if cc.target.dim == 0:
             terminated = True
             break
-        if not composes_to_zero(cc, ops[-1]):
+        if not compose(cc, ops[-1]).is_zero():
             raise AssertionError(
                 f"conditions for {ops[-1].name} do not annihilate it")
         ops.append(cc)
@@ -320,8 +320,8 @@ def build_sequence(op, max_steps=None, cap=None):
     euler = None
     if terminated:
         euler = sum(d if i % 2 == 0 else -d for i, d in enumerate(dims))
-    steps = tuple(SequenceStep(o, k, o.source.dim, o.target.dim)
-                  for o, k in zip(ops, orders))
+    steps = tuple(
+        SequenceStep(o, o.order, o.source.dim, o.target.dim) for o in ops)
     return SequenceReport(
         name=op.name, n=op.n, steps=steps, dims=dims, orders=orders,
         terminated=terminated, euler_characteristic=euler,
@@ -352,7 +352,7 @@ def check_parametrization(target, candidate, cap=None):
         raise ValueError(
             f"candidate target {candidate.target.label} does not match "
             f"operator source {target.source.label}")
-    zero = composes_to_zero(target, candidate)
+    zero = compose(target, candidate).is_zero()
     equal = False
     if zero:
         syz = groebner.syzygies(operators.rows_presentation(candidate), cap=cap)
@@ -677,8 +677,8 @@ def potential_contradiction_report(metric=None):
     b = bianchi(n, w)
     lc = lanczos_candidate(n, w)
     riem = riemann_linearized(n, w)
-    nonzero = not composes_to_zero(b, lc)
-    zero = composes_to_zero(b, riem)
+    nonzero = not compose(b, lc).is_zero()
+    zero = compose(b, riem).is_zero()
     # informational: the candidate has a 6-dimensional gauge kernel, so its
     # generic rank is 14 rather than full
     rank = operators.differential_rank(lc)
