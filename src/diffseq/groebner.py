@@ -56,11 +56,24 @@ def _to_sparse(vec):
     return out
 
 
+class _Row(tuple):
+    """A generator row of ``Poly`` made by the engines; ``sparse`` is the
+    vector of ``Fraction``s it was made from, so it is never converted back."""
+
+
 def _to_polys(sparse, ambient_rank, n):
-    cols = [dict() for _ in range(ambient_rank)]
+    """The row of ``Poly`` of a sparse vector of ``Fraction``s, made without
+    ``Poly``'s per-term checks; its zero cells share one zero ``Poly``."""
+    zero = Poly.zero(n)
+    row = [zero] * ambient_rank
     for (c, m), v in sparse.items():
-        cols[c][m] = v
-    return tuple(Poly(n, terms) for terms in cols)
+        if row[c] is zero:
+            row[c] = Poly.__new__(Poly)
+            row[c].n, row[c].terms = n, {}
+        row[c].terms[m] = v
+    row = _Row(row)
+    row.sparse = sparse
+    return row
 
 
 def _vec_degree(sparse, shifts):
@@ -109,8 +122,8 @@ class _Order:
 class GradedPresentation:
     """Homogeneous generators of a graded submodule of R^ambient_rank.
 
-    ``_sparse`` holds the generators as sparse vectors, converted once here;
-    the engines read it and never mutate it."""
+    ``_sparse`` holds the generators as sparse vectors, converted once here
+    or taken from engine-made rows; the engines read it and never mutate it."""
 
     n: int
     ambient_rank: int
@@ -120,14 +133,15 @@ class GradedPresentation:
     def __post_init__(self):
         shifts = self.shifts if self.shifts is not None else (0,) * self.ambient_rank
         object.__setattr__(self, "shifts", tuple(shifts))
-        object.__setattr__(self, "generators", tuple(tuple(g) for g in self.generators))
+        object.__setattr__(self, "generators", tuple(
+            g if isinstance(g, _Row) else tuple(g) for g in self.generators))
         if len(self.shifts) != self.ambient_rank:
             raise ValueError("one shift per ambient component required")
         sparse = []
         for g in self.generators:
             if len(g) != self.ambient_rank:
                 raise ValueError("generator arity does not match ambient rank")
-            s = _to_sparse(g)
+            s = g.sparse if isinstance(g, _Row) else _to_sparse(g)
             if not s:
                 raise ValueError("zero generator not allowed")
             if not _is_homogeneous(s, self.shifts):
@@ -319,11 +333,14 @@ class ModuleGB:
 
         Leads are distinct, so minimality is checked within each component.
         An element never reduces its own tail, which lies below its lead.
+        Under an elimination order only elements led from ``block_start`` on
+        are kept: all their terms lie there, where no other lead divides them.
         """
         self.complete()
         keep = {comp: [e for e in members if not any(
                     m != e[0] and mono_divides(m, e[0]) for m, _, _ in members)]
-                for comp, members in self.by_component.items()}
+                for comp, members in self.by_component.items()
+                if comp >= (self.order.block_start or 0)}
         final = []
         for comp, members in keep.items():
             for m, lc, tail in members:
@@ -386,14 +403,11 @@ def syzygies(pres, cap=None):
         tagged = dict(g)
         tagged[(m + i, (0,) * pres.n)] = Fraction(1)
         gb.add(tagged)
-    harvested = []
-    for e in gb.reduced_elements():
-        if all(c >= m for (c, _) in e):
-            harvested.append({(c - m, mono): v for (c, mono), v in e.items()})
     return GradedPresentation(
         n=pres.n,
         ambient_rank=k,
-        generators=tuple(_to_polys(h, k, pres.n) for h in harvested),
+        generators=tuple(_to_polys({(c - m, mono): v for (c, mono), v in e.items()},
+                                   k, pres.n) for e in gb.reduced_elements()),
         shifts=degs,
     )
 

@@ -46,11 +46,10 @@ class OperatorMatrix:
     @property
     def order(self):
         """Largest total degree appearing in the symbol (zero operator: 0)."""
-        degs = [p.degree() for row in self.rows for p in row if not p.is_zero()]
-        return max(degs) if degs else 0
+        return max((p.degree() for row in self.rows for p in row if p.terms), default=0)
 
     def is_zero(self):
-        return all(p.is_zero() for row in self.rows for p in row)
+        return not any(p.terms for row in self.rows for p in row)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
@@ -109,7 +108,7 @@ def compose(outer, inner):
         groebner._to_polys({t: Fraction(v, den) for t, v in acc.items()},
                            inner.source.dim, outer.n) if acc else zero_row
         for den, acc in _product_rows(
-            [[(k, p.terms) for k, p in enumerate(row) if p] for row in outer.rows],
+            [[(k, p.terms) for k, p in enumerate(row) if p.terms] for row in outer.rows],
             [[p.terms for p in row] for row in inner.rows]))
     return OperatorMatrix(
         name=f"{outer.name} o {inner.name}", n=outer.n,
@@ -140,7 +139,7 @@ def rows_presentation(op):
     return groebner.GradedPresentation(
         n=op.n,
         ambient_rank=op.source.dim,
-        generators=tuple(tuple(row) for row in op.rows),
+        generators=op.rows,
     )
 
 
@@ -157,7 +156,7 @@ def compatibility_conditions(op, cap=None):
                         [f"q{i}" for i in range(1, k + 1)])
     return OperatorMatrix(
         name=f"cc({op.name})", n=op.n, source=op.target, target=target,
-        rows=tuple(tuple(g) for g in gens.generators))
+        rows=gens.generators)
 
 
 def differential_rank(op):

@@ -320,8 +320,8 @@ def build_sequence(op, max_steps=None, cap=None):
     euler = None
     if terminated:
         euler = sum(d if i % 2 == 0 else -d for i, d in enumerate(dims))
-    steps = tuple(
-        SequenceStep(o, o.order, o.source.dim, o.target.dim) for o in ops)
+    steps = tuple(SequenceStep(o, d, o.source.dim, o.target.dim)
+                  for o, d in zip(ops, orders))
     return SequenceReport(
         name=op.name, n=op.n, steps=steps, dims=dims, orders=orders,
         terminated=terminated, euler_characteristic=euler,

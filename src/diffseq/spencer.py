@@ -14,6 +14,7 @@ symmetric multi-index stands for the plain mixed partial.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from . import linalg
 from .bundles import ext_tuples, sym_tuples
@@ -130,7 +131,13 @@ def _ext_index(n, r):
 
 def delta_ambient(n, r, q, m):
     """Sparse matrix of delta on the full space: exterior degree r, symbol
-    order q, fiber rank m.  Rows are output components, columns inputs."""
+    order q, fiber rank m.  Rows are output components, columns inputs.
+    Built once per argument set; the rows are read-only and shared."""
+    return _delta_ambient(n, r, q, m)
+
+
+@lru_cache(maxsize=None)
+def _delta_ambient(n, r, q, m):
     in_tuples, in_pos = _ext_index(n, r)
     out_tuples, _ = _ext_index(n, r + 1)
     idx_in = _Indexer(n, q, m)
@@ -147,8 +154,8 @@ def delta_ambient(n, r, q, m):
                     sign = -1 if t % 2 else 1
                     col = in_pos[I] * width_in + idx_in(_sorted_insert(nu, i), k)
                     out[col] = out.get(col, 0) + sign
-                rows.append(out)
-    return rows
+                rows.append(MappingProxyType(out))
+    return tuple(rows)
 
 
 @record

@@ -73,6 +73,24 @@ def test_janet_spencer_table_eliminates_its_jet_system_once(monkeypatch):
     assert len(widths) == seen + 1
 
 
+def test_delta_ambient_is_built_once_per_argument_set(monkeypatch):
+    calls = []
+    delta_ambient = spencer.delta_ambient
+    monkeypatch.setattr(spencer, "delta_ambient",
+                        lambda *args: calls.append(args) or delta_ambient(*args))
+    spencer._delta_ambient.cache_clear()
+    for r in range(5):
+        spencer.janet_spencer_bundle_dims("conformal_killing", r, 4)
+    spencer.delta_cohomology_dims(sequences.killing(4), 4)
+    # the Janet bundle asks again for the matrix its delta_map just built
+    assert len(set(calls)) < len(calls)
+    assert spencer._delta_ambient.cache_info().misses == len(set(calls))
+    rows = delta_ambient(*calls[0])
+    assert rows is delta_ambient(*calls[0])
+    with pytest.raises(TypeError):
+        rows[0][0] = 1
+
+
 def test_benchmark_trace_targets_are_plain_functions():
     """The benchmark tracer wraps plain functions only: a per-layer target
     that became a cache object would drop out of the trace."""

@@ -5,6 +5,8 @@ input it enumerates each degree slice as a plain linear system and
 compares dimensions against the span of the computed generators.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -372,3 +374,54 @@ def test_every_s_pair_of_the_reduced_basis_reduces_to_zero(pres):
             assert not any(normal_form(s, gb))
     for g in pres.generators:
         assert not any(normal_form(g, gb))
+
+
+@settings(deadline=None, max_examples=60)
+@given(homogeneous_presentations())
+def test_every_syzygy_annihilates_the_generators(pres):
+    for h in syzygies(pres).generators:
+        total = [Poly.zero(pres.n)] * pres.ambient_rank
+        for hi, g in zip(h, pres.generators):
+            total = [t + hi * p for t, p in zip(total, g)]
+        assert not any(total)
+
+
+def _seeded_presentations(seed=7, count=40):
+    """Random homogeneous presentations: n <= 3, rank <= 3, entries of degree
+    <= 2, component shifts 0 or 1, coefficients with denominators <= 3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, rank = rng.randint(1, 3), rng.randint(1, 3)
+        shifts = tuple(rng.randint(0, 1) for _ in range(rank))
+        gens = []
+        for _ in range(rng.randint(2, 5)):
+            deg = rng.randint(max(shifts), min(shifts) + 2)
+            vec = []
+            for s in shifts:
+                monos = monomials_of_degree(n, deg - s)
+                picked = rng.sample(monos, min(len(monos), rng.randint(0, 3)))
+                vec.append(sum((Poly.monomial(n, m, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                                             rng.randint(1, 3)))
+                                for m in picked), Poly.zero(n)))
+            if any(vec):
+                gens.append(tuple(vec))
+        if gens:
+            out.append(GradedPresentation(n=n, ambient_rank=rank, generators=tuple(gens),
+                                          shifts=shifts))
+    return out
+
+
+def test_engine_outputs_are_pinned():
+    """Syzygies and minimal generators of fixed random presentations, as the
+    chain pipeline takes them (syzygies, then their minimal generators)."""
+    digest = hashlib.sha256()
+    for pres in _seeded_presentations():
+        syz = syzygies(pres)
+        for out in (syz, minimal_graded_generators(syz), minimal_graded_generators(pres)):
+            digest.update(repr(out).encode("utf-8"))
+    assert digest.hexdigest() == ENGINE_OUTPUTS_SHA256
+
+
+# repr of every presentation above; any change to the engine's output changes it
+ENGINE_OUTPUTS_SHA256 = "ab0e000a3a60a97133e8f538c26b0a76f6ecca72c44fc41ac9976b448113cc1c"

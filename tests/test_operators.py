@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from diffseq import operators
 from diffseq.bundles import free_basis
+from diffseq.groebner import GradedPresentation
 from diffseq.operators import (
     adjoint,
     apply,
@@ -17,8 +18,8 @@ from diffseq.operators import (
     make_operator,
     rows_presentation,
 )
-from diffseq.poly import Poly
-from diffseq.sequences import exterior_derivative, killing
+from diffseq.poly import ConstantMetric, Poly
+from diffseq.sequences import build_sequence, conformal_killing, exterior_derivative, killing
 
 ZERO2 = Poly.zero(2)
 
@@ -221,3 +222,26 @@ def test_zero_test_on_a_chain_and_a_perturbed_condition():
     assert not compose(bumped, op).is_zero()
     with pytest.raises(ValueError):
         compose(op, op)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("builder", [killing, conformal_killing], ids=lambda b: b.__name__)
+def test_engine_built_conditions_equal_user_built_ones(builder, n, metric):
+    """Conditions are made from the engine's sparse vectors without ``Poly``'s
+    checks; they must equal what a user would build from the same rows, with
+    ``Fraction`` coefficients only (``Fraction(1) == 1`` hides an int)."""
+    w = ConstantMetric.minkowski(n) if metric == "minkowski" else None
+    for step in build_sequence(builder(n, w)).steps[1:]:
+        cc = step.operator
+        rows = tuple(tuple(r) for r in cc.rows)   # plain tuples, as a user passes them
+        pres = rows_presentation(cc)
+        plain = GradedPresentation(cc.n, cc.source.dim, rows)
+        assert pres == plain and hash(pres) == hash(plain)
+        assert pres._sparse == plain._sparse
+        again = make_operator(cc.name, cc.n, cc.source, cc.target, rows)
+        assert cc == again and hash(cc) == hash(again)
+        cells = [p for row in cc.rows for p in row]
+        assert all(type(v) is Fraction and v and len(m) == n
+                   for p in cells for m, v in p.terms.items())
+        assert cc.order == step.order == max(p.degree() for p in cells)
