@@ -118,10 +118,9 @@ class GoldenReport:
         return all(r.ok for r in self.results)
 
 
-def _fiber_dims():
-    """Live recomputation of every fiber dimension used in the diagrams."""
-    k_chain = sequences.build_sequence(sequences.killing(4))
-    c_chain = sequences.build_sequence(sequences.conformal_killing(4))
+def _fiber_dims(k_chain, c_chain):
+    """Live recomputation of every fiber dimension used in the diagrams, given
+    the killing and conformal_killing n=4 sequences."""
     g = spencer.symbol_of(sequences.killing(4))
     gs = {}
     for i in range(1, 5):
@@ -143,11 +142,12 @@ def _fiber_dims():
 def run_golden_checks(ns=(2, 3, 4, 5)):
     """Recompute every frozen value whose dimension is in ``ns``."""
     results = []
+    chains = {}
 
     for (name, n), (dims, orders) in sorted(CHAINS.items()):
         if n not in ns:
             continue
-        rep = sequences.build_sequence(getattr(sequences, name)(n))
+        rep = chains[name, n] = sequences.build_sequence(getattr(sequences, name)(n))
         results.append(GoldenResult(
             key=f"chain {name} n={n} dims", expected=dims, got=rep.dims))
         results.append(GoldenResult(
@@ -180,7 +180,7 @@ def run_golden_checks(ns=(2, 3, 4, 5)):
                 got=(node.dim, node.rank_out, node.h)))
 
     if 4 in ns:
-        fibers = _fiber_dims()
+        fibers = _fiber_dims(chains["killing", 4], chains["conformal_killing", 4])
         for diagram, rows in sorted(DIAGRAM_FORMULAS.items()):
             got_rows = tuple(
                 tuple(comb(4, r) * comb(4 + a - 1, a) * fibers[f]

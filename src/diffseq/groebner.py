@@ -24,6 +24,13 @@ are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads ``la``, ``lb`` with gcd
 Fractions return only with results: ``reduced_elements`` divides tails by
 ``lead * scale``, public ``normal_form`` by the input's lcm times ``scale``.
 
+``generic_rank`` counts lead components.  The zero-shift TOP degrevlex
+order is degree-compatible, so by Macaulay's basis theorem (Eisenbud,
+"Commutative Algebra", 1995, ch. 15) R^m/M and R^m/in(M) have the same
+Hilbert function, and in(M) is a sum of monomial ideals I_c e_c; hence
+rank M over Q(x) is the number of components c with I_c != 0, which are
+the components carrying a lead in a completed basis.
+
 S-pairs are pruned by the Gebauer-Moeller update (Gebauer & Moeller 1988),
 which drops a pair only when pairs of strictly smaller lcm, hence lower
 degree, cover it, so staging by degree stays sound.  Buchberger's product
@@ -59,6 +66,10 @@ def _to_sparse(vec):
 class _Row(tuple):
     """A generator row of ``Poly`` made by the engines; ``sparse`` is the
     vector of ``Fraction``s it was made from, so it is never converted back."""
+
+
+def _sparse_of(row):
+    return row.sparse if isinstance(row, _Row) else _to_sparse(row)
 
 
 def _to_polys(sparse, ambient_rank, n):
@@ -141,7 +152,7 @@ class GradedPresentation:
         for g in self.generators:
             if len(g) != self.ambient_rank:
                 raise ValueError("generator arity does not match ambient rank")
-            s = g.sparse if isinstance(g, _Row) else _to_sparse(g)
+            s = _sparse_of(g)
             if not s:
                 raise ValueError("zero generator not allowed")
             if not _is_homogeneous(s, self.shifts):
@@ -351,10 +362,11 @@ class ModuleGB:
         return final
 
 
-def _worker_for(pres, cap=None):
-    order = _Order(pres.shifts)
-    gb = ModuleGB(pres.ambient_rank, order, degree_cap(cap))
-    for s in pres._sparse:
+def _worker_for(gens, ambient_rank, shifts, cap=None):
+    """A ``ModuleGB`` under the TOP order with ``shifts``, fed the sparse
+    vectors ``gens`` and not yet completed."""
+    gb = ModuleGB(ambient_rank, _Order(shifts), degree_cap(cap))
+    for s in gens:
         gb.add(s)
     return gb
 
@@ -363,7 +375,7 @@ def _worker_for(pres, cap=None):
 # public operations
 
 def reduced_groebner(pres, cap=None):
-    gb = _worker_for(pres, cap)
+    gb = _worker_for(pres._sparse, pres.ambient_rank, pres.shifts, cap)
     elems = gb.reduced_elements()
     return GroebnerBasis(
         n=pres.n,
@@ -445,55 +457,20 @@ def module_equality(a, b, cap=None):
         raise ValueError("presentations live in different ambient modules")
     # zero shifts, not the presentations' own: the cap bounds unshifted degrees
     zero_shifts = (0,) * a.ambient_rank
-    wa = ModuleGB(a.ambient_rank, _Order(zero_shifts), degree_cap(cap))
-    for s in a._sparse:
-        wa.add(s)
-    wb = ModuleGB(b.ambient_rank, _Order(zero_shifts), degree_cap(cap))
-    for s in b._sparse:
-        wb.add(s)
+    wa, wb = (_worker_for(p._sparse, p.ambient_rank, zero_shifts, cap) for p in (a, b))
     wa.complete()
     wb.complete()
     return (not any(wa.normal_form(s) for s in b._sparse)
             and not any(wb.normal_form(s) for s in a._sparse))
 
 
-def generic_rank(rows, n=None):
-    """Rank over the fraction field, by fraction-free (Bareiss) elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
+def generic_rank(rows):
+    """Rank over the fraction field of a matrix of ``Poly`` rows: the number
+    of components that carry a lead once the nonzero rows' basis is complete."""
+    gens = [s for s in map(_sparse_of, rows) if s]
+    if not gens:
         return 0
-    if n is None:
-        n = rows[0][0].n
-    ncols = len(rows[0])
-    mat = [row[:] for row in rows]
-    prev = Poly.one(n)
-    r = 0
-    limit = min(len(mat), ncols)
-    while r < limit:
-        best = None
-        for i in range(r, len(mat)):
-            for j in range(r, ncols):
-                p = mat[i][j]
-                if p.is_zero():
-                    continue
-                cand = (p.degree(), len(p.terms), i, j)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            break
-        _, _, bi, bj = best
-        if bi != r:
-            mat[r], mat[bi] = mat[bi], mat[r]
-        if bj != r:
-            for row in mat:
-                row[r], row[bj] = row[bj], row[r]
-        piv = mat[r][r]
-        for i in range(r + 1, len(mat)):
-            head = mat[i][r]
-            for j in range(r + 1, ncols):
-                num = mat[i][j] * piv - head * mat[r][j]
-                mat[i][j] = num.divexact(prev) if num else num
-            mat[i][r] = Poly.zero(n)
-        prev = piv
-        r += 1
-    return r
+    width = len(rows[0])
+    gb = _worker_for(gens, width, (0,) * width)
+    gb.complete()
+    return len(gb.by_component)

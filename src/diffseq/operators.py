@@ -161,9 +161,7 @@ def compatibility_conditions(op, cap=None):
 
 def differential_rank(op):
     """Rank of the symbol over the rational function field."""
-    if op.target.dim == 0 or op.source.dim == 0:
-        return 0
-    return groebner.generic_rank([list(r) for r in op.rows], n=op.n)
+    return groebner.generic_rank(op.rows)
 
 
 def apply(op, sections):

@@ -223,30 +223,6 @@ class Poly:
             total += v
         return total
 
-    def divexact(self, d):
-        """Exact division; raises ArithmeticError if ``d`` does not divide."""
-        if d.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        dl = d.leading_monomial()
-        dc = d.terms[dl]
-        rem = dict(self.terms)
-        out = {}
-        while rem:
-            lm = max(rem, key=mono_key)
-            if not mono_divides(dl, lm):
-                raise ArithmeticError("inexact polynomial division")
-            q = mono_sub(lm, dl)
-            qc = rem[lm] / dc
-            out[q] = qc
-            for m, c in d.terms.items():
-                t = mono_mul(q, m)
-                v = rem.get(t, Fraction(0)) - qc * c
-                if v:
-                    rem[t] = v
-                else:
-                    rem.pop(t, None)
-        return Poly(self.n, out)
-
     def __repr__(self):
         if not self.terms:
             return "0"

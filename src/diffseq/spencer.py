@@ -99,7 +99,13 @@ def symbol_of(op):
 
 
 def prolong(g):
-    """One prolongation: all first derivatives of the defining equations."""
+    """One prolongation: all first derivatives of the defining equations.
+    Built once per symbol space; the result is shared."""
+    return _prolong(g)
+
+
+@lru_cache(maxsize=None)
+def _prolong(g):
     n, m = g.n, g.fiber_dim
     idx_new = _Indexer(n, g.q + 1, m)
     mus = sym_tuples(n, g.q)

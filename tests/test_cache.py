@@ -91,6 +91,21 @@ def test_delta_ambient_is_built_once_per_argument_set(monkeypatch):
         rows[0][0] = 1
 
 
+def test_prolong_is_built_once_per_symbol_space(monkeypatch):
+    calls = []
+    prolong = spencer.prolong
+    monkeypatch.setattr(spencer, "prolong",
+                        lambda g: calls.append(g) or prolong(g))
+    spencer._prolong.cache_clear()
+    for r in range(5):
+        spencer.janet_spencer_bundle_dims("killing", r, 4)
+    spencer.delta_cohomology_dims(sequences.killing(4), 4)
+    spencer.delta_cohomology_detail(sequences.conformal_killing(4), 3, q=2)
+    assert len(set(calls)) < len(calls)
+    assert spencer._prolong.cache_info().misses == len(set(calls))
+    assert prolong(calls[0]) is prolong(calls[0])
+
+
 def test_benchmark_trace_targets_are_plain_functions():
     """The benchmark tracer wraps plain functions only: a per-layer target
     that became a cache object would drop out of the trace."""

@@ -194,9 +194,9 @@ def test_minimal_generators_drop_redundant_ones():
 def test_generic_rank_detects_dependent_rows():
     x1, x2 = _vars(2)
     rows = [[x1, x2], [x1 * x2, x2 * x2]]
-    assert generic_rank(rows, 2) == 1
+    assert generic_rank(rows) == 1
     rows2 = [[x1, x2], [x2, x1]]
-    assert generic_rank(rows2, 2) == 2
+    assert generic_rank(rows2) == 2
 
 
 def test_generic_rank_matches_evaluation_at_a_generic_point():
@@ -204,7 +204,18 @@ def test_generic_rank_matches_evaluation_at_a_generic_point():
     rows = [list(r) for r in op.rows]
     pt = [Fraction(3), Fraction(-7), Fraction(11)]
     dense = [[p.evaluate(pt) for p in row] for row in rows]
-    assert generic_rank(rows, 3) == linalg.dense_rank(dense)
+    assert generic_rank(rows) == linalg.dense_rank(dense)
+
+
+def test_generic_rank_of_inhomogeneous_rows():
+    x1, x2 = _vars(2)
+    one, zero = Poly.one(2), Poly.zero(2)
+    # rank 1: the second row is (x1 + 1) times the first
+    rows = [[x1 + one, x2 * x2], [(x1 + one) * (x1 + one), (x1 + one) * x2 * x2]]
+    assert generic_rank(rows) == 1
+    # rank 2, with a zero row: the 2x2 minor of the first two rows is x1^2 - 1 - x2^3
+    rows = [[x1 + one, x2, zero], [x2 * x2, x1 - one, one], [zero, zero, zero]]
+    assert generic_rank(rows) == 2
 
 
 def test_degree_cap_is_a_loud_error():
@@ -285,7 +296,7 @@ def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
 def test_basis_elements_are_primitive_integer_vectors():
     leads = []
     for pres in (rows_presentation(conformal_killing(4)), _non_unit_leads()):
-        gb = groebner._worker_for(pres)
+        gb = groebner._worker_for(pres._sparse, pres.ambient_rank, pres.shifts)
         gb.complete()
         assert gb.stats["processed"] > 0
         for members in gb.by_component.values():
@@ -384,6 +395,17 @@ def test_every_syzygy_annihilates_the_generators(pres):
         for hi, g in zip(h, pres.generators):
             total = [t + hi * p for t, p in zip(total, g)]
         assert not any(total)
+
+
+@settings(deadline=None, max_examples=60)
+@given(homogeneous_presentations())
+def test_generic_rank_is_exact_on_generators_and_syzygies(pres):
+    # under the zero-shift order these rows are inhomogeneous when shifts differ
+    gens = pres.generators
+    rank = generic_rank(gens)
+    assert rank + generic_rank(syzygies(pres).generators) == len(gens)
+    point = [Fraction(p) for p in (3, -7, 11)[:pres.n]]
+    assert linalg.dense_rank([[p.evaluate(point) for p in g] for g in gens]) <= rank
 
 
 def _seeded_presentations(seed=7, count=40):

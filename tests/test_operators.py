@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffseq import operators
+from diffseq import operators, sequences
 from diffseq.bundles import free_basis
 from diffseq.groebner import GradedPresentation
 from diffseq.operators import (
@@ -95,10 +95,36 @@ def test_conditions_of_gradient_are_curl():
     assert module_equality(a, b)
 
 
-def test_differential_rank_of_classical_operators():
-    assert differential_rank(killing(3)) == 3
-    assert differential_rank(exterior_derivative(3, 0)) == 1
-    assert differential_rank(exterior_derivative(3, 1)) == 2
+def _trace_free_count(n):
+    return n * (n + 1) // 2 - n
+
+
+# closed-form generic ranks of the metric builders
+RANK_CLOSED_FORMS = {
+    "killing": lambda n: n,
+    "conformal_killing": lambda n: n,
+    "riemann_linearized": _trace_free_count,
+    "ricci": _trace_free_count,
+    "einstein": _trace_free_count,
+    "bianchi": lambda n: n * n * (n * n - 1) // 12 - _trace_free_count(n),
+}
+
+RANK_CASES = [
+    pytest.param(name, (n, getattr(ConstantMetric, metric)(n)), form(n),
+                 id=f"{name}-{n}-{metric}")
+    for name, form in RANK_CLOSED_FORMS.items()
+    for n in range(3, 7)
+    for metric in ("euclidean", "minkowski")
+] + [
+    pytest.param("lanczos_candidate", (4,), 14, id="lanczos_candidate-4"),
+    pytest.param("exterior_derivative", (3, 0), 1, id="exterior_derivative-3-0"),
+    pytest.param("exterior_derivative", (3, 1), 2, id="exterior_derivative-3-1"),
+]
+
+
+@pytest.mark.parametrize("name,args,rank", RANK_CASES)
+def test_differential_rank_of_classical_operators(name, args, rank):
+    assert differential_rank(getattr(sequences, name)(*args)) == rank
 
 
 def test_operator_shape_validation():

@@ -72,13 +72,6 @@ def test_diff_satisfies_leibniz(p, q):
     assert lhs == rhs
 
 
-@given(polys(3), polys(3))
-def test_divexact_inverts_multiplication(p, q):
-    if q.is_zero():
-        return
-    assert (p * q).divexact(q) == p
-
-
 def test_apply_derivation_matches_iterated_diff():
     f = Poly.monomial(2, (3, 2), Fraction(5)) + Poly.variable(2, 1)
     expected = f.diff(1).diff(1).diff(2)
@@ -128,13 +121,6 @@ def test_zero_polynomial_properties():
     z = Poly.zero(3)
     assert z.is_zero()
     assert z.degree() == -1
-
-
-def test_divexact_rejects_inexact_division():
-    p = Poly.variable(2, 1)
-    q = Poly.variable(2, 2)
-    with pytest.raises(ArithmeticError):
-        p.divexact(q)
 
 
 def test_products_past_the_exponent_cap_raise():
