@@ -24,6 +24,18 @@ are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads ``la``, ``lb`` with gcd
 Fractions return only with results: ``reduced_elements`` divides tails by
 ``lead * scale``, public ``normal_form`` by the input's lcm times ``scale``.
 
+Inside the engine a term is one int (Monagan & Pearce, J. Symb. Comp. 46,
+2011).  Its fields, from the least significant: component, m[0]..m[n-1],
+bias minus shifted degree, block bit.  Read from the top they are the sort
+key (block, -degree, m[n-1], ..., m[0], component) of the order, so the
+larger term is the smaller int and a heap of bare ints pops it first.  Each
+exponent field has a guard bit over its value, so a lead l divides a term t
+of its component exactly when ``(t - l) & guard`` is 0: the lowest exponent
+of t below l's borrows into its guard.  Packing is linear, so a tail term u
+times t / l packs to ``u + (t - l)``.  Fields hold shifted degrees up to
+``top`` above the lowest shift: ``EXPONENT_CAP`` in ``ModuleGB``, whose
+``_admit`` holds every entering vector to it, the data's bound elsewhere.
+
 ``generic_rank`` counts lead components.  The zero-shift TOP degrevlex
 order is degree-compatible, so by Macaulay's basis theorem (Eisenbud,
 "Commutative Algebra", 1995, ch. 15) R^m/M and R^m/in(M) have the same
@@ -42,12 +54,12 @@ new basis element (0, x1*x2).
 import heapq
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import lshift
 
 from .config import (EXPONENT_CAP, DegreeCapExceeded, ExponentCapExceeded,
                      degree_cap, record)
 from .linalg import _integral, _primitive
-from .poly import Poly, mono_divides, mono_lcm, mono_sub
+from .poly import Poly, mono_divides, mono_lcm
 
 ORDER_TAG = "degrevlex, term over position, low component wins ties"
 
@@ -56,11 +68,7 @@ ORDER_TAG = "degrevlex, term over position, low component wins ties"
 # sparse module vectors: dict (component, monomial) -> Fraction or int
 
 def _to_sparse(vec):
-    out = {}
-    for c, p in enumerate(vec):
-        for m, v in p.terms.items():
-            out[(c, m)] = v
-    return out
+    return {(c, m): v for c, p in enumerate(vec) for m, v in p.terms.items()}
 
 
 class _Row(tuple):
@@ -103,27 +111,34 @@ def _canonical_rep(sparse):
 
 
 class _Order:
-    """Shifted TOP order on R^m terms, optionally with an elimination block.
+    """Shifted TOP order on R^m terms, optionally with an elimination block,
+    packed into ints by ``layout(n, top)`` (see the module docstring).
 
     Terms in components below ``block_start`` always exceed terms at or above
-    it; that is the elimination property the syzygy harvest relies on.
-    """
+    it; that is the elimination property the syzygy harvest relies on."""
 
     def __init__(self, shifts, block_start=None):
         self.shifts = shifts
         self.block_start = block_start
-        self._keys = {}
+        self.n = None
 
-    def key(self, term):
-        """Memoized sort key; the larger term has the smaller key."""
-        k = self._keys.get(term)
-        if k is None:
-            c, m = term
-            k = (-sum(m) - self.shifts[c],) + tuple(reversed(m)) + (c,)
-            if self.block_start is not None:
-                k = (0 if c < self.block_start else 1,) + k
-            self._keys[term] = k
-        return k
+    def layout(self, n, top):
+        c, v = max(len(self.shifts) - 1, 1).bit_length(), top.bit_length()
+        self.n, self.bias, self.deg_at = n, top + min(self.shifts, default=0), c + n * (v + 1)
+        self.offsets = tuple(range(c, self.deg_at, v + 1))
+        self.cmask, self.emask = (1 << c) - 1, (1 << v) - 1
+        self.guard = sum(1 << o + v for o in self.offsets)
+        self.block = self.block_start is not None and 1 << self.deg_at + v
+        return self
+
+    def pack(self, term):
+        c, m = term
+        p = c + sum(map(lshift, m, self.offsets)) + (
+            self.bias - sum(m) - self.shifts[c] << self.deg_at)
+        return p + self.block if self.block and c >= self.block_start else p
+
+    def unpack(self, p):
+        return p & self.cmask, tuple([p >> o & self.emask for o in self.offsets])
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +194,10 @@ class GroebnerBasis:
 # the worker
 
 def _reduce_sparse(vec, by_component, order):
-    """Pseudo-reduction of an integer vector: ``(scale, remainder)``, with
-    ``scale * vec - remainder`` in the span of the reducers and no term of
-    ``remainder`` divisible by a lead.  ``by_component`` maps a component to
-    ``(lead monomial, lead coefficient, tail)`` with integer leads above 0.
+    """Pseudo-reduction of a packed integer vector: ``(scale, remainder)``,
+    with ``scale * vec - remainder`` in the span of the reducers and no term
+    of ``remainder`` divisible by a lead.  ``by_component`` maps a component
+    to ``(packed lead, lead coefficient, tail)`` with integer leads above 0.
 
     To cancel a term ``f`` by a lead ``l``, the pending terms and ``scale``
     are first multiplied by ``l / gcd(l, f)``; finished terms catch up with
@@ -192,17 +207,16 @@ def _reduce_sparse(vec, by_component, order):
     work = dict(vec)
     out = []
     scale = 1
-    key = order.key
-    heap = [(key(t), t) for t in work]
+    cmask, guard = order.cmask, order.guard
+    heap = list(work)
     heapq.heapify(heap)
     while heap:
-        term = heapq.heappop(heap)[1]
+        term = heapq.heappop(heap)
         coef = work.pop(term, None)
         if coef is None:
             continue
-        m = term[1]
-        for lead_m, lc, tail in by_component.get(term[0], ()):
-            if mono_divides(lead_m, m):
+        for lead, lc, tail in by_component.get(term & cmask, ()):
+            if not term - lead & guard:
                 break
         else:
             out.append((term, coef, scale))
@@ -214,26 +228,26 @@ def _reduce_sparse(vec, by_component, order):
             for t in work:
                 work[t] *= a
         f = coef // g
-        q = mono_sub(m, lead_m)
-        for (c2, m2), v in tail:
-            t = (c2, tuple(map(add, q, m2)))
+        q = term - lead
+        for t, v in tail:
+            t += q
             nv = work.get(t, 0) - f * v
             if not nv:
                 del work[t]
                 continue
             if t not in work:
-                heapq.heappush(heap, (key(t), t))
+                heapq.heappush(heap, t)
             work[t] = nv
     return scale, {t: v * (scale // s) for t, v, s in out}
 
 
 def _reducer(vec, order):
-    """``(component, (lead monomial, lead coefficient > 0, tail))``, primitive."""
-    lead = min(vec, key=order.key)
+    """``(component, (packed lead, lead coefficient > 0, tail))``, primitive."""
+    lead = min(vec)
     vec = _primitive(vec)
     sign = 1 if vec[lead] > 0 else -1
     tail = tuple((t, sign * v) for t, v in vec.items() if t != lead)
-    return lead[0], (lead[1], sign * vec[lead], tail)
+    return lead & order.cmask, (lead, sign * vec[lead], tail)
 
 
 class ModuleGB:
@@ -251,44 +265,47 @@ class ModuleGB:
         self.order = order
         self.cap = cap
         self.basis = []
-        self.by_component = {}  # component -> [(lead monomial, lead coef, tail)]
+        self.by_component = {}  # component -> [(packed lead, lead coef, tail)]
+        self.leads = {}     # component -> [lead monomial], for the pair criteria
         self.pairs = []     # heap of (degree, serial, component, a, b)
         self.live = {}      # component -> {(a, b): lcm} of pairs still due
         self.stats = {"queued": 0, "pruned": 0, "processed": 0, "zero": 0}
         self._counter = 0
+        self._top = EXPONENT_CAP + min(order.shifts, default=0)
 
     def _admit(self, deg):
-        if deg - min(self.order.shifts, default=0) > EXPONENT_CAP:
+        if deg > self._top:
             raise ExponentCapExceeded(f"degree {deg} allows exponents above {EXPONENT_CAP}")
 
     def _register(self, vec):
         comp, member = _reducer(vec, self.order)
-        mono = member[0]
+        mono = self.order.unpack(member[0])[1]
         self.basis.append(member)
-        members = self.by_component.setdefault(comp, [])
+        monos = self.leads.setdefault(comp, [])
         live = self.live.setdefault(comp, {})
         # B: a due pair whose lcm the new lead divides is covered by the two
         # pairs with the new element, unless one of them has the same lcm.
         covered = [(a, b) for (a, b), lcm in live.items() if mono_divides(mono, lcm)
-                   and mono_lcm(members[a][0], mono) != lcm
-                   and mono_lcm(members[b][0], mono) != lcm]
+                   and mono_lcm(monos[a], mono) != lcm
+                   and mono_lcm(monos[b], mono) != lcm]
         for pair in covered:
             del live[pair]
         # M and F: keep one new pair per minimal lcm.  Ascending degree puts
         # every strict divisor first, and divisibility is transitive.
         new = sorted((sum(lcm), a, lcm) for a, lcm in enumerate(
-            mono_lcm(m, mono) for m, _, _ in members))
+            mono_lcm(m, mono) for m in monos))
         kept = []
         for deg, a, lcm in new:
             if not any(mono_divides(k, lcm) for k in kept):
                 kept.append(lcm)
-                live[(a, len(members))] = lcm
+                live[(a, len(monos))] = lcm
                 self._counter += 1
                 heapq.heappush(self.pairs, (deg + self.order.shifts[comp],
-                                            self._counter, comp, a, len(members)))
+                                            self._counter, comp, a, len(monos)))
         self.stats["queued"] += len(new)
         self.stats["pruned"] += len(covered) + len(new) - len(kept)
-        members.append(member)
+        self.by_component.setdefault(comp, []).append(member)
+        monos.append(mono)
 
     def add(self, vec):
         """Reduce against the current basis and insert if nonzero."""
@@ -306,13 +323,14 @@ class ModuleGB:
             if lcm is None:
                 continue  # pruned after it was queued
             self._admit(d)
-            (ma, la, ta), (mb, lb, tb) = self.by_component[comp][a], self.by_component[comp][b]
-            qa, qb = mono_sub(lcm, ma), mono_sub(lcm, mb)
+            (pa, la, ta), (pb, lb, tb) = self.by_component[comp][a], self.by_component[comp][b]
+            at = self.order.pack((comp, lcm))
+            qa, qb = at - pa, at - pb
             g = gcd(la, lb)
             fa, fb = lb // g, la // g  # fa * la == fb * lb: the leads cancel
-            s = {(c, tuple(map(add, qa, m))): fa * v for (c, m), v in ta}
-            for (c, m), v in tb:
-                t = (c, tuple(map(add, qb, m)))
+            s = {qa + t: fa * v for t, v in ta}
+            for t, v in tb:
+                t += qb
                 nv = s.get(t, 0) - fb * v
                 if nv:
                     s[t] = nv
@@ -335,9 +353,13 @@ class ModuleGB:
                 degree=min(due))
 
     def normal_form(self, vec):
-        """Integer remainder of an incoming vector: a positive multiple of its normal form."""
+        """Packed integer remainder of an incoming vector (a positive multiple of
+        its normal form); the first one lays the packing out for the cap."""
         self._admit(_vec_degree(vec, self.order.shifts))
-        return _reduce_sparse(_integral(vec)[1], self.by_component, self.order)[1]
+        if self.order.n is None:
+            self.order.layout(len(next(iter(vec))[1]), EXPONENT_CAP)
+        ints = {self.order.pack(t): v for t, v in _integral(vec)[1].items()}
+        return _reduce_sparse(ints, self.by_component, self.order)[1]
 
     def reduced_elements(self):
         """Unique reduced basis: minimal leads, tails fully reduced, monic.
@@ -348,18 +370,21 @@ class ModuleGB:
         are kept: all their terms lie there, where no other lead divides them.
         """
         self.complete()
+        guard = self.order.guard
         keep = {comp: [e for e in members if not any(
-                    m != e[0] and mono_divides(m, e[0]) for m, _, _ in members)]
+                    p != e[0] and not e[0] - p & guard for p, _, _ in members)]
                 for comp, members in self.by_component.items()
                 if comp >= (self.order.block_start or 0)}
         final = []
-        for comp, members in keep.items():
-            for m, lc, tail in members:
+        for members in keep.values():
+            for lead, lc, tail in members:
                 scale, red = _reduce_sparse(tail, keep, self.order)
-                final.append({(comp, m): Fraction(1), **{
-                    t: Fraction(v, lc * scale) for t, v in red.items()}})
-        final.sort(key=lambda v: self.order.key(next(iter(v))), reverse=True)
-        return final
+                final.append((lead, lc * scale, red))
+        final.sort(key=lambda e: e[0], reverse=True)
+        unpack = self.order.unpack
+        return [{unpack(lead): Fraction(1), **{
+                    unpack(t): Fraction(v, den) for t, v in red.items()}}
+                for lead, den, red in final]
 
 
 def _worker_for(gens, ambient_rank, shifts, cap=None):
@@ -387,15 +412,19 @@ def reduced_groebner(pres, cap=None):
 
 def normal_form(vec, gb):
     """Full (exact rational) remainder of a vector of polynomials against a
-    reduced basis."""
-    order = _Order(gb.shifts)
-    by_comp = {}
-    for e in gb.elements:
-        comp, member = _reducer(_integral(_to_sparse(e))[1], order)
-        by_comp.setdefault(comp, []).append(member)
+    reduced basis; no cap is checked, so the packing is laid out for the
+    highest shifted degree of the input and the basis, which reduction keeps."""
+    elems = [_integral(_to_sparse(e))[1] for e in gb.elements]
     den, ints = _integral(_to_sparse(tuple(vec)))
-    scale, red = _reduce_sparse(ints, by_comp, order)
-    return _to_polys({t: Fraction(v, den * scale) for t, v in red.items()},
+    lo = min(gb.shifts, default=0)
+    order = _Order(gb.shifts).layout(gb.n, max(
+        (sum(m) + gb.shifts[c] - lo for s in elems + [ints] for c, m in s), default=0))
+    by_comp = {}
+    for e in elems:
+        comp, member = _reducer({order.pack(t): v for t, v in e.items()}, order)
+        by_comp.setdefault(comp, []).append(member)
+    scale, red = _reduce_sparse({order.pack(t): v for t, v in ints.items()}, by_comp, order)
+    return _to_polys({order.unpack(t): Fraction(v, den * scale) for t, v in red.items()},
                      gb.ambient_rank, gb.n)
 
 
@@ -432,12 +461,9 @@ def minimal_graded_generators(pres, cap=None):
     degree equal to dim M_d / (R_+ M)_d, which is the minimal possible.
     """
     gens = pres._sparse
-    order = _Order(pres.shifts)
-    decorated = sorted(
-        (( _vec_degree(g, pres.shifts), _canonical_rep(g)), i)
-        for i, g in enumerate(gens)
-    )
-    gb = ModuleGB(pres.ambient_rank, order, degree_cap(cap))
+    decorated = sorted(((_vec_degree(g, pres.shifts), _canonical_rep(g)), i)
+                       for i, g in enumerate(gens))
+    gb = _worker_for((), pres.ambient_rank, pres.shifts, cap)
     kept = []
     for (deg, _), i in decorated:
         gb.ensure_degree(deg)

@@ -11,7 +11,7 @@ works on this symbol matrix with exact rational arithmetic.
 """
 
 from fractions import Fraction
-from operator import add
+from math import lcm
 
 from . import groebner
 from .bundles import BundleBasis, free_basis
@@ -46,10 +46,10 @@ class OperatorMatrix:
     @property
     def order(self):
         """Largest total degree appearing in the symbol (zero operator: 0)."""
-        return max((p.degree() for row in self.rows for p in row if p.terms), default=0)
+        return max((sum(m) for r in self.rows for _, m in groebner._sparse_of(r)), default=0)
 
     def is_zero(self):
-        return not any(p.terms for row in self.rows for p in row)
+        return not any(map(groebner._sparse_of, self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
@@ -72,44 +72,50 @@ def make_operator(name, n, source, target, rows):
         rows=tuple(tuple(r) for r in rows))
 
 
-def _product_rows(outer_rows, inner_rows):
+def _product_rows(outer_rows, inner_rows, n, width):
     """Rows of an exact symbol product, one at a time, as ``(den, {(column,
-    monomial): int})``; the row is the dict divided by ``den``.  An outer
-    row lists ``(k, {monomial: coefficient})`` entries and ``inner_rows[k]``
-    holds one such dict per column.  The inner rows are scaled to ints by one
-    lcm and each outer row by its own, so Σ_k s_k·row_k is summed in ints."""
-    scale, flat = _integral({(k, j, m): v for k, row in enumerate(inner_rows)
-                             for j, terms in enumerate(row) for m, v in terms.items()})
-    inner = [[] for _ in inner_rows]
-    for (k, j, m), v in flat.items():
-        inner[k].append((j, m, v))
+    monomial): int})``, the row being the dict over ``den``.  Rows are sparse
+    vectors ``{(column, monomial): coefficient}``; outer columns index
+    ``inner_rows``, inner ones run below ``width``.  Inner rows are scaled to
+    ints by one lcm and each outer row by its own, so Σ_k s_k·row_k is summed
+    in ints, on terms packed (``groebner._Order``) for the top product degree."""
+    top = sum(max((sum(m) for row in rows for _, m in row), default=0)
+              for rows in (outer_rows, inner_rows))
+    order = groebner._Order((0,) * width).layout(n, top)
+    pack, unpack = order.pack, order.unpack
+    scale = lcm(*(v.denominator for row in inner_rows for v in row.values()))
+    inner = [[(pack(t), v.numerator * (scale // v.denominator)) for t, v in row.items()]
+             for row in inner_rows]
+    one = pack((0, (0,) * n))
     for row in outer_rows:
-        den, coefs = _integral({(k, m): v for k, terms in row for m, v in terms.items()})
+        den, coefs = _integral(row)
         acc = {}
-        for (k, ma), s in coefs.items():
-            for j, mb, v in inner[k]:
-                t = (j, tuple(map(add, ma, mb)))
+        for (k, m), s in coefs.items():
+            q = pack((0, m)) - one
+            for t, v in inner[k]:
+                t += q
                 acc[t] = acc.get(t, 0) + s * v
-        yield den * scale, {t: v for t, v in acc.items() if v}
+        yield den * scale, {unpack(t): v for t, v in acc.items() if v}
 
 
 def compose(outer, inner):
     """Operator composition (apply ``inner`` first); symbols multiply.
 
-    The product is summed on ints by :func:`_product_rows`; rows with no
-    surviving term share one tuple of zero polynomials, so the zero test
-    ``compose(outer, inner).is_zero()`` costs little more than the sums."""
+    The product is summed on ints by :func:`_product_rows` from the rows'
+    sparse vectors; rows with no surviving term share one empty ``_Row``,
+    so the zero test ``compose(outer, inner).is_zero()`` reads no zero cell."""
     if outer.source.key() != inner.target.key():
         raise ValueError(
             f"cannot compose {outer.name} o {inner.name}: "
             f"{outer.source.label} != {inner.target.label}")
-    zero_row = (Poly.zero(outer.n),) * inner.source.dim
+    width = inner.source.dim
+    zero_row = groebner._to_polys({}, width, outer.n)
     rows = tuple(
         groebner._to_polys({t: Fraction(v, den) for t, v in acc.items()},
-                           inner.source.dim, outer.n) if acc else zero_row
-        for den, acc in _product_rows(
-            [[(k, p.terms) for k, p in enumerate(row) if p.terms] for row in outer.rows],
-            [[p.terms for p in row] for row in inner.rows]))
+                           width, outer.n) if acc else zero_row
+        for den, acc in _product_rows([groebner._sparse_of(r) for r in outer.rows],
+                                      [groebner._sparse_of(r) for r in inner.rows],
+                                      outer.n, width))
     return OperatorMatrix(
         name=f"{outer.name} o {inner.name}", n=outer.n,
         source=inner.source, target=outer.target, rows=rows)

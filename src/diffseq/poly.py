@@ -15,7 +15,7 @@ engines rely on.
 
 from fractions import Fraction
 from functools import lru_cache, update_wrapper
-from operator import le, sub
+from operator import le
 
 from . import linalg
 from .config import EXPONENT_CAP, ExponentCapExceeded
@@ -43,10 +43,6 @@ def mono_mul(a, b):
 
 def mono_divides(a, b):
     return all(map(le, a, b))
-
-
-def mono_sub(b, a):
-    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):

@@ -26,8 +26,8 @@ from diffseq.groebner import (
     syzygies,
 )
 from diffseq.operators import rows_presentation
-from diffseq.poly import Poly, mono_key
-from diffseq.sequences import conformal_killing, killing
+from diffseq.poly import Poly, mono_divides, mono_key
+from diffseq.sequences import build_sequence, conformal_killing, killing
 
 ZERO = Fraction(0)
 
@@ -242,6 +242,20 @@ def test_exponent_cap_is_checked_on_inputs_and_s_pairs():
         gb.complete()
 
 
+@pytest.mark.parametrize("e, want", [
+    (33, {(1, 32): 2}),
+    (64, {(1, 63): 1, (0, 64): 1}),
+    (70, {(1, 69): 1, (0, 70): -1}),
+])
+def test_normal_form_is_exact_beyond_the_exponent_cap(e, want):
+    # public normal_form admits no cap: the packing is sized from its data
+    x1, x2 = _vars(2)
+    gb = reduced_groebner(GradedPresentation(n=2, ambient_rank=1,
+                                             generators=((x1 * x1 + x2 * x2,),)))
+    vec = [Poly.monomial(2, (e, 0)) + Poly.monomial(2, (1, e - 1))]
+    assert normal_form(vec, gb)[0].terms == want
+
+
 def _non_unit_leads():
     """Integer generators with non-unit leads and content: the engine keeps
     leads above 1, and the reduced basis has fractional tails."""
@@ -291,6 +305,24 @@ def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
     assert stats["pruned"] > 0
     assert stats["zero"] < stats["processed"]
     assert stats["queued"] == stats["pruned"] + stats["processed"]
+
+
+@pytest.mark.parametrize("builder, want", [
+    (killing, {"queued": 703, "pruned": 228, "processed": 345, "zero": 145}),
+    (conformal_killing, {"queued": 544, "pruned": 186, "processed": 319, "zero": 158}),
+], ids=["killing", "conformal_killing"])
+def test_pair_counters_summed_over_a_chain_build(monkeypatch, builder, want):
+    made = []
+
+    class Recording(groebner.ModuleGB):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(groebner, "ModuleGB", Recording)
+    build_sequence(builder(5))
+    total = {k: sum(gb.stats[k] for gb in made) for k in want}
+    assert total == want
 
 
 def test_basis_elements_are_primitive_integer_vectors():
@@ -406,6 +438,66 @@ def test_generic_rank_is_exact_on_generators_and_syzygies(pres):
     assert rank + generic_rank(syzygies(pres).generators) == len(gens)
     point = [Fraction(p) for p in (3, -7, 11)[:pres.n]]
     assert linalg.dense_rank([[p.evaluate(point) for p in g] for g in gens]) <= rank
+
+
+def _documented_key(term, shifts, block_start):
+    """The TOP degrevlex sort key: the larger term has the smaller key."""
+    c, m = term
+    key = (-sum(m) - shifts[c],) + tuple(reversed(m)) + (c,)
+    return key if block_start is None else (int(c >= block_start),) + key
+
+
+@st.composite
+def packed_layouts(draw):
+    """An order on up to 7 variables and 12 components, shifts in -3..3,
+    with and without a block, and terms whose shifted degree is within
+    ``EXPONENT_CAP`` of the lowest shift, as ``ModuleGB._admit`` allows."""
+    n = draw(st.integers(1, 7))
+    rank = draw(st.integers(1, 12))
+    shifts = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)))
+    block_start = draw(st.one_of(st.none(), st.integers(0, rank)))
+
+    def monomial(budget):
+        exps = []
+        for _ in range(n):
+            exps.append(draw(st.integers(0, budget)))
+            budget -= exps[-1]
+        return tuple(draw(st.permutations(exps)))
+
+    def budget(c):
+        return EXPONENT_CAP - shifts[c] + min(shifts)
+
+    terms = []
+    for _ in range(draw(st.integers(2, 8))):
+        c = draw(st.integers(0, rank - 1))
+        terms.append((c, monomial(budget(c))))
+    # a lead l, a multiple t = l * x^q and a term u with room for u * x^q
+    cl, cu = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+    lead, u = monomial(budget(cl)), monomial(budget(cu))
+    q = monomial(min(budget(cl) - sum(lead), budget(cu) - sum(u)))
+    multiple = (cl, tuple(a + b for a, b in zip(lead, q)))
+    terms += [(cl, lead), multiple, (cu, u)]
+    order = groebner._Order(shifts, block_start).layout(n, EXPONENT_CAP)
+    return order, terms, (cl, lead), multiple, (cu, u), q
+
+
+@settings(deadline=None, max_examples=200)
+@given(packed_layouts())
+def test_packed_terms_follow_the_order_and_divisibility(case):
+    order, terms, lead, multiple, u, q = case
+    pack = order.pack
+    for a in terms:
+        assert order.unpack(pack(a)) == a
+        for b in terms:
+            ka = _documented_key(a, order.shifts, order.block_start)
+            kb = _documented_key(b, order.shifts, order.block_start)
+            assert (pack(a) < pack(b)) == (ka < kb)
+            assert (pack(a) == pack(b)) == (a == b)
+            if a[0] == b[0]:
+                assert (not (pack(a) - pack(b)) & order.guard) == mono_divides(b[1], a[1])
+    assert not (pack(multiple) - pack(lead)) & order.guard
+    assert pack(u) + (pack(multiple) - pack(lead)) == pack(
+        (u[0], tuple(a + b for a, b in zip(u[1], q))))
 
 
 def _seeded_presentations(seed=7, count=40):

@@ -250,6 +250,25 @@ def test_zero_test_on_a_chain_and_a_perturbed_condition():
         compose(op, op)
 
 
+def test_compose_is_exact_beyond_the_exponent_cap():
+    # the product's packing is sized from the operands: exponents reach 80
+    def mono(e1, e2, c=1):
+        return Poly.monomial(2, (e1, e2), c)
+
+    src, mid, tgt = (free_basis(lab, 2, [f"{lab}{i}" for i in range(d)])
+                     for lab, d in (("U", 2), ("V", 2), ("W", 1)))
+    inner = make_operator("P", 2, src, mid, [[mono(30, 5), mono(0, 40, Fraction(3, 2))],
+                                             [mono(40, 0, -1), mono(34, 0)]])
+    outer = make_operator("Q", 2, mid, tgt, [[mono(40, 0), mono(0, 30)]])
+    got = compose(outer, inner)
+    assert got.rows == ((mono(70, 5) - mono(40, 30),
+                         mono(40, 40, Fraction(3, 2)) + mono(34, 30)),)
+    assert got.order == 80 and not got.is_zero()
+    bumped = make_operator("R", 2, mid, tgt, [[mono(40, 30), mono(70, 5)]])
+    assert compose(bumped, make_operator("S", 2, src, mid, [
+        [mono(30, 0), Poly.zero(2)], [mono(0, 25, -1), Poly.zero(2)]])).is_zero()
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("builder", [killing, conformal_killing], ids=lambda b: b.__name__)

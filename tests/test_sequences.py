@@ -53,6 +53,18 @@ def test_chains_reproduce_the_classical_tables():
         assert rep.euler_characteristic == 0
 
 
+@pytest.mark.parametrize("builder, dims, orders", [
+    (killing, (7, 28, 196, 490, 588, 392, 140, 21), (1, 2, 1, 1, 1, 1, 1)),
+    (conformal_killing, (7, 27, 168, 378, 378, 168, 27, 7), (1, 2, 1, 1, 1, 2, 1)),
+], ids=["killing", "conformal_killing"])
+def test_chains_at_n7(builder, dims, orders):
+    # 686 tagged components at the widest step: a 10-bit component field
+    rep = build_sequence(builder(7))
+    assert rep.dims == dims
+    assert rep.orders == orders
+    assert rep.terminated and rep.euler_characteristic == 0
+
+
 def test_consecutive_operators_compose_to_zero():
     rep = build_sequence(killing(3))
     for a, b in zip(rep.steps, rep.steps[1:]):
