@@ -175,9 +175,6 @@ class GradedPresentation:
             sparse.append(s)
         object.__setattr__(self, "_sparse", tuple(sparse))
 
-    def generator_degrees(self):
-        return tuple(_vec_degree(s, self.shifts) for s in self._sparse)
-
 
 @record
 class GroebnerBasis:

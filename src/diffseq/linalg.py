@@ -6,16 +6,19 @@ sparse.  Small dense helpers (products, inverses) operate on lists of lists
 of Fractions.
 
 All sparse elimination goes through one forward pass, ``_echelon``.  Each
-input row is scaled by the lcm of its denominators, so the pass runs on
-integers: a row with entry ``f`` in the pivot column becomes
-``a*row - f*piv`` (``a`` the pivot entry, both divided by ``gcd(a, f)``),
-and every changed row is divided by the gcd of its entries to stay small.
+input row that is not all ``int`` is scaled by the lcm of its denominators,
+so the pass runs on integers: a row with entry ``f`` in the pivot column
+becomes ``a*row - f*piv`` (``a`` the pivot entry, both divided by
+``gcd(a, f)``), and every changed row is divided by the gcd of its entries.
 A map from each column to the active rows nonzero there means the pivot
 search and the elimination touch only those rows.  Columns are taken left
 to right; the pivot is the shortest such row, ties to the lowest index, to
 limit fill-in.  ``rank`` and ``free_columns`` stop after this pass.
-``rref`` back-substitutes once, from the last pivot to the first, and
-divides each row by its pivot entry, so its entries are ``Fraction``.
+``_reduced`` back-substitutes once, from the last pivot to the first.
+``rref`` divides its rows by their pivot entries, so its entries are
+``Fraction``; ``integer_kernel`` reads one primitive integer vector per free
+column off the integer rows, and ``nullspace`` divides each by its entry at
+the free column.
 
 Determinism does not rest on the pivot rule.  The pivot columns are the
 columns where the row space first gains a dimension, and the reduced row
@@ -53,7 +56,9 @@ def _echelon(rows, ncols):
         row = {c: v for c, v in row.items() if v}
         if not row:
             continue
-        active[i] = _primitive(_integral(row)[1])
+        if not all(type(v) is int for v in row.values()):
+            row = _integral(row)[1]
+        active[i] = _primitive(row)
         for c in row:
             rows_at.setdefault(c, set()).add(i)
     echelon = []
@@ -98,13 +103,9 @@ def _echelon(rows, ncols):
     return echelon
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form of sparse rows.
-
-    Returns ``(reduced, pivot_cols)`` where ``reduced[i]`` is a sparse row of
-    Fractions with leading coefficient 1 in column ``pivot_cols[i]`` and zeros
-    in every other pivot column.  Input rows are not mutated.
-    """
+def _reduced(rows, ncols):
+    """``_echelon`` then back-substitution, from the last pivot to the first:
+    primitive integer rows, each zero at every other pivot column."""
     echelon = _echelon(rows, ncols)
     pivot_row = dict(echelon)
     for col, row in reversed(echelon):
@@ -122,6 +123,17 @@ def rref(rows, ncols):
                 else:
                     del row[x]
         _primitive(row)
+    return echelon
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form of sparse rows.
+
+    Returns ``(reduced, pivot_cols)`` where ``reduced[i]`` is a sparse row of
+    Fractions with leading coefficient 1 in column ``pivot_cols[i]`` and zeros
+    in every other pivot column.  Input rows are not mutated.
+    """
+    echelon = _reduced(rows, ncols)
     reduced = [{c: Fraction(v, row[col]) for c, v in row.items()}
                for col, row in echelon]
     return reduced, [col for col, _ in echelon]
@@ -131,21 +143,35 @@ def rank(rows, ncols):
     return len(_echelon(rows, ncols))
 
 
-def nullspace(rows, ncols):
-    """``(kernel basis, free columns)`` from one elimination.  The basis has
-    one dense vector per free column, 1 there and 0 at the other free ones."""
-    reduced, pivot_cols = rref(rows, ncols)
-    taken = set(pivot_cols)
+def integer_kernel(rows, ncols):
+    """``(kernel basis, free columns)`` from one elimination, without
+    ``Fraction``s: one sparse primitive integer vector ``{column: int}`` per
+    free column, positive there and 0 at the other free ones."""
+    echelon = _reduced(rows, ncols)
+    at = {}   # column -> (pivot column, pivot entry, entry) of the rows there
+    for col, row in echelon:
+        for c, v in row.items():
+            if c != col:
+                at.setdefault(c, []).append((col, row[col], v))
+    taken = {col for col, _ in echelon}
     free = [c for c in range(ncols) if c not in taken]
-    slot = {f: j for j, f in enumerate(free)}
-    basis = [[ZERO] * ncols for _ in free]
-    for f, vec in zip(free, basis):
-        vec[f] = ONE
-    for row, c in zip(reduced, pivot_cols):
-        for f, coef in row.items():
-            if f != c:
-                basis[slot[f]][c] = -coef
+    basis = []
+    for f in free:
+        entries = at.get(f, ())
+        scale = lcm(*(a for _, a, _ in entries))
+        vec = {f: scale}
+        for col, a, v in entries:
+            vec[col] = -v * (scale // a)
+        basis.append(_primitive(vec))
     return basis, free
+
+
+def nullspace(rows, ncols):
+    """``integer_kernel`` as dense ``Fraction`` vectors, each scaled to 1 at
+    its free column."""
+    basis, free = integer_kernel(rows, ncols)
+    return [[Fraction(vec[c], vec[f]) if c in vec else ZERO for c in range(ncols)]
+            for f, vec in zip(free, basis)], free
 
 
 def kernel_basis(rows, ncols):

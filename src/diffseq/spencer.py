@@ -7,14 +7,19 @@ into the exterior factor; its cohomology dimensions identify the value
 bundles of the condition sequences, and the full-jet columns give the
 exactness bookkeeping behind the dimension diagrams.
 
+Symbol and R_q bases are sparse primitive integer vectors
+(``linalg.integer_kernel``); scaling a basis vector changes no rank.  delta
+is applied column-wise in one place, ``_delta_images``: each vector is
+contracted with each dx^i once and the results are placed per exterior
+index I.  The images are the rows of the transpose of delta's matrix, and
+rank(A) = rank(A^T), so their rank is the rank of delta.
+
 Jet coordinates here carry no multinomial factors: the component at a
 symmetric multi-index stands for the plain mixed partial.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from types import MappingProxyType
 
 from . import linalg
 from .bundles import ext_tuples, sym_tuples
@@ -55,14 +60,15 @@ class SymbolSpace:
     dim: int
 
     def basis(self):
-        """Kernel basis, eliminated once per distinct space; do not mutate it."""
+        """Kernel basis, one sparse primitive integer vector ``{column: int}``
+        per free column; eliminated once per distinct space, do not mutate it."""
         return _symbol_basis(self)
 
 
 @lru_cache(maxsize=None)
 def _symbol_basis(g):
     width = comb(g.n + g.q - 1, g.q) * g.fiber_dim
-    return linalg.kernel_basis([dict(r) for r in g.constraints], width)
+    return linalg.integer_kernel([dict(r) for r in g.constraints], width)[0]
 
 
 def _make_symbol(n, q, m, rows):
@@ -74,7 +80,13 @@ def _make_symbol(n, q, m, rows):
 
 
 def symbol_of(op):
-    """Symbol of the top-degree part of an operator (order must be >= 1)."""
+    """Symbol of the top-degree part of an operator (order must be >= 1).
+    Built once per operator; the result is shared."""
+    return _symbol_of(op)
+
+
+@lru_cache(maxsize=None)
+def _symbol_of(op):
     q = op.order
     if q < 1:
         raise ValueError("symbol needs an operator of order at least 1")
@@ -89,7 +101,7 @@ def symbol_of(op):
                 if sum(mono) != q:
                     continue
                 mu = tuple(i + 1 for i, e in enumerate(mono) for _ in range(e))
-                out[idx(mu, k)] = out.get(idx(mu, k), Fraction(0)) + coef
+                out[idx(mu, k)] = out.get(idx(mu, k), 0) + coef
         out = {c: v for c, v in out.items() if v}
         if out:
             rows.append(out)
@@ -130,38 +142,43 @@ def prolong_to(g, q):
 # ---------------------------------------------------------------------------
 # delta maps
 
-def _ext_index(n, r):
-    tuples = ext_tuples(n, r)
-    return tuples, {t: c for c, t in enumerate(tuples)}
+def _units(n, q, m):
+    return [{c: 1} for c in range(comb(n + q - 1, q) * m)]
 
 
-def delta_ambient(n, r, q, m):
-    """Sparse matrix of delta on the full space: exterior degree r, symbol
-    order q, fiber rank m.  Rows are output components, columns inputs.
-    Built once per argument set; the rows are read-only and shared."""
-    return _delta_ambient(n, r, q, m)
-
-
-@lru_cache(maxsize=None)
-def _delta_ambient(n, r, q, m):
-    in_tuples, in_pos = _ext_index(n, r)
-    out_tuples, _ = _ext_index(n, r + 1)
-    idx_in = _Indexer(n, q, m)
-    idx_out = _Indexer(n, q - 1, m)
-    width_in = idx_in.dim
+def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
+    """delta(I tensor v) for every I in wedge^r (outer loop) and every sparse
+    vector v over S_q tensor a rank-m fiber (inner loop), as sparse rows.
+    Component J of wedge^{r+1} sits at columns J_pos * stride + offset + the
+    S_{q-1}-fiber column (stride defaults to the S_{q-1}-fiber width)."""
+    out_pos = {J: c for c, J in enumerate(ext_tuples(n, r + 1))}
+    mus = sym_tuples(n, q)
+    nu_pos = {nu: c for c, nu in enumerate(sym_tuples(n, q - 1))}
+    stride = stride or len(nu_pos) * m
+    # contraction with dx^i: e_mu -> e_{mu - i} for each distinct i in mu
+    drops = [[(i, nu_pos[mu[:t] + mu[t + 1:]] * m)
+              for t, i in enumerate(mu) if not t or mu[t - 1] != i] for mu in mus]
+    contracted = []   # per vector: i -> its contraction with dx^i
+    for v in vectors:
+        w = {}
+        for c, coef in v.items():
+            pos, k = divmod(c, m)
+            for i, col in drops[pos]:
+                w.setdefault(i, {})[col + k] = coef
+        contracted.append(w)
     rows = []
-    for J in out_tuples:
-        for nu in sym_tuples(n, q - 1):
-            for k in range(m):
-                out = {}
-                for t in range(len(J)):
-                    i = J[t]
-                    I = J[:t] + J[t + 1:]
-                    sign = -1 if t % 2 else 1
-                    col = in_pos[I] * width_in + idx_in(_sorted_insert(nu, i), k)
-                    out[col] = out.get(col, 0) + sign
-                rows.append(MappingProxyType(out))
-    return tuple(rows)
+    for I in ext_tuples(n, r):
+        # dx^i wedge dx^I = sign dx^J, sign = (-1)^(number of I below i)
+        steps = [(i, out_pos[tuple(sorted(I + (i,)))] * stride + offset,
+                  (-1) ** sum(j < i for j in I))
+                 for i in range(1, n + 1) if i not in I]
+        for w in contracted:
+            out = {}
+            for i, base, sign in steps:
+                for col, coef in w.get(i, {}).items():
+                    out[base + col] = sign * coef
+            rows.append(out)
+    return rows
 
 
 @record
@@ -180,28 +197,11 @@ def delta_map(r, g):
     """delta on wedge^r tensor g, with ambient codomain wedge^{r+1} tensor
     S_{q-1} tensor the fiber."""
     n, q, m = g.n, g.q, g.fiber_dim
-    ext_in, _ = _ext_index(n, r)
-    basis = g.basis()
-    gdim = len(basis)
-    amb = delta_ambient(n, r, q, m)
-    width_in = _Indexer(n, q, m).dim
-    # nonzero (b, basis[b][comp]) for each ambient component comp
-    support = [[(b, vec[comp]) for b, vec in enumerate(basis) if vec[comp]]
-               for comp in range(width_in)]
-    rows = []
-    for row in amb:
-        out = {}
-        for col, coef in row.items():
-            I_pos, comp = divmod(col, width_in)
-            for b, v in support[comp]:
-                c = I_pos * gdim + b
-                out[c] = out.get(c, 0) + coef * v
-        rows.append(out)
-    domain = len(ext_in) * gdim
-    codomain = comb(n, r + 1) * _Indexer(n, q - 1, m).dim
+    codomain = comb(n, r + 1) * comb(n + q - 2, q - 1) * m
+    rank = linalg.rank(_delta_images(n, r, q, m, g.basis()), codomain) if g.dim else 0
     return DeltaComplexSlice(
-        n=n, r=r, q=q, domain_dim=domain, codomain_dim=codomain,
-        rank=linalg.rank(rows, domain))
+        n=n, r=r, q=q, domain_dim=comb(n, r) * g.dim, codomain_dim=codomain,
+        rank=rank)
 
 
 @record
@@ -258,8 +258,8 @@ def full_jet_column(n, q_top, m):
     tensor a rank-m fiber, for r = 0..q_top; checks exactness everywhere
     (injective at the left end, surjective at the right end)."""
     dims = [comb(n, r) * _Indexer(n, q_top - r, m).dim for r in range(q_top + 1)]
-    ranks = [linalg.rank(delta_ambient(n, r, q_top - r, m), dims[r])
-             for r in range(q_top)]
+    ranks = [linalg.rank(_delta_images(n, r, q_top - r, m, _units(n, q_top - r, m)),
+                         dims[r + 1]) for r in range(q_top)]
     # exact at node r: the incoming and outgoing ranks add up to its dim
     padded = [0] + ranks + [0]
     exact = not ranks or all(padded[r] + padded[r + 1] == dims[r]
@@ -298,7 +298,7 @@ def _prolonged_equation_rows(op, q):
             out = {}
             for mu, k, coef in base:
                 cc = cols[(tuple(sorted(mu + sigma)), k)]
-                out[cc] = out.get(cc, Fraction(0)) + coef
+                out[cc] = out.get(cc, 0) + coef
             out = {cc: v for cc, v in out.items() if v}
             if out:
                 rows.append(out)
@@ -315,7 +315,7 @@ def _jet_system(op, q):
     of J_q, a basis of R_q (the order-q jet system of ``op``) and g_{q+1}."""
     eq_rows, width = _prolonged_equation_rows(op, q)
     g_next = prolong(prolong_to(symbol_of(op), q))
-    return width, linalg.kernel_basis(eq_rows, width), g_next
+    return width, linalg.integer_kernel(eq_rows, width)[0], g_next
 
 
 def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
@@ -341,43 +341,26 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
         raise ValueError(f"unknown system {system!r}")
 
     if op is None:
-        jdim = jet_fiber_dim(n, q, m)
         # R_q = 0: the Janet bundle is the full quotient by the delta image
-        rank_delta = 0
-        if r >= 1:
-            amb = delta_ambient(n, r - 1, q + 1, m)
-            rank_delta = linalg.rank(
-                amb, comb(n, r - 1) * _Indexer(n, q + 1, m).dim)
-        f_dim = comb(n, r) * jdim - rank_delta
-        return f_dim, f_dim
-
-    msrc = op.source.dim
-    jdim = jet_fiber_dim(n, q, msrc)
-    width, r_q_basis, g_next = _jet_system(op, q)
-    dim_rq = len(r_q_basis)
-
-    # Spencer bundle: wedge^r x R_q modulo the delta image of g_{q+1}
-    rank_dg = delta_map(r - 1, g_next).rank if r >= 1 else 0
-    c_dim = comb(n, r) * dim_rq - rank_dg
+        msrc, width, r_q_basis = m, jet_fiber_dim(n, q, m), []
+    else:
+        msrc = op.source.dim
+        width, r_q_basis, g_next = _jet_system(op, q)
 
     # Janet bundle: full jet space modulo (wedge^r x R_q + delta image)
-    gens = [{pos * width + comp: v for comp, v in enumerate(b) if v}
+    gens = [{pos * width + comp: v for comp, v in b.items()}
             for pos in range(comb(n, r)) for b in r_q_basis]
     if r >= 1:
-        # delta image generators of wedge^{r-1} x S_{q+1} x E, pushed into
-        # jet coordinates (the top-order block of J_q)
-        amb = delta_ambient(n, r - 1, q + 1, msrc)
-        out_dim = _Indexer(n, q, msrc).dim
-        top_offset = jet_fiber_dim(n, q - 1, msrc)
-        image = {}   # delta-image column -> its entries in jet coordinates
-        for out_row, row in enumerate(amb):
-            pos, comp = divmod(out_row, out_dim)
-            for col, v in row.items():
-                image.setdefault(col, {})[pos * width + top_offset + comp] = v
-        gens.extend(image.values())
-    rank_sum = linalg.rank(gens, comb(n, r) * width)
-    f_dim = comb(n, r) * jdim - rank_sum
-    return f_dim, c_dim
+        # delta image generators of wedge^{r-1} x S_{q+1} x E, placed in jet
+        # coordinates (the top-order block of J_q)
+        gens.extend(_delta_images(n, r - 1, q + 1, msrc, _units(n, q + 1, msrc),
+                                  width, jet_fiber_dim(n, q - 1, msrc)))
+    f_dim = comb(n, r) * width - linalg.rank(gens, comb(n, r) * width)
+    if op is None:
+        return f_dim, f_dim
+    # Spencer bundle: wedge^r x R_q modulo the delta image of g_{q+1}
+    rank_dg = delta_map(r - 1, g_next).rank if r >= 1 else 0
+    return f_dim, comb(n, r) * len(r_q_basis) - rank_dg
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from diffseq import bundles, linalg, sequences, spencer
+from diffseq import bundles, golden, linalg, sequences, spencer
 from diffseq.poly import ConstantMetric
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -51,9 +51,9 @@ def test_janet_spencer_table_eliminates_its_jet_system_once(monkeypatch):
     # a metric no other test uses, so the caches below start empty for it
     w = ConstantMetric([[3, 0, 0], [0, 1, 0], [0, 0, 1]])
     widths = []
-    kernel_basis = linalg.kernel_basis
-    monkeypatch.setattr(linalg, "kernel_basis",
-                        lambda rows, ncols: widths.append(ncols) or kernel_basis(rows, ncols))
+    integer_kernel = linalg.integer_kernel
+    monkeypatch.setattr(linalg, "integer_kernel",
+                        lambda rows, ncols: widths.append(ncols) or integer_kernel(rows, ncols))
     symbols = []
     symbol_of = spencer.symbol_of
     monkeypatch.setattr(spencer, "symbol_of",
@@ -73,24 +73,6 @@ def test_janet_spencer_table_eliminates_its_jet_system_once(monkeypatch):
     assert len(widths) == seen + 1
 
 
-def test_delta_ambient_is_built_once_per_argument_set(monkeypatch):
-    calls = []
-    delta_ambient = spencer.delta_ambient
-    monkeypatch.setattr(spencer, "delta_ambient",
-                        lambda *args: calls.append(args) or delta_ambient(*args))
-    spencer._delta_ambient.cache_clear()
-    for r in range(5):
-        spencer.janet_spencer_bundle_dims("conformal_killing", r, 4)
-    spencer.delta_cohomology_dims(sequences.killing(4), 4)
-    # the Janet bundle asks again for the matrix its delta_map just built
-    assert len(set(calls)) < len(calls)
-    assert spencer._delta_ambient.cache_info().misses == len(set(calls))
-    rows = delta_ambient(*calls[0])
-    assert rows is delta_ambient(*calls[0])
-    with pytest.raises(TypeError):
-        rows[0][0] = 1
-
-
 def test_prolong_is_built_once_per_symbol_space(monkeypatch):
     calls = []
     prolong = spencer.prolong
@@ -104,6 +86,19 @@ def test_prolong_is_built_once_per_symbol_space(monkeypatch):
     assert len(set(calls)) < len(calls)
     assert spencer._prolong.cache_info().misses == len(set(calls))
     assert prolong(calls[0]) is prolong(calls[0])
+
+
+def test_symbol_of_is_built_once_per_operator(monkeypatch):
+    calls = []
+    symbol_of = spencer.symbol_of
+    monkeypatch.setattr(spencer, "symbol_of",
+                        lambda op: calls.append(op) or symbol_of(op))
+    spencer._symbol_of.cache_clear()
+    assert golden.run_golden_checks(ns=(4,)).ok
+    # killing and conformal_killing at n = 4, each asked for several times
+    assert spencer._symbol_of.cache_info().misses == len(set(calls)) == 2
+    assert len(calls) > 2
+    assert symbol_of(calls[0]) is symbol_of(calls[0])
 
 
 def test_benchmark_trace_targets_are_plain_functions():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -185,4 +186,32 @@ def test_sparse_elimination_matches_dense_gauss_jordan(matrix):
         assert all(type(v) is Fraction for v in vec)
     if ncols:
         assert linalg.dense_rank(dense_of(rows, ncols)) == len(ref_pivots)
+    assert rows == before
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_matrices())
+@example(([], 0))
+@example(([{}, {}], 3))
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: Fraction(1, 3), 2: 5}], 3))
+@example(([{0: 6, 1: 4, 2: 10}, {1: Fraction(3, 7), 3: 9}], 4))
+def test_integer_kernel_is_a_primitive_integer_basis_of_the_kernel(matrix):
+    rows, ncols = matrix
+    before = [dict(r) for r in rows]
+    _, ref_pivots = reference_rref(rows, ncols)
+    ref_free = [c for c in range(ncols) if c not in ref_pivots]
+
+    vectors, free = linalg.integer_kernel(rows, ncols)
+    assert free == ref_free
+    assert len(vectors) == ncols - len(ref_pivots)
+    for f, vec in zip(free, vectors):
+        assert all(type(v) is int and v for v in vec.values())
+        assert gcd(*vec.values()) == 1 and vec[f] > 0
+        assert not set(vec) & (set(free) - {f})
+        for row in rows:
+            assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
+    # the same space as kernel_basis: together the two sets gain no rank
+    dense = [{c: v for c, v in enumerate(vec) if v}
+             for vec in linalg.kernel_basis(rows, ncols)]
+    assert len(reference_rref(vectors + dense, ncols)[1]) == len(vectors)
     assert rows == before

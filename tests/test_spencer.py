@@ -6,9 +6,9 @@ from math import comb
 
 import pytest
 
-from diffseq import spencer
-from diffseq.bundles import riemann_candidate_space, sym_tuples
-from diffseq.poly import Poly
+from diffseq import linalg, spencer
+from diffseq.bundles import ext_tuples, riemann_candidate_space, sym_tuples
+from diffseq.poly import ConstantMetric, Poly
 from diffseq.sequences import conformal_killing, exterior_derivative, killing
 
 
@@ -38,14 +38,72 @@ def test_delta_squared_vanishes_on_full_spaces():
     for n in (2, 3):
         for q in (2, 3):
             for r in range(n - 1):
-                a = spencer.delta_ambient(n, r, q, 2)
-                b = spencer.delta_ambient(n, r + 1, q - 1, 2)
-                for brow in b:
+                first = spencer._delta_images(n, r, q, 2, spencer._units(n, q, 2))
+                # unit-vector images list I outer, column inner, so the image of
+                # output column c of the first delta is row c of the second
+                second = spencer._delta_images(
+                    n, r + 1, q - 1, 2, spencer._units(n, q - 1, 2))
+                assert any(first)
+                for image in first:
                     acc = {}
-                    for j, coef in brow.items():
-                        for c, v in a[j].items():
-                            acc[c] = acc.get(c, Fraction(0)) + coef * v
+                    for c, coef in image.items():
+                        for c2, v in second[c].items():
+                            acc[c2] = acc.get(c2, 0) + coef * v
                     assert not any(acc.values())
+
+
+def ambient_delta(n, r, q, m):
+    """delta on the full space wedge^r x S_q x E as a sparse matrix: one row per
+    output component (J, nu, k), columns I_pos * width + (mu, k) position."""
+    in_pos = {I: c for c, I in enumerate(ext_tuples(n, r))}
+    mu_pos = {mu: c for c, mu in enumerate(sym_tuples(n, q))}
+    width = len(mu_pos) * m
+    rows = []
+    for J in ext_tuples(n, r + 1):
+        for nu in sym_tuples(n, q - 1):
+            for k in range(m):
+                row = {}
+                for t, i in enumerate(J):
+                    col = (in_pos[J[:t] + J[t + 1:]] * width
+                           + mu_pos[tuple(sorted(nu + (i,)))] * m + k)
+                    row[col] = row.get(col, 0) + (-1) ** t
+                rows.append(row)
+    return rows, width
+
+
+def ambient_route_rank(r, g):
+    """rank of delta on wedge^r x g: the ambient matrix times a dense basis."""
+    amb, width = ambient_delta(g.n, r, g.q, g.fiber_dim)
+    basis = linalg.kernel_basis([dict(c) for c in g.constraints], width)
+    rows = []
+    for row in amb:
+        out = {}
+        for col, coef in row.items():
+            pos, comp = divmod(col, width)
+            for b, vec in enumerate(basis):
+                if vec[comp]:
+                    c = pos * len(basis) + b
+                    out[c] = out.get(c, 0) + coef * vec[comp]
+        rows.append(out)
+    return linalg.rank(rows, comb(g.n, r) * len(basis))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_delta_ranks_match_the_ambient_matrix_route(n):
+    for builder in (killing, conformal_killing):
+        for metric in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n)):
+            g = spencer.symbol_of(builder(n, metric))
+            for q in range(g.q, g.q + 3):
+                g_q = spencer.prolong_to(g, q)
+                assert g_q.basis() is g_q.basis()
+                for r in range(n):
+                    assert spencer.delta_map(r, g_q).rank == ambient_route_rank(r, g_q)
+    for q_top, m in ((3, 1), (2, 2)):
+        ranks = []
+        for r in range(q_top):
+            amb, width = ambient_delta(n, r, q_top - r, m)
+            ranks.append(linalg.rank(amb, comb(n, r) * width))
+        assert spencer.full_jet_column(n, q_top, m).ranks == tuple(ranks)
 
 
 def test_delta_cohomology_closed_forms():
