@@ -85,13 +85,6 @@ class BundleBasis:
             new = f"ad({self.label})"
         return BundleBasis(label=new, n=self.n, element_labels=self.element_labels)
 
-    def to_ambient(self, coords):
-        """Dense ambient vector of a coordinate vector (identity if free)."""
-        if self.is_free:
-            return list(coords)
-        return [sum((row[j] * coords[j] for j in range(self.dim) if coords[j]), ZERO)
-                for row in self.ambient_from_coords]
-
     def from_ambient(self, ambient_vec):
         """Coordinates of an ambient vector assumed to satisfy the constraints."""
         if self.is_free:
@@ -112,16 +105,17 @@ def constrained_basis(label, n, ambient_labels, constraint_rows):
     ambient_labels = tuple(ambient_labels)
     ncols = len(ambient_labels)
     rows = [dict(r) for r in constraint_rows if r]
-    kernel, free_cols = linalg.nullspace(rows, ncols)
-    a_matrix = tuple(
-        tuple(kernel[j][c] for j in range(len(kernel))) for c in range(ncols)
-    )
+    kernel, free_cols = linalg.integer_kernel(rows, ncols)
+    a_matrix = [[ZERO] * len(kernel) for _ in range(ncols)]
+    for j, (f, vec) in enumerate(zip(free_cols, kernel)):
+        for c, v in vec.items():
+            a_matrix[c][j] = Fraction(v, vec[f])
     return BundleBasis(
         label=label,
         n=n,
         element_labels=tuple(ambient_labels[c] for c in free_cols),
         ambient_labels=ambient_labels,
-        ambient_from_coords=a_matrix,
+        ambient_from_coords=tuple(map(tuple, a_matrix)),
         free_columns=tuple(free_cols),
         constraints=tuple(tuple(sorted(r.items())) for r in rows),
     )

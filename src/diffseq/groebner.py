@@ -99,11 +99,6 @@ def _vec_degree(sparse, shifts):
     return max(sum(m) + shifts[c] for (c, m) in sparse)
 
 
-def _is_homogeneous(sparse, shifts):
-    degs = {sum(m) + shifts[c] for (c, m) in sparse}
-    return len(degs) <= 1
-
-
 def _canonical_rep(sparse):
     return tuple(sorted(
         (c, m, v.numerator, v.denominator) for (c, m), v in sparse.items()
@@ -149,7 +144,8 @@ class GradedPresentation:
     """Homogeneous generators of a graded submodule of R^ambient_rank.
 
     ``_sparse`` holds the generators as sparse vectors, converted once here
-    or taken from engine-made rows; the engines read it and never mutate it."""
+    or taken from engine-made rows, and ``_degrees`` their shifted degrees,
+    computed once here; the engines read both and never mutate them."""
 
     n: int
     ambient_rank: int
@@ -163,17 +159,20 @@ class GradedPresentation:
             g if isinstance(g, _Row) else tuple(g) for g in self.generators))
         if len(self.shifts) != self.ambient_rank:
             raise ValueError("one shift per ambient component required")
-        sparse = []
+        sparse, degrees = [], []
         for g in self.generators:
             if len(g) != self.ambient_rank:
                 raise ValueError("generator arity does not match ambient rank")
             s = _sparse_of(g)
             if not s:
                 raise ValueError("zero generator not allowed")
-            if not _is_homogeneous(s, self.shifts):
+            degs = {sum(m) + self.shifts[c] for (c, m) in s}
+            if len(degs) > 1:
                 raise ValueError("generator is not homogeneous")
             sparse.append(s)
+            degrees.append(degs.pop())
         object.__setattr__(self, "_sparse", tuple(sparse))
+        object.__setattr__(self, "_degrees", tuple(degrees))
 
 
 @record
@@ -434,7 +433,7 @@ def syzygies(pres, cap=None):
     m = pres.ambient_rank
     gens = pres._sparse
     k = len(gens)
-    degs = tuple(_vec_degree(g, pres.shifts) for g in gens)
+    degs = pres._degrees
     order = _Order(pres.shifts + degs, block_start=m)
     gb = ModuleGB(m + k, order, degree_cap(cap))
     for i, g in enumerate(gens):
@@ -458,8 +457,8 @@ def minimal_graded_generators(pres, cap=None):
     degree equal to dim M_d / (R_+ M)_d, which is the minimal possible.
     """
     gens = pres._sparse
-    decorated = sorted(((_vec_degree(g, pres.shifts), _canonical_rep(g)), i)
-                       for i, g in enumerate(gens))
+    decorated = sorted(((deg, _canonical_rep(g)), i)
+                       for i, (deg, g) in enumerate(zip(pres._degrees, gens)))
     gb = _worker_for((), pres.ambient_rank, pres.shifts, cap)
     kept = []
     for (deg, _), i in decorated:

@@ -13,12 +13,12 @@ becomes ``a*row - f*piv`` (``a`` the pivot entry, both divided by
 A map from each column to the active rows nonzero there means the pivot
 search and the elimination touch only those rows.  Columns are taken left
 to right; the pivot is the shortest such row, ties to the lowest index, to
-limit fill-in.  ``rank`` and ``free_columns`` stop after this pass.
-``_reduced`` back-substitutes once, from the last pivot to the first.
-``rref`` divides its rows by their pivot entries, so its entries are
-``Fraction``; ``integer_kernel`` reads one primitive integer vector per free
-column off the integer rows, and ``nullspace`` divides each by its entry at
-the free column.
+limit fill-in.  ``rank`` stops after this pass.  ``_reduced``
+back-substitutes once, from the last pivot to the first, to primitive
+integer rows, which ``spencer`` keeps as its symbol constraints;
+``integer_kernel`` reads one primitive integer vector per free column off
+them.  Only ``rref`` (for ``invert``) divides by the pivot entries, so its
+rows are ``Fraction``.
 
 Determinism does not rest on the pivot rule.  The pivot columns are the
 columns where the row space first gains a dimension, and the reduced row
@@ -166,24 +166,6 @@ def integer_kernel(rows, ncols):
     return basis, free
 
 
-def nullspace(rows, ncols):
-    """``integer_kernel`` as dense ``Fraction`` vectors, each scaled to 1 at
-    its free column."""
-    basis, free = integer_kernel(rows, ncols)
-    return [[Fraction(vec[c], vec[f]) if c in vec else ZERO for c in range(ncols)]
-            for f, vec in zip(free, basis)], free
-
-
-def kernel_basis(rows, ncols):
-    """Deterministic basis of the right kernel, one dense vector per free column."""
-    return nullspace(rows, ncols)[0]
-
-
-def free_columns(rows, ncols):
-    taken = {col for col, _ in _echelon(rows, ncols)}
-    return [c for c in range(ncols) if c not in taken]
-
-
 def mat_mul(a, b):
     if not a:
         return []
@@ -209,12 +191,6 @@ def mat_vec(a, v):
 
 def identity(k):
     return [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def is_zero_matrix(a):

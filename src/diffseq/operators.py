@@ -192,13 +192,6 @@ def apply(op, sections):
     return out
 
 
-def zero_operator(name, n, source, target):
-    z = Poly.zero(n)
-    return OperatorMatrix(
-        name=name, n=n, source=source, target=target,
-        rows=tuple(tuple(z for _ in range(source.dim)) for _ in range(target.dim)))
-
-
 def from_scalar_matrix(name, n, source, target, matrix):
     """Order-zero operator from a rational matrix (target dim x source dim)."""
     rows = tuple(

@@ -183,9 +183,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=mono_key)
 
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
-
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), Fraction(0))
 

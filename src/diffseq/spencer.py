@@ -7,12 +7,15 @@ into the exterior factor; its cohomology dimensions identify the value
 bundles of the condition sequences, and the full-jet columns give the
 exactness bookkeeping behind the dimension diagrams.
 
-Symbol and R_q bases are sparse primitive integer vectors
-(``linalg.integer_kernel``); scaling a basis vector changes no rank.  delta
-is applied column-wise in one place, ``_delta_images``: each vector is
-contracted with each dx^i once and the results are placed per exterior
-index I.  The images are the rows of the transpose of delta's matrix, and
-rank(A) = rank(A^T), so their rank is the rank of delta.
+The route runs on ints (``linalg`` scales operator coefficients on entry).
+A symbol space stores its constraints as the reduced primitive rows of
+``linalg._reduced``, pivot entries positive, so equal spaces are equal
+records for the caches keyed on them.  Symbol and R_q bases are sparse
+primitive integer vectors (``linalg.integer_kernel``); scaling one changes
+no rank.  delta is applied column-wise in one place, ``_delta_images``:
+each vector is contracted with each dx^i once and the results are placed
+per exterior index I.  The images are the rows of the transpose of delta's
+matrix, and rank(A) = rank(A^T), so their rank is the rank of delta.
 
 Jet coordinates here carry no multinomial factors: the component at a
 symmetric multi-index stands for the plain mixed partial.
@@ -56,7 +59,7 @@ class SymbolSpace:
     n: int
     q: int
     fiber_dim: int
-    constraints: tuple      # sparse rows over the S_q-fiber columns
+    constraints: tuple      # reduced integer rows over the S_q-fiber columns
     dim: int
 
     def basis(self):
@@ -72,11 +75,14 @@ def _symbol_basis(g):
 
 
 def _make_symbol(n, q, m, rows):
-    idx = _Indexer(n, q, m)
-    reduced, pivots = linalg.rref(rows, idx.dim)
+    """The space cut out by ``rows``; one record per space (module docstring)."""
+    width = _Indexer(n, q, m).dim
+    echelon = linalg._reduced(rows, width)
     return SymbolSpace(
-        n=n, q=q, fiber_dim=m, dim=idx.dim - len(pivots),
-        constraints=tuple(tuple(sorted(r.items())) for r in reduced))
+        n=n, q=q, fiber_dim=m, dim=width - len(echelon),
+        constraints=tuple(tuple(sorted((c, v if row[col] > 0 else -v)
+                                       for c, v in row.items()))
+                          for col, row in echelon))
 
 
 def symbol_of(op):
@@ -101,8 +107,7 @@ def _symbol_of(op):
                 if sum(mono) != q:
                     continue
                 mu = tuple(i + 1 for i, e in enumerate(mono) for _ in range(e))
-                out[idx(mu, k)] = out.get(idx(mu, k), 0) + coef
-        out = {c: v for c, v in out.items() if v}
+                out[idx(mu, k)] = coef   # one column per (monomial, k)
         if out:
             rows.append(out)
     if not rows:

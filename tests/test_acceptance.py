@@ -143,7 +143,7 @@ def test_criterion_08_curvature_splitting_and_einstein():
     traces = riemann_trace_rows(4, _euclid4())
     for j in range(split.weyl_space.dim):
         col = [iw[i][j] for i in range(split.riemann_space.dim)]
-        amb = split.riemann_space.to_ambient(col)
+        amb = linalg.mat_vec(split.riemann_space.ambient_from_coords, col)
         for row in traces.values():
             assert sum(amb[c] * v for c, v in row.items()) == 0
     assert is_self_adjoint_sym2(einstein(4))

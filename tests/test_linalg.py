@@ -29,10 +29,14 @@ def dense_of(rows, ncols):
     return [[row.get(c, ZERO) for c in range(ncols)] for row in rows]
 
 
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def test_rank_of_identity_blocks():
     rows = [{i: Fraction(1)} for i in range(5)]
     assert linalg.rank(rows, 5) == 5
-    assert linalg.kernel_basis(rows, 5) == []
+    assert linalg.integer_kernel(rows, 5) == ([], [])
 
 
 def test_kernel_vectors_annihilate_and_count():
@@ -42,11 +46,11 @@ def test_kernel_vectors_annihilate_and_count():
         ncols = rng.randint(1, 7)
         rows = random_sparse(rng, nrows, ncols)
         rk = linalg.rank(rows, ncols)
-        kernel = linalg.kernel_basis(rows, ncols)
+        kernel = linalg.integer_kernel(rows, ncols)[0]
         assert rk + len(kernel) == ncols
         for vec in kernel:
             for row in rows:
-                s = sum(row.get(c, ZERO) * vec[c] for c in range(ncols))
+                s = sum(row.get(c, ZERO) * v for c, v in vec.items())
                 assert s == 0
 
 
@@ -54,7 +58,7 @@ def test_free_columns_complement_pivots():
     rng = random.Random(12)
     rows = random_sparse(rng, 4, 6)
     rk = linalg.rank(rows, 6)
-    free = linalg.free_columns(rows, 6)
+    free = linalg.integer_kernel(rows, 6)[1]
     assert len(free) == 6 - rk
     assert free == sorted(free)
 
@@ -99,8 +103,8 @@ def test_mat_mul_associativity_and_transpose():
     c = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(4)]
     assert linalg.mat_mul(linalg.mat_mul(a, b), c) == \
         linalg.mat_mul(a, linalg.mat_mul(b, c))
-    att = linalg.transpose(linalg.transpose(a))
-    assert [list(r) for r in att] == a
+    assert transpose(linalg.mat_mul(a, b)) == \
+        linalg.mat_mul(transpose(b), transpose(a))
 
 
 def test_mat_vec_matches_mat_mul():
@@ -142,6 +146,14 @@ def reference_rref(rows, ncols):
     return mat[:len(pivots)], pivots
 
 
+def reference_kernel_vector(ref_rows, ref_pivots, f, ncols):
+    """The kernel vector that is 1 at free column ``f`` and 0 at the others."""
+    vec = [Fraction(int(c == f)) for c in range(ncols)]
+    for ref_row, c in zip(ref_rows, ref_pivots):
+        vec[c] = -ref_row[f]
+    return vec
+
+
 @st.composite
 def sparse_matrices(draw):
     """Sparse rows up to 10 x 10: int and Fraction entries with denominators
@@ -174,16 +186,13 @@ def test_sparse_elimination_matches_dense_gauss_jordan(matrix):
     assert all(type(v) is Fraction and v for row in reduced for v in row.values())
 
     assert linalg.rank(rows, ncols) == len(ref_pivots)
-    assert linalg.free_columns(rows, ncols) == ref_free
-    kernel = linalg.kernel_basis(rows, ncols)
-    assert linalg.nullspace(rows, ncols) == (kernel, ref_free)
+    kernel, free = linalg.integer_kernel(rows, ncols)
+    assert free == ref_free
     assert len(kernel) == len(ref_free)
+    # each kernel vector divided by its free entry is the dense reference one
     for f, vec in zip(ref_free, kernel):
-        expected = [Fraction(int(c == f)) for c in range(ncols)]
-        for ref_row, c in zip(ref_rows, ref_pivots):
-            expected[c] = -ref_row[f]
-        assert vec == expected
-        assert all(type(v) is Fraction for v in vec)
+        assert [Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] == \
+            reference_kernel_vector(ref_rows, ref_pivots, f, ncols)
     if ncols:
         assert linalg.dense_rank(dense_of(rows, ncols)) == len(ref_pivots)
     assert rows == before
@@ -198,7 +207,7 @@ def test_sparse_elimination_matches_dense_gauss_jordan(matrix):
 def test_integer_kernel_is_a_primitive_integer_basis_of_the_kernel(matrix):
     rows, ncols = matrix
     before = [dict(r) for r in rows]
-    _, ref_pivots = reference_rref(rows, ncols)
+    ref_rows, ref_pivots = reference_rref(rows, ncols)
     ref_free = [c for c in range(ncols) if c not in ref_pivots]
 
     vectors, free = linalg.integer_kernel(rows, ncols)
@@ -210,8 +219,9 @@ def test_integer_kernel_is_a_primitive_integer_basis_of_the_kernel(matrix):
         assert not set(vec) & (set(free) - {f})
         for row in rows:
             assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
-    # the same space as kernel_basis: together the two sets gain no rank
+    # the same space as the dense reference kernel: together they gain no rank
     dense = [{c: v for c, v in enumerate(vec) if v}
-             for vec in linalg.kernel_basis(rows, ncols)]
+             for vec in (reference_kernel_vector(ref_rows, ref_pivots, f, ncols)
+                         for f in ref_free)]
     assert len(reference_rref(vectors + dense, ncols)[1]) == len(vectors)
     assert rows == before

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffseq import operators, sequences
+from diffseq import sequences
 from diffseq.bundles import free_basis
 from diffseq.groebner import GradedPresentation
 from diffseq.operators import (
@@ -143,9 +143,8 @@ def test_compose_requires_matching_bases():
 
 
 def test_zero_operator_and_order():
-    z = operators.zero_operator("z", 2,
-                                free_basis("A", 2, ("a1",)),
-                                free_basis("B", 2, ("b1", "b2")))
+    z = make_operator("z", 2, free_basis("A", 2, ("a1",)),
+                      free_basis("B", 2, ("b1", "b2")), [[ZERO2]] * 2)
     assert z.is_zero()
     grad = exterior_derivative(3, 0)
     assert grad.order == 1

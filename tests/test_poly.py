@@ -114,7 +114,7 @@ def test_minkowski_metric_signature_and_inverse():
 def test_leading_monomial_and_coefficient():
     p = Poly.monomial(3, (1, 1, 0), Fraction(3)) + Poly.monomial(3, (0, 0, 2))
     assert p.leading_monomial() == (1, 1, 0)
-    assert p.leading_coefficient() == 3
+    assert p.coefficient(p.leading_monomial()) == 3
 
 
 def test_zero_polynomial_properties():

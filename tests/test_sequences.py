@@ -253,7 +253,7 @@ def test_flat_killing_solutions_of_low_degree():
             for mono, coef in p.terms.items():
                 rows.setdefault((comp, mono), {})[col] = coef
     sparse = list(rows.values())
-    kernel = linalg.kernel_basis(sparse, len(unknowns))
+    kernel = linalg.integer_kernel(sparse, len(unknowns))[0]
     assert len(kernel) == 3
 
 

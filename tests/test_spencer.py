@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -27,11 +27,44 @@ def test_prolongation_chains_terminate():
     assert [h.dim, h2.dim, h3.dim] == [7, 4, 0]
 
 
+def test_symbol_constraints_are_reduced_primitive_integer_rows(monkeypatch):
+    ops = [builder(n, metric) for n in (3, 4) for builder in (killing, conformal_killing)
+           for metric in (None, ConstantMetric.minkowski(n))]
+    for cache in (spencer._symbol_of, spencer._prolong, spencer._symbol_basis):
+        cache.cache_clear()
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+    for op in ops:
+        g = spencer.symbol_of(op)
+        for _ in range(3):
+            for r in range(op.n):
+                spencer.delta_map(r, g)
+            g = spencer.prolong(g)
+    monkeypatch.undo()
+    assert made == []
+    for op in ops:
+        g = spencer.symbol_of(op)
+        for g in (g, spencer.prolong(g)):
+            pivots = [row[0] for row in g.constraints]   # (column, entry)
+            assert pivots == sorted(set(pivots))
+            for row, (col, lead) in zip(g.constraints, pivots):
+                assert all(type(v) is int and v for _, v in row)
+                assert gcd(*(v for _, v in row)) == 1 and lead > 0
+                assert not any(c in dict(row) for c, _ in pivots if c != col)
+            # the same space from scaled and reordered rows is the same record
+            rows = [{c: -3 * v for c, v in row} for row in reversed(g.constraints)]
+            again = spencer._make_symbol(g.n, g.q, g.fiber_dim, rows)
+            assert again == g and hash(again) == hash(g)
+
+
 def test_symbol_requires_an_actual_operator():
-    from diffseq.operators import zero_operator
+    from diffseq.operators import make_operator
     src = killing(2).source
+    zero = make_operator("zero", 2, src, src, [[Poly.zero(2)] * src.dim] * src.dim)
     with pytest.raises(ValueError):
-        spencer.symbol_of(zero_operator("zero", 2, src, src))
+        spencer.symbol_of(zero)
 
 
 def test_delta_squared_vanishes_on_full_spaces():
@@ -72,16 +105,16 @@ def ambient_delta(n, r, q, m):
 
 
 def ambient_route_rank(r, g):
-    """rank of delta on wedge^r x g: the ambient matrix times a dense basis."""
+    """rank of delta on wedge^r x g: the ambient matrix times a kernel basis."""
     amb, width = ambient_delta(g.n, r, g.q, g.fiber_dim)
-    basis = linalg.kernel_basis([dict(c) for c in g.constraints], width)
+    basis = linalg.integer_kernel([dict(c) for c in g.constraints], width)[0]
     rows = []
     for row in amb:
         out = {}
         for col, coef in row.items():
             pos, comp = divmod(col, width)
             for b, vec in enumerate(basis):
-                if vec[comp]:
+                if comp in vec:
                     c = pos * len(basis) + b
                     out[c] = out.get(c, 0) + coef * vec[comp]
         rows.append(out)
