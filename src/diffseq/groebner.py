@@ -14,7 +14,13 @@ syzygy module.
 Completion is staged by degree.  Since all inputs are homogeneous, the basis
 completed through all S-pairs of degree <= d decides membership for any
 vector of degree <= d; ``minimal_graded_generators`` leans on that to filter
-candidates in one ascending sweep (graded Nakayama).
+candidates in one ascending sweep (graded Nakayama).  ``minimal_syzygies``
+skips that sweep when the reduced syzygy basis lies in one degree d: its
+leads are distinct and divide no term of another element, and the S-pairs
+of two degree-d elements lie above d, so the sweep would keep every element
+as its own normal form, under an exponent cap no tighter than the one
+``syzygies`` applied.  A reduced basis in one degree is already minimal
+(Eisenbud, "The Geometry of Syzygies", 2005, ch. 1).
 
 The completion runs on integers: inputs are scaled by their denominators'
 lcm on entry, basis elements are primitive with a positive lead, S-pairs
@@ -470,6 +476,21 @@ def minimal_graded_generators(pres, cap=None):
         ambient_rank=pres.ambient_rank,
         generators=tuple(kept),
         shifts=pres.shifts,
+    )
+
+
+def minimal_syzygies(pres, cap=None):
+    """``minimal_graded_generators(syzygies(pres))``, the same rows in the same
+    order, with no second completion when the syzygies lie in one degree."""
+    syz = syzygies(pres, cap=cap)
+    if len(set(syz._degrees)) > 1:
+        return minimal_graded_generators(syz, cap=cap)
+    order = sorted(range(len(syz._sparse)), key=lambda i: _canonical_rep(syz._sparse[i]))
+    return GradedPresentation(
+        n=syz.n,
+        ambient_rank=syz.ambient_rank,
+        generators=tuple(syz.generators[i] for i in order),
+        shifts=syz.shifts,
     )
 
 

@@ -2,8 +2,8 @@
 
 Elimination works on sparse rows (``dict`` column -> ``int`` or ``Fraction``)
 because the constraint and delta matrices handled here are large but very
-sparse.  Small dense helpers (products, inverses) operate on lists of lists
-of Fractions.
+sparse.  Small dense helpers (products, inverses, determinants) operate on
+lists of lists of Fractions.
 
 All sparse elimination goes through one forward pass, ``_echelon``.  Each
 input row that is not all ``int`` is scaled by the lcm of its denominators,
@@ -208,16 +208,26 @@ def invert(a):
     return [[row.get(k + j, ZERO) for j in range(k)] for row in reduced]
 
 
-def det(a, inv=None):
-    """Exact determinant of an invertible matrix (``inv``: its inverse, if known),
-    det = cofactor(i, j) / inverse[j][i] recursively; raises on singular input."""
-    if not a:
-        return ONE
-    if inv is None:
-        inv = invert(a)
-    j, i = next((j, i) for j, row in enumerate(inv) for i, v in enumerate(row) if v)
-    minor = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
-    return (-1) ** (i + j) * det(minor) / inv[j][i]
+def det(a):
+    """Exact determinant by one Gaussian elimination, negated per row swap;
+    raises on singular input."""
+    m = [[Fraction(v) for v in row] for row in a]
+    out = ONE
+    for i in range(len(m)):
+        p = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if p is None:
+            raise ZeroDivisionError("singular matrix")
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            out = -out
+        piv = m[i]
+        out *= piv[i]
+        for row in m[i + 1:]:
+            f = row[i] / piv[i]
+            if f:
+                for j in range(i + 1, len(m)):
+                    row[j] -= f * piv[j]
+    return out
 
 
 def dense_rank(a):

@@ -155,8 +155,7 @@ def compatibility_conditions(op, cap=None):
     Any operator annihilating the image of ``op`` factors through the
     returned one; composing it with ``op`` gives the exact zero matrix.
     """
-    syz = groebner.syzygies(rows_presentation(op), cap=cap)
-    gens = groebner.minimal_graded_generators(syz, cap=cap)
+    gens = groebner.minimal_syzygies(rows_presentation(op), cap=cap)
     k = len(gens.generators)
     target = free_basis(f"CC({op.target.label})", op.n,
                         [f"q{i}" for i in range(1, k + 1)])

@@ -255,7 +255,7 @@ class ConstantMetric:
         self.entries = tuple(rows)
         inv = linalg.invert([list(r) for r in rows])
         self.inverse = tuple(tuple(v for v in row) for row in inv)
-        self.det = linalg.det(rows, inv)
+        self.det = linalg.det(rows)
         self.name = name
 
     @classmethod

@@ -380,8 +380,7 @@ def parametrization_generators(op, cap=None):
         for j in range(op.source.dim))
     pres = groebner.GradedPresentation(
         n=op.n, ambient_rank=op.target.dim, generators=cols)
-    gens = groebner.minimal_graded_generators(
-        groebner.syzygies(pres, cap=cap), cap=cap)
+    gens = groebner.minimal_syzygies(pres, cap=cap)
     k = len(gens.generators)
     src = bundles.free_basis(f"P({op.source.label})", op.n,
                              [f"p{i}" for i in range(1, k + 1)])

@@ -27,7 +27,6 @@ from math import comb
 from . import linalg
 from .bundles import ext_tuples, sym_tuples
 from .config import record
-from .poly import Poly
 
 
 def _sorted_insert(mu, i):
@@ -366,50 +365,3 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
     # Spencer bundle: wedge^r x R_q modulo the delta image of g_{q+1}
     rank_dg = delta_map(r - 1, g_next).rank if r >= 1 else 0
     return f_dim, comb(n, r) * len(r_q_basis) - rank_dg
-
-
-# ---------------------------------------------------------------------------
-# finite-jet spot check of the first-order structure operator
-
-def jet_section_prolongation(n, m, q, components):
-    """Section of J_q from m base polynomials: component (mu, k) is the
-    mu-th mixed partial of the k-th polynomial."""
-    out = {}
-    for qq in range(q + 1):
-        for mu in sym_tuples(n, qq):
-            for k in range(m):
-                p = components[k]
-                for i in mu:
-                    p = p.diff(i)
-                out[(mu, k)] = p
-    return out
-
-
-def spencer_derivative(n, m, q, r, section):
-    """One step of the jet-comparison operator on form-valued jet sections.
-
-    Input: dict (I, mu, k) -> polynomial with |I| = r and |mu| <= q (for
-    r = 0 keys may be plain (mu, k)); output has keys (J, mu, k) with
-    |J| = r + 1 and |mu| <= q - 1.
-    """
-    def get(I, mu, k):
-        if r == 0:
-            return section.get((mu, k), Poly.zero(n))
-        return section.get((I, mu, k), Poly.zero(n))
-
-    out = {}
-    for J in ext_tuples(n, r + 1):
-        for qq in range(q):
-            for mu in sym_tuples(n, qq):
-                for k in range(m):
-                    acc = Poly.zero(n)
-                    for t in range(len(J)):
-                        i = J[t]
-                        I = J[:t] + J[t + 1:]
-                        sign = -1 if t % 2 else 1
-                        term = get(I, mu, k).diff(i) \
-                            - get(I, _sorted_insert(mu, i), k)
-                        if not term.is_zero():
-                            acc = acc + term.scale(sign)
-                    out[(J, mu, k)] = acc
-    return out

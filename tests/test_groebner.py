@@ -20,13 +20,14 @@ from diffseq.groebner import (
     GradedPresentation,
     generic_rank,
     minimal_graded_generators,
+    minimal_syzygies,
     module_equality,
     normal_form,
     reduced_groebner,
     syzygies,
 )
 from diffseq.operators import rows_presentation
-from diffseq.poly import Poly, mono_divides, mono_key
+from diffseq.poly import ConstantMetric, Poly, mono_divides, mono_key
 from diffseq.sequences import build_sequence, conformal_killing, killing
 
 ZERO = Fraction(0)
@@ -289,7 +290,7 @@ def test_normal_form_is_the_exact_rational_remainder():
         p.scale(Fraction(7, 5)) for p in rem)
 
 
-def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
+def _recording_bases(monkeypatch):
     made = []
 
     class Recording(groebner.ModuleGB):
@@ -298,6 +299,11 @@ def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(groebner, "ModuleGB", Recording)
+    return made
+
+
+def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
+    made = _recording_bases(monkeypatch)
     syzygies(rows_presentation(killing(4)))
     (gb,) = made
     stats = gb.stats
@@ -308,21 +314,51 @@ def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
 
 
 @pytest.mark.parametrize("builder, want", [
-    (killing, {"queued": 703, "pruned": 228, "processed": 345, "zero": 145}),
-    (conformal_killing, {"queued": 544, "pruned": 186, "processed": 319, "zero": 158}),
+    (killing, {"queued": 508, "pruned": 163, "processed": 345, "zero": 145}),
+    (conformal_killing, {"queued": 538, "pruned": 185, "processed": 319, "zero": 158}),
 ], ids=["killing", "conformal_killing"])
 def test_pair_counters_summed_over_a_chain_build(monkeypatch, builder, want):
-    made = []
-
-    class Recording(groebner.ModuleGB):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(groebner, "ModuleGB", Recording)
+    made = _recording_bases(monkeypatch)
     build_sequence(builder(5))
     total = {k: sum(gb.stats[k] for gb in made) for k in want}
     assert total == want
+
+
+def test_minimal_syzygies_match_minimal_generators_of_syzygies():
+    for pres in _seeded_presentations():
+        assert (minimal_syzygies(pres).generators
+                == minimal_graded_generators(syzygies(pres)).generators)
+
+
+@pytest.mark.parametrize("builder", [killing, conformal_killing])
+def test_minimal_syzygies_match_on_every_chain_step(builder):
+    for n in range(3, 7):
+        for metric in (None, ConstantMetric.minkowski(n)):
+            for step in build_sequence(builder(n, metric)).steps:
+                pres = rows_presentation(step.operator)
+                assert (minimal_syzygies(pres).generators
+                        == minimal_graded_generators(syzygies(pres)).generators)
+
+
+def test_one_degree_syzygies_build_one_basis(monkeypatch):
+    pres = rows_presentation(killing(4))
+    assert set(syzygies(pres)._degrees) == {3}
+    made = _recording_bases(monkeypatch)
+    assert len(minimal_syzygies(pres).generators) == 20
+    assert len(made) == 1
+
+
+def test_mixed_degree_syzygies_are_filtered_by_minimal_generators(monkeypatch):
+    pres = rows_presentation(conformal_killing(4))
+    syz = syzygies(pres)
+    assert sorted(syz._degrees) == [3] * 10 + [4] * 6
+    calls = []
+    monkeypatch.setattr(groebner, "minimal_graded_generators",
+                        lambda p, cap=None: calls.append(p) or minimal_graded_generators(p, cap))
+    made = _recording_bases(monkeypatch)
+    out = minimal_syzygies(pres)
+    assert calls == [syz] and len(made) == 2
+    assert out._degrees == (3,) * 10
 
 
 def test_basis_elements_are_primitive_integer_vectors():
