@@ -14,13 +14,14 @@ syzygy module.
 Completion is staged by degree.  Since all inputs are homogeneous, the basis
 completed through all S-pairs of degree <= d decides membership for any
 vector of degree <= d; ``minimal_graded_generators`` leans on that to filter
-candidates in one ascending sweep (graded Nakayama).  ``minimal_syzygies``
-skips that sweep when the reduced syzygy basis lies in one degree d: its
-leads are distinct and divide no term of another element, and the S-pairs
-of two degree-d elements lie above d, so the sweep would keep every element
-as its own normal form, under an exponent cap no tighter than the one
-``syzygies`` applied.  A reduced basis in one degree is already minimal
-(Eisenbud, "The Geometry of Syzygies", 2005, ch. 1).
+candidates in one ascending sweep (graded Nakayama).  It skips that sweep
+when told its input is a reduced basis lying in one degree d, as
+``minimal_syzygies`` does for the chain steps: the leads are distinct and
+divide no term of another element, and the S-pairs of two degree-d
+elements lie above d, so the sweep would keep every element as its own
+normal form, under an exponent cap no tighter than the one ``syzygies``
+applied.  A reduced basis in one degree is already minimal (Eisenbud,
+"The Geometry of Syzygies", 2005, ch. 1).
 
 The completion runs on integers: inputs are scaled by their denominators'
 lcm on entry, basis elements are primitive with a positive lead, S-pairs
@@ -455,22 +456,27 @@ def syzygies(pres, cap=None):
     )
 
 
-def minimal_graded_generators(pres, cap=None):
+def minimal_graded_generators(pres, cap=None, reduced=False):
     """Greedy minimal generating subset, ascending by degree (graded Nakayama).
 
     An element is kept exactly when it is not a combination of elements kept
     before it; processing degrees in increasing order makes the count per
     degree equal to dim M_d / (R_+ M)_d, which is the minimal possible.
+    ``reduced``: the generators are a reduced basis (as ``syzygies`` returns
+    them), so in one degree all are kept with no completion.
     """
     gens = pres._sparse
     decorated = sorted(((deg, _canonical_rep(g)), i)
                        for i, (deg, g) in enumerate(zip(pres._degrees, gens)))
-    gb = _worker_for((), pres.ambient_rank, pres.shifts, cap)
-    kept = []
-    for (deg, _), i in decorated:
-        gb.ensure_degree(deg)
-        if gb.add(gens[i]):
-            kept.append(pres.generators[i])
+    if reduced and len(set(pres._degrees)) <= 1:
+        kept = [pres.generators[i] for _, i in decorated]
+    else:
+        gb = _worker_for((), pres.ambient_rank, pres.shifts, cap)
+        kept = []
+        for (deg, _), i in decorated:
+            gb.ensure_degree(deg)
+            if gb.add(gens[i]):
+                kept.append(pres.generators[i])
     return GradedPresentation(
         n=pres.n,
         ambient_rank=pres.ambient_rank,
@@ -480,18 +486,9 @@ def minimal_graded_generators(pres, cap=None):
 
 
 def minimal_syzygies(pres, cap=None):
-    """``minimal_graded_generators(syzygies(pres))``, the same rows in the same
+    """``minimal_graded_generators(syzygies(pres))``: the same rows in the same
     order, with no second completion when the syzygies lie in one degree."""
-    syz = syzygies(pres, cap=cap)
-    if len(set(syz._degrees)) > 1:
-        return minimal_graded_generators(syz, cap=cap)
-    order = sorted(range(len(syz._sparse)), key=lambda i: _canonical_rep(syz._sparse[i]))
-    return GradedPresentation(
-        n=syz.n,
-        ambient_rank=syz.ambient_rank,
-        generators=tuple(syz.generators[i] for i in order),
-        shifts=syz.shifts,
-    )
+    return minimal_graded_generators(syzygies(pres, cap=cap), cap=cap, reduced=True)
 
 
 def module_equality(a, b, cap=None):

@@ -218,15 +218,12 @@ def det(a):
         if p is None:
             raise ZeroDivisionError("singular matrix")
         if p != i:
-            m[i], m[p] = m[p], m[i]
-            out = -out
+            m[i], m[p], out = m[p], m[i], -out
         piv = m[i]
         out *= piv[i]
         for row in m[i + 1:]:
             f = row[i] / piv[i]
-            if f:
-                for j in range(i + 1, len(m)):
-                    row[j] -= f * piv[j]
+            row[i:] = [x - f * y for x, y in zip(row[i:], piv[i:])]
     return out
 
 

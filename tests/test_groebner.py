@@ -340,21 +340,32 @@ def test_minimal_syzygies_match_on_every_chain_step(builder):
                         == minimal_graded_generators(syzygies(pres)).generators)
 
 
+def _recording_minimal_generators(monkeypatch):
+    calls = []
+
+    def recording(p, cap=None, reduced=False):
+        calls.append(p)
+        return minimal_graded_generators(p, cap, reduced)
+
+    monkeypatch.setattr(groebner, "minimal_graded_generators", recording)
+    return calls
+
+
 def test_one_degree_syzygies_build_one_basis(monkeypatch):
     pres = rows_presentation(killing(4))
-    assert set(syzygies(pres)._degrees) == {3}
+    syz = syzygies(pres)
+    assert set(syz._degrees) == {3}
+    calls = _recording_minimal_generators(monkeypatch)
     made = _recording_bases(monkeypatch)
     assert len(minimal_syzygies(pres).generators) == 20
-    assert len(made) == 1
+    assert calls == [syz] and len(made) == 1
 
 
 def test_mixed_degree_syzygies_are_filtered_by_minimal_generators(monkeypatch):
     pres = rows_presentation(conformal_killing(4))
     syz = syzygies(pres)
     assert sorted(syz._degrees) == [3] * 10 + [4] * 6
-    calls = []
-    monkeypatch.setattr(groebner, "minimal_graded_generators",
-                        lambda p, cap=None: calls.append(p) or minimal_graded_generators(p, cap))
+    calls = _recording_minimal_generators(monkeypatch)
     made = _recording_bases(monkeypatch)
     out = minimal_syzygies(pres)
     assert calls == [syz] and len(made) == 2
