@@ -9,7 +9,7 @@ check failed, 2 usage error, 3 a computation hit the degree cap.
 import argparse
 import sys
 
-from . import config, golden, operators, sequences, serialize
+from . import config, golden, groebner, operators, sequences, serialize
 from .poly import ConstantMetric
 
 EXIT_OK = 0
@@ -269,7 +269,11 @@ def main(argv=None):
             metric_name = serialize.document_metric_name(doc)
             op = serialize.document_to_operator(doc)
             if args.command == "cc":
-                out = operators.compatibility_conditions(op)
+                try:
+                    out = operators.compatibility_conditions(op)
+                except groebner.GeneratorError as exc:
+                    raise UsageError(f"cc of {op.name} needs nonzero rows "
+                                     f"of one order each: {exc}") from None
             else:
                 out = operators.adjoint(op)
             _emit_operator(out, metric_name, fmt or "json")

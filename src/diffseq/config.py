@@ -1,8 +1,9 @@
 """Run-wide limits for the exact engines.
 
 The caps exist to turn runaway computations into loud errors instead of
-silent multi-hour runs.  Both can be raised per call; the completion cap
-can also be raised through the ``DIFFSEQ_DEGREE_CAP`` environment variable.
+silent multi-hour runs.  ``EXPONENT_CAP`` is a constant.  The degree cap
+on basis completion has one setting, the ``DIFFSEQ_DEGREE_CAP`` environment
+variable, which every completion reads, from the library and the CLI alike.
 """
 
 import os
@@ -67,12 +68,11 @@ def record(cls):
     return cls
 
 
-def degree_cap(override=None):
-    """Effective completion cap: explicit override, else env var, else default."""
-    value = os.environ.get(DEGREE_CAP_ENV) if override is None else override
+def degree_cap():
+    """The completion cap: ``DIFFSEQ_DEGREE_CAP`` if set, else the default."""
+    value = os.environ.get(DEGREE_CAP_ENV)
     if value is None:
         return DEGREE_CAP_DEFAULT
-    if not str(value).strip().isdecimal() or int(value) < 1:
-        name = DEGREE_CAP_ENV if override is None else "degree cap"
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ConfigError(f"{DEGREE_CAP_ENV} must be a positive integer, got {value!r}")
     return int(value)

@@ -19,9 +19,9 @@ when told its input is a reduced basis lying in one degree d, as
 ``minimal_syzygies`` does for the chain steps: the leads are distinct and
 divide no term of another element, and the S-pairs of two degree-d
 elements lie above d, so the sweep would keep every element as its own
-normal form, under an exponent cap no tighter than the one ``syzygies``
-applied.  A reduced basis in one degree is already minimal (Eisenbud,
-"The Geometry of Syzygies", 2005, ch. 1).
+normal form and meet no cap that ``syzygies`` did not.  A reduced basis
+in one degree is already minimal (Eisenbud, "The Geometry of Syzygies",
+2005, ch. 1).
 
 The completion runs on integers: inputs are scaled by their denominators'
 lcm on entry, basis elements are primitive with a positive lead, S-pairs
@@ -60,7 +60,7 @@ new basis element (0, x1*x2).
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from operator import lshift
 
 from .config import (EXPONENT_CAP, DegreeCapExceeded, ExponentCapExceeded,
@@ -113,25 +113,21 @@ def _canonical_rep(sparse):
 
 
 class _Order:
-    """Shifted TOP order on R^m terms, optionally with an elimination block,
-    packed into ints by ``layout(n, top)`` (see the module docstring).
+    """Shifted TOP order on R^m terms in n variables, optionally with an
+    elimination block, packed into ints for shifted degrees up to ``top``
+    above the lowest shift (see the module docstring).
 
     Terms in components below ``block_start`` always exceed terms at or above
     it; that is the elimination property the syzygy harvest relies on."""
 
-    def __init__(self, shifts, block_start=None):
-        self.shifts = shifts
-        self.block_start = block_start
-        self.n = None
-
-    def layout(self, n, top):
-        c, v = max(len(self.shifts) - 1, 1).bit_length(), top.bit_length()
-        self.n, self.bias, self.deg_at = n, top + min(self.shifts, default=0), c + n * (v + 1)
+    def __init__(self, n, shifts, top, block_start=None):
+        c, v = max(len(shifts) - 1, 1).bit_length(), top.bit_length()
+        self.shifts, self.block_start = shifts, block_start
+        self.bias, self.deg_at = top + min(shifts, default=0), c + n * (v + 1)
         self.offsets = tuple(range(c, self.deg_at, v + 1))
         self.cmask, self.emask = (1 << c) - 1, (1 << v) - 1
         self.guard = sum(1 << o + v for o in self.offsets)
-        self.block = self.block_start is not None and 1 << self.deg_at + v
-        return self
+        self.block = block_start is not None and 1 << self.deg_at + v
 
     def pack(self, term):
         c, m = term
@@ -145,6 +141,10 @@ class _Order:
 
 # ---------------------------------------------------------------------------
 # presentations
+
+class GeneratorError(ValueError):
+    """A generator row is zero or not homogeneous; the engines take neither."""
+
 
 @record
 class GradedPresentation:
@@ -167,15 +167,15 @@ class GradedPresentation:
         if len(self.shifts) != self.ambient_rank:
             raise ValueError("one shift per ambient component required")
         sparse, degrees = [], []
-        for g in self.generators:
+        for i, g in enumerate(self.generators):
             if len(g) != self.ambient_rank:
                 raise ValueError("generator arity does not match ambient rank")
             s = _sparse_of(g)
             if not s:
-                raise ValueError("zero generator not allowed")
+                raise GeneratorError(f"row {i} is zero")
             degs = {sum(m) + self.shifts[c] for (c, m) in s}
             if len(degs) > 1:
-                raise ValueError("generator is not homogeneous")
+                raise GeneratorError(f"row {i} mixes shifted degrees {sorted(degs)}")
             sparse.append(s)
             degrees.append(degs.pop())
         object.__setattr__(self, "_sparse", tuple(sparse))
@@ -254,19 +254,21 @@ def _reducer(vec, order):
 
 
 class ModuleGB:
-    """Incremental Buchberger completion, staged by (shifted) degree.
+    """Incremental Buchberger completion, staged by (shifted) degree, of the
+    sparse vectors ``gens`` in n variables under the TOP order with
+    ``shifts`` (and an elimination block from ``block_start``, if given).
 
     Reduction keeps the shifted degree of every term it replaces, so the
     exponent cap is checked once per vector that enters (input or S-pair),
     against its shifted degree less the lowest shift, and not per product.
-    ``stats`` counts S-pairs: ``queued`` formed, ``pruned`` dropped by the
-    pair criteria, ``processed`` reduced, ``zero`` of those reduced to zero.
+    The degree cap is read once, here, from ``config.degree_cap``.  ``stats``
+    counts S-pairs: ``queued`` formed, ``pruned`` dropped by the pair
+    criteria, ``processed`` reduced, ``zero`` of those reduced to zero.
     """
 
-    def __init__(self, ambient_rank, order, cap):
-        self.ambient_rank = ambient_rank
-        self.order = order
-        self.cap = cap
+    def __init__(self, n, shifts, gens=(), block_start=None):
+        self.order = _Order(n, shifts, EXPONENT_CAP, block_start)
+        self.cap = degree_cap()
         self.basis = []
         self.by_component = {}  # component -> [(packed lead, lead coef, tail)]
         self.leads = {}     # component -> [lead monomial], for the pair criteria
@@ -274,7 +276,9 @@ class ModuleGB:
         self.live = {}      # component -> {(a, b): lcm} of pairs still due
         self.stats = {"queued": 0, "pruned": 0, "processed": 0, "zero": 0}
         self._counter = 0
-        self._top = EXPONENT_CAP + min(order.shifts, default=0)
+        self._top = EXPONENT_CAP + min(shifts, default=0)
+        for vec in gens:
+            self.add(vec)
 
     def _admit(self, deg):
         if deg > self._top:
@@ -319,12 +323,17 @@ class ModuleGB:
         return True
 
     def ensure_degree(self, deg):
-        """Process every due S-pair of shifted degree <= deg."""
+        """Process every due S-pair of shifted degree <= deg; the lowest one
+        due above the degree cap raises ``DegreeCapExceeded``."""
         while self.pairs and self.pairs[0][0] <= deg:
             d, _, comp, a, b = heapq.heappop(self.pairs)
             lcm = self.live[comp].pop((a, b), None)
             if lcm is None:
                 continue  # pruned after it was queued
+            if d > self.cap:
+                raise DegreeCapExceeded(
+                    f"completion needs S-pairs of degree {d}, above cap {self.cap}",
+                    degree=d)
             self._admit(d)
             (pa, la, ta), (pb, lb, tb) = self.by_component[comp][a], self.by_component[comp][b]
             at = self.order.pack((comp, lcm))
@@ -347,20 +356,12 @@ class ModuleGB:
                 self.stats["zero"] += 1
 
     def complete(self):
-        self.ensure_degree(self.cap)
-        due = [sum(lcm) + self.order.shifts[c]
-               for c, pairs in self.live.items() for lcm in pairs.values()]
-        if due:
-            raise DegreeCapExceeded(
-                f"completion needs S-pairs of degree {min(due)}, above cap {self.cap}",
-                degree=min(due))
+        self.ensure_degree(inf)
 
     def normal_form(self, vec):
         """Packed integer remainder of an incoming vector (a positive multiple of
-        its normal form); the first one lays the packing out for the cap."""
+        its normal form)."""
         self._admit(_vec_degree(vec, self.order.shifts))
-        if self.order.n is None:
-            self.order.layout(len(next(iter(vec))[1]), EXPONENT_CAP)
         ints = {self.order.pack(t): v for t, v in _integral(vec)[1].items()}
         return _reduce_sparse(ints, self.by_component, self.order)[1]
 
@@ -390,21 +391,11 @@ class ModuleGB:
                 for lead, den, red in final]
 
 
-def _worker_for(gens, ambient_rank, shifts, cap=None):
-    """A ``ModuleGB`` under the TOP order with ``shifts``, fed the sparse
-    vectors ``gens`` and not yet completed."""
-    gb = ModuleGB(ambient_rank, _Order(shifts), degree_cap(cap))
-    for s in gens:
-        gb.add(s)
-    return gb
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
-def reduced_groebner(pres, cap=None):
-    gb = _worker_for(pres._sparse, pres.ambient_rank, pres.shifts, cap)
-    elems = gb.reduced_elements()
+def reduced_groebner(pres):
+    elems = ModuleGB(pres.n, pres.shifts, pres._sparse).reduced_elements()
     return GroebnerBasis(
         n=pres.n,
         ambient_rank=pres.ambient_rank,
@@ -420,7 +411,7 @@ def normal_form(vec, gb):
     elems = [_integral(_to_sparse(e))[1] for e in gb.elements]
     den, ints = _integral(_to_sparse(tuple(vec)))
     lo = min(gb.shifts, default=0)
-    order = _Order(gb.shifts).layout(gb.n, max(
+    order = _Order(gb.n, gb.shifts, max(
         (sum(m) + gb.shifts[c] - lo for s in elems + [ints] for c, m in s), default=0))
     by_comp = {}
     for e in elems:
@@ -431,22 +422,17 @@ def normal_form(vec, gb):
                      gb.ambient_rank, gb.n)
 
 
-def syzygies(pres, cap=None):
+def syzygies(pres):
     """Reduced generating set of the relation module of ``pres``'s generators.
 
     The result lives in R^k (k = number of generators) with shifts equal to
     the generator degrees, so its own grading is honest.
     """
-    m = pres.ambient_rank
-    gens = pres._sparse
-    k = len(gens)
-    degs = pres._degrees
-    order = _Order(pres.shifts + degs, block_start=m)
-    gb = ModuleGB(m + k, order, degree_cap(cap))
-    for i, g in enumerate(gens):
-        tagged = dict(g)
-        tagged[(m + i, (0,) * pres.n)] = Fraction(1)
-        gb.add(tagged)
+    m, k, degs = pres.ambient_rank, len(pres._sparse), pres._degrees
+    one = (0,) * pres.n
+    gb = ModuleGB(pres.n, pres.shifts + degs, (
+        {**g, (m + i, one): Fraction(1)} for i, g in enumerate(pres._sparse)),
+        block_start=m)
     return GradedPresentation(
         n=pres.n,
         ambient_rank=k,
@@ -456,7 +442,7 @@ def syzygies(pres, cap=None):
     )
 
 
-def minimal_graded_generators(pres, cap=None, reduced=False):
+def minimal_graded_generators(pres, reduced=False):
     """Greedy minimal generating subset, ascending by degree (graded Nakayama).
 
     An element is kept exactly when it is not a combination of elements kept
@@ -471,7 +457,7 @@ def minimal_graded_generators(pres, cap=None, reduced=False):
     if reduced and len(set(pres._degrees)) <= 1:
         kept = [pres.generators[i] for _, i in decorated]
     else:
-        gb = _worker_for((), pres.ambient_rank, pres.shifts, cap)
+        gb = ModuleGB(pres.n, pres.shifts)
         kept = []
         for (deg, _), i in decorated:
             gb.ensure_degree(deg)
@@ -485,19 +471,19 @@ def minimal_graded_generators(pres, cap=None, reduced=False):
     )
 
 
-def minimal_syzygies(pres, cap=None):
+def minimal_syzygies(pres):
     """``minimal_graded_generators(syzygies(pres))``: the same rows in the same
     order, with no second completion when the syzygies lie in one degree."""
-    return minimal_graded_generators(syzygies(pres, cap=cap), cap=cap, reduced=True)
+    return minimal_graded_generators(syzygies(pres), reduced=True)
 
 
-def module_equality(a, b, cap=None):
+def module_equality(a, b):
     """Do two presentations generate the same submodule of R^m?"""
     if a.n != b.n or a.ambient_rank != b.ambient_rank:
         raise ValueError("presentations live in different ambient modules")
     # zero shifts, not the presentations' own: the cap bounds unshifted degrees
     zero_shifts = (0,) * a.ambient_rank
-    wa, wb = (_worker_for(p._sparse, p.ambient_rank, zero_shifts, cap) for p in (a, b))
+    wa, wb = (ModuleGB(p.n, zero_shifts, p._sparse) for p in (a, b))
     wa.complete()
     wb.complete()
     return (not any(wa.normal_form(s) for s in b._sparse)
@@ -510,7 +496,6 @@ def generic_rank(rows):
     gens = [s for s in map(_sparse_of, rows) if s]
     if not gens:
         return 0
-    width = len(rows[0])
-    gb = _worker_for(gens, width, (0,) * width)
+    gb = ModuleGB(rows[0][0].n, (0,) * len(rows[0]), gens)
     gb.complete()
     return len(gb.by_component)

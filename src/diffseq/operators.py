@@ -81,7 +81,7 @@ def _product_rows(outer_rows, inner_rows, n, width):
     in ints, on terms packed (``groebner._Order``) for the top product degree."""
     top = sum(max((sum(m) for row in rows for _, m in row), default=0)
               for rows in (outer_rows, inner_rows))
-    order = groebner._Order((0,) * width).layout(n, top)
+    order = groebner._Order(n, (0,) * width, top)
     pack, unpack = order.pack, order.unpack
     scale = lcm(*(v.denominator for row in inner_rows for v in row.values()))
     inner = [[(pack(t), v.numerator * (scale // v.denominator)) for t, v in row.items()]
@@ -149,13 +149,13 @@ def rows_presentation(op):
     )
 
 
-def compatibility_conditions(op, cap=None):
+def compatibility_conditions(op):
     """Minimal generating operator for the relations among the rows of ``op``.
 
     Any operator annihilating the image of ``op`` factors through the
     returned one; composing it with ``op`` gives the exact zero matrix.
     """
-    gens = groebner.minimal_syzygies(rows_presentation(op), cap=cap)
+    gens = groebner.minimal_syzygies(rows_presentation(op))
     k = len(gens.generators)
     target = free_basis(f"CC({op.target.label})", op.n,
                         [f"q{i}" for i in range(1, k + 1)])

@@ -238,9 +238,10 @@ class Poly:
 
 
 class ConstantMetric:
-    """Symmetric nondegenerate rational matrix with cached inverse and det."""
+    """Symmetric nondegenerate rational matrix with cached inverse; ``det``
+    is computed on access, since set-up needs only the inverse."""
 
-    __slots__ = ("n", "entries", "inverse", "det", "name")
+    __slots__ = ("n", "entries", "inverse", "name")
 
     def __init__(self, entries, name="custom"):
         rows = [tuple(_as_fraction(v) for v in row) for row in entries]
@@ -255,8 +256,11 @@ class ConstantMetric:
         self.entries = tuple(rows)
         inv = linalg.invert([list(r) for r in rows])
         self.inverse = tuple(tuple(v for v in row) for row in inv)
-        self.det = linalg.det(rows)
         self.name = name
+
+    @property
+    def det(self):
+        return linalg.det(self.entries)
 
     @classmethod
     @lru_cache(maxsize=None)

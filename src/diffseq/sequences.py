@@ -290,7 +290,7 @@ class SequenceReport:
         return " -> ".join(str(d) for d in self.dims)
 
 
-def build_sequence(op, max_steps=None, cap=None):
+def build_sequence(op, max_steps=None):
     """Iterate compatibility conditions until they vanish.
 
     Verifies each consecutive composition is exactly zero.  The Euler
@@ -305,7 +305,7 @@ def build_sequence(op, max_steps=None, cap=None):
     terminated = False
     while len(ops) < max_steps + 1:
         try:
-            cc = operators.compatibility_conditions(ops[-1], cap=cap)
+            cc = operators.compatibility_conditions(ops[-1])
         except config.DegreeCapExceeded as exc:
             raise config.DegreeCapExceeded(
                 f"conditions of {ops[-1].name} (step {len(ops) - 1}): {exc}",
@@ -342,7 +342,7 @@ class ParametrizationVerdict:
     candidate_name: str
 
 
-def check_parametrization(target, candidate, cap=None):
+def check_parametrization(target, candidate):
     """Does ``candidate`` parametrize the kernel of ``target``?
 
     True exactly when the composition vanishes and the rows of ``target``
@@ -357,9 +357,9 @@ def check_parametrization(target, candidate, cap=None):
     zero = compose(target, candidate).is_zero()
     equal = False
     if zero:
-        syz = groebner.syzygies(operators.rows_presentation(candidate), cap=cap)
+        syz = groebner.syzygies(operators.rows_presentation(candidate))
         equal = groebner.module_equality(
-            operators.rows_presentation(target), syz, cap=cap)
+            operators.rows_presentation(target), syz)
     return ParametrizationVerdict(
         ok=zero and equal,
         composes_to_zero=zero,
@@ -368,7 +368,7 @@ def check_parametrization(target, candidate, cap=None):
         candidate_name=candidate.name)
 
 
-def parametrization_generators(op, cap=None):
+def parametrization_generators(op):
     """Minimal generating set of column relations, packaged as an operator.
 
     The returned operator maps a fresh potential bundle into the source of
@@ -380,7 +380,7 @@ def parametrization_generators(op, cap=None):
         for j in range(op.source.dim))
     pres = groebner.GradedPresentation(
         n=op.n, ambient_rank=op.target.dim, generators=cols)
-    gens = groebner.minimal_syzygies(pres, cap=cap)
+    gens = groebner.minimal_syzygies(pres)
     k = len(gens.generators)
     src = bundles.free_basis(f"P({op.source.label})", op.n,
                              [f"p{i}" for i in range(1, k + 1)])
@@ -402,7 +402,7 @@ class DoubleDualityReport:
                  "distinctions between the two are not modeled here")
 
 
-def double_duality_report(op, depth=2, cap=None):
+def double_duality_report(op, depth=2):
     """Adjoint-side exactness verdicts along the condition chain of ``op``.
 
     Builds the chain op, cc(op), cc(cc(op)), ... to the requested depth and
@@ -410,12 +410,12 @@ def double_duality_report(op, depth=2, cap=None):
     parametrized by the adjoint of the later one.  A chain that terminates
     before the requested depth is checked at the positions it has.
     """
-    seq = build_sequence(op, max_steps=depth, cap=cap)
+    seq = build_sequence(op, max_steps=depth)
     ops = [s.operator for s in seq.steps]
     verdicts = []
     for i in range(1, len(ops)):
         verdicts.append(
-            check_parametrization(adjoint(ops[i - 1]), adjoint(ops[i]), cap=cap))
+            check_parametrization(adjoint(ops[i - 1]), adjoint(ops[i])))
     return DoubleDualityReport(
         name=op.name, n=op.n, depth=len(ops) - 1,
         verdicts=tuple(verdicts), ok=all(v.ok for v in verdicts))
@@ -464,7 +464,7 @@ class WeylRelationsReport:
     ok: bool
 
 
-def weyl_relations_report(metric=None, cap=None):
+def weyl_relations_report(metric=None):
     """First-order system forced on trace-free curvature components at n=4.
 
     Restricting the second-identity operator to the trace-free summand,
@@ -479,22 +479,22 @@ def weyl_relations_report(metric=None, cap=None):
         [list(r) for r in split.inject_weyl])
     composed = compose(bianchi(n, w), inj)
     pres = operators.rows_presentation(composed)
-    gens = groebner.minimal_graded_generators(pres, cap=cap)
+    gens = groebner.minimal_graded_generators(pres)
     k = len(gens.generators)
     relation_rows = tuple(tuple(g) for g in gens.generators)
     rel_op = make_operator(
         "weyl_relations", n, split.weyl_space,
         bundles.free_basis("WeylRelations", n, [f"q{i}" for i in range(1, k + 1)]),
         relation_rows)
-    cc = operators.compatibility_conditions(rel_op, cap=cap)
+    cc = operators.compatibility_conditions(rel_op)
     rank = operators.differential_rank(rel_op)
     rows = (
         (split.weyl_space.dim, k, cc.target.dim),
         (split.sym2_space.dim, split.riemann_space.dim,
          bianchi_candidate_space(n, w).dim,
-         operators.compatibility_conditions(bianchi(n, w), cap=cap).target.dim),
+         operators.compatibility_conditions(bianchi(n, w)).target.dim),
         (split.sym2_space.dim, split.sym2_space.dim,
-         operators.compatibility_conditions(einstein(n, w), cap=cap).target.dim),
+         operators.compatibility_conditions(einstein(n, w)).target.dim),
     )
     cc_degrees = tuple(
         max(p.degree() for p in row if not p.is_zero()) for row in cc.rows)
@@ -553,7 +553,7 @@ def _double_trace_matrix(n, w):
     return rows
 
 
-def trace_contraction_check(n=4, metric=None, cap=None):
+def trace_contraction_check(n=4, metric=None):
     """Verify the contracted second identity and the relabeled trace arrow.
 
     Part one: the double metric trace of the second identity, applied to
@@ -695,7 +695,7 @@ def potential_contradiction_report(metric=None):
 # ---------------------------------------------------------------------------
 # auxiliary counts
 
-def hessian_system_cc_count(n, cap=None):
+def hessian_system_cc_count(n):
     """Minimal condition count for the full second-gradient system on
     vector fields (one unknown per direction, one equation per symmetric
     index pair and component)."""
@@ -711,5 +711,5 @@ def hessian_system_cc_count(n, cap=None):
             rows.append([mono if m == k else Poly.zero(n)
                          for m in range(1, n + 1)])
     op = make_operator("second_gradient", n, src, tgt, rows)
-    cc = operators.compatibility_conditions(op, cap=cap)
+    cc = operators.compatibility_conditions(op)
     return cc.target.dim

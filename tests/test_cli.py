@@ -110,6 +110,58 @@ def test_cap_errors_exit_three(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_double_duality_check_exits_three_under_a_cap_of_one(monkeypatch, capsys):
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "1")
+    code, out = run_cli(["check", "double-duality"])
+    assert (code, out) == (3, "")
+    assert "above cap 1" in capsys.readouterr().err
+
+
+def test_cc_runs_to_the_end_of_the_chain(tmp_path):
+    code, out = run_cli(["build", "killing", "--n", "2"])
+    for step in range(3):
+        assert code == 0, step
+        path = tmp_path / f"step{step}.json"
+        path.write_text(out, encoding="utf-8")
+        code, out = run_cli(["cc", str(path)])
+    assert code == 0
+    assert serialize.document_to_operator(serialize.loads(out)).shape == (0, 0)
+
+
+def _zero_row_document(tmp_path):
+    """The adjoint of killing(2) with its first column cleared: row 0 is zero."""
+    _, out = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(out)
+    doc["entries"] = [e for e in doc["entries"] if e["col"] != 0]
+    path = tmp_path / "cleared.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _, out = run_cli(["adjoint", str(path)])
+    return json.loads(out)
+
+
+def _mixed_order_document(tmp_path):
+    """killing(2) with an order-2 term added to an order-1 entry of row 0."""
+    _, out = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(out)
+    doc["entries"][0]["terms"].append({"coef": "1", "exp": [1, 1]})
+    return doc
+
+
+@pytest.mark.parametrize("make, problem", [
+    (_zero_row_document, "ad(killing) needs nonzero rows of one order each: row 0 is zero"),
+    (_mixed_order_document, "killing needs nonzero rows of one order each: "
+                            "row 0 mixes shifted degrees [1, 2]"),
+], ids=["zero-row", "mixed-orders"])
+def test_cc_of_a_row_the_engine_cannot_take_exits_two(tmp_path, capsys, make, problem):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(make(tmp_path)), encoding="utf-8")
+    capsys.readouterr()
+    code, stdout = run_cli(["cc", str(path)])
+    assert (code, stdout) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("diffseq: ") and problem in err
+
+
 def test_malformed_degree_cap_is_a_usage_error(monkeypatch, capsys):
     for value in ("abc", "0", "-2", "1.5"):
         monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", value)

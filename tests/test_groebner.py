@@ -219,28 +219,53 @@ def test_generic_rank_of_inhomogeneous_rows():
     assert generic_rank(rows) == 2
 
 
-def test_degree_cap_is_a_loud_error():
+def test_degree_cap_is_a_loud_error(monkeypatch):
     op = killing(2)
     pres = GradedPresentation(
         n=2, ambient_rank=op.source.dim,
         generators=tuple(tuple(r) for r in op.rows))
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "1")
     with pytest.raises(DegreeCapExceeded):
-        syzygies(pres, cap=1)
+        syzygies(pres)
 
 
-def test_exponent_cap_is_checked_on_inputs_and_s_pairs():
+def test_exponent_cap_is_checked_on_inputs_and_s_pairs(monkeypatch):
     top = EXPONENT_CAP + 1
     pres = GradedPresentation(n=2, ambient_rank=1, generators=(
         (Poly.monomial(2, (top, 0)),), (Poly.monomial(2, (0, top)),)))
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", str(4 * top))
     with pytest.raises(ExponentCapExceeded):
-        syzygies(pres, cap=4 * top)
+        syzygies(pres)
     # inputs within the cap whose S-pair's shifted degree is not
     half = EXPONENT_CAP // 2 + 1
-    gb = groebner.ModuleGB(1, groebner._Order((0,)), 4 * top)
+    gb = groebner.ModuleGB(2, (0,))
     assert gb.add({(0, (half, 0)): Fraction(1)})
     assert gb.add({(0, (0, half)): Fraction(1, 2)})
     with pytest.raises(ExponentCapExceeded):
         gb.complete()
+
+
+def test_presentations_with_no_generators_have_empty_results():
+    pres = GradedPresentation(n=2, ambient_rank=3, generators=())
+    syz = syzygies(pres)
+    assert (syz.ambient_rank, syz.generators, syz.shifts) == (0, (), ())
+    assert reduced_groebner(pres).elements == ()
+    assert minimal_graded_generators(pres).generators == ()
+    assert minimal_syzygies(pres).generators == ()
+
+
+def test_one_degree_cap_setting_governs_every_entry_point(monkeypatch):
+    pres = rows_presentation(killing(3))
+    mixed = syzygies(rows_presentation(conformal_killing(4)))
+    assert len(set(mixed._degrees)) == 2
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "1")
+    for call in (lambda: syzygies(pres),
+                 lambda: module_equality(pres, pres),
+                 lambda: generic_rank(killing(3).rows),
+                 lambda: reduced_groebner(pres),
+                 lambda: minimal_graded_generators(mixed)):
+        with pytest.raises(DegreeCapExceeded):
+            call()
 
 
 @pytest.mark.parametrize("e, want", [
@@ -294,8 +319,8 @@ def _recording_bases(monkeypatch):
     made = []
 
     class Recording(groebner.ModuleGB):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             made.append(self)
 
     monkeypatch.setattr(groebner, "ModuleGB", Recording)
@@ -343,9 +368,9 @@ def test_minimal_syzygies_match_on_every_chain_step(builder):
 def _recording_minimal_generators(monkeypatch):
     calls = []
 
-    def recording(p, cap=None, reduced=False):
+    def recording(p, reduced=False):
         calls.append(p)
-        return minimal_graded_generators(p, cap, reduced)
+        return minimal_graded_generators(p, reduced)
 
     monkeypatch.setattr(groebner, "minimal_graded_generators", recording)
     return calls
@@ -375,7 +400,7 @@ def test_mixed_degree_syzygies_are_filtered_by_minimal_generators(monkeypatch):
 def test_basis_elements_are_primitive_integer_vectors():
     leads = []
     for pres in (rows_presentation(conformal_killing(4)), _non_unit_leads()):
-        gb = groebner._worker_for(pres._sparse, pres.ambient_rank, pres.shifts)
+        gb = groebner.ModuleGB(pres.n, pres.shifts, pres._sparse)
         gb.complete()
         assert gb.stats["processed"] > 0
         for members in gb.by_component.values():
@@ -524,7 +549,7 @@ def packed_layouts(draw):
     q = monomial(min(budget(cl) - sum(lead), budget(cu) - sum(u)))
     multiple = (cl, tuple(a + b for a, b in zip(lead, q)))
     terms += [(cl, lead), multiple, (cu, u)]
-    order = groebner._Order(shifts, block_start).layout(n, EXPONENT_CAP)
+    order = groebner._Order(n, shifts, EXPONENT_CAP, block_start)
     return order, terms, (cl, lead), multiple, (cu, u), q
 
 

@@ -101,6 +101,17 @@ def test_metric_determinants_are_exact_fractions():
         assert type(m.det) is Fraction
 
 
+def test_metric_set_up_eliminates_once(monkeypatch):
+    from diffseq import linalg
+
+    def refuse(a):
+        raise AssertionError("det computed during set-up")
+
+    monkeypatch.setattr(linalg, "det", refuse)
+    w = ConstantMetric([[2, 1], [1, 3]])
+    assert w.upper(1, 1) == Fraction(3, 5)
+
+
 def test_minkowski_metric_signature_and_inverse():
     w = ConstantMetric.minkowski(4)
     diag = [w.lower(i, i) for i in range(1, 5)]

@@ -257,9 +257,10 @@ def test_flat_killing_solutions_of_low_degree():
     assert len(kernel) == 3
 
 
-def test_degree_cap_error_names_operator_step_and_degree():
+def test_degree_cap_error_names_operator_step_and_degree(monkeypatch):
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "1")
     with pytest.raises(DegreeCapExceeded) as info:
-        build_sequence(killing(3), cap=1)
+        build_sequence(killing(3))
     assert info.value.degree == 2
     assert str(info.value) == (
         "conditions of killing (step 0): "
@@ -269,8 +270,8 @@ def test_degree_cap_error_names_operator_step_and_degree():
 def test_build_sequence_rejects_conditions_that_do_not_annihilate(monkeypatch):
     real = operators.compatibility_conditions
 
-    def perturbed(op, cap=None):
-        cc = real(op, cap=cap)
+    def perturbed(op):
+        cc = real(op)
         rows = [list(r) for r in cc.rows]
         rows[0][0] = rows[0][0] + Poly.monomial(op.n, (2,) + (0,) * (op.n - 1),
                                                 Fraction(1, 3))
