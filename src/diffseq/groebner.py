@@ -23,13 +23,18 @@ normal form and meet no cap that ``syzygies`` did not.  A reduced basis
 in one degree is already minimal (Eisenbud, "The Geometry of Syzygies",
 2005, ch. 1).
 
-The completion runs on integers: inputs are scaled by their denominators'
-lcm on entry, basis elements are primitive with a positive lead, S-pairs
-are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads ``la``, ``lb`` with gcd
-``g``, and reduction is pseudo-reduction to a remainder of ``scale * vec``
-(Greuel & Pfister, "A Singular Introduction to Commutative Algebra", 2008).
-Fractions return only with results: ``reduced_elements`` divides tails by
-``lead * scale``, public ``normal_form`` by the input's lcm times ``scale``.
+The completion runs on integers: basis elements are primitive with a
+positive lead, S-pairs are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads
+``la``, ``lb`` with gcd ``g``, and reduction is pseudo-reduction to a
+remainder of ``scale * vec`` (Greuel & Pfister, "A Singular Introduction to
+Commutative Algebra", 2008).  A row goes in and comes out as one integer
+vector ``(den, {(component, monomial): int})``, the row times ``den``, the
+lcm of its denominators.  ``GradedPresentation`` takes it from a row the
+engines made (a ``_Row``, which carries it) and converts any other row once.
+``reduced_elements`` makes each basis element, monic, as a ``_Row``, with
+its ``Fraction`` cells and its integer vector built in one pass.  So a
+syzygy step hands its rows to the next step as integer vectors, and
+``operators.compose`` multiplies those vectors.
 
 Inside the engine a term is one int (Monagan & Pearce, J. Symb. Comp. 46,
 2011).  Its fields, from the least significant: component, m[0]..m[n-1],
@@ -42,6 +47,13 @@ of t below l's borrows into its guard.  Packing is linear, so a tail term u
 times t / l packs to ``u + (t - l)``.  Fields hold shifted degrees up to
 ``top`` above the lowest shift: ``EXPONENT_CAP`` in ``ModuleGB``, whose
 ``_admit`` holds every entering vector to it, the data's bound elsewhere.
+Each order packs through two tables: one per component (the component, its
+shifted bias and the block bit) and one per monomial (its exponent fields
+less its degree), so a term packs to the sum of two lookups, and a
+monomial's entry is also the shift that multiplies a packed term by it.
+Unpacking reads the exponent fields through a third table keyed by their
+bits.  The monomial tables fill on first use, so they hold only the
+monomials an order meets.
 
 ``generic_rank`` counts lead components.  The zero-shift TOP degrevlex
 order is degree-compatible, so by Macaulay's basis theorem (Eisenbud,
@@ -72,44 +84,66 @@ ORDER_TAG = "degrevlex, term over position, low component wins ties"
 
 
 # ---------------------------------------------------------------------------
-# sparse module vectors: dict (component, monomial) -> Fraction or int
-
-def _to_sparse(vec):
-    return {(c, m): v for c, p in enumerate(vec) for m, v in p.terms.items()}
-
+# rows: tuples of Poly, each made with its integer vector
 
 class _Row(tuple):
-    """A generator row of ``Poly`` made by the engines; ``sparse`` is the
-    vector of ``Fraction``s it was made from, so it is never converted back."""
+    """A generator row of ``Poly`` made by the engines.  ``vector`` is
+    ``(den, {(component, monomial): int})``: the row times ``den``, the lcm of
+    its denominators.  ``grading`` is ``(shifts, degree)`` for a row made
+    homogeneous under ``shifts``, else None."""
 
 
-def _sparse_of(row):
-    return row.sparse if isinstance(row, _Row) else _to_sparse(row)
+def _vector(row):
+    """The integer vector of a row of ``Poly``: a ``_Row``'s own, else made here."""
+    if isinstance(row, _Row):
+        return row.vector
+    return _integral({(c, m): v for c, p in enumerate(row) for m, v in p.terms.items()})
 
 
-def _to_polys(sparse, ambient_rank, n):
-    """The row of ``Poly`` of a sparse vector of ``Fraction``s, made without
-    ``Poly``'s per-term checks; its zero cells share one zero ``Poly``."""
+def _packed_row(den, vec, order, rank, n, start=0, grading=None):
+    """The ``_Row`` of the packed integer vector ``vec`` over ``den > 0``, with
+    components counted from ``start``.  Its ``Fraction`` cells and its integer
+    vector are made in one pass, without ``Poly``'s per-term checks; zero
+    cells share one zero ``Poly``."""
+    g = gcd(den, *vec.values())
+    if g != 1:
+        den //= g
+        vec = {t: v // g for t, v in vec.items()}
+    unpack = order.unpack
     zero = Poly.zero(n)
-    row = [zero] * ambient_rank
-    for (c, m), v in sparse.items():
-        if row[c] is zero:
-            row[c] = Poly.__new__(Poly)
-            row[c].n, row[c].terms = n, {}
-        row[c].terms[m] = v
-    row = _Row(row)
-    row.sparse = sparse
+    cells, ints = [zero] * rank, {}
+    for t, v in vec.items():
+        c, m = unpack(t)
+        c -= start
+        ints[c, m] = v
+        cell = cells[c]
+        if cell is zero:
+            cell = cells[c] = Poly.__new__(Poly)
+            cell.n, cell.terms = n, {}
+        cell.terms[m] = Fraction(v, den)
+    row = _Row(cells)
+    row.vector, row.grading = (den, ints), grading
     return row
 
 
-def _vec_degree(sparse, shifts):
-    return max(sum(m) + shifts[c] for (c, m) in sparse)
+def _canonical_rep(vector):
+    """A row's terms with their coefficients as reduced fractions, sorted."""
+    den, ints = vector
+    return tuple(sorted((c, m, v // g, den // g)
+                        for (c, m), v in ints.items() for g in (gcd(v, den),)))
 
 
-def _canonical_rep(sparse):
-    return tuple(sorted(
-        (c, m, v.numerator, v.denominator) for (c, m), v in sparse.items()
-    ))
+class _Memo(dict):
+    """A dict that fills itself: a missing key maps to ``make(key)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class _Order:
@@ -118,25 +152,34 @@ class _Order:
     above the lowest shift (see the module docstring).
 
     Terms in components below ``block_start`` always exceed terms at or above
-    it; that is the elimination property the syzygy harvest relies on."""
+    it; that is the elimination property the syzygy harvest relies on.
+
+    A packed term is the sum of a component part, ``comp[c]``, and a
+    monomial part, ``mono[m]``, which is also the shift that multiplies a
+    packed term by m.  ``mono`` and the table behind ``unpack``, keyed by
+    the exponent bits, fill on first use."""
 
     def __init__(self, n, shifts, top, block_start=None):
         c, v = max(len(shifts) - 1, 1).bit_length(), top.bit_length()
+        deg_at = c + n * (v + 1)
+        bias, block = top + min(shifts, default=0), 1 << deg_at + v
+        offsets, fields = range(c, deg_at, v + 1), range(0, deg_at - c, v + 1)
+        emask = (1 << v) - 1
         self.shifts, self.block_start = shifts, block_start
-        self.bias, self.deg_at = top + min(shifts, default=0), c + n * (v + 1)
-        self.offsets = tuple(range(c, self.deg_at, v + 1))
-        self.cmask, self.emask = (1 << c) - 1, (1 << v) - 1
-        self.guard = sum(1 << o + v for o in self.offsets)
-        self.block = block_start is not None and 1 << self.deg_at + v
+        self.cbits, self.cmask, self.fmask = c, (1 << c) - 1, (1 << deg_at - c) - 1
+        self.guard = sum(1 << o + v for o in offsets)
+        self.comp = tuple(i + (bias - s << deg_at)
+                          + (block if block_start is not None and i >= block_start else 0)
+                          for i, s in enumerate(shifts))
+        self.mono = _Memo(lambda m: sum(map(lshift, m, offsets)) - (sum(m) << deg_at))
+        self.exps = _Memo(lambda bits: tuple([bits >> o & emask for o in fields]))
 
     def pack(self, term):
         c, m = term
-        p = c + sum(map(lshift, m, self.offsets)) + (
-            self.bias - sum(m) - self.shifts[c] << self.deg_at)
-        return p + self.block if self.block and c >= self.block_start else p
+        return self.comp[c] + self.mono[m]
 
     def unpack(self, p):
-        return p & self.cmask, tuple([p >> o & self.emask for o in self.offsets])
+        return p & self.cmask, self.exps[p >> self.cbits & self.fmask]
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +193,12 @@ class GeneratorError(ValueError):
 class GradedPresentation:
     """Homogeneous generators of a graded submodule of R^ambient_rank.
 
-    ``_sparse`` holds the generators as sparse vectors, converted once here
-    or taken from engine-made rows, and ``_degrees`` their shifted degrees,
-    computed once here; the engines read both and never mutate them."""
+    ``_vectors`` holds one integer vector ``(den, {(c, m): int})`` per
+    generator, an engine-made row's own or converted once here, and
+    ``_degrees`` their shifted degrees; the engines read both and never
+    mutate them.  A row made homogeneous under shifts that differ from these
+    by a constant keeps its degree, moved by that constant; any other row is
+    checked here."""
 
     n: int
     ambient_rank: int
@@ -166,19 +212,28 @@ class GradedPresentation:
             g if isinstance(g, _Row) else tuple(g) for g in self.generators))
         if len(self.shifts) != self.ambient_rank:
             raise ValueError("one shift per ambient component required")
-        sparse, degrees = [], []
+        vectors, degrees = [], []
+        made = offset = None
         for i, g in enumerate(self.generators):
             if len(g) != self.ambient_rank:
                 raise ValueError("generator arity does not match ambient rank")
-            s = _sparse_of(g)
-            if not s:
-                raise GeneratorError(f"row {i} is zero")
-            degs = {sum(m) + self.shifts[c] for (c, m) in s}
-            if len(degs) > 1:
-                raise GeneratorError(f"row {i} mixes shifted degrees {sorted(degs)}")
-            sparse.append(s)
-            degrees.append(degs.pop())
-        object.__setattr__(self, "_sparse", tuple(sparse))
+            vec = _vector(g)
+            grading = getattr(g, "grading", None)
+            if grading is not None and grading[0] is not made:
+                made = grading[0]
+                offset = {b - a for a, b in zip(made, self.shifts)}
+                offset = offset.pop() if len(offset) == 1 else None
+            if grading is not None and offset is not None:
+                degrees.append(grading[1] + offset)
+            else:
+                if not vec[1]:
+                    raise GeneratorError(f"row {i} is zero")
+                degs = {sum(m) + self.shifts[c] for (c, m) in vec[1]}
+                if len(degs) > 1:
+                    raise GeneratorError(f"row {i} mixes shifted degrees {sorted(degs)}")
+                degrees.append(degs.pop())
+            vectors.append(vec)
+        object.__setattr__(self, "_vectors", tuple(vectors))
         object.__setattr__(self, "_degrees", tuple(degrees))
 
 
@@ -224,23 +279,29 @@ def _reduce_sparse(vec, by_component, order):
         else:
             out.append((term, coef, scale))
             continue
-        g = gcd(lc, coef)
-        if g != lc:
-            a = lc // g
-            scale *= a
-            for t in work:
-                work[t] *= a
-        f = coef // g
+        if lc == 1:
+            f = coef
+        else:
+            g = gcd(lc, coef)
+            if g != lc:
+                a = lc // g
+                scale *= a
+                for t in work:
+                    work[t] *= a
+            f = coef // g
         q = term - lead
         for t, v in tail:
             t += q
-            nv = work.get(t, 0) - f * v
-            if not nv:
-                del work[t]
-                continue
-            if t not in work:
+            nv = work.get(t)
+            if nv is None:
                 heapq.heappush(heap, t)
-            work[t] = nv
+                work[t] = -f * v
+                continue
+            nv -= f * v
+            if nv:
+                work[t] = nv
+            else:
+                del work[t]
     return scale, {t: v * (scale // s) for t, v, s in out}
 
 
@@ -255,8 +316,9 @@ def _reducer(vec, order):
 
 class ModuleGB:
     """Incremental Buchberger completion, staged by (shifted) degree, of the
-    sparse vectors ``gens`` in n variables under the TOP order with
-    ``shifts`` (and an elimination block from ``block_start``, if given).
+    integer vectors ``gens`` (``{(component, monomial): int}``) in n
+    variables under the TOP order with ``shifts`` (and an elimination block
+    from ``block_start``, if given).
 
     Reduction keeps the shifted degree of every term it replaces, so the
     exponent cap is checked once per vector that enters (input or S-pair),
@@ -267,6 +329,7 @@ class ModuleGB:
     """
 
     def __init__(self, n, shifts, gens=(), block_start=None):
+        self.n = n
         self.order = _Order(n, shifts, EXPONENT_CAP, block_start)
         self.cap = degree_cap()
         self.basis = []
@@ -359,47 +422,55 @@ class ModuleGB:
         self.ensure_degree(inf)
 
     def normal_form(self, vec):
-        """Packed integer remainder of an incoming vector (a positive multiple of
-        its normal form)."""
-        self._admit(_vec_degree(vec, self.order.shifts))
-        ints = {self.order.pack(t): v for t, v in _integral(vec)[1].items()}
-        return _reduce_sparse(ints, self.by_component, self.order)[1]
+        """Packed integer remainder of an incoming integer vector (a positive
+        multiple of its normal form)."""
+        order = self.order
+        shifts, comp, mono = order.shifts, order.comp, order.mono
+        self._admit(max(sum(m) + shifts[c] for c, m in vec))
+        return _reduce_sparse({comp[c] + mono[m]: v for (c, m), v in vec.items()},
+                              self.by_component, order)[1]
 
     def reduced_elements(self):
-        """Unique reduced basis: minimal leads, tails fully reduced, monic.
+        """Unique reduced basis as ``_Row``s: minimal leads, tails fully
+        reduced, monic.
 
         Leads are distinct, so minimality is checked within each component.
         An element never reduces its own tail, which lies below its lead.
         Under an elimination order only elements led from ``block_start`` on
-        are kept: all their terms lie there, where no other lead divides them.
+        are kept: all their terms lie there, where no other lead divides them,
+        and their components are counted from there.  Each row is graded by
+        the shifts from there on and the degree of its lead.
         """
         self.complete()
-        guard = self.order.guard
+        order = self.order
+        start, guard = order.block_start or 0, order.guard
         keep = {comp: [e for e in members if not any(
                     p != e[0] and not e[0] - p & guard for p, _, _ in members)]
-                for comp, members in self.by_component.items()
-                if comp >= (self.order.block_start or 0)}
+                for comp, members in self.by_component.items() if comp >= start}
         final = []
         for members in keep.values():
             for lead, lc, tail in members:
-                scale, red = _reduce_sparse(tail, keep, self.order)
+                scale, red = _reduce_sparse(tail, keep, order)
                 final.append((lead, lc * scale, red))
         final.sort(key=lambda e: e[0], reverse=True)
-        unpack = self.order.unpack
-        return [{unpack(lead): Fraction(1), **{
-                    unpack(t): Fraction(v, den) for t, v in red.items()}}
-                for lead, den, red in final]
+        shifts = order.shifts[start:]
+        rows = []
+        for lead, den, red in final:
+            c, m = order.unpack(lead)
+            rows.append(_packed_row(den, {lead: den, **red}, order, len(shifts), self.n,
+                                    start, (shifts, sum(m) + order.shifts[c])))
+        return rows
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 def reduced_groebner(pres):
-    elems = ModuleGB(pres.n, pres.shifts, pres._sparse).reduced_elements()
+    gb = ModuleGB(pres.n, pres.shifts, [v for _, v in pres._vectors])
     return GroebnerBasis(
         n=pres.n,
         ambient_rank=pres.ambient_rank,
-        elements=tuple(_to_polys(e, pres.ambient_rank, pres.n) for e in elems),
+        elements=tuple(gb.reduced_elements()),
         shifts=pres.shifts,
     )
 
@@ -408,36 +479,37 @@ def normal_form(vec, gb):
     """Full (exact rational) remainder of a vector of polynomials against a
     reduced basis; no cap is checked, so the packing is laid out for the
     highest shifted degree of the input and the basis, which reduction keeps."""
-    elems = [_integral(_to_sparse(e))[1] for e in gb.elements]
-    den, ints = _integral(_to_sparse(tuple(vec)))
+    elems = [_vector(e)[1] for e in gb.elements]
+    den, ints = _vector(vec)
     lo = min(gb.shifts, default=0)
     order = _Order(gb.n, gb.shifts, max(
         (sum(m) + gb.shifts[c] - lo for s in elems + [ints] for c, m in s), default=0))
+    pack = order.pack
     by_comp = {}
     for e in elems:
-        comp, member = _reducer({order.pack(t): v for t, v in e.items()}, order)
+        comp, member = _reducer({pack(t): v for t, v in e.items()}, order)
         by_comp.setdefault(comp, []).append(member)
-    scale, red = _reduce_sparse({order.pack(t): v for t, v in ints.items()}, by_comp, order)
-    return _to_polys({order.unpack(t): Fraction(v, den * scale) for t, v in red.items()},
-                     gb.ambient_rank, gb.n)
+    scale, red = _reduce_sparse({pack(t): v for t, v in ints.items()}, by_comp, order)
+    return _packed_row(den * scale, red, order, gb.ambient_rank, gb.n)
 
 
 def syzygies(pres):
     """Reduced generating set of the relation module of ``pres``'s generators.
 
     The result lives in R^k (k = number of generators) with shifts equal to
-    the generator degrees, so its own grading is honest.
+    the generator degrees, so its own grading is honest.  Generator i enters
+    as ``den * (g_i + e_i)``, its integer vector tagged with ``den`` on its
+    tracking component ``e_i``, which spans the same module.
     """
-    m, k, degs = pres.ambient_rank, len(pres._sparse), pres._degrees
+    m, degs = pres.ambient_rank, pres._degrees
     one = (0,) * pres.n
     gb = ModuleGB(pres.n, pres.shifts + degs, (
-        {**g, (m + i, one): Fraction(1)} for i, g in enumerate(pres._sparse)),
+        {**vec, (m + i, one): den} for i, (den, vec) in enumerate(pres._vectors)),
         block_start=m)
     return GradedPresentation(
         n=pres.n,
-        ambient_rank=k,
-        generators=tuple(_to_polys({(c - m, mono): v for (c, mono), v in e.items()},
-                                   k, pres.n) for e in gb.reduced_elements()),
+        ambient_rank=len(degs),
+        generators=tuple(gb.reduced_elements()),
         shifts=degs,
     )
 
@@ -451,9 +523,9 @@ def minimal_graded_generators(pres, reduced=False):
     ``reduced``: the generators are a reduced basis (as ``syzygies`` returns
     them), so in one degree all are kept with no completion.
     """
-    gens = pres._sparse
-    decorated = sorted(((deg, _canonical_rep(g)), i)
-                       for i, (deg, g) in enumerate(zip(pres._degrees, gens)))
+    vectors = pres._vectors
+    decorated = sorted(((deg, _canonical_rep(v)), i)
+                       for i, (deg, v) in enumerate(zip(pres._degrees, vectors)))
     if reduced and len(set(pres._degrees)) <= 1:
         kept = [pres.generators[i] for _, i in decorated]
     else:
@@ -461,7 +533,7 @@ def minimal_graded_generators(pres, reduced=False):
         kept = []
         for (deg, _), i in decorated:
             gb.ensure_degree(deg)
-            if gb.add(gens[i]):
+            if gb.add(vectors[i][1]):
                 kept.append(pres.generators[i])
     return GradedPresentation(
         n=pres.n,
@@ -483,17 +555,17 @@ def module_equality(a, b):
         raise ValueError("presentations live in different ambient modules")
     # zero shifts, not the presentations' own: the cap bounds unshifted degrees
     zero_shifts = (0,) * a.ambient_rank
-    wa, wb = (ModuleGB(p.n, zero_shifts, p._sparse) for p in (a, b))
+    wa, wb = (ModuleGB(p.n, zero_shifts, [v for _, v in p._vectors]) for p in (a, b))
     wa.complete()
     wb.complete()
-    return (not any(wa.normal_form(s) for s in b._sparse)
-            and not any(wb.normal_form(s) for s in a._sparse))
+    return (not any(wa.normal_form(v) for _, v in b._vectors)
+            and not any(wb.normal_form(v) for _, v in a._vectors))
 
 
 def generic_rank(rows):
     """Rank over the fraction field of a matrix of ``Poly`` rows: the number
     of components that carry a lead once the nonzero rows' basis is complete."""
-    gens = [s for s in map(_sparse_of, rows) if s]
+    gens = [v for _, v in map(_vector, rows) if v]
     if not gens:
         return 0
     gb = ModuleGB(rows[0][0].n, (0,) * len(rows[0]), gens)

@@ -10,13 +10,11 @@ Everything downstream (compatibility conditions, adjoints, generic rank)
 works on this symbol matrix with exact rational arithmetic.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from . import groebner
 from .bundles import BundleBasis, free_basis
 from .config import record
-from .linalg import _integral
 from .poly import Poly
 
 
@@ -46,10 +44,10 @@ class OperatorMatrix:
     @property
     def order(self):
         """Largest total degree appearing in the symbol (zero operator: 0)."""
-        return max((sum(m) for r in self.rows for _, m in groebner._sparse_of(r)), default=0)
+        return max((sum(m) for r in self.rows for _, m in groebner._vector(r)[1]), default=0)
 
     def is_zero(self):
-        return not any(map(groebner._sparse_of, self.rows))
+        return not any(groebner._vector(r)[1] for r in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
@@ -73,49 +71,45 @@ def make_operator(name, n, source, target, rows):
 
 
 def _product_rows(outer_rows, inner_rows, n, width):
-    """Rows of an exact symbol product, one at a time, as ``(den, {(column,
-    monomial): int})``, the row being the dict over ``den``.  Rows are sparse
-    vectors ``{(column, monomial): coefficient}``; outer columns index
-    ``inner_rows``, inner ones run below ``width``.  Inner rows are scaled to
-    ints by one lcm and each outer row by its own, so Σ_k s_k·row_k is summed
-    in ints, on terms packed (``groebner._Order``) for the top product degree."""
-    top = sum(max((sum(m) for row in rows for _, m in row), default=0)
+    """The rows of an exact symbol product, as ``groebner._Row``s.  Rows come
+    as integer vectors ``(den, {(column, monomial): int})``; outer columns
+    index ``inner_rows``, inner ones run below ``width``.  Inner rows are
+    brought to one denominator, so Σ_k s_k·row_k is summed in ints, on terms
+    packed (``groebner._Order``) for the top product degree, where a
+    monomial's packed part is the shift that multiplies a term by it.  Rows
+    with no surviving term share one empty ``_Row``."""
+    top = sum(max((sum(m) for _, row in rows for _, m in row), default=0)
               for rows in (outer_rows, inner_rows))
     order = groebner._Order(n, (0,) * width, top)
-    pack, unpack = order.pack, order.unpack
-    scale = lcm(*(v.denominator for row in inner_rows for v in row.values()))
-    inner = [[(pack(t), v.numerator * (scale // v.denominator)) for t, v in row.items()]
-             for row in inner_rows]
-    one = pack((0, (0,) * n))
-    for row in outer_rows:
-        den, coefs = _integral(row)
+    pack, mono = order.pack, order.mono
+    scale = lcm(*(den for den, _ in inner_rows))
+    inner = [[(pack(t), v * (scale // den)) for t, v in row.items()]
+             for den, row in inner_rows]
+    zero_row = groebner._packed_row(1, {}, order, width, n)
+    for den, coefs in outer_rows:
         acc = {}
         for (k, m), s in coefs.items():
-            q = pack((0, m)) - one
+            q = mono[m]
             for t, v in inner[k]:
                 t += q
                 acc[t] = acc.get(t, 0) + s * v
-        yield den * scale, {unpack(t): v for t, v in acc.items() if v}
+        acc = {t: v for t, v in acc.items() if v}
+        yield groebner._packed_row(den * scale, acc, order, width, n) if acc else zero_row
 
 
 def compose(outer, inner):
     """Operator composition (apply ``inner`` first); symbols multiply.
 
     The product is summed on ints by :func:`_product_rows` from the rows'
-    sparse vectors; rows with no surviving term share one empty ``_Row``,
-    so the zero test ``compose(outer, inner).is_zero()`` reads no zero cell."""
+    integer vectors; the zero test ``compose(outer, inner).is_zero()`` reads
+    one empty vector per row and no zero cell."""
     if outer.source.key() != inner.target.key():
         raise ValueError(
             f"cannot compose {outer.name} o {inner.name}: "
             f"{outer.source.label} != {inner.target.label}")
-    width = inner.source.dim
-    zero_row = groebner._to_polys({}, width, outer.n)
-    rows = tuple(
-        groebner._to_polys({t: Fraction(v, den) for t, v in acc.items()},
-                           width, outer.n) if acc else zero_row
-        for den, acc in _product_rows([groebner._sparse_of(r) for r in outer.rows],
-                                      [groebner._sparse_of(r) for r in inner.rows],
-                                      outer.n, width))
+    rows = tuple(_product_rows([groebner._vector(r) for r in outer.rows],
+                               [groebner._vector(r) for r in inner.rows],
+                               outer.n, inner.source.dim))
     return OperatorMatrix(
         name=f"{outer.name} o {inner.name}", n=outer.n,
         source=inner.source, target=outer.target, rows=rows)
@@ -131,10 +125,15 @@ def adjoint(op):
     rows = tuple(
         tuple(op.rows[i][j].negate_vars() for i in range(op.target.dim))
         for j in range(op.source.dim))
-    if op.name.startswith("ad(") and op.name.endswith(")"):
-        name = op.name[3:-1]
-    else:
-        name = f"ad({op.name})"
+    # ``ad(x)`` unwraps only when its parenthesis closes at the end: the
+    # name ``ad(a) o ad(b)`` is a composition, not an adjoint
+    inner, depth = op.name[3:-1], 0
+    for ch in inner:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+    whole = op.name.startswith("ad(") and op.name.endswith(")") and depth == 0
+    name = inner if whole else f"ad({op.name})"
     return OperatorMatrix(
         name=name, n=n, source=op.target.dual(), target=op.source.dual(),
         rows=rows)

@@ -67,11 +67,12 @@ def _constrained_rows(space, ambient):
     on integers that the ambient rows (term dicts) satisfy every constraint
     of the space, then keeps the rows at the free components as polynomials."""
     zero = (0,) * space.n
-    constraints = [{(k, zero): v for k, v in crow.items()}
+    constraints = [linalg._integral({(k, zero): v for k, v in crow.items()})
                    for crow in bundles.constraint_rows(space)]
-    rows = [{(c, m): v for c, terms in enumerate(row) for m, v in terms.items()}
+    rows = [linalg._integral({(c, m): v for c, terms in enumerate(row) for m, v in terms.items()})
             for row in ambient]
-    if any(a for _, a in operators._product_rows(constraints, rows, space.n, len(ambient[0]))):
+    if any(r.vector[1] for r in operators._product_rows(
+            constraints, rows, space.n, len(ambient[0]))):
         raise AssertionError(
             f"operator image violates a constraint of {space.label}")
     return [[Poly(space.n, t) for t in ambient[c]] for c in space.free_columns]

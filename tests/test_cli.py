@@ -101,6 +101,21 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--markdown"])
+def test_golden_tables_with_no_frozen_values_is_a_usage_error(capsys, fmt):
+    code, out = run_cli(["check", "golden-tables", "--n", "6", fmt])
+    assert (code, out) == (2, "")
+    assert "no frozen values exist for n=6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+@pytest.mark.parametrize("which", ["double-duality", "lemma41", "lanczos-contradiction"])
+def test_checks_without_a_dimension_reject_n(capsys, which, fmt):
+    code, out = run_cli(["check", which, "--n", "3"] + fmt)
+    assert (code, out) == (2, "")
+    assert f"check {which} takes no --n" in capsys.readouterr().err
+
+
 def test_cap_errors_exit_three(tmp_path, monkeypatch):
     _, out = run_cli(["build", "killing", "--n", "3"])
     path = tmp_path / "k3.json"

@@ -239,8 +239,8 @@ def test_exponent_cap_is_checked_on_inputs_and_s_pairs(monkeypatch):
     # inputs within the cap whose S-pair's shifted degree is not
     half = EXPONENT_CAP // 2 + 1
     gb = groebner.ModuleGB(2, (0,))
-    assert gb.add({(0, (half, 0)): Fraction(1)})
-    assert gb.add({(0, (0, half)): Fraction(1, 2)})
+    assert gb.add({(0, (half, 0)): 1})
+    assert gb.add({(0, (0, half)): 2})
     with pytest.raises(ExponentCapExceeded):
         gb.complete()
 
@@ -252,6 +252,17 @@ def test_presentations_with_no_generators_have_empty_results():
     assert reduced_groebner(pres).elements == ()
     assert minimal_graded_generators(pres).generators == ()
     assert minimal_syzygies(pres).generators == ()
+
+
+def test_engine_rows_keep_their_degree_only_under_uniformly_moved_shifts():
+    x1, x2 = _vars(2)
+    syz = syzygies(GradedPresentation(n=2, ambient_rank=1, generators=((x1,), (x2 * x2,))))
+    assert syz.shifts == (1, 2) and syz._degrees == (3,)
+    moved = GradedPresentation(n=2, ambient_rank=2, generators=syz.generators, shifts=(3, 4))
+    assert moved._degrees == (5,)
+    # under zero shifts the row x2^2 e0 - x1 e1 mixes degrees 2 and 1
+    with pytest.raises(groebner.GeneratorError, match=r"row 0 mixes shifted degrees \[1, 2\]"):
+        GradedPresentation(n=2, ambient_rank=2, generators=syz.generators)
 
 
 def test_one_degree_cap_setting_governs_every_entry_point(monkeypatch):
@@ -400,7 +411,7 @@ def test_mixed_degree_syzygies_are_filtered_by_minimal_generators(monkeypatch):
 def test_basis_elements_are_primitive_integer_vectors():
     leads = []
     for pres in (rows_presentation(conformal_killing(4)), _non_unit_leads()):
-        gb = groebner.ModuleGB(pres.n, pres.shifts, pres._sparse)
+        gb = groebner.ModuleGB(pres.n, pres.shifts, [v for _, v in pres._vectors])
         gb.complete()
         assert gb.stats["processed"] > 0
         for members in gb.by_component.values():
@@ -522,11 +533,13 @@ def _documented_key(term, shifts, block_start):
 @st.composite
 def packed_layouts(draw):
     """An order on up to 7 variables and 12 components, shifts in -3..3,
-    with and without a block, and terms whose shifted degree is within
-    ``EXPONENT_CAP`` of the lowest shift, as ``ModuleGB._admit`` allows."""
+    any ``top`` from 6 (past ``EXPONENT_CAP``), with and without a block,
+    and terms whose shifted degree is within ``top`` of the lowest shift, as
+    ``_Order`` allows."""
     n = draw(st.integers(1, 7))
     rank = draw(st.integers(1, 12))
     shifts = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)))
+    top = draw(st.integers(6, 2 * EXPONENT_CAP))
     block_start = draw(st.one_of(st.none(), st.integers(0, rank)))
 
     def monomial(budget):
@@ -537,7 +550,7 @@ def packed_layouts(draw):
         return tuple(draw(st.permutations(exps)))
 
     def budget(c):
-        return EXPONENT_CAP - shifts[c] + min(shifts)
+        return top - shifts[c] + min(shifts)
 
     terms = []
     for _ in range(draw(st.integers(2, 8))):
@@ -549,17 +562,37 @@ def packed_layouts(draw):
     q = monomial(min(budget(cl) - sum(lead), budget(cu) - sum(u)))
     multiple = (cl, tuple(a + b for a, b in zip(lead, q)))
     terms += [(cl, lead), multiple, (cu, u)]
-    order = groebner._Order(n, shifts, EXPONENT_CAP, block_start)
-    return order, terms, (cl, lead), multiple, (cu, u), q
+    order = groebner._Order(n, shifts, top, block_start)
+    return n, top, order, terms, (cl, lead), multiple, (cu, u), q
+
+
+def _field_formula(n, shifts, top, block_start, term):
+    """The packed term of the module docstring, field by field from the least
+    significant: component, exponents (each under a guard bit), bias minus
+    shifted degree, block bit."""
+    c, m = term
+    cbits, v = max(len(shifts) - 1, 1).bit_length(), top.bit_length()
+    deg_at = cbits + n * (v + 1)
+    packed = c
+    for i, e in enumerate(m):
+        packed |= e << cbits + i * (v + 1)
+    packed |= top + min(shifts) - sum(m) - shifts[c] << deg_at
+    if block_start is not None and c >= block_start:
+        packed |= 1 << deg_at + v
+    return packed
 
 
 @settings(deadline=None, max_examples=200)
 @given(packed_layouts())
 def test_packed_terms_follow_the_order_and_divisibility(case):
-    order, terms, lead, multiple, u, q = case
+    n, top, order, terms, lead, multiple, u, q = case
     pack = order.pack
     for a in terms:
-        assert order.unpack(pack(a)) == a
+        packed = pack(a)
+        assert packed == _field_formula(n, order.shifts, top, order.block_start, a)
+        assert order.unpack(packed) == a
+        # the second calls read the tables the first ones filled
+        assert pack(a) == packed and order.unpack(packed) == a
         for b in terms:
             ka = _documented_key(a, order.shifts, order.block_start)
             kb = _documented_key(b, order.shifts, order.block_start)

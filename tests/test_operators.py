@@ -59,6 +59,17 @@ def test_adjoint_is_an_involution():
     assert adjoint(adjoint(op)) == op
 
 
+def test_adjoint_names_unwrap_only_a_whole_adjoint():
+    op = killing(3)
+    cc = compatibility_conditions(op)
+    both = compose(adjoint(op), adjoint(cc))
+    assert both.name == "ad(killing) o ad(cc(killing))"
+    assert adjoint(both).name == "ad(ad(killing) o ad(cc(killing)))"
+    assert adjoint(adjoint(both)).name == both.name
+    assert adjoint(adjoint(op)).name == "killing"
+    assert adjoint(adjoint(cc)).name == "cc(killing)"
+
+
 def test_adjoint_reverses_composition():
     rng = random.Random(23)
     a = rand_operator(rng, 2, 2, 3, 2, "a", "U", "V")
@@ -269,12 +280,14 @@ def test_compose_is_exact_beyond_the_exponent_cap():
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("builder", [killing, conformal_killing], ids=lambda b: b.__name__)
 def test_engine_built_conditions_equal_user_built_ones(builder, n, metric):
-    """Conditions are made from the engine's sparse vectors without ``Poly``'s
-    checks; they must equal what a user would build from the same rows, with
-    ``Fraction`` coefficients only (``Fraction(1) == 1`` hides an int)."""
+    """Conditions are made from the engine's integer vectors without
+    ``Poly``'s checks; they must equal what a user would build from the same
+    rows, with ``Fraction`` coefficients only (``Fraction(1) == 1`` hides an
+    int), and each row is handed on as ``(den, ints)``: ``den`` times its
+    ``Fraction`` cells, ``den`` their lcm, as converting the rows gives."""
     w = ConstantMetric.minkowski(n) if metric == "minkowski" else None
     for step in build_sequence(builder(n, w)).steps[1:]:
         cc = step.operator
@@ -282,7 +295,11 @@ def test_engine_built_conditions_equal_user_built_ones(builder, n, metric):
         pres = rows_presentation(cc)
         plain = GradedPresentation(cc.n, cc.source.dim, rows)
         assert pres == plain and hash(pres) == hash(plain)
-        assert pres._sparse == plain._sparse
+        assert pres._vectors == plain._vectors
+        assert pres._degrees == plain._degrees
+        for row in cc.rows:
+            den, ints = row.vector
+            assert ints == {(c, m): v * den for c, p in enumerate(row) for m, v in p.terms.items()}
         again = make_operator(cc.name, cc.n, cc.source, cc.target, rows)
         assert cc == again and hash(cc) == hash(again)
         cells = [p for row in cc.rows for p in row]
