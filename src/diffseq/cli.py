@@ -291,12 +291,12 @@ def main(argv=None):
         if args.command == "check":
             if args.n is not None and args.which != "golden-tables":
                 raise UsageError(f"check {args.which} takes no --n")
-            if args.n is not None and not 2 <= args.n <= 6:
-                raise UsageError(f"n must be between 2 and 6, got {args.n}")
-            ns = (args.n,) if args.n is not None else (2, 3, 4, 5)
+            frozen = tuple(sorted({n for _, n in golden.CHAINS}))
+            if args.n is not None and args.n not in frozen:
+                raise UsageError(f"no frozen values exist for n={args.n}; "
+                                 f"they exist for n={frozen[0]}..{frozen[-1]}")
+            ns = (args.n,) if args.n is not None else frozen
             lines, ok, summary = _run_check(args.which, ns)
-            if not lines:
-                raise UsageError(f"no frozen values exist for n={args.n}")
             if (fmt or "markdown") == "json":
                 _emit(serialize.dumps(_check_dict(args.which, lines, ok, summary)))
             else:

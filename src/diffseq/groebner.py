@@ -89,8 +89,7 @@ ORDER_TAG = "degrevlex, term over position, low component wins ties"
 class _Row(tuple):
     """A generator row of ``Poly`` made by the engines.  ``vector`` is
     ``(den, {(component, monomial): int})``: the row times ``den``, the lcm of
-    its denominators.  ``grading`` is ``(shifts, degree)`` for a row made
-    homogeneous under ``shifts``, else None."""
+    its denominators."""
 
 
 def _vector(row):
@@ -100,7 +99,7 @@ def _vector(row):
     return _integral({(c, m): v for c, p in enumerate(row) for m, v in p.terms.items()})
 
 
-def _packed_row(den, vec, order, rank, n, start=0, grading=None):
+def _packed_row(den, vec, order, rank, n, start=0):
     """The ``_Row`` of the packed integer vector ``vec`` over ``den > 0``, with
     components counted from ``start``.  Its ``Fraction`` cells and its integer
     vector are made in one pass, without ``Poly``'s per-term checks; zero
@@ -122,7 +121,7 @@ def _packed_row(den, vec, order, rank, n, start=0, grading=None):
             cell.n, cell.terms = n, {}
         cell.terms[m] = Fraction(v, den)
     row = _Row(cells)
-    row.vector, row.grading = (den, ints), grading
+    row.vector = (den, ints)
     return row
 
 
@@ -195,10 +194,8 @@ class GradedPresentation:
 
     ``_vectors`` holds one integer vector ``(den, {(c, m): int})`` per
     generator, an engine-made row's own or converted once here, and
-    ``_degrees`` their shifted degrees; the engines read both and never
-    mutate them.  A row made homogeneous under shifts that differ from these
-    by a constant keeps its degree, moved by that constant; any other row is
-    checked here."""
+    ``_degrees`` their shifted degrees, checked here; the engines read both
+    and never mutate them."""
 
     n: int
     ambient_rank: int
@@ -206,32 +203,23 @@ class GradedPresentation:
     shifts: tuple = None
 
     def __post_init__(self):
-        shifts = self.shifts if self.shifts is not None else (0,) * self.ambient_rank
-        object.__setattr__(self, "shifts", tuple(shifts))
+        shifts = tuple(self.shifts if self.shifts is not None else (0,) * self.ambient_rank)
+        object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "generators", tuple(
             g if isinstance(g, _Row) else tuple(g) for g in self.generators))
-        if len(self.shifts) != self.ambient_rank:
+        if len(shifts) != self.ambient_rank:
             raise ValueError("one shift per ambient component required")
         vectors, degrees = [], []
-        made = offset = None
         for i, g in enumerate(self.generators):
             if len(g) != self.ambient_rank:
                 raise ValueError("generator arity does not match ambient rank")
             vec = _vector(g)
-            grading = getattr(g, "grading", None)
-            if grading is not None and grading[0] is not made:
-                made = grading[0]
-                offset = {b - a for a, b in zip(made, self.shifts)}
-                offset = offset.pop() if len(offset) == 1 else None
-            if grading is not None and offset is not None:
-                degrees.append(grading[1] + offset)
-            else:
-                if not vec[1]:
-                    raise GeneratorError(f"row {i} is zero")
-                degs = {sum(m) + self.shifts[c] for (c, m) in vec[1]}
-                if len(degs) > 1:
-                    raise GeneratorError(f"row {i} mixes shifted degrees {sorted(degs)}")
-                degrees.append(degs.pop())
+            if not vec[1]:
+                raise GeneratorError(f"row {i} is zero")
+            degs = {sum(m) + shifts[c] for (c, m) in vec[1]}
+            if len(degs) > 1:
+                raise GeneratorError(f"row {i} mixes shifted degrees {sorted(degs)}")
+            degrees.append(degs.pop())
             vectors.append(vec)
         object.__setattr__(self, "_vectors", tuple(vectors))
         object.__setattr__(self, "_degrees", tuple(degrees))
@@ -438,8 +426,7 @@ class ModuleGB:
         An element never reduces its own tail, which lies below its lead.
         Under an elimination order only elements led from ``block_start`` on
         are kept: all their terms lie there, where no other lead divides them,
-        and their components are counted from there.  Each row is graded by
-        the shifts from there on and the degree of its lead.
+        and their components are counted from there.
         """
         self.complete()
         order = self.order
@@ -453,13 +440,9 @@ class ModuleGB:
                 scale, red = _reduce_sparse(tail, keep, order)
                 final.append((lead, lc * scale, red))
         final.sort(key=lambda e: e[0], reverse=True)
-        shifts = order.shifts[start:]
-        rows = []
-        for lead, den, red in final:
-            c, m = order.unpack(lead)
-            rows.append(_packed_row(den, {lead: den, **red}, order, len(shifts), self.n,
-                                    start, (shifts, sum(m) + order.shifts[c])))
-        return rows
+        rank = len(order.shifts) - start
+        return [_packed_row(den, {lead: den, **red}, order, rank, self.n, start)
+                for lead, den, red in final]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ class OperatorMatrix:
     @property
     def order(self):
         """Largest total degree appearing in the symbol (zero operator: 0)."""
-        return max((sum(m) for r in self.rows for _, m in groebner._vector(r)[1]), default=0)
+        return max((sum(m) for r in self.rows for p in r for m in p.terms), default=0)
 
     def is_zero(self):
         return not any(groebner._vector(r)[1] for r in self.rows)

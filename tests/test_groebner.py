@@ -254,7 +254,7 @@ def test_presentations_with_no_generators_have_empty_results():
     assert minimal_syzygies(pres).generators == ()
 
 
-def test_engine_rows_keep_their_degree_only_under_uniformly_moved_shifts():
+def test_engine_rows_are_graded_by_the_presentation_shifts():
     x1, x2 = _vars(2)
     syz = syzygies(GradedPresentation(n=2, ambient_rank=1, generators=((x1,), (x2 * x2,))))
     assert syz.shifts == (1, 2) and syz._degrees == (3,)
