@@ -79,17 +79,27 @@ class BundleBasis:
 
     def dual(self):
         """Adjoint-side relabeling; applying it twice returns the original."""
-        if self.label.startswith("ad(") and self.label.endswith(")"):
-            new = self.label[3:-1]
-        else:
-            new = f"ad({self.label})"
-        return BundleBasis(label=new, n=self.n, element_labels=self.element_labels)
+        return BundleBasis(label=dual_label(self.label), n=self.n,
+                           element_labels=self.element_labels)
 
     def from_ambient(self, ambient_vec):
         """Coordinates of an ambient vector assumed to satisfy the constraints."""
         if self.is_free:
             return list(ambient_vec)
         return [ambient_vec[c] for c in self.free_columns]
+
+
+def dual_label(label):
+    """The adjoint side of an operator name or a bundle label: ``ad(x)``
+    unwraps to ``x`` only when its parenthesis closes at the end, so
+    ``ad(a) o ad(b)``, a composition, becomes ``ad(ad(a) o ad(b))``."""
+    inner, depth = label[3:-1], 0
+    for ch in inner:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+    whole = label.startswith("ad(") and label.endswith(")") and depth == 0
+    return inner if whole else f"ad({label})"
 
 
 def free_basis(label, n, element_labels):
@@ -433,31 +443,23 @@ def perm_sign(seq):
     return sign
 
 
-def eps_contraction_matrix(n=4):
+def eps_contraction_matrix():
     """Rows: directions l; columns: sorted triples; entry eps(l, triple).
 
     Realizes the volume-form relabeling L^3 T* -> T at n = 4 with
     eps_{1234} = +1; the matrix is a signed permutation and composing with
     its transpose gives the identity.
     """
-    if n != 4:
-        raise ValueError("volume relabeling implemented for n = 4")
-    triples = ext_tuples(n, 3)
-    mat = []
-    for l in range(1, n + 1):
-        mat.append([Fraction(perm_sign((l,) + t)) for t in triples])
-    return mat
+    return [[Fraction(perm_sign((l,) + t)) for t in ext_tuples(4, 3)] for l in range(1, 5)]
 
 
-def pair_complement_matrix(n=4):
-    """Signed involution of sorted pairs: (a,b) -> eps(a,b,k,l) (k,l)."""
-    if n != 4:
-        raise ValueError("pair complement implemented for n = 4")
-    pairs = ext_tuples(n, 2)
+def pair_complement_matrix():
+    """Signed involution of sorted pairs at n = 4: (a,b) -> eps(a,b,k,l) (k,l)."""
+    pairs = ext_tuples(4, 2)
     return [[Fraction(perm_sign(p + q)) for q in pairs] for p in pairs]
 
 
-def bianchi_to_potential_relabel(n=4):
+def bianchi_to_potential_relabel():
     """Signed permutation carrying the second-identity space onto the
     cyclic potential space at n = 4.
 
@@ -465,7 +467,7 @@ def bianchi_to_potential_relabel(n=4):
     contraction on the form factor; basis order is pair-major on both
     sides, matching the ambient orders of the two constrained spaces.
     """
-    return kron(pair_complement_matrix(n), eps_contraction_matrix(n))
+    return kron(pair_complement_matrix(), eps_contraction_matrix())
 
 
 def kron(a, b):

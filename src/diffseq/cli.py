@@ -245,7 +245,7 @@ def _read_document(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return serialize.loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 

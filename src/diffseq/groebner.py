@@ -14,14 +14,15 @@ syzygy module.
 Completion is staged by degree.  Since all inputs are homogeneous, the basis
 completed through all S-pairs of degree <= d decides membership for any
 vector of degree <= d; ``minimal_graded_generators`` leans on that to filter
-candidates in one ascending sweep (graded Nakayama).  It skips that sweep
-when told its input is a reduced basis lying in one degree d, as
-``minimal_syzygies`` does for the chain steps: the leads are distinct and
-divide no term of another element, and the S-pairs of two degree-d
-elements lie above d, so the sweep would keep every element as its own
-normal form and meet no cap that ``syzygies`` did not.  A reduced basis
-in one degree is already minimal (Eisenbud, "The Geometry of Syzygies",
-2005, ch. 1).
+candidates in one ascending sweep (graded Nakayama).  It reads off its input
+when that sweep would keep every generator and builds no basis then: the
+generators lie in one degree d and their leads are pairwise distinct.  Of
+one degree, a lead divides another only when the two are equal, so each
+generator reduces to a nonzero vector with its own lead, and every S-pair
+lies above d.  The generators are independent over Q, and nothing of lower
+degree can generate them, so they are minimal (Eisenbud, "The Geometry of
+Syzygies", 2005, ch. 1).  A reduced basis in one degree, as ``syzygies``
+returns at most chain steps, is such an input.
 
 The completion runs on integers: basis elements are primitive with a
 positive lead, S-pairs are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads
@@ -497,19 +498,19 @@ def syzygies(pres):
     )
 
 
-def minimal_graded_generators(pres, reduced=False):
+def minimal_graded_generators(pres):
     """Greedy minimal generating subset, ascending by degree (graded Nakayama).
 
     An element is kept exactly when it is not a combination of elements kept
     before it; processing degrees in increasing order makes the count per
     degree equal to dim M_d / (R_+ M)_d, which is the minimal possible.
-    ``reduced``: the generators are a reduced basis (as ``syzygies`` returns
-    them), so in one degree all are kept with no completion.
+    Generators in one degree with distinct leads are all kept with no
+    completion (see the module docstring).
     """
-    vectors = pres._vectors
+    vectors, degrees = pres._vectors, pres._degrees
     decorated = sorted(((deg, _canonical_rep(v)), i)
-                       for i, (deg, v) in enumerate(zip(pres._degrees, vectors)))
-    if reduced and len(set(pres._degrees)) <= 1:
+                       for i, (deg, v) in enumerate(zip(degrees, vectors)))
+    if len(set(degrees)) <= 1 and _distinct_leads(pres):
         kept = [pres.generators[i] for _, i in decorated]
     else:
         gb = ModuleGB(pres.n, pres.shifts)
@@ -526,10 +527,18 @@ def minimal_graded_generators(pres, reduced=False):
     )
 
 
-def minimal_syzygies(pres):
-    """``minimal_graded_generators(syzygies(pres))``: the same rows in the same
-    order, with no second completion when the syzygies lie in one degree."""
-    return minimal_graded_generators(syzygies(pres), reduced=True)
+def _distinct_leads(pres):
+    """Are the leads of ``pres``'s generators, all of one degree, pairwise
+    distinct under the order of a ``ModuleGB`` on ``pres``?  A malformed cap
+    setting or a degree above the exponent cap raises as that basis would."""
+    degree_cap()
+    degs = pres._degrees
+    if degs and degs[0] > EXPONENT_CAP + min(pres.shifts):
+        raise ExponentCapExceeded(f"degree {degs[0]} allows exponents above {EXPONENT_CAP}")
+    order = _Order(pres.n, pres.shifts, EXPONENT_CAP)
+    comp, mono = order.comp, order.mono
+    leads = {min(comp[c] + mono[m] for c, m in vec) for _, vec in pres._vectors}
+    return len(leads) == len(pres._vectors)
 
 
 def module_equality(a, b):

@@ -2,8 +2,8 @@
 
 Elimination works on sparse rows (``dict`` column -> ``int`` or ``Fraction``)
 because the constraint and delta matrices handled here are large but very
-sparse.  Small dense helpers (products, inverses, determinants) operate on
-lists of lists of Fractions.
+sparse.  Small dense helpers (products, inverses) operate on lists of
+lists of Fractions.
 
 All sparse elimination goes through one forward pass, ``_echelon``.  Each
 input row that is not all ``int`` is scaled by the lcm of its denominators,
@@ -206,25 +206,6 @@ def invert(a):
     if len(pivot_cols) < k:
         raise ZeroDivisionError("singular matrix")
     return [[row.get(k + j, ZERO) for j in range(k)] for row in reduced]
-
-
-def det(a):
-    """Exact determinant by one Gaussian elimination, negated per row swap;
-    raises on singular input."""
-    m = [[Fraction(v) for v in row] for row in a]
-    out = ONE
-    for i in range(len(m)):
-        p = next((r for r in range(i, len(m)) if m[r][i]), None)
-        if p is None:
-            raise ZeroDivisionError("singular matrix")
-        if p != i:
-            m[i], m[p], out = m[p], m[i], -out
-        piv = m[i]
-        out *= piv[i]
-        for row in m[i + 1:]:
-            f = row[i] / piv[i]
-            row[i:] = [x - f * y for x, y in zip(row[i:], piv[i:])]
-    return out
 
 
 def dense_rank(a):

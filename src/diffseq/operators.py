@@ -13,7 +13,7 @@ works on this symbol matrix with exact rational arithmetic.
 from math import lcm
 
 from . import groebner
-from .bundles import BundleBasis, free_basis
+from .bundles import BundleBasis, dual_label, free_basis
 from .config import record
 from .poly import Poly
 
@@ -121,22 +121,12 @@ def adjoint(op):
     Sources and targets swap and pick up the dual relabeling, so applying
     the adjoint twice returns an operator equal to the original.
     """
-    n = op.n
     rows = tuple(
         tuple(op.rows[i][j].negate_vars() for i in range(op.target.dim))
         for j in range(op.source.dim))
-    # ``ad(x)`` unwraps only when its parenthesis closes at the end: the
-    # name ``ad(a) o ad(b)`` is a composition, not an adjoint
-    inner, depth = op.name[3:-1], 0
-    for ch in inner:
-        depth += (ch == "(") - (ch == ")")
-        if depth < 0:
-            break
-    whole = op.name.startswith("ad(") and op.name.endswith(")") and depth == 0
-    name = inner if whole else f"ad({op.name})"
     return OperatorMatrix(
-        name=name, n=n, source=op.target.dual(), target=op.source.dual(),
-        rows=rows)
+        name=dual_label(op.name), n=op.n, source=op.target.dual(),
+        target=op.source.dual(), rows=rows)
 
 
 def rows_presentation(op):
@@ -154,7 +144,7 @@ def compatibility_conditions(op):
     Any operator annihilating the image of ``op`` factors through the
     returned one; composing it with ``op`` gives the exact zero matrix.
     """
-    gens = groebner.minimal_syzygies(rows_presentation(op))
+    gens = groebner.minimal_graded_generators(groebner.syzygies(rows_presentation(op)))
     k = len(gens.generators)
     target = free_basis(f"CC({op.target.label})", op.n,
                         [f"q{i}" for i in range(1, k + 1)])

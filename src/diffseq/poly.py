@@ -238,8 +238,7 @@ class Poly:
 
 
 class ConstantMetric:
-    """Symmetric nondegenerate rational matrix with cached inverse; ``det``
-    is computed on access, since set-up needs only the inverse."""
+    """Symmetric nondegenerate rational matrix with cached inverse."""
 
     __slots__ = ("n", "entries", "inverse", "name")
 
@@ -257,10 +256,6 @@ class ConstantMetric:
         inv = linalg.invert([list(r) for r in rows])
         self.inverse = tuple(tuple(v for v in row) for row in inv)
         self.name = name
-
-    @property
-    def det(self):
-        return linalg.det(self.entries)
 
     @classmethod
     @lru_cache(maxsize=None)

@@ -381,7 +381,7 @@ def parametrization_generators(op):
         for j in range(op.source.dim))
     pres = groebner.GradedPresentation(
         n=op.n, ambient_rank=op.target.dim, generators=cols)
-    gens = groebner.minimal_syzygies(pres)
+    gens = groebner.minimal_graded_generators(groebner.syzygies(pres))
     k = len(gens.generators)
     src = bundles.free_basis(f"P({op.source.label})", op.n,
                              [f"p{i}" for i in range(1, k + 1)])
@@ -554,7 +554,7 @@ def _double_trace_matrix(n, w):
     return rows
 
 
-def trace_contraction_check(n=4, metric=None):
+def trace_contraction_check(metric=None):
     """Verify the contracted second identity and the relabeled trace arrow.
 
     Part one: the double metric trace of the second identity, applied to
@@ -563,9 +563,9 @@ def trace_contraction_check(n=4, metric=None):
     Part two: on the value space, the same double trace factors through the
     signed relabeling onto the potential space as a constant multiple of the
     potential trace L_i = w^{jk} L_{ij,k}; the constant is recorded.
+    Implemented at n = 4, where the relabeling exists.
     """
-    if n != 4:
-        raise ValueError("implemented for n = 4")
+    n = 4
     w = resolve_metric(n, metric)
     b_space = bianchi_candidate_space(n, w)
     tau_amb = _double_trace_matrix(n, w)
@@ -600,7 +600,7 @@ def trace_contraction_check(n=4, metric=None):
     identity_ok = lhs.rows == rhs.rows
 
     l_space = lanczos_constraint_space(n)
-    relabel = bundles.bianchi_to_potential_relabel(n)
+    relabel = bundles.bianchi_to_potential_relabel()
     img = linalg.mat_mul(relabel, a_b)
     for crow in bundles.constraint_rows(l_space):
         for jdx in range(b_space.dim):

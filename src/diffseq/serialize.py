@@ -94,11 +94,14 @@ def document_to_operator(doc):
             if i >= target.dim or j >= source.dim or (i, j) in seen:
                 raise DocumentError(f"entry ({i},{j}) repeated or outside the matrix shape")
             seen.add((i, j))
-            p = Poly.zero(n)
+            p, exps = Poly.zero(n), set()
             for term in entry["terms"]:
                 exp = tuple(_integer(e, "exponent") for e in term["exp"])
                 if len(exp) != n:
                     raise DocumentError(f"bad exponent list {term['exp']!r}")
+                if exp in exps:
+                    raise DocumentError(f"exponent {list(exp)} repeated in entry ({i},{j})")
+                exps.add(exp)
                 p = p + Poly.monomial(n, exp, _parse_coef(term["coef"]))
             rows[i][j] = p
         name = str(doc.get("name", "operator"))

@@ -9,7 +9,9 @@ from diffseq.bundles import (
     bianchi_candidate_space,
     constrained_basis,
     constraint_rows,
+    dual_label,
     eps_contraction_matrix,
+    free_basis,
     ext_space,
     lanczos_constraint_space,
     pair_complement_matrix,
@@ -111,14 +113,23 @@ def test_split_riemann_dimension_bookkeeping():
 
 
 def test_eps_contraction_is_orthogonal():
-    e = eps_contraction_matrix(4)
+    e = eps_contraction_matrix()
     et = [list(col) for col in zip(*e)]
     assert linalg.mat_mul(e, et) == linalg.identity(4)
 
 
 def test_pair_complement_is_an_involution():
-    p = pair_complement_matrix(4)
+    p = pair_complement_matrix()
     assert linalg.mat_mul(p, p) == linalg.identity(6)
+
+
+def test_dual_unwraps_only_a_whole_adjoint_label():
+    composed = free_basis("ad(T) o ad(S)", 2, ["a", "b"])
+    assert composed.dual().label == "ad(ad(T) o ad(S))"
+    assert composed.dual().dual() == composed
+    assert free_basis("ad(T)", 2, ["a"]).dual().label == "T"
+    for label in ("T", "ad(T)", "ad(T) o ad(S)", "ad(ad(T) o ad(S))", "S2(T*)"):
+        assert dual_label(dual_label(label)) == label
 
 
 def test_spaces_are_cached_and_hashable():

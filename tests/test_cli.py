@@ -197,6 +197,29 @@ def test_malformed_document_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+def test_undecodable_document_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bytes.json"
+    bad.write_bytes(b"\xff\xfe{")
+    for command in ("adjoint", "cc"):
+        code, stdout = run_cli([command, str(bad)])
+        assert (code, stdout) == (2, "")
+        assert capsys.readouterr().err.startswith(f"diffseq: cannot read {bad}: ")
+
+
+def test_adjoint_wraps_a_composed_label_and_a_second_adjoint_restores_it(tmp_path):
+    _, out = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(out)
+    doc["source"]["label"] = "ad(T) o ad(S)"
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, adj = run_cli(["adjoint", str(path)])
+    assert code == 0
+    assert json.loads(adj)["target"]["label"] == "ad(ad(T) o ad(S))"
+    path.write_text(adj, encoding="utf-8")
+    code, back = run_cli(["adjoint", str(path)])
+    assert code == 0 and json.loads(back) == doc
+
+
 def test_json_and_markdown_flags_conflict():
     code, _ = run_cli(["sequence", "killing", "--n", "3",
                        "--json", "--markdown"])
@@ -227,8 +250,10 @@ def _edit(doc, path, value):
     (("source", "elements"), "abc"),                   # string, not a list
     (("source", "label"), 5),                          # label not a string
     (("entries",), APPEND),                            # repeated (row, col)
+    (("entries", 0, "terms"), APPEND),                 # repeated exp in one entry
 ], ids=["n-string", "coef-float", "exp-float", "row-float", "n-float",
-        "col-bool", "elements-string", "label-number", "duplicate-entry"])
+        "col-bool", "elements-string", "label-number", "duplicate-entry",
+        "duplicate-exponent"])
 def test_malformed_document_fields_exit_two(tmp_path, capsys, path, value):
     _, out = run_cli(["build", "killing", "--n", "2"])
     doc = json.loads(out)

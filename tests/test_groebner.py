@@ -15,18 +15,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diffseq import groebner, linalg
-from diffseq.config import EXPONENT_CAP, DegreeCapExceeded, ExponentCapExceeded
+from diffseq.config import EXPONENT_CAP, ConfigError, DegreeCapExceeded, ExponentCapExceeded
 from diffseq.groebner import (
     GradedPresentation,
     generic_rank,
     minimal_graded_generators,
-    minimal_syzygies,
     module_equality,
     normal_form,
     reduced_groebner,
     syzygies,
 )
-from diffseq.operators import rows_presentation
+from diffseq.operators import compatibility_conditions, rows_presentation
 from diffseq.poly import ConstantMetric, Poly, mono_divides, mono_key
 from diffseq.sequences import build_sequence, conformal_killing, killing
 
@@ -251,7 +250,6 @@ def test_presentations_with_no_generators_have_empty_results():
     assert (syz.ambient_rank, syz.generators, syz.shifts) == (0, (), ())
     assert reduced_groebner(pres).elements == ()
     assert minimal_graded_generators(pres).generators == ()
-    assert minimal_syzygies(pres).generators == ()
 
 
 def test_engine_rows_are_graded_by_the_presentation_shifts():
@@ -360,10 +358,24 @@ def test_pair_counters_summed_over_a_chain_build(monkeypatch, builder, want):
     assert total == want
 
 
-def test_minimal_syzygies_match_minimal_generators_of_syzygies():
+def _reference_minimal_generators(pres):
+    """The sweep with no shortcut: ascending by (degree, canonical row), a
+    generator is kept when the basis of those kept before it, completed
+    through its degree, does not reduce it to zero."""
+    gb = groebner.ModuleGB(pres.n, pres.shifts)
+    kept = []
+    for (deg, _), i in sorted(((deg, groebner._canonical_rep(v)), i) for i, (deg, v)
+                              in enumerate(zip(pres._degrees, pres._vectors))):
+        gb.ensure_degree(deg)
+        if gb.add(pres._vectors[i][1]):
+            kept.append(pres.generators[i])
+    return tuple(kept)
+
+
+def test_minimal_generators_match_the_reference_sweep():
     for pres in _seeded_presentations():
-        assert (minimal_syzygies(pres).generators
-                == minimal_graded_generators(syzygies(pres)).generators)
+        for p in (pres, syzygies(pres)):
+            assert minimal_graded_generators(p).generators == _reference_minimal_generators(p)
 
 
 @pytest.mark.parametrize("builder", [killing, conformal_killing])
@@ -371,41 +383,72 @@ def test_minimal_syzygies_match_on_every_chain_step(builder):
     for n in range(3, 7):
         for metric in (None, ConstantMetric.minkowski(n)):
             for step in build_sequence(builder(n, metric)).steps:
-                pres = rows_presentation(step.operator)
-                assert (minimal_syzygies(pres).generators
-                        == minimal_graded_generators(syzygies(pres)).generators)
+                syz = syzygies(rows_presentation(step.operator))
+                assert (minimal_graded_generators(syz).generators
+                        == _reference_minimal_generators(syz))
+
+
+def test_one_degree_input_with_a_repeated_lead_is_swept(monkeypatch):
+    x1, x2 = _vars(2)
+    a, b = (x1 * x1, x2 * x2), (x1 * x1 + x1 * x2, Poly.zero(2))
+    # a and b both lead with x1^2 e0, and the third row is a - b
+    pres = GradedPresentation(n=2, ambient_rank=2, generators=(
+        a, b, (a[0] - b[0], a[1] - b[1])))
+    assert set(pres._degrees) == {2}
+    made = _recording_bases(monkeypatch)
+    out = minimal_graded_generators(pres).generators
+    assert len(made) == 1 and len(out) == 2
+    assert out == _reference_minimal_generators(pres)
+
+
+def test_one_degree_input_above_the_exponent_cap_raises():
+    big = Poly.monomial(2, (EXPONENT_CAP + 1, 0), Fraction(1))
+    pres = GradedPresentation(n=2, ambient_rank=1, generators=((big,),))
+    with pytest.raises(ExponentCapExceeded):
+        minimal_graded_generators(pres)
+    with pytest.raises(ExponentCapExceeded):
+        _reference_minimal_generators(pres)
+
+
+def test_one_degree_input_reads_the_degree_cap_setting(monkeypatch):
+    pres = rows_presentation(killing(3))
+    assert len(set(pres._degrees)) == 1
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "abc")
+    for call in (minimal_graded_generators, _reference_minimal_generators):
+        with pytest.raises(ConfigError):
+            call(pres)
 
 
 def _recording_minimal_generators(monkeypatch):
     calls = []
 
-    def recording(p, reduced=False):
+    def recording(p):
         calls.append(p)
-        return minimal_graded_generators(p, reduced)
+        return minimal_graded_generators(p)
 
     monkeypatch.setattr(groebner, "minimal_graded_generators", recording)
     return calls
 
 
 def test_one_degree_syzygies_build_one_basis(monkeypatch):
-    pres = rows_presentation(killing(4))
-    syz = syzygies(pres)
+    op = killing(4)
+    syz = syzygies(rows_presentation(op))
     assert set(syz._degrees) == {3}
     calls = _recording_minimal_generators(monkeypatch)
     made = _recording_bases(monkeypatch)
-    assert len(minimal_syzygies(pres).generators) == 20
+    assert compatibility_conditions(op).target.dim == 20
     assert calls == [syz] and len(made) == 1
 
 
 def test_mixed_degree_syzygies_are_filtered_by_minimal_generators(monkeypatch):
-    pres = rows_presentation(conformal_killing(4))
-    syz = syzygies(pres)
+    op = conformal_killing(4)
+    syz = syzygies(rows_presentation(op))
     assert sorted(syz._degrees) == [3] * 10 + [4] * 6
     calls = _recording_minimal_generators(monkeypatch)
     made = _recording_bases(monkeypatch)
-    out = minimal_syzygies(pres)
+    out = compatibility_conditions(op)
     assert calls == [syz] and len(made) == 2
-    assert out._degrees == (3,) * 10
+    assert out.target.dim == 10 and out.order == 2
 
 
 def test_basis_elements_are_primitive_integer_vectors():

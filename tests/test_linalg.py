@@ -119,37 +119,6 @@ def test_invert_rejects_a_singular_matrix():
         linalg.invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 
 
-def test_det_rejects_a_singular_matrix():
-    with pytest.raises(ZeroDivisionError):
-        linalg.det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    assert linalg.det(a) == 5
-
-
-def cofactor_det(a):
-    """Determinant by cofactor expansion along the first row."""
-    if not a:
-        return 1
-    return sum((-1) ** j * a[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in a[1:]])
-               for j in range(len(a)))
-
-
-def test_det_matches_cofactor_expansion():
-    rng = random.Random(41)
-    singular = 0
-    for _ in range(60):
-        k = rng.randint(1, 5)
-        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
-        want = cofactor_det(a)
-        if want == 0:
-            singular += 1
-            with pytest.raises(ZeroDivisionError):
-                linalg.det(a)
-        else:
-            assert linalg.det(a) == want
-    assert 0 < singular < 60
-
-
 def reference_rref(rows, ncols):
     """Dense Gauss-Jordan over Fraction: (reduced nonzero rows, pivot columns)."""
     mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
