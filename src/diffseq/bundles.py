@@ -16,7 +16,7 @@ constraint ranks, never assumed.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 
 from . import linalg
 from .config import record
@@ -89,17 +89,20 @@ class BundleBasis:
         return [ambient_vec[c] for c in self.free_columns]
 
 
+def balanced(label):
+    """Does every parenthesis of ``label`` close, and none close unopened?"""
+    depths = [0, *accumulate((ch == "(") - (ch == ")") for ch in label)]
+    return min(depths) == 0 == depths[-1]
+
+
 def dual_label(label):
     """The adjoint side of an operator name or a bundle label: ``ad(x)``
     unwraps to ``x`` only when its parenthesis closes at the end, so
-    ``ad(a) o ad(b)``, a composition, becomes ``ad(ad(a) o ad(b))``."""
-    inner, depth = label[3:-1], 0
-    for ch in inner:
-        depth += (ch == "(") - (ch == ")")
-        if depth < 0:
-            break
-    whole = label.startswith("ad(") and label.endswith(")") and depth == 0
-    return inner if whole else f"ad({label})"
+    ``ad(a) o ad(b)``, a composition, becomes ``ad(ad(a) o ad(b))``.  A
+    second call undoes the first on ``balanced`` labels other than
+    ``ad(ad(x))``, but not on others: ``a(`` gives ``ad(a()``, then ``ad(ad(a())``."""
+    whole = label.startswith("ad(") and label.endswith(")") and balanced(label[3:-1])
+    return label[3:-1] if whole else f"ad({label})"
 
 
 def free_basis(label, n, element_labels):

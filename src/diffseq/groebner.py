@@ -28,14 +28,15 @@ The completion runs on integers: basis elements are primitive with a
 positive lead, S-pairs are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads
 ``la``, ``lb`` with gcd ``g``, and reduction is pseudo-reduction to a
 remainder of ``scale * vec`` (Greuel & Pfister, "A Singular Introduction to
-Commutative Algebra", 2008).  A row goes in and comes out as one integer
-vector ``(den, {(component, monomial): int})``, the row times ``den``, the
-lcm of its denominators.  ``GradedPresentation`` takes it from a row the
-engines made (a ``_Row``, which carries it) and converts any other row once.
-``reduced_elements`` makes each basis element, monic, as a ``_Row``, with
-its ``Fraction`` cells and its integer vector built in one pass.  So a
-syzygy step hands its rows to the next step as integer vectors, and
-``operators.compose`` multiplies those vectors.
+Commutative Algebra", 2008).  A generator is stored as one integer vector
+``(den, {(component, monomial): int})``, the row times ``den``, in lowest
+terms: ``den`` and the entries share no factor, so ``den`` is the lcm of the
+row's denominators and equal rows have equal vectors.  ``GradedPresentation``
+converts a row of ``Poly`` cells once, and ``_presentation`` takes the
+vectors the engines make: ``reduced_elements`` unpacks each basis element,
+monic, straight to its vector.  So a syzygy step hands its rows to the next
+step, and to ``operators``, as integer vectors, and ``Poly`` cells are made
+only when a caller reads ``generators`` (``_cells``).
 
 Inside the engine a term is one int (Monagan & Pearce, J. Symb. Comp. 46,
 2011).  Its fields, from the least significant: component, m[0]..m[n-1],
@@ -85,45 +86,37 @@ ORDER_TAG = "degrevlex, term over position, low component wins ties"
 
 
 # ---------------------------------------------------------------------------
-# rows: tuples of Poly, each made with its integer vector
+# rows: integer vectors, with Poly cells at the edges
 
-class _Row(tuple):
-    """A generator row of ``Poly`` made by the engines.  ``vector`` is
-    ``(den, {(component, monomial): int})``: the row times ``den``, the lcm of
-    its denominators."""
-
-
-def _vector(row):
-    """The integer vector of a row of ``Poly``: a ``_Row``'s own, else made here."""
-    if isinstance(row, _Row):
-        return row.vector
-    return _integral({(c, m): v for c, p in enumerate(row) for m, v in p.terms.items()})
+def _row_vector(row):
+    """The integer vector of a row given as one ``{monomial: rational}`` per
+    component, such as its ``Poly`` cells' ``terms``."""
+    return _integral({(c, m): v for c, terms in enumerate(row) for m, v in terms.items()})
 
 
-def _packed_row(den, vec, order, rank, n, start=0):
-    """The ``_Row`` of the packed integer vector ``vec`` over ``den > 0``, with
-    components counted from ``start``.  Its ``Fraction`` cells and its integer
-    vector are made in one pass, without ``Poly``'s per-term checks; zero
-    cells share one zero ``Poly``."""
-    g = gcd(den, *vec.values())
-    if g != 1:
-        den //= g
-        vec = {t: v // g for t, v in vec.items()}
-    unpack = order.unpack
+def _lowest_terms(den, ints):
+    """``(den, ints)`` divided through by the gcd of ``den`` and the entries."""
+    g = gcd(den, *ints.values())
+    if g == 1:
+        return den, ints
+    return den // g, {t: v // g for t, v in ints.items()}
+
+
+def _unpacked(den, vec, order, start=0):
+    """The integer vector, in lowest terms, of the packed vector ``vec`` over
+    ``den > 0``, with components counted from ``start``."""
+    den, vec = _lowest_terms(den, vec)
+    cmask, cbits, fmask, exps = order.cmask, order.cbits, order.fmask, order.exps
+    return den, {((t & cmask) - start, exps[t >> cbits & fmask]): v for t, v in vec.items()}
+
+
+def _cells(n, rank, vector):
+    """The row of ``Poly`` cells of an integer vector; zero cells share one."""
+    den, cells = vector[0], {}
+    for (c, m), v in vector[1].items():
+        cells.setdefault(c, {})[m] = Fraction(v, den)
     zero = Poly.zero(n)
-    cells, ints = [zero] * rank, {}
-    for t, v in vec.items():
-        c, m = unpack(t)
-        c -= start
-        ints[c, m] = v
-        cell = cells[c]
-        if cell is zero:
-            cell = cells[c] = Poly.__new__(Poly)
-            cell.n, cell.terms = n, {}
-        cell.terms[m] = Fraction(v, den)
-    row = _Row(cells)
-    row.vector = (den, ints)
-    return row
+    return tuple(Poly(n, cells[c]) if c in cells else zero for c in range(rank))
 
 
 def _canonical_rep(vector):
@@ -194,9 +187,10 @@ class GradedPresentation:
     """Homogeneous generators of a graded submodule of R^ambient_rank.
 
     ``_vectors`` holds one integer vector ``(den, {(c, m): int})`` per
-    generator, an engine-made row's own or converted once here, and
-    ``_degrees`` their shifted degrees, checked here; the engines read both
-    and never mutate them."""
+    generator and ``_degrees`` their shifted degrees, checked here; the
+    engines read both and never mutate them.  A presentation made from rows
+    of ``Poly`` converts each row once and keeps the rows as ``generators``;
+    one the engines make (``_presentation``) makes them on first read."""
 
     n: int
     ambient_rank: int
@@ -204,26 +198,42 @@ class GradedPresentation:
     shifts: tuple = None
 
     def __post_init__(self):
+        rows = self.__dict__["generators"] = tuple(map(tuple, self.generators))
+        if any(len(g) != self.ambient_rank for g in rows):
+            raise ValueError("generator arity does not match ambient rank")
+        self._check([_row_vector(p.terms for p in g) for g in rows])
+
+    def _check(self, vectors):
+        """Set ``shifts``, ``_vectors`` and ``_degrees``: every term of a row
+        must have the row's shifted degree."""
         shifts = tuple(self.shifts if self.shifts is not None else (0,) * self.ambient_rank)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "generators", tuple(
-            g if isinstance(g, _Row) else tuple(g) for g in self.generators))
         if len(shifts) != self.ambient_rank:
             raise ValueError("one shift per ambient component required")
-        vectors, degrees = [], []
-        for i, g in enumerate(self.generators):
-            if len(g) != self.ambient_rank:
-                raise ValueError("generator arity does not match ambient rank")
-            vec = _vector(g)
-            if not vec[1]:
+        vectors, degrees = tuple(vectors), []
+        for i, (_, vec) in enumerate(vectors):
+            if not vec:
                 raise GeneratorError(f"row {i} is zero")
-            degs = {sum(m) + shifts[c] for (c, m) in vec[1]}
+            degs = {sum(m) + shifts[c] for (c, m) in vec}
             if len(degs) > 1:
                 raise GeneratorError(f"row {i} mixes shifted degrees {sorted(degs)}")
             degrees.append(degs.pop())
-            vectors.append(vec)
-        object.__setattr__(self, "_vectors", tuple(vectors))
-        object.__setattr__(self, "_degrees", tuple(degrees))
+        self.__dict__.update(shifts=shifts, _vectors=vectors, _degrees=tuple(degrees))
+
+    def __getattr__(self, name):
+        # reached only for the rows of an engine-made presentation
+        if name != "generators":
+            raise AttributeError(name)
+        rows = self.__dict__["generators"] = tuple(
+            _cells(self.n, self.ambient_rank, v) for v in self._vectors)
+        return rows
+
+
+def _presentation(n, ambient_rank, vectors, shifts=None):
+    """The presentation of engine-made integer vectors, checked as any other."""
+    pres = object.__new__(GradedPresentation)
+    pres.__dict__.update(n=n, ambient_rank=ambient_rank, shifts=shifts)
+    pres._check(vectors)
+    return pres
 
 
 @record
@@ -366,9 +376,9 @@ class ModuleGB:
         self.by_component.setdefault(comp, []).append(member)
         monos.append(mono)
 
-    def add(self, vec):
-        """Reduce against the current basis and insert if nonzero."""
-        red = self.normal_form(vec)
+    def add(self, vec, deg=None):
+        """Reduce against the basis and insert if nonzero (``deg``: see ``normal_form``)."""
+        red = self.normal_form(vec, deg)
         if not red:
             return False
         self._register(red)
@@ -410,17 +420,18 @@ class ModuleGB:
     def complete(self):
         self.ensure_degree(inf)
 
-    def normal_form(self, vec):
+    def normal_form(self, vec, deg=None):
         """Packed integer remainder of an incoming integer vector (a positive
-        multiple of its normal form)."""
+        multiple of its normal form).  ``deg`` is its highest shifted degree,
+        which a presentation holds, and is read off its terms if not given."""
         order = self.order
-        shifts, comp, mono = order.shifts, order.comp, order.mono
-        self._admit(max(sum(m) + shifts[c] for c, m in vec))
+        comp, mono = order.comp, order.mono
+        self._admit(max(sum(m) + order.shifts[c] for c, m in vec) if deg is None else deg)
         return _reduce_sparse({comp[c] + mono[m]: v for (c, m), v in vec.items()},
                               self.by_component, order)[1]
 
     def reduced_elements(self):
-        """Unique reduced basis as ``_Row``s: minimal leads, tails fully
+        """Unique reduced basis as integer vectors: minimal leads, tails fully
         reduced, monic.
 
         Leads are distinct, so minimality is checked within each component.
@@ -441,30 +452,27 @@ class ModuleGB:
                 scale, red = _reduce_sparse(tail, keep, order)
                 final.append((lead, lc * scale, red))
         final.sort(key=lambda e: e[0], reverse=True)
-        rank = len(order.shifts) - start
-        return [_packed_row(den, {lead: den, **red}, order, rank, self.n, start)
-                for lead, den, red in final]
+        return [_unpacked(den, {lead: den, **red}, order, start) for lead, den, red in final]
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 def reduced_groebner(pres):
-    gb = ModuleGB(pres.n, pres.shifts, [v for _, v in pres._vectors])
-    return GroebnerBasis(
-        n=pres.n,
-        ambient_rank=pres.ambient_rank,
-        elements=tuple(gb.reduced_elements()),
-        shifts=pres.shifts,
-    )
+    gb = ModuleGB(pres.n, pres.shifts)
+    for (_, vec), deg in zip(pres._vectors, pres._degrees):
+        gb.add(vec, deg)
+    return GroebnerBasis(n=pres.n, ambient_rank=pres.ambient_rank, shifts=pres.shifts,
+                         elements=tuple(_cells(pres.n, pres.ambient_rank, v)
+                                        for v in gb.reduced_elements()))
 
 
 def normal_form(vec, gb):
     """Full (exact rational) remainder of a vector of polynomials against a
     reduced basis; no cap is checked, so the packing is laid out for the
     highest shifted degree of the input and the basis, which reduction keeps."""
-    elems = [_vector(e)[1] for e in gb.elements]
-    den, ints = _vector(vec)
+    elems = [_row_vector(p.terms for p in e)[1] for e in gb.elements]
+    den, ints = _row_vector(p.terms for p in vec)
     lo = min(gb.shifts, default=0)
     order = _Order(gb.n, gb.shifts, max(
         (sum(m) + gb.shifts[c] - lo for s in elems + [ints] for c, m in s), default=0))
@@ -474,7 +482,7 @@ def normal_form(vec, gb):
         comp, member = _reducer({pack(t): v for t, v in e.items()}, order)
         by_comp.setdefault(comp, []).append(member)
     scale, red = _reduce_sparse({pack(t): v for t, v in ints.items()}, by_comp, order)
-    return _packed_row(den * scale, red, order, gb.ambient_rank, gb.n)
+    return _cells(gb.n, gb.ambient_rank, _unpacked(den * scale, red, order))
 
 
 def syzygies(pres):
@@ -487,15 +495,10 @@ def syzygies(pres):
     """
     m, degs = pres.ambient_rank, pres._degrees
     one = (0,) * pres.n
-    gb = ModuleGB(pres.n, pres.shifts + degs, (
-        {**vec, (m + i, one): den} for i, (den, vec) in enumerate(pres._vectors)),
-        block_start=m)
-    return GradedPresentation(
-        n=pres.n,
-        ambient_rank=len(degs),
-        generators=tuple(gb.reduced_elements()),
-        shifts=degs,
-    )
+    gb = ModuleGB(pres.n, pres.shifts + degs, block_start=m)
+    for i, ((den, vec), deg) in enumerate(zip(pres._vectors, degs)):
+        gb.add({**vec, (m + i, one): den}, deg)
+    return _presentation(pres.n, len(degs), gb.reduced_elements(), degs)
 
 
 def minimal_graded_generators(pres):
@@ -511,33 +514,29 @@ def minimal_graded_generators(pres):
     decorated = sorted(((deg, _canonical_rep(v)), i)
                        for i, (deg, v) in enumerate(zip(degrees, vectors)))
     if len(set(degrees)) <= 1 and _distinct_leads(pres):
-        kept = [pres.generators[i] for _, i in decorated]
+        kept = [vectors[i] for _, i in decorated]
     else:
         gb = ModuleGB(pres.n, pres.shifts)
         kept = []
         for (deg, _), i in decorated:
             gb.ensure_degree(deg)
-            if gb.add(vectors[i][1]):
-                kept.append(pres.generators[i])
-    return GradedPresentation(
-        n=pres.n,
-        ambient_rank=pres.ambient_rank,
-        generators=tuple(kept),
-        shifts=pres.shifts,
-    )
+            if gb.add(vectors[i][1], deg):
+                kept.append(vectors[i])
+    return _presentation(pres.n, pres.ambient_rank, kept, pres.shifts)
 
 
 def _distinct_leads(pres):
     """Are the leads of ``pres``'s generators, all of one degree, pairwise
     distinct under the order of a ``ModuleGB`` on ``pres``?  A malformed cap
-    setting or a degree above the exponent cap raises as that basis would."""
+    setting or a degree above the exponent cap raises as that basis would.
+    All terms of a row share its shifted degree, so its lead is the term
+    whose exponents, read from the last, then component are least (the sort
+    key of ``_Order`` below the degree field)."""
     degree_cap()
     degs = pres._degrees
     if degs and degs[0] > EXPONENT_CAP + min(pres.shifts):
         raise ExponentCapExceeded(f"degree {degs[0]} allows exponents above {EXPONENT_CAP}")
-    order = _Order(pres.n, pres.shifts, EXPONENT_CAP)
-    comp, mono = order.comp, order.mono
-    leads = {min(comp[c] + mono[m] for c, m in vec) for _, vec in pres._vectors}
+    leads = {min((m[::-1], c) for c, m in vec) for _, vec in pres._vectors}
     return len(leads) == len(pres._vectors)
 
 
@@ -545,7 +544,8 @@ def module_equality(a, b):
     """Do two presentations generate the same submodule of R^m?"""
     if a.n != b.n or a.ambient_rank != b.ambient_rank:
         raise ValueError("presentations live in different ambient modules")
-    # zero shifts, not the presentations' own: the cap bounds unshifted degrees
+    # zero shifts, not the presentations' own: the cap bounds unshifted
+    # degrees, which the presentations do not hold, so they are read off
     zero_shifts = (0,) * a.ambient_rank
     wa, wb = (ModuleGB(p.n, zero_shifts, [v for _, v in p._vectors]) for p in (a, b))
     wa.complete()
@@ -555,11 +555,19 @@ def module_equality(a, b):
 
 
 def generic_rank(rows):
-    """Rank over the fraction field of a matrix of ``Poly`` rows: the number
-    of components that carry a lead once the nonzero rows' basis is complete."""
-    gens = [v for _, v in map(_vector, rows) if v]
+    """Rank over the fraction field of a matrix of ``Poly`` rows."""
+    n = next((p.n for row in rows for p in row), 0)
+    return _vector_rank(n, len(rows[0]) if rows else 0,
+                        [_row_vector(p.terms for p in row) for row in rows])
+
+
+def _vector_rank(n, width, vectors):
+    """Rank over the fraction field of a matrix of integer row vectors: the
+    number of components that carry a lead once the nonzero rows' basis is
+    complete."""
+    gens = [v for _, v in vectors if v]
     if not gens:
         return 0
-    gb = ModuleGB(rows[0][0].n, (0,) * len(rows[0]), gens)
+    gb = ModuleGB(n, (0,) * width, gens)
     gb.complete()
     return len(gb.by_component)

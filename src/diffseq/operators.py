@@ -6,15 +6,19 @@ column per source component.  Substituting partial derivatives for the
 variables recovers the action on sections, which :func:`apply` does for
 polynomial sections.
 
-Everything downstream (compatibility conditions, adjoints, generic rank)
-works on this symbol matrix with exact rational arithmetic.
+Each row is stored as one integer vector ``(den, {(column, monomial): int})``
+in lowest terms (``groebner``), which everything here makes and reads.
+``Poly`` cells (``rows``) are made once, when a caller first reads them,
+unless the operator was made from cells (:func:`make_operator`).
 """
 
+from fractions import Fraction
 from math import lcm
 
 from . import groebner
 from .bundles import BundleBasis, dual_label, free_basis
 from .config import record
+from .linalg import _integral
 from .poly import Poly
 
 
@@ -26,16 +30,21 @@ class OperatorMatrix:
     n: int
     source: BundleBasis
     target: BundleBasis
-    rows: tuple   # rows[i][j]: Poly, i over target, j over source
+    vectors: tuple   # vectors[i]: (den, {(j, monomial): int}), i over target, j over source
 
     def __post_init__(self):
-        if len(self.rows) != self.target.dim:
+        if len(self.vectors) != self.target.dim:
             raise ValueError(
-                f"{self.name}: {len(self.rows)} rows for target of dim {self.target.dim}")
-        for r in self.rows:
-            if len(r) != self.source.dim:
-                raise ValueError(
-                    f"{self.name}: row width {len(r)} for source of dim {self.source.dim}")
+                f"{self.name}: {len(self.vectors)} rows for target of dim {self.target.dim}")
+
+    @property
+    def rows(self):
+        """``rows[i][j]``: a ``Poly``, i over target, j over source."""
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = self.__dict__["_rows"] = tuple(
+                groebner._cells(self.n, self.source.dim, v) for v in self.vectors)
+        return rows
 
     @property
     def shape(self):
@@ -44,20 +53,21 @@ class OperatorMatrix:
     @property
     def order(self):
         """Largest total degree appearing in the symbol (zero operator: 0)."""
-        return max((sum(m) for r in self.rows for p in r for m in p.terms), default=0)
+        return max((sum(m) for _, vec in self.vectors for _, m in vec), default=0)
 
     def is_zero(self):
-        return not any(groebner._vector(r)[1] for r in self.rows)
+        return not any(vec for _, vec in self.vectors)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
         return (self.source.key() == other.source.key()
                 and self.target.key() == other.target.key()
-                and self.rows == other.rows)
+                and self.vectors == other.vectors)
 
     def __hash__(self):
-        return hash((self.source.key(), self.target.key(), self.rows))
+        return hash((self.source.key(), self.target.key(),
+                     tuple((den, frozenset(vec.items())) for den, vec in self.vectors)))
 
     def __repr__(self):
         return (f"OperatorMatrix({self.name}: {self.source.label} -> "
@@ -65,19 +75,24 @@ class OperatorMatrix:
 
 
 def make_operator(name, n, source, target, rows):
-    return OperatorMatrix(
-        name=name, n=n, source=source, target=target,
-        rows=tuple(tuple(r) for r in rows))
+    """The operator with ``Poly`` entries ``rows[i][j]``, which it keeps."""
+    rows = tuple(map(tuple, rows))
+    for r in rows:
+        if len(r) != source.dim:
+            raise ValueError(f"{name}: row width {len(r)} for source of dim {source.dim}")
+    op = OperatorMatrix(name=name, n=n, source=source, target=target,
+                        vectors=tuple(groebner._row_vector(p.terms for p in r) for r in rows))
+    op.__dict__["_rows"] = rows
+    return op
 
 
 def _product_rows(outer_rows, inner_rows, n, width):
-    """The rows of an exact symbol product, as ``groebner._Row``s.  Rows come
-    as integer vectors ``(den, {(column, monomial): int})``; outer columns
-    index ``inner_rows``, inner ones run below ``width``.  Inner rows are
-    brought to one denominator, so Σ_k s_k·row_k is summed in ints, on terms
-    packed (``groebner._Order``) for the top product degree, where a
-    monomial's packed part is the shift that multiplies a term by it.  Rows
-    with no surviving term share one empty ``_Row``."""
+    """The integer vectors of an exact symbol product.  Outer columns index
+    ``inner_rows``, inner ones run below ``width``.  Inner rows are brought
+    to one denominator, so Σ_k s_k·row_k is summed in ints, on terms packed
+    (``groebner._Order``) for the top product degree, where a monomial's
+    packed part is the shift that multiplies a term by it.  Rows with no
+    surviving term share one empty vector."""
     top = sum(max((sum(m) for _, row in rows for _, m in row), default=0)
               for rows in (outer_rows, inner_rows))
     order = groebner._Order(n, (0,) * width, top)
@@ -85,7 +100,7 @@ def _product_rows(outer_rows, inner_rows, n, width):
     scale = lcm(*(den for den, _ in inner_rows))
     inner = [[(pack(t), v * (scale // den)) for t, v in row.items()]
              for den, row in inner_rows]
-    zero_row = groebner._packed_row(1, {}, order, width, n)
+    zero_row = (1, {})
     for den, coefs in outer_rows:
         acc = {}
         for (k, m), s in coefs.items():
@@ -94,7 +109,7 @@ def _product_rows(outer_rows, inner_rows, n, width):
                 t += q
                 acc[t] = acc.get(t, 0) + s * v
         acc = {t: v for t, v in acc.items() if v}
-        yield groebner._packed_row(den * scale, acc, order, width, n) if acc else zero_row
+        yield groebner._unpacked(den * scale, acc, order) if acc else zero_row
 
 
 def compose(outer, inner):
@@ -102,17 +117,28 @@ def compose(outer, inner):
 
     The product is summed on ints by :func:`_product_rows` from the rows'
     integer vectors; the zero test ``compose(outer, inner).is_zero()`` reads
-    one empty vector per row and no zero cell."""
+    one empty vector per row."""
     if outer.source.key() != inner.target.key():
         raise ValueError(
             f"cannot compose {outer.name} o {inner.name}: "
             f"{outer.source.label} != {inner.target.label}")
-    rows = tuple(_product_rows([groebner._vector(r) for r in outer.rows],
-                               [groebner._vector(r) for r in inner.rows],
-                               outer.n, inner.source.dim))
     return OperatorMatrix(
         name=f"{outer.name} o {inner.name}", n=outer.n,
-        source=inner.source, target=outer.target, rows=rows)
+        source=inner.source, target=outer.target,
+        vectors=tuple(_product_rows(outer.vectors, inner.vectors,
+                                    outer.n, inner.source.dim)))
+
+
+def _transpose(vectors, width, negate=False):
+    """The transpose of the rows ``vectors`` over ``width`` columns, read off
+    their nonzero terms; with ``negate``, ``p(chi) -> p(-chi)`` as well."""
+    scale = lcm(*(den for den, _ in vectors))
+    cols = [{} for _ in range(width)]
+    for i, (den, vec) in enumerate(vectors):
+        f = scale // den
+        for (j, m), v in vec.items():
+            cols[j][i, m] = -f * v if negate and sum(m) & 1 else f * v
+    return tuple(groebner._lowest_terms(scale, col) for col in cols)
 
 
 def adjoint(op):
@@ -121,21 +147,15 @@ def adjoint(op):
     Sources and targets swap and pick up the dual relabeling, so applying
     the adjoint twice returns an operator equal to the original.
     """
-    rows = tuple(
-        tuple(op.rows[i][j].negate_vars() for i in range(op.target.dim))
-        for j in range(op.source.dim))
     return OperatorMatrix(
         name=dual_label(op.name), n=op.n, source=op.target.dual(),
-        target=op.source.dual(), rows=rows)
+        target=op.source.dual(),
+        vectors=_transpose(op.vectors, op.source.dim, negate=True))
 
 
 def rows_presentation(op):
     """The rows of the symbol as a graded submodule of R^(source dim)."""
-    return groebner.GradedPresentation(
-        n=op.n,
-        ambient_rank=op.source.dim,
-        generators=op.rows,
-    )
+    return groebner._presentation(op.n, op.source.dim, op.vectors)
 
 
 def compatibility_conditions(op):
@@ -145,17 +165,17 @@ def compatibility_conditions(op):
     returned one; composing it with ``op`` gives the exact zero matrix.
     """
     gens = groebner.minimal_graded_generators(groebner.syzygies(rows_presentation(op)))
-    k = len(gens.generators)
+    k = len(gens._vectors)
     target = free_basis(f"CC({op.target.label})", op.n,
                         [f"q{i}" for i in range(1, k + 1)])
     return OperatorMatrix(
         name=f"cc({op.name})", n=op.n, source=op.target, target=target,
-        rows=gens.generators)
+        vectors=gens._vectors)
 
 
 def differential_rank(op):
     """Rank of the symbol over the rational function field."""
-    return groebner.generic_rank(op.rows)
+    return groebner._vector_rank(op.n, op.source.dim, op.vectors)
 
 
 def apply(op, sections):
@@ -167,21 +187,18 @@ def apply(op, sections):
     if len(sections) != op.source.dim:
         raise ValueError("one section component per source basis element")
     out = []
-    for row in op.rows:
+    for den, vec in op.vectors:
         acc = Poly.zero(op.n)
-        for p, s in zip(row, sections):
-            if p.is_zero() or s.is_zero():
-                continue
-            for mono, coef in p.terms.items():
-                d = s.apply_derivation(mono)
-                if not d.is_zero():
-                    acc = acc + d.scale(coef)
+        for (j, mono), v in vec.items():
+            acc = acc + sections[j].apply_derivation(mono).scale(Fraction(v, den))
         out.append(acc)
     return out
 
 
 def from_scalar_matrix(name, n, source, target, matrix):
     """Order-zero operator from a rational matrix (target dim x source dim)."""
-    rows = tuple(
-        tuple(Poly.constant(n, c) for c in row) for row in matrix)
-    return OperatorMatrix(name=name, n=n, source=source, target=target, rows=rows)
+    one = (0,) * n
+    return OperatorMatrix(
+        name=name, n=n, source=source, target=target,
+        vectors=tuple(_integral({(j, one): c for j, c in enumerate(row) if c})
+                      for row in matrix))

@@ -27,8 +27,8 @@ from .bundles import (
     trace_free_sym2,
 )
 from .config import record
-from .operators import OperatorMatrix, adjoint, compose, make_operator
-from .poly import Poly, metric_cache, resolve_metric
+from .operators import OperatorMatrix, adjoint, compose
+from .poly import metric_cache, resolve_metric
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -65,17 +65,16 @@ def _combine(rows, coefs):
 def _constrained_rows(space, ambient):
     """Coordinate rows of an operator landing in a constrained space: checks
     on integers that the ambient rows (term dicts) satisfy every constraint
-    of the space, then keeps the rows at the free components as polynomials."""
+    of the space, then keeps the integer vectors at the free components."""
     zero = (0,) * space.n
     constraints = [linalg._integral({(k, zero): v for k, v in crow.items()})
                    for crow in bundles.constraint_rows(space)]
-    rows = [linalg._integral({(c, m): v for c, terms in enumerate(row) for m, v in terms.items()})
-            for row in ambient]
-    if any(r.vector[1] for r in operators._product_rows(
+    rows = [groebner._row_vector(row) for row in ambient]
+    if any(vec for _, vec in operators._product_rows(
             constraints, rows, space.n, len(ambient[0]))):
         raise AssertionError(
             f"operator image violates a constraint of {space.label}")
-    return [[Poly(space.n, t) for t in ambient[c]] for c in space.free_columns]
+    return tuple(rows[c] for c in space.free_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +85,12 @@ def killing(n, metric=None):
     """Lie derivative of the metric: vector fields to symmetric 2-tensors."""
     rows = []
     for i, j in sym_tuples(n, 2):
-        row = []
+        row = [{} for _ in range(n)]
         for k in range(1, n + 1):
-            p = (Poly.variable(n, i).scale(metric.lower(k, j))
-                 + Poly.variable(n, j).scale(metric.lower(i, k)))
-            row.append(p)
-        rows.append(row)
-    return make_operator("killing", n, tangent_space(n), sym2_space(n), rows)
+            _add_term(row[k - 1], _mono(n, i), metric.lower(k, j))
+            _add_term(row[k - 1], _mono(n, j), metric.lower(i, k))
+        rows.append(groebner._row_vector(row))
+    return OperatorMatrix("killing", n, tangent_space(n), sym2_space(n), tuple(rows))
 
 
 @metric_cache
@@ -112,8 +110,8 @@ def conformal_killing(n, metric=None):
             _add_term(terms, _mono(n, k), -frac * metric.lower(i, j))
             row.append(terms)
         ambient.append(row)
-    return make_operator("conformal_killing", n, tangent_space(n), tgt,
-                         _constrained_rows(tgt, ambient))
+    return OperatorMatrix("conformal_killing", n, tangent_space(n), tgt,
+                          _constrained_rows(tgt, ambient))
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +134,8 @@ def _riemann_ambient_terms(n):
 def riemann_linearized(n, metric=None):
     """Second-order symbol of the curvature of a perturbed flat metric."""
     tgt = riemann_candidate_space(n)
-    return make_operator("riemann", n, sym2_space(n), tgt,
-                         _constrained_rows(tgt, _riemann_ambient_terms(n)))
+    return OperatorMatrix("riemann", n, sym2_space(n), tgt,
+                          _constrained_rows(tgt, _riemann_ambient_terms(n)))
 
 
 @metric_cache
@@ -160,7 +158,7 @@ def bianchi(n, metric=None):
                     if coef:
                         _add_term(row[c], mono, coef)
             ambient.append(row)
-    return make_operator("bianchi", n, src, tgt, _constrained_rows(tgt, ambient))
+    return OperatorMatrix("bianchi", n, src, tgt, _constrained_rows(tgt, ambient))
 
 
 @metric_cache
@@ -169,38 +167,34 @@ def ricci(n, metric=None):
     if n < 3:
         raise ValueError("trace operator needs n >= 3")
     ambient = _riemann_ambient_terms(n)
-    rows = [[Poly(n, t) for t in _combine(ambient, trace.items())]
-            for trace in bundles.riemann_trace_rows(n, metric).values()]
-    return make_operator("ricci", n, sym2_space(n), sym2_space(n), rows)
+    return OperatorMatrix("ricci", n, sym2_space(n), sym2_space(n), tuple(
+        groebner._row_vector(_combine(ambient, trace.items()))
+        for trace in bundles.riemann_trace_rows(n, metric).values()))
 
 
-def _scalar_trace_row(n, w, ric):
-    """Row of the doubly traced curvature over symmetric-tensor sources."""
+def _pair_trace(n, w):
+    """Coefficients of the metric trace w^{ab} T_ab over the pair components."""
     pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
-    traces = [(pcol[(min(a, b), max(a, b))], w.upper(a, b))
-              for a in range(1, n + 1) for b in range(1, n + 1) if w.upper(a, b)]
-    rows = [[p.terms for p in row] for row in ric.rows]
-    return [Poly(n, t) for t in _combine(rows, traces)]
+    out = [ZERO] * len(pcol)
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            out[pcol[(min(a, b), max(a, b))]] += w.upper(a, b)
+    return out
 
 
 @metric_cache
 def einstein(n, metric=None):
-    """Trace-reverted curvature trace; divergence-free by construction."""
+    """Trace-reverted curvature trace; divergence-free by construction:
+    Ric - (1/2) w S, with S the metric trace of Ric, one constant matrix
+    applied to the rows of ``ricci``."""
     if n < 3:
         raise ValueError("trace-reverted operator needs n >= 3")
-    ric = ricci(n, metric)
-    scal = _scalar_trace_row(n, metric, ric)
-    rows = []
-    for c, (i, j) in enumerate(sym_tuples(n, 2)):
-        wij = metric.lower(i, j)
-        row = []
-        for m in range(ric.source.dim):
-            p = ric.rows[c][m]
-            if wij:
-                p = p - scal[m].scale(HALF * wij)
-            row.append(p)
-        rows.append(row)
-    return make_operator("einstein", n, ric.source, ric.target, rows)
+    ric, trace, zero = ricci(n, metric), _pair_trace(n, metric), (0,) * n
+    revert = [linalg._integral({(k, zero): (c == k) - HALF * metric.lower(i, j) * t
+                                for k, t in enumerate(trace)})
+              for c, (i, j) in enumerate(sym_tuples(n, 2))]
+    return OperatorMatrix("einstein", n, ric.source, ric.target, tuple(
+        operators._product_rows(revert, ric.vectors, n, ric.source.dim)))
 
 
 def exterior_derivative(n, r):
@@ -216,13 +210,11 @@ def _exterior_derivative(n, r):
     scol = {t: c for c, t in enumerate(ext_tuples(n, r))}
     rows = []
     for tup in ext_tuples(n, r + 1):
-        row = [Poly.zero(n) for _ in range(src.dim)]
+        row = [{} for _ in range(src.dim)]
         for t in range(r + 1):
-            rest = tup[:t] + tup[t + 1:]
-            sign = -1 if t % 2 else 1
-            row[scol[rest]] = row[scol[rest]] + Poly.variable(n, tup[t]).scale(sign)
-        rows.append(row)
-    return make_operator(f"d{r}", n, src, ext_space(n, r + 1), rows)
+            _add_term(row[scol[tup[:t] + tup[t + 1:]]], _mono(n, tup[t]), -1 if t % 2 else 1)
+        rows.append(groebner._row_vector(row))
+    return OperatorMatrix(f"d{r}", n, src, ext_space(n, r + 1), tuple(rows))
 
 
 @metric_cache
@@ -250,8 +242,8 @@ def lanczos_candidate(n=4, metric=None):
                 if coef:
                     _add_term(row[col], mono, sign * slot_sign * coef)
         ambient.append(row)
-    return make_operator("lanczos_candidate", n, src, tgt,
-                         _constrained_rows(tgt, ambient))
+    return OperatorMatrix("lanczos_candidate", n, src, tgt,
+                          _constrained_rows(tgt, ambient))
 
 
 BUILDERS = {
@@ -376,19 +368,13 @@ def parametrization_generators(op):
     ``op`` and satisfies ``op o result = 0``; its columns generate every
     vector annihilated by ``op`` from the right.
     """
-    cols = tuple(
-        tuple(op.rows[i][j] for i in range(op.target.dim))
-        for j in range(op.source.dim))
-    pres = groebner.GradedPresentation(
-        n=op.n, ambient_rank=op.target.dim, generators=cols)
-    gens = groebner.minimal_graded_generators(groebner.syzygies(pres))
-    k = len(gens.generators)
+    cols = operators._transpose(op.vectors, op.source.dim)
+    pres = groebner._presentation(op.n, op.target.dim, cols)
+    gens = groebner.minimal_graded_generators(groebner.syzygies(pres))._vectors
     src = bundles.free_basis(f"P({op.source.label})", op.n,
-                             [f"p{i}" for i in range(1, k + 1)])
-    rows = tuple(
-        tuple(gens.generators[c][j] for c in range(k))
-        for j in range(op.source.dim))
-    return make_operator(f"potential({op.name})", op.n, src, op.source, rows)
+                             [f"p{i}" for i in range(1, len(gens) + 1)])
+    return OperatorMatrix(f"potential({op.name})", op.n, src, op.source,
+                          operators._transpose(gens, op.source.dim))
 
 
 @record
@@ -442,15 +428,12 @@ def is_self_adjoint_sym2(op, metric=None):
     with respect to the two-index contraction pairing of ``metric``."""
     if op.source.key() != op.target.key():
         return False
+    # weighting row i by w_i must give a matrix equal to its own adjoint
     weights = sym2_pairing_weights(op.n, metric)
-    d = op.source.dim
-    for i in range(d):
-        for j in range(d):
-            lhs = op.rows[i][j].scale(weights[i])
-            rhs = op.rows[j][i].scale(weights[j]).negate_vars()
-            if lhs != rhs:
-                return False
-    return True
+    weighted = tuple(groebner._lowest_terms(den * w.denominator,
+                                            {t: v * w.numerator for t, v in vec.items()})
+                     if w else (1, {}) for w, (den, vec) in zip(weights, op.vectors))
+    return weighted == operators._transpose(weighted, op.source.dim, negate=True)
 
 
 @record
@@ -480,13 +463,12 @@ def weyl_relations_report(metric=None):
         [list(r) for r in split.inject_weyl])
     composed = compose(bianchi(n, w), inj)
     pres = operators.rows_presentation(composed)
-    gens = groebner.minimal_graded_generators(pres)
-    k = len(gens.generators)
-    relation_rows = tuple(tuple(g) for g in gens.generators)
-    rel_op = make_operator(
+    gens = groebner.minimal_graded_generators(pres)._vectors
+    k = len(gens)
+    rel_op = OperatorMatrix(
         "weyl_relations", n, split.weyl_space,
         bundles.free_basis("WeylRelations", n, [f"q{i}" for i in range(1, k + 1)]),
-        relation_rows)
+        gens)
     cc = operators.compatibility_conditions(rel_op)
     rank = operators.differential_rank(rel_op)
     rows = (
@@ -497,8 +479,7 @@ def weyl_relations_report(metric=None):
         (split.sym2_space.dim, split.sym2_space.dim,
          operators.compatibility_conditions(einstein(n, w)).target.dim),
     )
-    cc_degrees = tuple(
-        max(p.degree() for p in row if not p.is_zero()) for row in cc.rows)
+    cc_degrees = tuple(max(sum(m) for _, m in vec) for _, vec in cc.vectors)
     ok = (k == 16 and cc.target.dim == 6 and rank == 10
           and all(d == 1 for d in cc_degrees))
     return WeylRelationsReport(
@@ -577,27 +558,20 @@ def trace_contraction_check(metric=None):
         "double_trace", n, b_space, covector, tau)
     lhs = compose(tau_op, compose(bianchi(n, w), riemann_linearized(n, w)))
 
-    ric = ricci(n, w)
-    scal = _scalar_trace_row(n, w, ric)
-    pairs = sym_tuples(n, 2)
-    pcol = {p: c for c, p in enumerate(pairs)}
-    rhs_rows = []
+    # 2 w^{sm} d_s Ric_{mr} - d_r S, a first-order operator applied to Ric
+    ric, trace = ricci(n, w), _pair_trace(n, w)
+    pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
+    div_grad = []
     for r in range(1, n + 1):
-        row = []
-        for c in range(ric.source.dim):
-            acc = Poly.zero(n)
-            for s in range(1, n + 1):
-                for m in range(1, n + 1):
-                    coef = w.upper(s, m)
-                    if coef:
-                        p = ric.rows[pcol[(min(m, r), max(m, r))]][c]
-                        if not p.is_zero():
-                            acc = acc + (Poly.variable(n, s) * p).scale(2 * coef)
-            acc = acc - Poly.variable(n, r) * scal[c]
-            row.append(acc)
-        rhs_rows.append(row)
-    rhs = make_operator("contracted_trace", n, ric.source, covector, rhs_rows)
-    identity_ok = lhs.rows == rhs.rows
+        row = [{} for _ in pcol]
+        for k, t in enumerate(trace):
+            _add_term(row[k], _mono(n, r), -t)
+        for s in range(1, n + 1):
+            for m in range(1, n + 1):
+                _add_term(row[pcol[(min(m, r), max(m, r))]], _mono(n, s), 2 * w.upper(s, m))
+        div_grad.append(groebner._row_vector(row))
+    identity_ok = lhs.vectors == tuple(
+        operators._product_rows(div_grad, ric.vectors, n, ric.source.dim))
 
     l_space = lanczos_constraint_space(n)
     relabel = bundles.bianchi_to_potential_relabel()
@@ -705,12 +679,7 @@ def hessian_system_cc_count(n):
     labels = [f"h{bundles._digits(p)}_{k}"
               for p in pairs for k in range(1, n + 1)]
     tgt = bundles.free_basis("S2T*xT", n, labels)
-    rows = []
-    for i, j in pairs:
-        mono = Poly.variable(n, i) * Poly.variable(n, j)
-        for k in range(1, n + 1):
-            rows.append([mono if m == k else Poly.zero(n)
-                         for m in range(1, n + 1)])
-    op = make_operator("second_gradient", n, src, tgt, rows)
+    op = OperatorMatrix("second_gradient", n, src, tgt, tuple(
+        (1, {(k, _mono(n, i, j)): 1}) for i, j in pairs for k in range(n)))
     cc = operators.compatibility_conditions(op)
     return cc.target.dim

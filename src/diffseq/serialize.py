@@ -3,15 +3,17 @@
 Coefficients travel as "p/q" strings so no float ever appears; exponent
 lists have fixed length n; entries are sorted by (row, col) and terms by
 the same monomial order the algebra uses.  Parsing a document built from
-an operator yields an operator that compares equal to the original.
+an operator yields an operator that compares equal to the original.  Labels
+and the name must balance their parentheses (``bundles.dual_label``).
 """
 
 import json
 from fractions import Fraction
 
-from .bundles import free_basis
+from .bundles import balanced, free_basis
+from .linalg import _integral
 from .operators import OperatorMatrix
-from .poly import Poly, mono_key
+from .poly import mono_key
 
 SCHEMA_VERSION = 1
 
@@ -48,15 +50,13 @@ def _basis_block(basis):
 
 def operator_to_document(op, metric="euclidean"):
     entries = []
-    for i in range(op.target.dim):
-        for j in range(op.source.dim):
-            p = op.rows[i][j]
-            if p.is_zero():
-                continue
-            terms = []
-            for mono in sorted(p.terms, key=mono_key, reverse=True):
-                terms.append({"coef": _coef_string(p.terms[mono]),
-                              "exp": list(mono)})
+    for i, (den, vec) in enumerate(op.vectors):
+        cells = {}
+        for (j, mono), v in vec.items():
+            cells.setdefault(j, []).append((mono_key(mono), mono, v))
+        for j in sorted(cells):
+            terms = [{"coef": _coef_string(Fraction(v, den)), "exp": list(mono)}
+                     for _, mono, v in sorted(cells[j], reverse=True)]
             entries.append({"row": i, "col": j, "terms": terms})
     return {
         "schema_version": SCHEMA_VERSION,
@@ -78,6 +78,7 @@ def document_to_operator(doc):
         if doc.get("kind", "operator") != "operator":
             raise DocumentError(f"not an operator document: {doc.get('kind')!r}")
         n = _integer(doc["n"], "n", low=1)
+        name = str(doc.get("name", "operator"))
         bases = []
         for block in (doc["source"], doc["target"]):
             label, elements = block["label"], block["elements"]
@@ -86,15 +87,17 @@ def document_to_operator(doc):
                 raise DocumentError(f"bad label {label!r} or elements {elements!r}")
             bases.append(free_basis(label, n, elements))
         source, target = bases
-        rows = [[Poly.zero(n) for _ in range(source.dim)]
-                for _ in range(target.dim)]
+        for text in (name, source.label, target.label):
+            if not balanced(text):
+                raise DocumentError(f"unbalanced parentheses in {text!r}")
+        rows = [{} for _ in range(target.dim)]
         seen = set()
         for entry in doc["entries"]:
             i, j = _integer(entry["row"], "row"), _integer(entry["col"], "col")
             if i >= target.dim or j >= source.dim or (i, j) in seen:
                 raise DocumentError(f"entry ({i},{j}) repeated or outside the matrix shape")
             seen.add((i, j))
-            p, exps = Poly.zero(n), set()
+            exps = set()
             for term in entry["terms"]:
                 exp = tuple(_integer(e, "exponent") for e in term["exp"])
                 if len(exp) != n:
@@ -102,13 +105,13 @@ def document_to_operator(doc):
                 if exp in exps:
                     raise DocumentError(f"exponent {list(exp)} repeated in entry ({i},{j})")
                 exps.add(exp)
-                p = p + Poly.monomial(n, exp, _parse_coef(term["coef"]))
-            rows[i][j] = p
-        name = str(doc.get("name", "operator"))
+                coef = _parse_coef(term["coef"])
+                if coef:
+                    rows[i][j, exp] = coef
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"missing or malformed field: {exc}") from exc
     return OperatorMatrix(name=name, n=n, source=source, target=target,
-                          rows=tuple(tuple(r) for r in rows))
+                          vectors=tuple(map(_integral, rows)))
 
 
 def document_metric_name(doc):

@@ -7,7 +7,8 @@ into the exterior factor; its cohomology dimensions identify the value
 bundles of the condition sequences, and the full-jet columns give the
 exactness bookkeeping behind the dimension diagrams.
 
-The route runs on ints (``linalg`` scales operator coefficients on entry).
+The route runs on ints: it reads an operator's integer row vectors, whose
+scale changes no constraint and no kernel.
 A symbol space stores its constraints as the reduced primitive rows of
 ``linalg._reduced``, pivot entries positive, so equal spaces are equal
 records for the caches keyed on them.  Symbol and R_q bases are sparse
@@ -31,6 +32,11 @@ from .config import record
 
 def _sorted_insert(mu, i):
     return tuple(sorted(mu + (i,)))
+
+
+def _indices(mono):
+    """The symmetric multi-index (1-based, sorted) of an exponent tuple."""
+    return tuple(i + 1 for i, e in enumerate(mono) for _ in range(e))
 
 
 class _Indexer:
@@ -99,14 +105,9 @@ def _symbol_of(op):
     m = op.source.dim
     idx = _Indexer(n, q, m)
     rows = []
-    for row in op.rows:
-        out = {}
-        for k, p in enumerate(row):
-            for mono, coef in p.terms.items():
-                if sum(mono) != q:
-                    continue
-                mu = tuple(i + 1 for i, e in enumerate(mono) for _ in range(e))
-                out[idx(mu, k)] = coef   # one column per (monomial, k)
+    for _, vec in op.vectors:
+        # one column per (monomial, k); a row's scale changes no constraint
+        out = {idx(_indices(mono), k): v for (k, mono), v in vec.items() if sum(mono) == q}
         if out:
             rows.append(out)
     if not rows:
@@ -292,12 +293,8 @@ def _prolonged_equation_rows(op, q):
     rows = []
     shifts = [mu for qq in range(q - op.order + 1)
               for mu in sym_tuples(n, qq)]
-    for row in op.rows:
-        base = []
-        for k, p in enumerate(row):
-            for mono, coef in p.terms.items():
-                mu = tuple(i + 1 for i, e in enumerate(mono) for _ in range(e))
-                base.append((mu, k, coef))
+    for _, vec in op.vectors:
+        base = [(_indices(mono), k, v) for (k, mono), v in vec.items()]
         for sigma in shifts:
             out = {}
             for mu, k, coef in base:

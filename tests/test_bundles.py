@@ -6,6 +6,7 @@ import pytest
 
 from diffseq import linalg
 from diffseq.bundles import (
+    balanced,
     bianchi_candidate_space,
     constrained_basis,
     constraint_rows,
@@ -130,6 +131,16 @@ def test_dual_unwraps_only_a_whole_adjoint_label():
     assert free_basis("ad(T)", 2, ["a"]).dual().label == "T"
     for label in ("T", "ad(T)", "ad(T) o ad(S)", "ad(ad(T) o ad(S))", "S2(T*)"):
         assert dual_label(dual_label(label)) == label
+
+
+def test_balanced_labels_and_dual_label():
+    for label in ("", "T", "S2(T*)", "ad(T) o ad(S)", "(a)(b)"):
+        assert balanced(label)
+        assert dual_label(dual_label(label)) == label
+    for label in ("a(", "a)", "a)(", "ad(a", ")(", "(a))("):
+        assert not balanced(label)
+    # why unbalanced labels are refused: two calls do not undo each other
+    assert dual_label("a(") == "ad(a()" and dual_label("ad(a()") == "ad(ad(a())"
 
 
 def test_spaces_are_cached_and_hashable():

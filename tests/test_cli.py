@@ -220,6 +220,42 @@ def test_adjoint_wraps_a_composed_label_and_a_second_adjoint_restores_it(tmp_pat
     assert code == 0 and json.loads(back) == doc
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
+def test_two_adjoints_restore_every_builder_document(tmp_path, metric):
+    path = tmp_path / "op.json"
+    for name in cli.BUILDER_NAMES:
+        for r in range(3) if name == "exterior_derivative" else (0,):
+            code, doc = run_cli(["build", name, "--n", "3", "--metric", metric,
+                                 "--form-degree", str(r)])
+            if code != 0:   # lanczos_candidate exists at n = 4 only
+                continue
+            text = doc
+            for _ in range(2):
+                path.write_text(text, encoding="utf-8")
+                code, text = run_cli(["adjoint", str(path)])
+                assert code == 0
+            assert text == doc, (name, r)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("name",), "killing("),
+    (("source", "label"), "T)"),
+    (("target", "label"), ")S("),
+    (("source", "label"), "ad(T"),
+], ids=["name-open", "label-close", "label-crossed", "label-ad-open"])
+def test_unbalanced_label_or_name_exits_two(tmp_path, capsys, path, value):
+    _, out = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(out)
+    _edit(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("adjoint", "cc"):
+        code, stdout = run_cli([command, str(bad)])
+        assert (code, stdout) == (2, "")
+        assert capsys.readouterr().err.startswith("diffseq: unbalanced parentheses in ")
+
+
 def test_json_and_markdown_flags_conflict():
     code, _ = run_cli(["sequence", "killing", "--n", "3",
                        "--json", "--markdown"])

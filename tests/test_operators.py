@@ -1,15 +1,17 @@
 """Operator algebra: composition, adjoints, conditions, application."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffseq import sequences
+from diffseq import groebner, sequences, serialize
 from diffseq.bundles import free_basis
 from diffseq.groebner import GradedPresentation
 from diffseq.operators import (
+    OperatorMatrix,
     adjoint,
     apply,
     compatibility_conditions,
@@ -297,8 +299,7 @@ def test_engine_built_conditions_equal_user_built_ones(builder, n, metric):
         assert pres == plain and hash(pres) == hash(plain)
         assert pres._vectors == plain._vectors
         assert pres._degrees == plain._degrees
-        for row in cc.rows:
-            den, ints = row.vector
+        for row, (den, ints) in zip(cc.rows, cc.vectors):
             assert ints == {(c, m): v * den for c, p in enumerate(row) for m, v in p.terms.items()}
         again = make_operator(cc.name, cc.n, cc.source, cc.target, rows)
         assert cc == again and hash(cc) == hash(again)
@@ -306,3 +307,66 @@ def test_engine_built_conditions_equal_user_built_ones(builder, n, metric):
         assert all(type(v) is Fraction and v and len(m) == n
                    for p in cells for m, v in p.terms.items())
         assert cc.order == step.order == max(p.degree() for p in cells)
+
+
+def _all_builders(n, w):
+    """Every builder that takes ``(n, metric)`` at this n, and each exterior
+    derivative."""
+    ops = [exterior_derivative(n, r) for r in range(n)]
+    for builder in sequences.BUILDERS.values():
+        try:
+            ops.append(builder(n, w))
+        except ValueError:   # not defined at this n
+            pass
+    return ops
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_adjoint_of_vectors_matches_the_cellwise_transpose(n, metric):
+    w = ConstantMetric.minkowski(n) if metric == "minkowski" else None
+    for op in _all_builders(n, w):
+        ad = adjoint(op)
+        reference = tuple(tuple(op.rows[i][j].negate_vars() for i in range(op.target.dim))
+                          for j in range(op.source.dim))
+        assert ad.rows == reference
+        rebuilt = make_operator(ad.name, n, ad.source, ad.target, reference)
+        assert ad.vectors == rebuilt.vectors and ad == rebuilt
+        assert adjoint(ad) == op and adjoint(ad).name == op.name
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
+def test_builder_document_and_engine_rows_agree(metric):
+    """One operator made three ways: by its builder, read back from its
+    document, and from its vectors scaled by 6 and packed, as the engine
+    hands rows on; all compare and hash equal."""
+    w = ConstantMetric.minkowski(3) if metric == "minkowski" else None
+    for op in _all_builders(3, w):
+        doc = serialize.document_to_operator(serialize.operator_to_document(op, metric))
+        order = groebner._Order(3, (0,) * op.source.dim, op.order)
+        engine = OperatorMatrix(op.name, 3, op.source, op.target, tuple(
+            groebner._unpacked(6 * den, {order.pack(t): 6 * v for t, v in vec.items()}, order)
+            for den, vec in op.vectors))
+        for other in (doc, engine):
+            assert other == op and hash(other) == hash(op) and other.vectors == op.vectors
+        assert engine.rows == op.rows
+
+
+def test_a_chain_build_makes_no_poly(monkeypatch):
+    op = killing(4)
+    made = []
+
+    class Counting(Poly):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            made.append(cls)
+            return super().__new__(cls)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("diffseq")
+                and getattr(module, "Poly", None) is Poly):
+            monkeypatch.setattr(module, "Poly", Counting)
+    rep = build_sequence(op)
+    assert rep.dims == (4, 10, 20, 20, 6) and made == []
+    assert rep.steps[-1].operator.rows and made   # cells are made when read
