@@ -100,7 +100,8 @@ def dual_label(label):
     unwraps to ``x`` only when its parenthesis closes at the end, so
     ``ad(a) o ad(b)``, a composition, becomes ``ad(ad(a) o ad(b))``.  A
     second call undoes the first on ``balanced`` labels other than
-    ``ad(ad(x))``, but not on others: ``a(`` gives ``ad(a()``, then ``ad(ad(a())``."""
+    ``ad(ad(x))``, but not on others: ``a(`` gives ``ad(a()``, then ``ad(ad(a())``.
+    Documents with such a name or label are refused (``serialize``)."""
     whole = label.startswith("ad(") and label.endswith(")") and balanced(label[3:-1])
     return label[3:-1] if whole else f"ad({label})"
 

@@ -31,12 +31,13 @@ remainder of ``scale * vec`` (Greuel & Pfister, "A Singular Introduction to
 Commutative Algebra", 2008).  A generator is stored as one integer vector
 ``(den, {(component, monomial): int})``, the row times ``den``, in lowest
 terms: ``den`` and the entries share no factor, so ``den`` is the lcm of the
-row's denominators and equal rows have equal vectors.  ``GradedPresentation``
-converts a row of ``Poly`` cells once, and ``_presentation`` takes the
-vectors the engines make: ``reduced_elements`` unpacks each basis element,
-monic, straight to its vector.  So a syzygy step hands its rows to the next
-step, and to ``operators``, as integer vectors, and ``Poly`` cells are made
-only when a caller reads ``generators`` (``_cells``).
+row's denominators and equal rows have equal vectors.  A
+``GradedPresentation`` holds these vectors, made by the engines
+(``reduced_elements`` unpacks each basis element, monic, straight to its
+vector) or by ``from_rows``, which converts a row of ``Poly`` cells once.
+So a syzygy step hands its rows to the next step, and to ``operators``, as
+integer vectors, and ``Poly`` cells are made only when a caller reads
+``generators`` (``_cells``).
 
 Inside the engine a term is one int (Monagan & Pearce, J. Symb. Comp. 46,
 2011).  Its fields, from the least significant: component, m[0]..m[n-1],
@@ -74,6 +75,7 @@ new basis element (0, x1*x2).
 
 import heapq
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, inf
 from operator import lshift
 
@@ -89,9 +91,8 @@ ORDER_TAG = "degrevlex, term over position, low component wins ties"
 # rows: integer vectors, with Poly cells at the edges
 
 def _row_vector(row):
-    """The integer vector of a row given as one ``{monomial: rational}`` per
-    component, such as its ``Poly`` cells' ``terms``."""
-    return _integral({(c, m): v for c, terms in enumerate(row) for m, v in terms.items()})
+    """The integer vector of a row of ``Poly`` cells."""
+    return _integral({(c, m): v for c, p in enumerate(row) for m, v in p.terms.items()})
 
 
 def _lowest_terms(den, ints):
@@ -186,30 +187,23 @@ class GeneratorError(ValueError):
 class GradedPresentation:
     """Homogeneous generators of a graded submodule of R^ambient_rank.
 
-    ``_vectors`` holds one integer vector ``(den, {(c, m): int})`` per
-    generator and ``_degrees`` their shifted degrees, checked here; the
-    engines read both and never mutate them.  A presentation made from rows
-    of ``Poly`` converts each row once and keeps the rows as ``generators``;
-    one the engines make (``_presentation``) makes them on first read."""
+    ``vectors`` holds one integer vector ``(den, {(c, m): int})`` per
+    generator, and ``_degrees`` their shifted degrees, checked here; the
+    engines read both and never mutate them.  Rows of ``Poly`` cells come in
+    through ``from_rows``, and ``generators``, the rows as ``Poly`` cells, is
+    made from the vectors on first read."""
 
     n: int
     ambient_rank: int
-    generators: tuple
+    vectors: tuple
     shifts: tuple = None
 
     def __post_init__(self):
-        rows = self.__dict__["generators"] = tuple(map(tuple, self.generators))
-        if any(len(g) != self.ambient_rank for g in rows):
-            raise ValueError("generator arity does not match ambient rank")
-        self._check([_row_vector(p.terms for p in g) for g in rows])
-
-    def _check(self, vectors):
-        """Set ``shifts``, ``_vectors`` and ``_degrees``: every term of a row
-        must have the row's shifted degree."""
+        """Every term of a row must have the row's shifted degree."""
         shifts = tuple(self.shifts if self.shifts is not None else (0,) * self.ambient_rank)
         if len(shifts) != self.ambient_rank:
             raise ValueError("one shift per ambient component required")
-        vectors, degrees = tuple(vectors), []
+        vectors, degrees = tuple(self.vectors), []
         for i, (_, vec) in enumerate(vectors):
             if not vec:
                 raise GeneratorError(f"row {i} is zero")
@@ -217,23 +211,27 @@ class GradedPresentation:
             if len(degs) > 1:
                 raise GeneratorError(f"row {i} mixes shifted degrees {sorted(degs)}")
             degrees.append(degs.pop())
-        self.__dict__.update(shifts=shifts, _vectors=vectors, _degrees=tuple(degrees))
+        self.__dict__.update(shifts=shifts, vectors=vectors, _degrees=tuple(degrees))
 
-    def __getattr__(self, name):
-        # reached only for the rows of an engine-made presentation
-        if name != "generators":
-            raise AttributeError(name)
-        rows = self.__dict__["generators"] = tuple(
-            _cells(self.n, self.ambient_rank, v) for v in self._vectors)
-        return rows
+    @classmethod
+    def from_rows(cls, n, ambient_rank, rows, shifts=None):
+        """The presentation of rows of ``Poly`` cells, ``ambient_rank`` each."""
+        rows = tuple(map(tuple, rows))
+        if any(len(g) != ambient_rank for g in rows):
+            raise ValueError("generator arity does not match ambient rank")
+        return cls(n, ambient_rank, tuple(map(_row_vector, rows)), shifts)
 
+    @cached_property
+    def generators(self):
+        return tuple(_cells(self.n, self.ambient_rank, v) for v in self.vectors)
 
-def _presentation(n, ambient_rank, vectors, shifts=None):
-    """The presentation of engine-made integer vectors, checked as any other."""
-    pres = object.__new__(GradedPresentation)
-    pres.__dict__.update(n=n, ambient_rank=ambient_rank, shifts=shifts)
-    pres._check(vectors)
-    return pres
+    def __hash__(self):
+        return hash((self.n, self.ambient_rank, self.shifts,
+                     tuple((den, frozenset(vec.items())) for den, vec in self.vectors)))
+
+    def __repr__(self):
+        return (f"GradedPresentation(n={self.n!r}, ambient_rank={self.ambient_rank!r}, "
+                f"generators={self.generators!r}, shifts={self.shifts!r})")
 
 
 @record
@@ -460,7 +458,7 @@ class ModuleGB:
 
 def reduced_groebner(pres):
     gb = ModuleGB(pres.n, pres.shifts)
-    for (_, vec), deg in zip(pres._vectors, pres._degrees):
+    for (_, vec), deg in zip(pres.vectors, pres._degrees):
         gb.add(vec, deg)
     return GroebnerBasis(n=pres.n, ambient_rank=pres.ambient_rank, shifts=pres.shifts,
                          elements=tuple(_cells(pres.n, pres.ambient_rank, v)
@@ -471,8 +469,8 @@ def normal_form(vec, gb):
     """Full (exact rational) remainder of a vector of polynomials against a
     reduced basis; no cap is checked, so the packing is laid out for the
     highest shifted degree of the input and the basis, which reduction keeps."""
-    elems = [_row_vector(p.terms for p in e)[1] for e in gb.elements]
-    den, ints = _row_vector(p.terms for p in vec)
+    elems = [_row_vector(e)[1] for e in gb.elements]
+    den, ints = _row_vector(vec)
     lo = min(gb.shifts, default=0)
     order = _Order(gb.n, gb.shifts, max(
         (sum(m) + gb.shifts[c] - lo for s in elems + [ints] for c, m in s), default=0))
@@ -496,9 +494,9 @@ def syzygies(pres):
     m, degs = pres.ambient_rank, pres._degrees
     one = (0,) * pres.n
     gb = ModuleGB(pres.n, pres.shifts + degs, block_start=m)
-    for i, ((den, vec), deg) in enumerate(zip(pres._vectors, degs)):
+    for i, ((den, vec), deg) in enumerate(zip(pres.vectors, degs)):
         gb.add({**vec, (m + i, one): den}, deg)
-    return _presentation(pres.n, len(degs), gb.reduced_elements(), degs)
+    return GradedPresentation(pres.n, len(degs), gb.reduced_elements(), degs)
 
 
 def minimal_graded_generators(pres):
@@ -510,7 +508,7 @@ def minimal_graded_generators(pres):
     Generators in one degree with distinct leads are all kept with no
     completion (see the module docstring).
     """
-    vectors, degrees = pres._vectors, pres._degrees
+    vectors, degrees = pres.vectors, pres._degrees
     decorated = sorted(((deg, _canonical_rep(v)), i)
                        for i, (deg, v) in enumerate(zip(degrees, vectors)))
     if len(set(degrees)) <= 1 and _distinct_leads(pres):
@@ -522,7 +520,7 @@ def minimal_graded_generators(pres):
             gb.ensure_degree(deg)
             if gb.add(vectors[i][1], deg):
                 kept.append(vectors[i])
-    return _presentation(pres.n, pres.ambient_rank, kept, pres.shifts)
+    return GradedPresentation(pres.n, pres.ambient_rank, kept, pres.shifts)
 
 
 def _distinct_leads(pres):
@@ -536,8 +534,8 @@ def _distinct_leads(pres):
     degs = pres._degrees
     if degs and degs[0] > EXPONENT_CAP + min(pres.shifts):
         raise ExponentCapExceeded(f"degree {degs[0]} allows exponents above {EXPONENT_CAP}")
-    leads = {min((m[::-1], c) for c, m in vec) for _, vec in pres._vectors}
-    return len(leads) == len(pres._vectors)
+    leads = {min((m[::-1], c) for c, m in vec) for _, vec in pres.vectors}
+    return len(leads) == len(pres.vectors)
 
 
 def module_equality(a, b):
@@ -547,18 +545,18 @@ def module_equality(a, b):
     # zero shifts, not the presentations' own: the cap bounds unshifted
     # degrees, which the presentations do not hold, so they are read off
     zero_shifts = (0,) * a.ambient_rank
-    wa, wb = (ModuleGB(p.n, zero_shifts, [v for _, v in p._vectors]) for p in (a, b))
+    wa, wb = (ModuleGB(p.n, zero_shifts, [v for _, v in p.vectors]) for p in (a, b))
     wa.complete()
     wb.complete()
-    return (not any(wa.normal_form(v) for _, v in b._vectors)
-            and not any(wb.normal_form(v) for _, v in a._vectors))
+    return (not any(wa.normal_form(v) for _, v in b.vectors)
+            and not any(wb.normal_form(v) for _, v in a.vectors))
 
 
 def generic_rank(rows):
     """Rank over the fraction field of a matrix of ``Poly`` rows."""
     n = next((p.n for row in rows for p in row), 0)
     return _vector_rank(n, len(rows[0]) if rows else 0,
-                        [_row_vector(p.terms for p in row) for row in rows])
+                        list(map(_row_vector, rows)))
 
 
 def _vector_rank(n, width, vectors):

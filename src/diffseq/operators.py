@@ -8,11 +8,12 @@ polynomial sections.
 
 Each row is stored as one integer vector ``(den, {(column, monomial): int})``
 in lowest terms (``groebner``), which everything here makes and reads.
-``Poly`` cells (``rows``) are made once, when a caller first reads them,
-unless the operator was made from cells (:func:`make_operator`).
+``Poly`` cells (``rows``) are a view, made once, when a caller first reads
+them; :func:`make_operator` converts cells to vectors and keeps no cells.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import groebner
@@ -37,14 +38,10 @@ class OperatorMatrix:
             raise ValueError(
                 f"{self.name}: {len(self.vectors)} rows for target of dim {self.target.dim}")
 
-    @property
+    @cached_property
     def rows(self):
         """``rows[i][j]``: a ``Poly``, i over target, j over source."""
-        rows = self.__dict__.get("_rows")
-        if rows is None:
-            rows = self.__dict__["_rows"] = tuple(
-                groebner._cells(self.n, self.source.dim, v) for v in self.vectors)
-        return rows
+        return tuple(groebner._cells(self.n, self.source.dim, v) for v in self.vectors)
 
     @property
     def shape(self):
@@ -75,15 +72,19 @@ class OperatorMatrix:
 
 
 def make_operator(name, n, source, target, rows):
-    """The operator with ``Poly`` entries ``rows[i][j]``, which it keeps."""
+    """The operator with ``Poly`` entries ``rows[i][j]``."""
     rows = tuple(map(tuple, rows))
     for r in rows:
         if len(r) != source.dim:
             raise ValueError(f"{name}: row width {len(r)} for source of dim {source.dim}")
-    op = OperatorMatrix(name=name, n=n, source=source, target=target,
-                        vectors=tuple(groebner._row_vector(p.terms for p in r) for r in rows))
-    op.__dict__["_rows"] = rows
-    return op
+    return OperatorMatrix(name=name, n=n, source=source, target=target,
+                          vectors=tuple(map(groebner._row_vector, rows)))
+
+
+def _constant_row(n, coefs):
+    """The integer vector of an order-zero row given as ``{column: rational}``."""
+    one = (0,) * n
+    return _integral({(j, one): c for j, c in coefs.items() if c})
 
 
 def _product_rows(outer_rows, inner_rows, n, width):
@@ -155,7 +156,7 @@ def adjoint(op):
 
 def rows_presentation(op):
     """The rows of the symbol as a graded submodule of R^(source dim)."""
-    return groebner._presentation(op.n, op.source.dim, op.vectors)
+    return groebner.GradedPresentation(op.n, op.source.dim, op.vectors)
 
 
 def compatibility_conditions(op):
@@ -165,12 +166,12 @@ def compatibility_conditions(op):
     returned one; composing it with ``op`` gives the exact zero matrix.
     """
     gens = groebner.minimal_graded_generators(groebner.syzygies(rows_presentation(op)))
-    k = len(gens._vectors)
+    k = len(gens.vectors)
     target = free_basis(f"CC({op.target.label})", op.n,
                         [f"q{i}" for i in range(1, k + 1)])
     return OperatorMatrix(
         name=f"cc({op.name})", n=op.n, source=op.target, target=target,
-        vectors=gens._vectors)
+        vectors=gens.vectors)
 
 
 def differential_rank(op):
@@ -197,8 +198,6 @@ def apply(op, sections):
 
 def from_scalar_matrix(name, n, source, target, matrix):
     """Order-zero operator from a rational matrix (target dim x source dim)."""
-    one = (0,) * n
     return OperatorMatrix(
         name=name, n=n, source=source, target=target,
-        vectors=tuple(_integral({(j, one): c for j, c in enumerate(row) if c})
-                      for row in matrix))
+        vectors=tuple(_constant_row(n, dict(enumerate(row))) for row in matrix))

@@ -42,36 +42,23 @@ def _mono(n, *symbols):
     return tuple(exps)
 
 
-def _add_term(terms, mono, coef):
-    """``terms[mono] += coef``, dropping a cancelled term as ``Poly.__add__`` does."""
-    s = terms.get(mono, 0) + coef
+def _add_term(terms, key, coef):
+    """``terms[key] += coef``, dropping a cancelled term as ``Poly.__add__`` does."""
+    s = terms.get(key, 0) + coef
     if s:
-        terms[mono] = s
+        terms[key] = s
     else:
-        terms.pop(mono, None)
+        terms.pop(key, None)
 
 
-def _combine(rows, coefs):
-    """Sum of ``coef * rows[i]`` over the ``(i, coef)`` pairs, entry by entry;
-    rows hold one {monomial: coefficient} dict per entry, and so does the sum."""
-    out = [{} for _ in rows[0]]
-    for i, coef in coefs:
-        for acc, terms in zip(out, rows[i]):
-            for m, v in terms.items():
-                _add_term(acc, m, v * coef)
-    return out
-
-
-def _constrained_rows(space, ambient):
+def _constrained_rows(space, rows, width):
     """Coordinate rows of an operator landing in a constrained space: checks
-    on integers that the ambient rows (term dicts) satisfy every constraint
-    of the space, then keeps the integer vectors at the free components."""
-    zero = (0,) * space.n
-    constraints = [linalg._integral({(k, zero): v for k, v in crow.items()})
+    on integers that the ambient rows (integer vectors over ``width``
+    columns) satisfy every constraint of the space, then keeps the rows at
+    the free components."""
+    constraints = [operators._constant_row(space.n, crow)
                    for crow in bundles.constraint_rows(space)]
-    rows = [groebner._row_vector(row) for row in ambient]
-    if any(vec for _, vec in operators._product_rows(
-            constraints, rows, space.n, len(ambient[0]))):
+    if any(vec for _, vec in operators._product_rows(constraints, rows, space.n, width)):
         raise AssertionError(
             f"operator image violates a constraint of {space.label}")
     return tuple(rows[c] for c in space.free_columns)
@@ -85,57 +72,53 @@ def killing(n, metric=None):
     """Lie derivative of the metric: vector fields to symmetric 2-tensors."""
     rows = []
     for i, j in sym_tuples(n, 2):
-        row = [{} for _ in range(n)]
+        row = {}
         for k in range(1, n + 1):
-            _add_term(row[k - 1], _mono(n, i), metric.lower(k, j))
-            _add_term(row[k - 1], _mono(n, j), metric.lower(i, k))
-        rows.append(groebner._row_vector(row))
+            _add_term(row, (k - 1, _mono(n, i)), metric.lower(k, j))
+            _add_term(row, (k - 1, _mono(n, j)), metric.lower(i, k))
+        rows.append(linalg._integral(row))
     return OperatorMatrix("killing", n, tangent_space(n), sym2_space(n), tuple(rows))
 
 
 @metric_cache
 def conformal_killing(n, metric=None):
-    """Trace-free part of the Killing operator (needs n >= 3)."""
+    """Trace-free part of the Killing operator (needs n >= 3): each row of
+    ``killing`` less 2/n w_ij times the divergence."""
     if n < 3:
         raise ValueError("conformal variant needs n >= 3")
-    tgt = trace_free_sym2(n, metric)
-    frac = Fraction(2, n)
+    tgt, frac = trace_free_sym2(n, metric), Fraction(2, n)
     ambient = []
-    for i, j in sym_tuples(n, 2):
-        row = []
-        for k in range(1, n + 1):
-            terms = {}
-            _add_term(terms, _mono(n, i), metric.lower(k, j))
-            _add_term(terms, _mono(n, j), metric.lower(i, k))
-            _add_term(terms, _mono(n, k), -frac * metric.lower(i, j))
-            row.append(terms)
-        ambient.append(row)
+    for (i, j), (den, vec) in zip(sym_tuples(n, 2), killing(n, metric).vectors):
+        row = {t: Fraction(v, den) for t, v in vec.items()}
+        for k in range(n):
+            _add_term(row, (k, _mono(n, k + 1)), -frac * metric.lower(i, j))
+        ambient.append(linalg._integral(row))
     return OperatorMatrix("conformal_killing", n, tangent_space(n), tgt,
-                          _constrained_rows(tgt, ambient))
+                          _constrained_rows(tgt, ambient, n))
 
 
 @lru_cache(maxsize=None)
 def _riemann_ambient_terms(n):
     """Ambient symbol rows of the linearized curvature, one per 4-tuple, as
-    read-only {monomial: coefficient} maps shared by every caller."""
-    pairs = sym_tuples(n, 2)
-    pcol = {p: c for c, p in enumerate(pairs)}
+    integer vectors with read-only term maps, shared by every caller."""
+    pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
     rows = []
     for k, l, i, j in bundles.all_tuples(n, 4):
-        row = [{} for _ in pairs]
+        row = {}
         for a, b, h1, h2, coef in ((l, i, k, j, HALF), (l, j, k, i, -HALF),
                                    (k, i, l, j, -HALF), (k, j, l, i, HALF)):
-            _add_term(row[pcol[(min(h1, h2), max(h1, h2))]], _mono(n, a, b), coef)
-        rows.append(tuple(MappingProxyType(t) for t in row))
+            _add_term(row, (pcol[(min(h1, h2), max(h1, h2))], _mono(n, a, b)), coef)
+        den, vec = linalg._integral(row)
+        rows.append((den, MappingProxyType(vec)))
     return tuple(rows)
 
 
 @metric_cache
 def riemann_linearized(n, metric=None):
     """Second-order symbol of the curvature of a perturbed flat metric."""
-    tgt = riemann_candidate_space(n)
-    return OperatorMatrix("riemann", n, sym2_space(n), tgt,
-                          _constrained_rows(tgt, _riemann_ambient_terms(n)))
+    tgt, src = riemann_candidate_space(n), sym2_space(n)
+    return OperatorMatrix("riemann", n, src, tgt,
+                          _constrained_rows(tgt, _riemann_ambient_terms(n), src.dim))
 
 
 @metric_cache
@@ -151,14 +134,14 @@ def bianchi(n, metric=None):
     ambient = []
     for k, l in ext_tuples(n, 2):
         for i, j, r in ext_tuples(n, 3):
-            row = [{} for _ in range(src.dim)]
+            row = {}
             for d, (a, b) in ((r, (i, j)), (i, (j, r)), (j, (r, i))):
                 mono = _mono(n, d)
                 for c, coef in enumerate(a_r[rcol[(k, l, a, b)]]):
                     if coef:
-                        _add_term(row[c], mono, coef)
-            ambient.append(row)
-    return OperatorMatrix("bianchi", n, src, tgt, _constrained_rows(tgt, ambient))
+                        _add_term(row, (c, mono), coef)
+            ambient.append(linalg._integral(row))
+    return OperatorMatrix("bianchi", n, src, tgt, _constrained_rows(tgt, ambient, src.dim))
 
 
 @metric_cache
@@ -166,10 +149,11 @@ def ricci(n, metric=None):
     """Metric trace of the linearized curvature (symmetric 2-tensor valued)."""
     if n < 3:
         raise ValueError("trace operator needs n >= 3")
-    ambient = _riemann_ambient_terms(n)
-    return OperatorMatrix("ricci", n, sym2_space(n), sym2_space(n), tuple(
-        groebner._row_vector(_combine(ambient, trace.items()))
-        for trace in bundles.riemann_trace_rows(n, metric).values()))
+    traces = [operators._constant_row(n, trace)
+              for trace in bundles.riemann_trace_rows(n, metric).values()]
+    sym2 = sym2_space(n)
+    return OperatorMatrix("ricci", n, sym2, sym2, tuple(operators._product_rows(
+        traces, _riemann_ambient_terms(n), n, sym2.dim)))
 
 
 def _pair_trace(n, w):
@@ -189,9 +173,9 @@ def einstein(n, metric=None):
     applied to the rows of ``ricci``."""
     if n < 3:
         raise ValueError("trace-reverted operator needs n >= 3")
-    ric, trace, zero = ricci(n, metric), _pair_trace(n, metric), (0,) * n
-    revert = [linalg._integral({(k, zero): (c == k) - HALF * metric.lower(i, j) * t
-                                for k, t in enumerate(trace)})
+    ric, trace = ricci(n, metric), _pair_trace(n, metric)
+    revert = [operators._constant_row(n, {k: (c == k) - HALF * metric.lower(i, j) * t
+                                          for k, t in enumerate(trace)})
               for c, (i, j) in enumerate(sym_tuples(n, 2))]
     return OperatorMatrix("einstein", n, ric.source, ric.target, tuple(
         operators._product_rows(revert, ric.vectors, n, ric.source.dim)))
@@ -210,10 +194,10 @@ def _exterior_derivative(n, r):
     scol = {t: c for c, t in enumerate(ext_tuples(n, r))}
     rows = []
     for tup in ext_tuples(n, r + 1):
-        row = [{} for _ in range(src.dim)]
+        row = {}
         for t in range(r + 1):
-            _add_term(row[scol[tup[:t] + tup[t + 1:]]], _mono(n, tup[t]), -1 if t % 2 else 1)
-        rows.append(groebner._row_vector(row))
+            _add_term(row, (scol[tup[:t] + tup[t + 1:]], _mono(n, tup[t])), -1 if t % 2 else 1)
+        rows.append(linalg._integral(row))
     return OperatorMatrix(f"d{r}", n, src, ext_space(n, r + 1), tuple(rows))
 
 
@@ -232,7 +216,7 @@ def lanczos_candidate(n=4, metric=None):
     for k, l, i, j in bundles.all_tuples(n, 4):
         terms = ((1, j, (k, l, i)), (-1, i, (k, l, j)),
                  (1, l, (i, j, k)), (-1, k, (i, j, l)))
-        row = [{} for _ in range(src.dim)]
+        row = {}
         for sign, d, (a, b, c) in terms:
             slot, slot_sign = bundles._pair_slot(a, b)
             if not slot_sign:
@@ -240,10 +224,10 @@ def lanczos_candidate(n=4, metric=None):
             mono = _mono(n, d)
             for col, coef in enumerate(a_l[lcol[(slot, c)]]):
                 if coef:
-                    _add_term(row[col], mono, sign * slot_sign * coef)
-        ambient.append(row)
+                    _add_term(row, (col, mono), sign * slot_sign * coef)
+        ambient.append(linalg._integral(row))
     return OperatorMatrix("lanczos_candidate", n, src, tgt,
-                          _constrained_rows(tgt, ambient))
+                          _constrained_rows(tgt, ambient, src.dim))
 
 
 BUILDERS = {
@@ -369,8 +353,8 @@ def parametrization_generators(op):
     vector annihilated by ``op`` from the right.
     """
     cols = operators._transpose(op.vectors, op.source.dim)
-    pres = groebner._presentation(op.n, op.target.dim, cols)
-    gens = groebner.minimal_graded_generators(groebner.syzygies(pres))._vectors
+    pres = groebner.GradedPresentation(op.n, op.target.dim, cols)
+    gens = groebner.minimal_graded_generators(groebner.syzygies(pres)).vectors
     src = bundles.free_basis(f"P({op.source.label})", op.n,
                              [f"p{i}" for i in range(1, len(gens) + 1)])
     return OperatorMatrix(f"potential({op.name})", op.n, src, op.source,
@@ -429,10 +413,9 @@ def is_self_adjoint_sym2(op, metric=None):
     if op.source.key() != op.target.key():
         return False
     # weighting row i by w_i must give a matrix equal to its own adjoint
-    weights = sym2_pairing_weights(op.n, metric)
-    weighted = tuple(groebner._lowest_terms(den * w.denominator,
-                                            {t: v * w.numerator for t, v in vec.items()})
-                     if w else (1, {}) for w, (den, vec) in zip(weights, op.vectors))
+    weights = [operators._constant_row(op.n, {i: w})
+               for i, w in enumerate(sym2_pairing_weights(op.n, metric))]
+    weighted = tuple(operators._product_rows(weights, op.vectors, op.n, op.source.dim))
     return weighted == operators._transpose(weighted, op.source.dim, negate=True)
 
 
@@ -463,7 +446,7 @@ def weyl_relations_report(metric=None):
         [list(r) for r in split.inject_weyl])
     composed = compose(bianchi(n, w), inj)
     pres = operators.rows_presentation(composed)
-    gens = groebner.minimal_graded_generators(pres)._vectors
+    gens = groebner.minimal_graded_generators(pres).vectors
     k = len(gens)
     rel_op = OperatorMatrix(
         "weyl_relations", n, split.weyl_space,
@@ -563,13 +546,13 @@ def trace_contraction_check(metric=None):
     pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
     div_grad = []
     for r in range(1, n + 1):
-        row = [{} for _ in pcol]
+        row = {}
         for k, t in enumerate(trace):
-            _add_term(row[k], _mono(n, r), -t)
+            _add_term(row, (k, _mono(n, r)), -t)
         for s in range(1, n + 1):
             for m in range(1, n + 1):
-                _add_term(row[pcol[(min(m, r), max(m, r))]], _mono(n, s), 2 * w.upper(s, m))
-        div_grad.append(groebner._row_vector(row))
+                _add_term(row, (pcol[(min(m, r), max(m, r))], _mono(n, s)), 2 * w.upper(s, m))
+        div_grad.append(linalg._integral(row))
     identity_ok = lhs.vectors == tuple(
         operators._product_rows(div_grad, ric.vectors, n, ric.source.dim))
 

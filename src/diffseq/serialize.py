@@ -3,14 +3,15 @@
 Coefficients travel as "p/q" strings so no float ever appears; exponent
 lists have fixed length n; entries are sorted by (row, col) and terms by
 the same monomial order the algebra uses.  Parsing a document built from
-an operator yields an operator that compares equal to the original.  Labels
-and the name must balance their parentheses (``bundles.dual_label``).
+an operator yields an operator that compares equal to the original.  The
+name must be a string, and the name and labels must be ones that two
+``bundles.dual_label`` calls give back, so two adjoints restore a document.
 """
 
 import json
 from fractions import Fraction
 
-from .bundles import balanced, free_basis
+from .bundles import dual_label, free_basis
 from .linalg import _integral
 from .operators import OperatorMatrix
 from .poly import mono_key
@@ -78,7 +79,9 @@ def document_to_operator(doc):
         if doc.get("kind", "operator") != "operator":
             raise DocumentError(f"not an operator document: {doc.get('kind')!r}")
         n = _integer(doc["n"], "n", low=1)
-        name = str(doc.get("name", "operator"))
+        name = doc.get("name", "operator")
+        if type(name) is not str:
+            raise DocumentError(f"name must be a string, got {name!r}")
         bases = []
         for block in (doc["source"], doc["target"]):
             label, elements = block["label"], block["elements"]
@@ -88,8 +91,8 @@ def document_to_operator(doc):
             bases.append(free_basis(label, n, elements))
         source, target = bases
         for text in (name, source.label, target.label):
-            if not balanced(text):
-                raise DocumentError(f"unbalanced parentheses in {text!r}")
+            if dual_label(dual_label(text)) != text:
+                raise DocumentError(f"two adjoints would not give back {text!r}")
         rows = [{} for _ in range(target.dim)]
         seen = set()
         for entry in doc["entries"]:

@@ -42,7 +42,7 @@ def test_ricci_reuses_the_curvature_ambient_rows():
     assert after.misses == before.misses and after.hits > before.hits
     rows = sequences._riemann_ambient_terms(3)
     with pytest.raises(TypeError):
-        rows[0][0][(0, 0, 2)] = 1
+        rows[0][1][0, (0, 0, 2)] = 1
 
 
 def test_janet_spencer_table_eliminates_its_jet_system_once(monkeypatch):

@@ -242,7 +242,8 @@ def test_two_adjoints_restore_every_builder_document(tmp_path, metric):
     (("source", "label"), "T)"),
     (("target", "label"), ")S("),
     (("source", "label"), "ad(T"),
-], ids=["name-open", "label-close", "label-crossed", "label-ad-open"])
+    (("name",), "ad(ad(k))"),     # balanced, but two adjoints would unwrap it to k
+], ids=["name-open", "label-close", "label-crossed", "label-ad-open", "name-nested-ad"])
 def test_unbalanced_label_or_name_exits_two(tmp_path, capsys, path, value):
     _, out = run_cli(["build", "killing", "--n", "2"])
     doc = json.loads(out)
@@ -253,7 +254,32 @@ def test_unbalanced_label_or_name_exits_two(tmp_path, capsys, path, value):
     for command in ("adjoint", "cc"):
         code, stdout = run_cli([command, str(bad)])
         assert (code, stdout) == (2, "")
-        assert capsys.readouterr().err.startswith("diffseq: unbalanced parentheses in ")
+        assert capsys.readouterr().err.startswith("diffseq: two adjoints would not give back ")
+
+
+def test_a_composed_adjoint_name_survives_two_adjoints(tmp_path):
+    # the form adjoint gives a composition's name: it wraps, it does not unwrap
+    _, text = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(text)
+    doc["name"] = "ad(ad(a) o ad(b))"
+    text = serialize.dumps(doc)
+    path = tmp_path / "op.json"
+    path.write_text(text, encoding="utf-8")
+    for _ in range(2):
+        code, out = run_cli(["adjoint", str(path)])
+        assert code == 0
+        path.write_text(out, encoding="utf-8")
+    assert out == text
+
+
+def test_a_document_without_a_name_reads_as_operator(tmp_path):
+    _, text = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(text)
+    del doc["name"]
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(["adjoint", str(path)])
+    assert code == 0 and json.loads(out)["name"] == "ad(operator)"
 
 
 def test_json_and_markdown_flags_conflict():
@@ -285,10 +311,11 @@ def _edit(doc, path, value):
     (("entries", 0, "col"), False),                    # boolean as integer
     (("source", "elements"), "abc"),                   # string, not a list
     (("source", "label"), 5),                          # label not a string
+    (("name",), 12),                                   # name not a string
     (("entries",), APPEND),                            # repeated (row, col)
     (("entries", 0, "terms"), APPEND),                 # repeated exp in one entry
 ], ids=["n-string", "coef-float", "exp-float", "row-float", "n-float",
-        "col-bool", "elements-string", "label-number", "duplicate-entry",
+        "col-bool", "elements-string", "label-number", "name-number", "duplicate-entry",
         "duplicate-exponent"])
 def test_malformed_document_fields_exit_two(tmp_path, capsys, path, value):
     _, out = run_cli(["build", "killing", "--n", "2"])
@@ -337,3 +364,27 @@ def test_cli_output_bytes_are_pinned(tmp_path):
 # exit codes and stdout of every invocation above; any change to the CLI's
 # output bytes changes it
 PINNED_CLI_SHA256 = "f35170bdc1836a3b56b18cbbf632cc9d166a24355f84769b9eb3aeac2f757f1a"
+
+
+def _builder_invocations():
+    """build for every builder at n=5 (each form degree) and for the five
+    chain builders at n=6, under both metrics."""
+    for n, names in ((5, cli.BUILDER_NAMES),
+                     (6, ("killing", "conformal_killing", "riemann", "ricci", "einstein"))):
+        for metric in ("euclidean", "minkowski"):
+            for name in names:
+                for r in range(n) if name == "exterior_derivative" else (0,):
+                    yield ["build", name, "--n", str(n), "--metric", metric,
+                           "--form-degree", str(r)]
+
+
+def test_builder_documents_at_n5_and_n6_are_pinned():
+    digest = hashlib.sha256()
+    for argv in _builder_invocations():
+        code, out = run_cli(argv)
+        digest.update(f"{code}\n{out}".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_BUILDER_SHA256
+
+
+# exit codes and documents of every build above
+PINNED_BUILDER_SHA256 = "efd31ab50e21bac4c8458dee4a6cc9b3a89aef7a786279bb5a7599f945d9fe17"

@@ -114,7 +114,7 @@ def _vars(n):
 
 def test_syzygy_of_two_variables_is_the_koszul_relation():
     x1, x2 = _vars(2)
-    pres = GradedPresentation(n=2, ambient_rank=1, generators=((x1,), (x2,)))
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1,), (x2,)))
     syz = syzygies(pres)
     assert len(syz.generators) == 1
     assert_syzygies_complete(pres, 5)
@@ -123,17 +123,17 @@ def test_syzygy_of_two_variables_is_the_koszul_relation():
 def test_syzygies_of_killing_rows_match_the_degree_oracle():
     for n in (2, 3):
         op = killing(n)
-        pres = GradedPresentation(
+        pres = GradedPresentation.from_rows(
             n=n, ambient_rank=op.source.dim,
-            generators=tuple(tuple(r) for r in op.rows))
+            rows=tuple(tuple(r) for r in op.rows))
         assert_syzygies_complete(pres, 5)
 
 
 def test_second_level_syzygies_match_the_degree_oracle():
     op = killing(3)
-    pres = GradedPresentation(
+    pres = GradedPresentation.from_rows(
         n=3, ambient_rank=op.source.dim,
-        generators=tuple(tuple(r) for r in op.rows))
+        rows=tuple(tuple(r) for r in op.rows))
     level1 = syzygies(pres)
     assert_syzygies_complete(level1, 5)
 
@@ -142,15 +142,14 @@ def test_free_rows_have_no_relations():
     n = 2
     e1 = (Poly.one(n), Poly.zero(n))
     e2 = (Poly.zero(n), Poly.one(n))
-    pres = GradedPresentation(n=n, ambient_rank=2, generators=(e1, e2),
-                              shifts=(0, 0))
+    pres = GradedPresentation.from_rows(n=n, ambient_rank=2, rows=(e1, e2), shifts=(0, 0))
     assert syzygies(pres).generators == ()
 
 
 def test_groebner_membership_of_original_generators():
     x1, x2, x3 = _vars(3)
     gens = ((x1 * x2 + x3 * x3,), (x2 * x3,), (x1 + x2,))
-    pres = GradedPresentation(n=3, ambient_rank=1, generators=gens)
+    pres = GradedPresentation.from_rows(n=3, ambient_rank=1, rows=gens)
     gb = reduced_groebner(pres)
     for g in gens:
         assert all(p.is_zero() for p in normal_form(list(g), gb))
@@ -158,8 +157,7 @@ def test_groebner_membership_of_original_generators():
 
 def test_normal_form_is_idempotent_and_linear():
     x1, x2 = _vars(2)
-    pres = GradedPresentation(n=2, ambient_rank=1,
-                              generators=((x1 * x1,), (x1 * x2,)))
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1 * x1,), (x1 * x2,)))
     gb = reduced_groebner(pres)
     u = [x1 * x1 * x2 + x2]
     v = [x2 * x2 + x1]
@@ -171,10 +169,9 @@ def test_normal_form_is_idempotent_and_linear():
 
 def test_module_equality_distinguishes_modules():
     x1, x2 = _vars(2)
-    a = GradedPresentation(n=2, ambient_rank=1, generators=((x1,), (x2,)))
-    b = GradedPresentation(n=2, ambient_rank=1,
-                           generators=((x1 + x2,), (x1,), (x2,)))
-    c = GradedPresentation(n=2, ambient_rank=1, generators=((x1,),))
+    a = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1,), (x2,)))
+    b = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1 + x2,), (x1,), (x2,)))
+    c = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1,),))
     assert module_equality(a, b)
     assert not module_equality(a, c)
     assert not module_equality(c, a)
@@ -185,7 +182,7 @@ def test_minimal_generators_drop_redundant_ones():
     g1 = (x1 * x1,)
     g2 = (x2,)
     g3 = (x1 * x1 + x1 * x2,)   # g1 + x1*g2
-    pres = GradedPresentation(n=2, ambient_rank=1, generators=(g1, g2, g3))
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=(g1, g2, g3))
     minimal = minimal_graded_generators(pres)
     assert len(minimal.generators) == 2
     assert module_equality(minimal, pres)
@@ -220,9 +217,9 @@ def test_generic_rank_of_inhomogeneous_rows():
 
 def test_degree_cap_is_a_loud_error(monkeypatch):
     op = killing(2)
-    pres = GradedPresentation(
+    pres = GradedPresentation.from_rows(
         n=2, ambient_rank=op.source.dim,
-        generators=tuple(tuple(r) for r in op.rows))
+        rows=tuple(tuple(r) for r in op.rows))
     monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "1")
     with pytest.raises(DegreeCapExceeded):
         syzygies(pres)
@@ -230,7 +227,7 @@ def test_degree_cap_is_a_loud_error(monkeypatch):
 
 def test_exponent_cap_is_checked_on_inputs_and_s_pairs(monkeypatch):
     top = EXPONENT_CAP + 1
-    pres = GradedPresentation(n=2, ambient_rank=1, generators=(
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=(
         (Poly.monomial(2, (top, 0)),), (Poly.monomial(2, (0, top)),)))
     monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", str(4 * top))
     with pytest.raises(ExponentCapExceeded):
@@ -245,7 +242,7 @@ def test_exponent_cap_is_checked_on_inputs_and_s_pairs(monkeypatch):
 
 
 def test_presentations_with_no_generators_have_empty_results():
-    pres = GradedPresentation(n=2, ambient_rank=3, generators=())
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=3, rows=())
     syz = syzygies(pres)
     assert (syz.ambient_rank, syz.generators, syz.shifts) == (0, (), ())
     assert reduced_groebner(pres).elements == ()
@@ -254,13 +251,13 @@ def test_presentations_with_no_generators_have_empty_results():
 
 def test_engine_rows_are_graded_by_the_presentation_shifts():
     x1, x2 = _vars(2)
-    syz = syzygies(GradedPresentation(n=2, ambient_rank=1, generators=((x1,), (x2 * x2,))))
+    syz = syzygies(GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1,), (x2 * x2,))))
     assert syz.shifts == (1, 2) and syz._degrees == (3,)
-    moved = GradedPresentation(n=2, ambient_rank=2, generators=syz.generators, shifts=(3, 4))
+    moved = GradedPresentation(n=2, ambient_rank=2, vectors=syz.vectors, shifts=(3, 4))
     assert moved._degrees == (5,)
     # under zero shifts the row x2^2 e0 - x1 e1 mixes degrees 2 and 1
     with pytest.raises(groebner.GeneratorError, match=r"row 0 mixes shifted degrees \[1, 2\]"):
-        GradedPresentation(n=2, ambient_rank=2, generators=syz.generators)
+        GradedPresentation.from_rows(n=2, ambient_rank=2, rows=syz.generators)
 
 
 def test_one_degree_cap_setting_governs_every_entry_point(monkeypatch):
@@ -285,8 +282,8 @@ def test_one_degree_cap_setting_governs_every_entry_point(monkeypatch):
 def test_normal_form_is_exact_beyond_the_exponent_cap(e, want):
     # public normal_form admits no cap: the packing is sized from its data
     x1, x2 = _vars(2)
-    gb = reduced_groebner(GradedPresentation(n=2, ambient_rank=1,
-                                             generators=((x1 * x1 + x2 * x2,),)))
+    gb = reduced_groebner(GradedPresentation.from_rows(n=2, ambient_rank=1,
+                                                       rows=((x1 * x1 + x2 * x2,),)))
     vec = [Poly.monomial(2, (e, 0)) + Poly.monomial(2, (1, e - 1))]
     assert normal_form(vec, gb)[0].terms == want
 
@@ -295,7 +292,7 @@ def _non_unit_leads():
     """Integer generators with non-unit leads and content: the engine keeps
     leads above 1, and the reduced basis has fractional tails."""
     x1, x2, x3 = _vars(3)
-    return GradedPresentation(n=3, ambient_rank=2, generators=(
+    return GradedPresentation.from_rows(n=3, ambient_rank=2, rows=(
         (x1.scale(3) + x2.scale(2), x3.scale(4)),
         (x2.scale(6), x1.scale(4) - x3.scale(10)),
         (x3.scale(9), x2.scale(3))))
@@ -312,8 +309,7 @@ def test_normal_form_is_the_exact_rational_remainder():
     rem = normal_form(vec, gb)
     diff = tuple(v - r for v, r in zip(vec, rem))
     assert any(diff)
-    grown = GradedPresentation(n=3, ambient_rank=2,
-                               generators=pres.generators + (diff,))
+    grown = GradedPresentation.from_rows(n=3, ambient_rank=2, rows=pres.generators + (diff,))
     assert module_equality(pres, grown)
     leads = [_lead(e, gb.shifts) for e in gb.elements]
     for c, p in enumerate(rem):
@@ -365,9 +361,9 @@ def _reference_minimal_generators(pres):
     gb = groebner.ModuleGB(pres.n, pres.shifts)
     kept = []
     for (deg, _), i in sorted(((deg, groebner._canonical_rep(v)), i) for i, (deg, v)
-                              in enumerate(zip(pres._degrees, pres._vectors))):
+                              in enumerate(zip(pres._degrees, pres.vectors))):
         gb.ensure_degree(deg)
-        if gb.add(pres._vectors[i][1]):
+        if gb.add(pres.vectors[i][1]):
             kept.append(pres.generators[i])
     return tuple(kept)
 
@@ -392,7 +388,7 @@ def test_one_degree_input_with_a_repeated_lead_is_swept(monkeypatch):
     x1, x2 = _vars(2)
     a, b = (x1 * x1, x2 * x2), (x1 * x1 + x1 * x2, Poly.zero(2))
     # a and b both lead with x1^2 e0, and the third row is a - b
-    pres = GradedPresentation(n=2, ambient_rank=2, generators=(
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=2, rows=(
         a, b, (a[0] - b[0], a[1] - b[1])))
     assert set(pres._degrees) == {2}
     made = _recording_bases(monkeypatch)
@@ -403,7 +399,7 @@ def test_one_degree_input_with_a_repeated_lead_is_swept(monkeypatch):
 
 def test_one_degree_input_above_the_exponent_cap_raises():
     big = Poly.monomial(2, (EXPONENT_CAP + 1, 0), Fraction(1))
-    pres = GradedPresentation(n=2, ambient_rank=1, generators=((big,),))
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((big,),))
     with pytest.raises(ExponentCapExceeded):
         minimal_graded_generators(pres)
     with pytest.raises(ExponentCapExceeded):
@@ -454,7 +450,7 @@ def test_mixed_degree_syzygies_are_filtered_by_minimal_generators(monkeypatch):
 def test_basis_elements_are_primitive_integer_vectors():
     leads = []
     for pres in (rows_presentation(conformal_killing(4)), _non_unit_leads()):
-        gb = groebner.ModuleGB(pres.n, pres.shifts, [v for _, v in pres._vectors])
+        gb = groebner.ModuleGB(pres.n, pres.shifts, [v for _, v in pres.vectors])
         gb.complete()
         assert gb.stats["processed"] > 0
         for members in gb.by_component.values():
@@ -471,8 +467,7 @@ def test_coprime_leads_still_need_their_s_pair():
     # and x1*e0 are coprime, yet the S-pair yields (0, x1*x2).
     x1, x2 = _vars(2)
     zero = Poly.zero(2)
-    pres = GradedPresentation(n=2, ambient_rank=2,
-                              generators=((x1, zero), (x2, x2)))
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=2, rows=((x1, zero), (x2, x2)))
     gb = reduced_groebner(pres)
     assert len(gb.elements) == 3
     assert (zero, x1 * x2) in gb.elements
@@ -483,9 +478,9 @@ def test_chain_criterion_keeps_pairs_sharing_the_new_lcm():
     # also dropped the queued pair when a new pair has the same lcm would
     # keep only one of the three pairs and miss x3^3.
     x1, x2, x3 = _vars(3)
-    pres = GradedPresentation(
+    pres = GradedPresentation.from_rows(
         n=3, ambient_rank=1,
-        generators=((x1 * x3,), (x1 * x2 + x3 * x3,), (x2 * x3,)))
+        rows=((x1 * x3,), (x1 * x2 + x3 * x3,), (x2 * x3,)))
     gb = reduced_groebner(pres)
     assert len(gb.elements) == 4
     assert (x3 * x3 * x3,) in gb.elements
@@ -511,8 +506,8 @@ def homogeneous_presentations(draw):
         if any(vec):
             gens.append(tuple(vec))
     assume(gens)
-    return GradedPresentation(n=n, ambient_rank=rank, generators=tuple(gens),
-                              shifts=shifts)
+    return GradedPresentation.from_rows(n=n, ambient_rank=rank, rows=tuple(gens),
+                                        shifts=shifts)
 
 
 def _lead(vec, shifts):
@@ -669,8 +664,8 @@ def _seeded_presentations(seed=7, count=40):
             if any(vec):
                 gens.append(tuple(vec))
         if gens:
-            out.append(GradedPresentation(n=n, ambient_rank=rank, generators=tuple(gens),
-                                          shifts=shifts))
+            out.append(GradedPresentation.from_rows(n=n, ambient_rank=rank,
+                                                    rows=tuple(gens), shifts=shifts))
     return out
 
 

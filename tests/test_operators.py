@@ -295,9 +295,9 @@ def test_engine_built_conditions_equal_user_built_ones(builder, n, metric):
         cc = step.operator
         rows = tuple(tuple(r) for r in cc.rows)   # plain tuples, as a user passes them
         pres = rows_presentation(cc)
-        plain = GradedPresentation(cc.n, cc.source.dim, rows)
+        plain = GradedPresentation.from_rows(cc.n, cc.source.dim, rows)
         assert pres == plain and hash(pres) == hash(plain)
-        assert pres._vectors == plain._vectors
+        assert pres.vectors == plain.vectors
         assert pres._degrees == plain._degrees
         for row, (den, ints) in zip(cc.rows, cc.vectors):
             assert ints == {(c, m): v * den for c, p in enumerate(row) for m, v in p.terms.items()}

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -50,13 +51,28 @@ def test_class_level_defaults_fill_missing_fields():
 
 def test_post_init_normalises_presentation_shifts():
     x1 = Poly.variable(2, 1)
-    pres = GradedPresentation(n=2, ambient_rank=2, generators=[[x1, x1]])
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=2, rows=[[x1, x1]])
     assert pres.shifts == (0, 0)
     assert pres.generators == ((x1, x1),)
-    shifted = GradedPresentation(2, 2, [[x1, Poly.zero(2)]], [1, 3])
+    shifted = GradedPresentation.from_rows(2, 2, [[x1, Poly.zero(2)]], [1, 3])
     assert shifted.shifts == (1, 3)
     with pytest.raises(ValueError):
-        GradedPresentation(n=2, ambient_rank=2, generators=[[x1, x1]], shifts=(0,))
+        GradedPresentation.from_rows(n=2, ambient_rank=2, rows=[[x1, x1]], shifts=(0,))
+
+
+def test_presentation_rows_are_one_cached_view_of_the_vectors():
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    pres = GradedPresentation.from_rows(2, 2, [[x1, x2 * Fraction(1, 2)]])
+    assert pres.vectors == ((2, {(0, (1, 0)): 2, (1, (0, 1)): 1}),)
+    assert pres.generators is pres.generators
+    assert pres.generators == ((x1, x2 * Fraction(1, 2)),)
+    same = GradedPresentation(2, 2, pres.vectors)
+    assert same == pres and hash(same) == hash(pres)
+    assert same != GradedPresentation(2, 2, ((1, {(0, (1, 0)): 1}),))
+    assert repr(same) == ("GradedPresentation(n=2, ambient_rank=2, "
+                          "generators=((x1, 1/2*x2),), shifts=(0, 0))")
+    with pytest.raises(ValueError, match="arity"):
+        GradedPresentation.from_rows(2, 2, [[x1]])
 
 
 def test_repr_names_every_field():

@@ -127,8 +127,7 @@ def _columns_presentation(op):
     from diffseq.groebner import GradedPresentation
     cols = tuple(tuple(op.rows[i][j] for i in range(op.target.dim))
                  for j in range(op.source.dim))
-    return GradedPresentation(n=op.n, ambient_rank=op.target.dim,
-                              generators=cols)
+    return GradedPresentation.from_rows(n=op.n, ambient_rank=op.target.dim, rows=cols)
 
 
 def test_airy_parametrization():
@@ -284,7 +283,7 @@ def test_build_sequence_rejects_conditions_that_do_not_annihilate(monkeypatch):
 
 def test_constrained_rows_refuse_an_image_outside_the_space():
     space = trace_free_sym2(3)
-    ambient = [[{} for _ in range(3)] for _ in range(space.ambient_dim)]
-    ambient[0][0] = {(1, 0, 0): Fraction(1, 2)}
+    ambient = [(1, {})] * space.ambient_dim
+    ambient[0] = (2, {(0, (1, 0, 0)): 1})
     with pytest.raises(AssertionError, match="violates a constraint"):
-        _constrained_rows(space, ambient)
+        _constrained_rows(space, ambient, 3)
