@@ -84,8 +84,6 @@ from .config import (EXPONENT_CAP, DegreeCapExceeded, ExponentCapExceeded,
 from .linalg import _integral, _primitive
 from .poly import Poly, mono_divides, mono_lcm
 
-ORDER_TAG = "degrevlex, term over position, low component wins ties"
-
 
 # ---------------------------------------------------------------------------
 # rows: integer vectors, with Poly cells at the edges
@@ -232,17 +230,6 @@ class GradedPresentation:
     def __repr__(self):
         return (f"GradedPresentation(n={self.n!r}, ambient_rank={self.ambient_rank!r}, "
                 f"generators={self.generators!r}, shifts={self.shifts!r})")
-
-
-@record
-class GroebnerBasis:
-    """Reduced basis: monic elements, sorted by leading term, autoreduced."""
-
-    n: int
-    ambient_rank: int
-    elements: tuple
-    shifts: tuple
-    order_tag: str = ORDER_TAG
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +444,29 @@ class ModuleGB:
 # public operations
 
 def reduced_groebner(pres):
+    """The reduced basis of ``pres``, monic and sorted by lead, as a presentation."""
     gb = ModuleGB(pres.n, pres.shifts)
     for (_, vec), deg in zip(pres.vectors, pres._degrees):
         gb.add(vec, deg)
-    return GroebnerBasis(n=pres.n, ambient_rank=pres.ambient_rank, shifts=pres.shifts,
-                         elements=tuple(_cells(pres.n, pres.ambient_rank, v)
-                                        for v in gb.reduced_elements()))
+    return GradedPresentation(pres.n, pres.ambient_rank, gb.reduced_elements(), pres.shifts)
 
 
-def normal_form(vec, gb):
+def normal_form(vec, basis):
     """Full (exact rational) remainder of a vector of polynomials against a
     reduced basis; no cap is checked, so the packing is laid out for the
     highest shifted degree of the input and the basis, which reduction keeps."""
-    elems = [_row_vector(e)[1] for e in gb.elements]
+    elems = [e for _, e in basis.vectors]
     den, ints = _row_vector(vec)
-    lo = min(gb.shifts, default=0)
-    order = _Order(gb.n, gb.shifts, max(
-        (sum(m) + gb.shifts[c] - lo for s in elems + [ints] for c, m in s), default=0))
+    lo = min(basis.shifts, default=0)
+    order = _Order(basis.n, basis.shifts, max(
+        (sum(m) + basis.shifts[c] - lo for s in elems + [ints] for c, m in s), default=0))
     pack = order.pack
     by_comp = {}
     for e in elems:
         comp, member = _reducer({pack(t): v for t, v in e.items()}, order)
         by_comp.setdefault(comp, []).append(member)
     scale, red = _reduce_sparse({pack(t): v for t, v in ints.items()}, by_comp, order)
-    return _cells(gb.n, gb.ambient_rank, _unpacked(den * scale, red, order))
+    return _cells(basis.n, basis.ambient_rank, _unpacked(den * scale, red, order))
 
 
 def syzygies(pres):
@@ -538,18 +524,20 @@ def _distinct_leads(pres):
     return len(leads) == len(pres.vectors)
 
 
-def module_equality(a, b):
-    """Do two presentations generate the same submodule of R^m?"""
+def module_contains(a, b):
+    """Does the submodule of R^m generated by ``a`` contain every row of ``b``?"""
     if a.n != b.n or a.ambient_rank != b.ambient_rank:
         raise ValueError("presentations live in different ambient modules")
     # zero shifts, not the presentations' own: the cap bounds unshifted
     # degrees, which the presentations do not hold, so they are read off
-    zero_shifts = (0,) * a.ambient_rank
-    wa, wb = (ModuleGB(p.n, zero_shifts, [v for _, v in p.vectors]) for p in (a, b))
-    wa.complete()
-    wb.complete()
-    return (not any(wa.normal_form(v) for _, v in b.vectors)
-            and not any(wb.normal_form(v) for _, v in a.vectors))
+    gb = ModuleGB(a.n, (0,) * a.ambient_rank, [v for _, v in a.vectors])
+    gb.complete()
+    return not any(gb.normal_form(v) for _, v in b.vectors)
+
+
+def module_equality(a, b):
+    """Do two presentations generate the same submodule of R^m?"""
+    return module_contains(a, b) and module_contains(b, a)
 
 
 def generic_rank(rows):

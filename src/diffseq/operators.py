@@ -130,15 +130,15 @@ def compose(outer, inner):
                                     outer.n, inner.source.dim)))
 
 
-def _transpose(vectors, width, negate=False):
+def _transpose(vectors, width):
     """The transpose of the rows ``vectors`` over ``width`` columns, read off
-    their nonzero terms; with ``negate``, ``p(chi) -> p(-chi)`` as well."""
+    their nonzero terms, with ``p(chi) -> p(-chi)`` as well."""
     scale = lcm(*(den for den, _ in vectors))
     cols = [{} for _ in range(width)]
     for i, (den, vec) in enumerate(vectors):
         f = scale // den
         for (j, m), v in vec.items():
-            cols[j][i, m] = -f * v if negate and sum(m) & 1 else f * v
+            cols[j][i, m] = -f * v if sum(m) & 1 else f * v
     return tuple(groebner._lowest_terms(scale, col) for col in cols)
 
 
@@ -151,12 +151,30 @@ def adjoint(op):
     return OperatorMatrix(
         name=dual_label(op.name), n=op.n, source=op.target.dual(),
         target=op.source.dual(),
-        vectors=_transpose(op.vectors, op.source.dim, negate=True))
+        vectors=_transpose(op.vectors, op.source.dim))
 
 
 def rows_presentation(op):
-    """The rows of the symbol as a graded submodule of R^(source dim)."""
-    return groebner.GradedPresentation(op.n, op.source.dim, op.vectors)
+    """The rows of the symbol as a graded submodule of R^(source dim).  Its
+    columns weigh 0 unless a row then mixes degrees; then a row of degree d
+    with a term x^m in column c ties w_c = d - |m|, and the least weight is
+    0.  If no weighting works, the first error stands."""
+    try:
+        return groebner.GradedPresentation(op.n, op.source.dim, op.vectors)
+    except groebner.GeneratorError as error:
+        weights, rows = {}, [vec for _, vec in op.vectors if vec]
+        while rows:  # a row that meets a weighted column first, if one does
+            vec = rows.pop(next((i for i, r in enumerate(rows)
+                                 if any(c in weights for c, _ in r)), 0))
+            deg = next((weights[c] + sum(m) for c, m in vec if c in weights), sum(min(vec)[1]))
+            for c, m in vec:
+                weights.setdefault(c, deg - sum(m))
+        low = min(weights.values(), default=0)
+        shifts = tuple(weights.get(c, low) - low for c in range(op.source.dim))
+        try:
+            return groebner.GradedPresentation(op.n, op.source.dim, op.vectors, shifts)
+        except groebner.GeneratorError:
+            raise error from None
 
 
 def compatibility_conditions(op):

@@ -325,40 +325,32 @@ def check_parametrization(target, candidate):
     True exactly when the composition vanishes and the rows of ``target``
     generate every relation among the rows of ``candidate``; by module
     duality this makes solutions of ``target`` precisely the image of
-    ``candidate``.
+    ``candidate``.  A zero composition makes every row of ``target`` such a
+    relation, so only the other inclusion is tested then.
     """
-    if candidate.target.key() != target.source.key():
-        raise ValueError(
-            f"candidate target {candidate.target.label} does not match "
-            f"operator source {target.source.label}")
     zero = compose(target, candidate).is_zero()
-    equal = False
-    if zero:
-        syz = groebner.syzygies(operators.rows_presentation(candidate))
-        equal = groebner.module_equality(
-            operators.rows_presentation(target), syz)
+    full = zero and groebner.module_contains(
+        operators.rows_presentation(target),
+        groebner.syzygies(operators.rows_presentation(candidate)))
     return ParametrizationVerdict(
-        ok=zero and equal,
+        ok=full,
         composes_to_zero=zero,
-        generates_all_relations=equal,
+        generates_all_relations=full,
         target_name=target.name,
         candidate_name=candidate.name)
 
 
 def parametrization_generators(op):
-    """Minimal generating set of column relations, packaged as an operator.
+    """Minimal generating set of column relations as an operator: ad(CC(ad(op))).
 
     The returned operator maps a fresh potential bundle into the source of
     ``op`` and satisfies ``op o result = 0``; its columns generate every
     vector annihilated by ``op`` from the right.
     """
-    cols = operators._transpose(op.vectors, op.source.dim)
-    pres = groebner.GradedPresentation(op.n, op.target.dim, cols)
-    gens = groebner.minimal_graded_generators(groebner.syzygies(pres)).vectors
+    pot = adjoint(operators.compatibility_conditions(adjoint(op)))
     src = bundles.free_basis(f"P({op.source.label})", op.n,
-                             [f"p{i}" for i in range(1, len(gens) + 1)])
-    return OperatorMatrix(f"potential({op.name})", op.n, src, op.source,
-                          operators._transpose(gens, op.source.dim))
+                             [f"p{i}" for i in range(1, pot.source.dim + 1)])
+    return OperatorMatrix(f"potential({op.name})", op.n, src, op.source, pot.vectors)
 
 
 @record
@@ -382,14 +374,11 @@ def double_duality_report(op, depth=2):
     before the requested depth is checked at the positions it has.
     """
     seq = build_sequence(op, max_steps=depth)
-    ops = [s.operator for s in seq.steps]
-    verdicts = []
-    for i in range(1, len(ops)):
-        verdicts.append(
-            check_parametrization(adjoint(ops[i - 1]), adjoint(ops[i])))
+    ads = [adjoint(s.operator) for s in seq.steps]
+    verdicts = tuple(map(check_parametrization, ads, ads[1:]))
     return DoubleDualityReport(
-        name=op.name, n=op.n, depth=len(ops) - 1,
-        verdicts=tuple(verdicts), ok=all(v.ok for v in verdicts))
+        name=op.name, n=op.n, depth=len(ads) - 1,
+        verdicts=verdicts, ok=all(v.ok for v in verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +405,7 @@ def is_self_adjoint_sym2(op, metric=None):
     weights = [operators._constant_row(op.n, {i: w})
                for i, w in enumerate(sym2_pairing_weights(op.n, metric))]
     weighted = tuple(operators._product_rows(weights, op.vectors, op.n, op.source.dim))
-    return weighted == operators._transpose(weighted, op.source.dim, negate=True)
+    return weighted == operators._transpose(weighted, op.source.dim)
 
 
 @record

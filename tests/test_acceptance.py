@@ -103,14 +103,14 @@ def test_criterion_06_named_parametrizations():
     pot = parametrization_generators(cauchy)
     assert pot.source.dim == 1
     assert pot.order == 2
-    assert check_parametrization(cauchy, adjoint(riemann_linearized(2)))
+    assert check_parametrization(cauchy, adjoint(riemann_linearized(2))).ok
     # three dimensions: the stress potential has six components
     assert check_parametrization(adjoint(killing(3)),
-                                 adjoint(riemann_linearized(3)))
+                                 adjoint(riemann_linearized(3))).ok
     # four dimensions: the adjoint of the second identity parametrizes
     # the adjoint of the curvature
     assert check_parametrization(adjoint(riemann_linearized(4)),
-                                 adjoint(bianchi(4)))
+                                 adjoint(bianchi(4))).ok
 
 
 def test_criterion_07_potential_candidate_contradiction():

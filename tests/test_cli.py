@@ -177,6 +177,26 @@ def test_cc_of_a_row_the_engine_cannot_take_exits_two(tmp_path, capsys, make, pr
     assert err.startswith("diffseq: ") and problem in err
 
 
+TWO_ORDERS = ('{"schema_version": 1, "kind": "operator", "name": "two", "n": 2, '
+              '"source": {"label": "U", "elements": ["u"]}, '
+              '"target": {"label": "S", "elements": ["s1", "s2"]}, "entries": ['
+              '{"row": 0, "col": 0, "terms": [{"coef": "1", "exp": [1, 0]}]}, '
+              '{"row": 1, "col": 0, "terms": [{"coef": "1", "exp": [0, 2]}]}]}')
+
+
+def test_cc_of_its_own_output_exits_zero(tmp_path):
+    # the first cc has the row (-x2^2, x1), whose columns weigh 0 and 1
+    path = tmp_path / "two.json"
+    path.write_text(TWO_ORDERS, encoding="utf-8")
+    code, out = run_cli(["cc", str(path)])
+    assert code == 0
+    assert [e["col"] for e in json.loads(out)["entries"]] == [0, 1]
+    path.write_text(out, encoding="utf-8")
+    code, out = run_cli(["cc", str(path)])
+    assert code == 0
+    assert json.loads(out)["entries"] == []
+
+
 def test_malformed_degree_cap_is_a_usage_error(monkeypatch, capsys):
     for value in ("abc", "0", "-2", "1.5"):
         monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", value)

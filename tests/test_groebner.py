@@ -20,6 +20,7 @@ from diffseq.groebner import (
     GradedPresentation,
     generic_rank,
     minimal_graded_generators,
+    module_contains,
     module_equality,
     normal_form,
     reduced_groebner,
@@ -177,6 +178,16 @@ def test_module_equality_distinguishes_modules():
     assert not module_equality(c, a)
 
 
+def test_module_contains_is_one_inclusion():
+    x1, x2 = _vars(2)
+    a = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1,), (x2,)))
+    c = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1,),))
+    assert module_contains(a, c)
+    assert not module_contains(c, a)
+    with pytest.raises(ValueError):
+        module_contains(a, GradedPresentation.from_rows(n=2, ambient_rank=2, rows=()))
+
+
 def test_minimal_generators_drop_redundant_ones():
     x1, x2 = _vars(2)
     g1 = (x1 * x1,)
@@ -245,7 +256,7 @@ def test_presentations_with_no_generators_have_empty_results():
     pres = GradedPresentation.from_rows(n=2, ambient_rank=3, rows=())
     syz = syzygies(pres)
     assert (syz.ambient_rank, syz.generators, syz.shifts) == (0, (), ())
-    assert reduced_groebner(pres).elements == ()
+    assert reduced_groebner(pres).generators == ()
     assert minimal_graded_generators(pres).generators == ()
 
 
@@ -302,7 +313,7 @@ def test_normal_form_is_the_exact_rational_remainder():
     x1, x2, x3 = _vars(3)
     pres = _non_unit_leads()
     gb = reduced_groebner(pres)
-    assert any(v.denominator > 1 for e in gb.elements for p in e
+    assert any(v.denominator > 1 for e in gb.generators for p in e
                for v in p.terms.values())
     vec = (x1 * x1.scale(Fraction(1, 2)) + x2 * x3.scale(Fraction(2, 7)),
            x1 * x3.scale(Fraction(-5, 3)) + x2 * x2.scale(Fraction(3, 4)))
@@ -311,7 +322,7 @@ def test_normal_form_is_the_exact_rational_remainder():
     assert any(diff)
     grown = GradedPresentation.from_rows(n=3, ambient_rank=2, rows=pres.generators + (diff,))
     assert module_equality(pres, grown)
-    leads = [_lead(e, gb.shifts) for e in gb.elements]
+    leads = [_lead(e, gb.shifts) for e in gb.generators]
     for c, p in enumerate(rem):
         for m in p.terms:
             assert not any(lc == c and all(a <= b for a, b in zip(lm, m))
@@ -469,8 +480,8 @@ def test_coprime_leads_still_need_their_s_pair():
     zero = Poly.zero(2)
     pres = GradedPresentation.from_rows(n=2, ambient_rank=2, rows=((x1, zero), (x2, x2)))
     gb = reduced_groebner(pres)
-    assert len(gb.elements) == 3
-    assert (zero, x1 * x2) in gb.elements
+    assert len(gb.generators) == 3
+    assert (zero, x1 * x2) in gb.generators
 
 
 def test_chain_criterion_keeps_pairs_sharing_the_new_lcm():
@@ -482,8 +493,8 @@ def test_chain_criterion_keeps_pairs_sharing_the_new_lcm():
         n=3, ambient_rank=1,
         rows=((x1 * x3,), (x1 * x2 + x3 * x3,), (x2 * x3,)))
     gb = reduced_groebner(pres)
-    assert len(gb.elements) == 4
-    assert (x3 * x3 * x3,) in gb.elements
+    assert len(gb.generators) == 4
+    assert (x3 * x3 * x3,) in gb.generators
 
 
 @st.composite
@@ -523,9 +534,9 @@ def _lead(vec, shifts):
 def test_every_s_pair_of_the_reduced_basis_reduces_to_zero(pres):
     gb = reduced_groebner(pres)
     n = pres.n
-    leads = [_lead(e, pres.shifts) for e in gb.elements]
+    leads = [_lead(e, pres.shifts) for e in gb.generators]
     for i, (ci, mi) in enumerate(leads):
-        assert gb.elements[i][ci].terms[mi] == 1
+        assert gb.generators[i][ci].terms[mi] == 1
         for j in range(i + 1, len(leads)):
             cj, mj = leads[j]
             if cj != ci:
@@ -534,7 +545,7 @@ def test_every_s_pair_of_the_reduced_basis_reduces_to_zero(pres):
             qi = Poly.monomial(n, tuple(a - b for a, b in zip(lcm, mi)))
             qj = Poly.monomial(n, tuple(a - b for a, b in zip(lcm, mj)))
             s = tuple(qi * p - qj * q
-                      for p, q in zip(gb.elements[i], gb.elements[j]))
+                      for p, q in zip(gb.generators[i], gb.generators[j]))
             assert not any(normal_form(s, gb))
     for g in pres.generators:
         assert not any(normal_form(g, gb))

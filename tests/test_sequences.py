@@ -7,12 +7,14 @@ import pytest
 
 from diffseq import linalg, operators
 from diffseq.config import DegreeCapExceeded
-from diffseq.bundles import ext_tuples, perm_sign, trace_free_sym2
-from diffseq.groebner import module_equality
+from diffseq.bundles import ext_tuples, free_basis, perm_sign, trace_free_sym2
+from diffseq.groebner import (GeneratorError, GradedPresentation, minimal_graded_generators,
+                              module_equality, syzygies)
 from diffseq.operators import adjoint, apply, compatibility_conditions, compose, \
-    rows_presentation
+    make_operator, rows_presentation
 from diffseq.poly import ConstantMetric, Poly
 from diffseq.sequences import (
+    BUILDERS,
     _constrained_rows,
     bianchi,
     build_sequence,
@@ -118,13 +120,38 @@ def test_curvature_rows_generate_the_killing_conditions():
         assert module_equality(rows_presentation(cc), rows_presentation(riem))
 
 
+def _two_orders():
+    """Rows x1 and x2^2 on one unknown: its conditions mix orders in a row."""
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    return make_operator("two", 2, free_basis("U", 2, ["u"]),
+                         free_basis("S", 2, ["s1", "s2"]), [[x1], [x2 * x2]])
+
+
+def test_a_row_of_two_orders_is_weighted_by_column():
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    cc = compatibility_conditions(_two_orders())
+    assert cc.rows == ((-x2 * x2, x1),)
+    assert rows_presentation(cc).shifts == (0, 1)
+    rep = build_sequence(_two_orders())
+    assert (rep.dims, rep.orders) == ((1, 2, 1), (2, 2))
+    assert rep.terminated and rep.euler_characteristic == 0
+
+
+def test_rows_that_no_column_weighting_makes_homogeneous_keep_the_first_error():
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    src, tgt = free_basis("U", 2, ["u1", "u2"]), free_basis("S", 2, ["s1", "s2"])
+    # row 0 ties w_1 = w_0 + 1, row 1 ties w_1 = w_0
+    op = make_operator("clash", 2, src, tgt, [[x1 * x1, x2], [x1, x2]])
+    with pytest.raises(GeneratorError, match=r"row 0 mixes shifted degrees \[1, 2\]"):
+        rows_presentation(op)
+
+
 def test_second_identity_annihilates_curvature():
     for n in (3, 4):
         assert compose(bianchi(n), riemann_linearized(n)).is_zero()
 
 
 def _columns_presentation(op):
-    from diffseq.groebner import GradedPresentation
     cols = tuple(tuple(op.rows[i][j] for i in range(op.target.dim))
                  for j in range(op.source.dim))
     return GradedPresentation.from_rows(n=op.n, ambient_rank=op.target.dim, rows=cols)
@@ -139,17 +166,92 @@ def test_airy_parametrization():
     assert compose(cauchy, pot).is_zero()
     assert module_equality(_columns_presentation(pot),
                            _columns_presentation(adjoint(riemann_linearized(2))))
-    assert check_parametrization(cauchy, adjoint(riemann_linearized(2)))
+    assert check_parametrization(cauchy, adjoint(riemann_linearized(2))).ok
 
 
 def test_beltrami_parametrization():
     assert check_parametrization(adjoint(killing(3)),
-                                 adjoint(riemann_linearized(3)))
+                                 adjoint(riemann_linearized(3))).ok
 
 
 def test_lanczos_parametrization():
     assert check_parametrization(adjoint(riemann_linearized(4)),
-                                 adjoint(bianchi(4)))
+                                 adjoint(bianchi(4))).ok
+
+
+def test_a_candidate_that_misses_relations_is_refused():
+    # x1 times the stress divergence: the Airy potential still composes to
+    # zero with it, but its rows generate only x1 times the relations
+    cauchy = adjoint(killing(2))
+    x1 = Poly.variable(2, 1)
+    scaled = make_operator("x1 ad(killing)", 2, cauchy.source, cauchy.target,
+                           [[p * x1 for p in row] for row in cauchy.rows])
+    verdict = check_parametrization(scaled, adjoint(riemann_linearized(2)))
+    assert (verdict.composes_to_zero, verdict.generates_all_relations, verdict.ok) == (
+        True, False, False)
+
+
+def test_a_candidate_into_another_bundle_is_a_value_error():
+    with pytest.raises(ValueError):
+        check_parametrization(adjoint(killing(2)), adjoint(killing(2)))
+
+
+METRICS = (None, "minkowski")
+
+
+def _metric(n, name):
+    return ConstantMetric.minkowski(n) if name else None
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("n", (5, 6))
+@pytest.mark.parametrize("builder", (killing, conformal_killing))
+def test_full_depth_double_duality(builder, n, metric):
+    rep = double_duality_report(builder(n, _metric(n, metric)), depth=n + 1)
+    # the chain has n operators, so n - 1 adjoint positions
+    assert len(rep.verdicts) == n - 1
+    assert rep.ok and all(v.ok for v in rep.verdicts)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("builder", (killing, conformal_killing))
+def test_the_potentials_of_each_adjoint_are_the_next_adjoint(builder, n, metric):
+    ops = [s.operator for s in build_sequence(builder(n, _metric(n, metric))).steps]
+    for op, nxt in zip(ops, ops[1:]):
+        assert parametrization_generators(adjoint(op)).vectors == adjoint(nxt).vectors
+
+
+def _column_route(op):
+    """Potentials of ``op`` from its columns, unnegated: the minimal
+    relations among the columns, as the columns of an operator."""
+    cols = [[op.rows[i][j] for i in range(op.target.dim)] for j in range(op.source.dim)]
+    pres = GradedPresentation.from_rows(op.n, op.target.dim, cols)
+    gens = minimal_graded_generators(syzygies(pres)).generators
+    return [[g[j] for g in gens] for j in range(op.source.dim)]
+
+
+def _reference_operators():
+    for builder in BUILDERS.values():
+        for n, metric in product((2, 3, 4, 5), METRICS):
+            try:
+                yield builder(n, _metric(n, metric))
+            except ValueError:  # a builder that does not exist at this n
+                pass
+    for n in (2, 3, 4, 5):
+        yield from (exterior_derivative(n, r) for r in range(n))
+
+
+def test_potentials_match_the_column_route():
+    ops = list(_reference_operators())
+    assert lanczos_candidate(4) in ops and len(ops) > 50
+    for op in ops:
+        pot, ref = parametrization_generators(op), _column_route(op)
+        assert pot.shape == (len(ref), len(ref[0])), op.name
+        assert pot.order == max((p.degree() for row in ref for p in row), default=0), op.name
+        assert compose(op, pot).is_zero(), op.name
+        assert module_equality(_columns_presentation(pot),
+                               GradedPresentation.from_rows(op.n, op.source.dim, zip(*ref)))
 
 
 def test_double_duality_of_the_acceptance_cases():
