@@ -5,25 +5,29 @@ because the constraint and delta matrices handled here are large but very
 sparse.  Small dense helpers (products, inverses) operate on lists of
 lists of Fractions.
 
-All sparse elimination goes through one forward pass, ``_echelon``.  Each
-input row that is not all ``int`` is scaled by the lcm of its denominators,
-so the pass runs on integers: a row with entry ``f`` in the pivot column
-becomes ``a*row - f*piv`` (``a`` the pivot entry, both divided by
-``gcd(a, f)``), and every changed row is divided by the gcd of its entries.
-A map from each column to the active rows nonzero there means the pivot
-search and the elimination touch only those rows.  Columns are taken left
-to right; the pivot is the shortest such row, ties to the lowest index, to
-limit fill-in.  ``rank`` stops after this pass.  ``_reduced``
-back-substitutes once, from the last pivot to the first, to primitive
-integer rows, which ``spencer`` keeps as its symbol constraints;
-``integer_kernel`` reads one primitive integer vector per free column off
-them.  Only ``rref`` (for ``invert``) divides by the pivot entries, so its
-rows are ``Fraction``.
+All sparse elimination goes through one forward pass, ``_echelon``, which
+reduces each input row as it arrives against a map from pivot column to
+primitive integer row.  A row that is not all ``int`` is first scaled by
+the lcm of its denominators.  While the row's leading column (its least
+column) holds a pivot ``piv`` with entry ``a`` there, a row with entry
+``f`` becomes ``a*row - f*piv`` (both divided by ``gcd(a, f)``, and the row
+by the gcd of its entries when it was scaled).  A row left with a leading
+column below ``ncols`` becomes the primitive pivot there; every other row,
+zero or led by a column at or past ``ncols`` (the augmented block of
+``invert``), is dropped.  Most rows of the delta matrices reduce to zero,
+so this pass keeps no column index and searches no pivot.  ``rank`` stops
+after it.  ``_reduced`` back-substitutes once, from the last pivot to the
+first, to primitive integer rows, which ``spencer`` keeps as its symbol
+constraints; ``integer_kernel`` reads one primitive integer vector per free
+column off them.  Only ``rref`` (for ``invert``) divides by the pivot
+entries, so its rows are ``Fraction``.
 
-Determinism does not rest on the pivot rule.  The pivot columns are the
-columns where the row space first gains a dimension, and the reduced row
-echelon form of a row space is unique, so every pivot order gives the same
-``rref`` and the same kernel bases, run to run.
+Determinism rests on the uniqueness of the reduced row echelon form, not on
+the order of the rows.  The forward rows depend on that order, but the
+pivot columns are the columns where the row space first gains a dimension,
+and a row space has one reduced row echelon form.  So any order of the
+same rows gives the same pivots, the same ``rref`` and the same kernel
+bases (``_reduced`` rows up to sign), run to run.
 """
 
 from fractions import Fraction
@@ -51,56 +55,33 @@ def _integral(row):
 def _echelon(rows, ncols):
     """Forward elimination: ``[(pivot_col, row)]`` in increasing pivot column,
     each row a primitive integer dict that is zero left of its pivot."""
-    active, rows_at = {}, {}
-    for i, row in enumerate(rows):
+    pivots = {}
+    for row in rows:
         row = {c: v for c, v in row.items() if v}
-        if not row:
-            continue
         if not all(type(v) is int for v in row.values()):
             row = _integral(row)[1]
-        active[i] = _primitive(row)
-        for c in row:
-            rows_at.setdefault(c, set()).add(i)
-    echelon = []
-    for col in range(ncols):
-        if not active:
-            break
-        ids = rows_at.pop(col, None)
-        if not ids:
-            continue
-        p = min(ids, key=lambda i: (len(active[i]), i))
-        piv = active.pop(p)
-        a = piv[col]
-        tail = [(c, v) for c, v in piv.items() if c != col]
-        for c, _ in tail:
-            rows_at[c].discard(p)
-        for i in ids:
-            if i == p:
-                continue
-            row = active[i]
-            f = row.pop(col)
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                if col < ncols:
+                    pivots[col] = _primitive(row)
+                break
+            a, f = piv[col], row[col]
             g = gcd(a, f)
             ma, mf = a // g, f // g
             if ma != 1:
                 for c in row:
                     row[c] *= ma
-            for c, v in tail:
-                d = mf * v
-                old = row.get(c)
-                if old is None:
-                    row[c] = -d
-                    rows_at[c].add(i)
-                elif old == d:
-                    del row[c]
-                    rows_at[c].discard(i)
+            for c, v in piv.items():
+                nv = row.get(c, 0) - mf * v
+                if nv:
+                    row[c] = nv
                 else:
-                    row[c] = old - d
-            if row:
+                    del row[c]
+            if ma != 1:
                 _primitive(row)
-            else:
-                del active[i]
-        echelon.append((col, piv))
-    return echelon
+    return sorted(pivots.items())
 
 
 def _reduced(rows, ncols):

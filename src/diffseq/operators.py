@@ -159,10 +159,15 @@ def rows_presentation(op):
     columns weigh 0 unless a row then mixes degrees; then a row of degree d
     with a term x^m in column c ties w_c = d - |m|, and the least weight is
     0.  If no weighting works, the first error stands."""
+    return _presentation(op.n, op.source.dim, op.vectors)
+
+
+def _presentation(n, width, vectors):
+    """``rows_presentation`` of the integer row vectors ``vectors``."""
     try:
-        return groebner.GradedPresentation(op.n, op.source.dim, op.vectors)
+        return groebner.GradedPresentation(n, width, vectors)
     except groebner.GeneratorError as error:
-        weights, rows = {}, [vec for _, vec in op.vectors if vec]
+        weights, rows = {}, [vec for _, vec in vectors if vec]
         while rows:  # a row that meets a weighted column first, if one does
             vec = rows.pop(next((i for i, r in enumerate(rows)
                                  if any(c in weights for c, _ in r)), 0))
@@ -170,9 +175,9 @@ def rows_presentation(op):
             for c, m in vec:
                 weights.setdefault(c, deg - sum(m))
         low = min(weights.values(), default=0)
-        shifts = tuple(weights.get(c, low) - low for c in range(op.source.dim))
+        shifts = tuple(weights.get(c, low) - low for c in range(width))
         try:
-            return groebner.GradedPresentation(op.n, op.source.dim, op.vectors, shifts)
+            return groebner.GradedPresentation(n, width, vectors, shifts)
         except groebner.GeneratorError:
             raise error from None
 

@@ -326,11 +326,13 @@ def check_parametrization(target, candidate):
     generate every relation among the rows of ``candidate``; by module
     duality this makes solutions of ``target`` precisely the image of
     ``candidate``.  A zero composition makes every row of ``target`` such a
-    relation, so only the other inclusion is tested then.
+    relation, so only the other inclusion is tested then.  Zero rows of
+    ``target`` generate nothing and are left out of that test.
     """
     zero = compose(target, candidate).is_zero()
     full = zero and groebner.module_contains(
-        operators.rows_presentation(target),
+        operators._presentation(target.n, target.source.dim,
+                                [v for v in target.vectors if v[1]]),
         groebner.syzygies(operators.rows_presentation(candidate)))
     return ParametrizationVerdict(
         ok=full,

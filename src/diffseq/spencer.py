@@ -139,6 +139,9 @@ def _prolong(g):
 
 
 def prolong_to(g, q):
+    """The q-th prolongation of ``g``; a ``q`` below its order is refused."""
+    if q < g.q:
+        raise ValueError(f"order {q} is below the symbol's order {g.q}")
     while g.q < q:
         g = prolong(g)
     return g
@@ -163,13 +166,13 @@ def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
     # contraction with dx^i: e_mu -> e_{mu - i} for each distinct i in mu
     drops = [[(i, nu_pos[mu[:t] + mu[t + 1:]] * m)
               for t, i in enumerate(mu) if not t or mu[t - 1] != i] for mu in mus]
-    contracted = []   # per vector: i -> its contraction with dx^i
+    contracted = []   # per vector: i -> its contraction with dx^i, as pairs
     for v in vectors:
         w = {}
         for c, coef in v.items():
             pos, k = divmod(c, m)
             for i, col in drops[pos]:
-                w.setdefault(i, {})[col + k] = coef
+                w.setdefault(i, []).append((col + k, coef))
         contracted.append(w)
     rows = []
     for I in ext_tuples(n, r):
@@ -177,12 +180,10 @@ def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
         steps = [(i, out_pos[tuple(sorted(I + (i,)))] * stride + offset,
                   (-1) ** sum(j < i for j in I))
                  for i in range(1, n + 1) if i not in I]
-        for w in contracted:
-            out = {}
-            for i, base, sign in steps:
-                for col, coef in w.get(i, {}).items():
-                    out[base + col] = sign * coef
-            rows.append(out)
+        # distinct (i, mu, k) land on distinct columns, so no key repeats
+        rows.extend({base + col: sign * coef
+                     for i, base, sign in steps for col, coef in w.get(i, ())}
+                    for w in contracted)
     return rows
 
 

@@ -147,18 +147,32 @@ def reference_kernel_vector(ref_rows, ref_pivots, f, ncols):
     return vec
 
 
+ENTRIES = st.one_of(st.integers(-9, 9),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+
+
 @st.composite
 def sparse_matrices(draw):
     """Sparse rows up to 10 x 10: int and Fraction entries with denominators
     up to 7, stored zeros, empty rows."""
     ncols = draw(st.integers(0, 10))
-    entry = st.one_of(st.integers(-9, 9),
-                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
     rows = []
     for _ in range(draw(st.integers(0, 10))):
         cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else ()
-        rows.append({c: draw(entry) for c in sorted(cols)})
+        rows.append({c: draw(ENTRIES) for c in sorted(cols)})
     return rows, ncols
+
+
+@st.composite
+def augmented_matrices(draw):
+    """A sparse matrix and a copy whose rows also have entries in up to four
+    columns at or past ``ncols``."""
+    rows, ncols = draw(sparse_matrices())
+    augmented = []
+    for row in rows:
+        cols = draw(st.sets(st.integers(ncols, ncols + 3), max_size=4))
+        augmented.append({**row, **{c: draw(ENTRIES) for c in sorted(cols)}})
+    return rows, ncols, augmented
 
 
 @settings(deadline=None, max_examples=300)
@@ -218,3 +232,36 @@ def test_integer_kernel_is_a_primitive_integer_basis_of_the_kernel(matrix):
                          for f in ref_free)]
     assert len(reference_rref(vectors + dense, ncols)[1]) == len(vectors)
     assert rows == before
+
+
+@settings(deadline=None, max_examples=300)
+@given(augmented_matrices())
+# invert's [A | I] for a singular A
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}], 2, [{0: 1, 1: 2, 2: 1}, {0: 2, 1: 4, 3: 1}]))
+@example(([{}, {0: 3}], 1, [{1: 5, 2: 1}, {0: 3, 3: -2}]))
+def test_columns_at_or_past_ncols_never_pivot(matrix):
+    rows, ncols, augmented = matrix
+    ref_rows, ref_pivots = reference_rref(rows, ncols)
+
+    reduced, pivots = linalg.rref(augmented, ncols)
+    assert pivots == ref_pivots
+    assert [[row.get(c, ZERO) for c in range(ncols)] for row in reduced] == ref_rows
+    assert [col for col, _ in linalg._echelon(augmented, ncols)] == ref_pivots
+    assert linalg.rank(augmented, ncols) == len(ref_pivots)
+    assert linalg.integer_kernel(augmented, ncols) == linalg.integer_kernel(rows, ncols)
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: Fraction(1, 3), 2: 5}], 3), random.Random(0))
+def test_row_order_changes_no_result(matrix, rng):
+    rows, ncols = matrix
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert linalg.rref(shuffled, ncols) == linalg.rref(rows, ncols)
+    assert linalg.rank(shuffled, ncols) == linalg.rank(rows, ncols)
+    assert linalg.integer_kernel(shuffled, ncols) == linalg.integer_kernel(rows, ncols)
+    # the back-substituted integer rows agree up to sign
+    signed = [[(col, {c: v * (1 if row[col] > 0 else -1) for c, v in row.items()})
+               for col, row in linalg._reduced(r, ncols)] for r in (shuffled, rows)]
+    assert signed[0] == signed[1]

@@ -191,6 +191,28 @@ def test_a_candidate_that_misses_relations_is_refused():
         True, False, False)
 
 
+def _killing_without_column_0():
+    k = killing(2)
+    return make_operator("killing(2) no col 0", 2, k.source, k.target,
+                         [[p * 0 if j == 0 else p for j, p in enumerate(row)]
+                          for row in k.rows])
+
+
+def test_zero_rows_of_the_target_generate_nothing():
+    # the adjoint of killing(2) with column 0 cleared has a zero row 0; the
+    # Airy potential composes to zero with it but misses the relation of row 0
+    verdict = check_parametrization(adjoint(_killing_without_column_0()),
+                                    adjoint(riemann_linearized(2)))
+    assert (verdict.composes_to_zero, verdict.generates_all_relations, verdict.ok) == (
+        True, False, False)
+
+
+def test_a_zero_row_of_the_candidate_is_refused():
+    # its unit syzygy is a relation the target would have to generate
+    with pytest.raises(GeneratorError, match="row 0 is zero"):
+        check_parametrization(riemann_linearized(2), _killing_without_column_0())
+
+
 def test_a_candidate_into_another_bundle_is_a_value_error():
     with pytest.raises(ValueError):
         check_parametrization(adjoint(killing(2)), adjoint(killing(2)))

@@ -163,6 +163,35 @@ def test_witness_ranks_at_dimension_four():
     assert (conf[3].dim, conf[3].rank_out, conf[3].h) == (16, 7, 9)
 
 
+def test_an_order_below_the_symbol_is_refused():
+    op = killing(3)
+    with pytest.raises(ValueError, match="below the symbol's order 1"):
+        spencer.delta_cohomology_detail(op, 3, q=0)
+    with pytest.raises(ValueError):
+        spencer.delta_cohomology_dims(op, 3, q=0)
+    assert spencer.delta_cohomology_dims(op, 3, q=1) == [0, 0, 6, 3]
+
+
+# the largest sizes the benchmark's Spencer workload checks (bench/references.json)
+@pytest.mark.parametrize("builder, n, dims", [
+    (killing, 6, [0, 0, 105, 210, 189, 84, 15]),
+    (killing, 7, [0, 0, 196, 490, 588, 392, 140, 21]),
+    (conformal_killing, 6, [0, 0, 84, 140, 84, 0, 0]),
+    (conformal_killing, 7, [0, 0, 168, 378, 378, 168, 0, 0]),
+])
+def test_delta_cohomology_at_benchmark_sizes(builder, n, dims):
+    assert spencer.delta_cohomology_dims(builder(n), n) == dims
+
+
+@pytest.mark.parametrize("n, q_top, m, ranks", [
+    (5, 5, 5, (630, 1120, 630, 120, 5)),
+    (6, 4, 6, (756, 1260, 630, 90)),
+])
+def test_full_jet_column_ranks_at_benchmark_sizes(n, q_top, m, ranks):
+    col = spencer.full_jet_column(n, q_top, m)
+    assert col.ranks == ranks and col.exact
+
+
 def test_full_jet_columns_are_exact():
     col1 = spencer.full_jet_column(4, 3, 4)
     assert col1.node_dims == (80, 160, 96, 16)
