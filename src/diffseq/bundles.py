@@ -17,6 +17,7 @@ constraint ranks, never assumed.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, product
+from types import MappingProxyType
 
 from . import linalg
 from .config import record
@@ -52,7 +53,7 @@ class BundleBasis:
     n: int
     element_labels: tuple
     ambient_labels: tuple = None
-    ambient_from_coords: tuple = None   # dense (ambient_dim x dim) rational matrix
+    ambient_from_coords: tuple = None   # one read-only row {coordinate: rational} per ambient component
     free_columns: tuple = None          # coordinate i = ambient component free_columns[i]
     constraints: tuple = None           # sparse rows over ambient columns
 
@@ -83,10 +84,11 @@ class BundleBasis:
                            element_labels=self.element_labels)
 
     def from_ambient(self, ambient_vec):
-        """Coordinates of an ambient vector assumed to satisfy the constraints."""
+        """Coordinates ``{coordinate: value}`` of a sparse ambient vector
+        ``{component: value}`` assumed to satisfy the constraints."""
         if self.is_free:
-            return list(ambient_vec)
-        return [ambient_vec[c] for c in self.free_columns]
+            return dict(ambient_vec)
+        return {i: ambient_vec[c] for i, c in enumerate(self.free_columns) if c in ambient_vec}
 
 
 def balanced(label):
@@ -120,16 +122,16 @@ def constrained_basis(label, n, ambient_labels, constraint_rows):
     ncols = len(ambient_labels)
     rows = [dict(r) for r in constraint_rows if r]
     kernel, free_cols = linalg.integer_kernel(rows, ncols)
-    a_matrix = [[ZERO] * len(kernel) for _ in range(ncols)]
+    a_rows = [{} for _ in range(ncols)]
     for j, (f, vec) in enumerate(zip(free_cols, kernel)):
         for c, v in vec.items():
-            a_matrix[c][j] = Fraction(v, vec[f])
+            a_rows[c][j] = Fraction(v, vec[f])
     return BundleBasis(
         label=label,
         n=n,
         element_labels=tuple(ambient_labels[c] for c in free_cols),
         ambient_labels=ambient_labels,
-        ambient_from_coords=tuple(map(tuple, a_matrix)),
+        ambient_from_coords=tuple(map(MappingProxyType, a_rows)),
         free_columns=tuple(free_cols),
         constraints=tuple(tuple(sorted(r.items())) for r in rows),
     )
@@ -172,8 +174,7 @@ def riemann_candidate_space(n):
     symmetry under pair exchange, and the cyclic first identity.  The
     dimension comes out to n^2 (n^2 - 1) / 12.
     """
-    idx = all_tuples(n, 4)
-    col = {t: c for c, t in enumerate(idx)}
+    idx, col = _riemann_ambient_index(n)
     rows = []
     for k, l, i, j in idx:
         if k <= l:
@@ -241,9 +242,7 @@ def trace_free_sym2(n, metric=None):
 @lru_cache(maxsize=None)
 def lanczos_constraint_space(n):
     """Antisymmetric-pair potentials L_{ij,k} with vanishing cyclic sum."""
-    pairs = ext_tuples(n, 2)
-    idx = [(p, k) for p in pairs for k in range(1, n + 1)]
-    col = {t: c for c, t in enumerate(idx)}
+    idx, col = lanczos_ambient_index(n)
     rows = []
     for i, j, k in ext_tuples(n, 3):
         row = {}
@@ -303,21 +302,24 @@ def bianchi_candidate_space(n, metric=None):
 
 @record
 class SplittingMaps:
-    """Rational projectors realizing curvature = Ricci part + Weyl part."""
+    """Rational projectors realizing curvature = Ricci part + Weyl part,
+    each one read-only sparse row ``{column: rational}`` per target
+    coordinate."""
 
     n: int
     riemann_space: BundleBasis
     sym2_space: BundleBasis
     weyl_space: BundleBasis
-    inject_ricci: tuple    # riemann_dim x sym2_dim
-    project_ricci: tuple   # sym2_dim x riemann_dim
-    inject_weyl: tuple     # riemann_dim x weyl_dim
-    project_weyl: tuple    # weyl_dim x riemann_dim
+    inject_ricci: tuple    # riemann_dim rows over sym2 coordinates
+    project_ricci: tuple   # sym2_dim rows over riemann coordinates
+    inject_weyl: tuple     # riemann_dim rows over weyl coordinates
+    project_weyl: tuple    # weyl_dim rows over riemann coordinates
 
 
 def _ricci_inject_ambient(n, metric):
-    """Dense (ambient x sym2) matrix of the metric-built curvature of a
-    symmetric tensor: the unique candidate tensor whose trace returns it."""
+    """Sparse rows (one per ambient component, over sym2 coordinates) of the
+    metric-built curvature of a symmetric tensor: the unique candidate
+    tensor whose trace returns it."""
     idx, _ = _riemann_ambient_index(n)
     pairs = sym_tuples(n, 2)
     pcol = {p: c for c, p in enumerate(pairs)}
@@ -325,11 +327,12 @@ def _ricci_inject_ambient(n, metric):
     inv_sc = Fraction(1, (n - 1) * (n - 2))
     rows = []
     for k, l, i, j in idx:
-        row = [ZERO] * len(pairs)
+        row = {}
 
         def add_s(a, b, coef):
             if coef:
-                row[pcol[(min(a, b), max(a, b))]] += coef
+                c = pcol[(min(a, b), max(a, b))]
+                row[c] = row.get(c, ZERO) + coef
 
         add_s(l, j, inv_nm2 * metric.lower(k, i))
         add_s(l, i, -inv_nm2 * metric.lower(k, j))
@@ -339,11 +342,21 @@ def _ricci_inject_ambient(n, metric):
             - metric.lower(k, j) * metric.lower(l, i)
         if gterm:
             for a, b in pairs:
-                w = metric.upper(a, b) * (2 if a != b else 1)
-                if w:
-                    row[pcol[(a, b)]] -= inv_sc * gterm * w
-        rows.append(row)
+                add_s(a, b, -inv_sc * gterm * metric.upper(a, b) * (2 if a != b else 1))
+        rows.append({c: v for c, v in row.items() if v})
     return rows
+
+
+def _unit_rows(k):
+    return [{i: ONE} for i in range(k)]
+
+
+def _difference(a, b):
+    """The sparse row ``a - b``."""
+    out = dict(a)
+    for j, v in b.items():
+        out[j] = out.get(j, 0) - v
+    return {j: v for j, v in out.items() if v}
 
 
 @metric_cache
@@ -359,66 +372,46 @@ def split_riemann(n, metric=None):
     r_space = riemann_candidate_space(n)
     w_space = weyl_candidate_space(n, metric)
     s2 = sym2_space(n)
-    pairs = sym_tuples(n, 2)
+    mul = linalg.product
 
-    a_r = [list(row) for row in r_space.ambient_from_coords]
+    a_r = r_space.ambient_from_coords
     trace_rows = riemann_trace_rows(n, metric)
-    u_amb = []
-    for p in pairs:
-        row = [ZERO] * len(r_space.ambient_labels)
-        for c, v in trace_rows[p].items():
-            row[c] = v
-        u_amb.append(row)
-    project_ricci = linalg.mat_mul(u_amb, a_r)
+    u_amb = [trace_rows[p] for p in sym_tuples(n, 2)]
+    project_ricci = mul(u_amb, a_r)
 
     f_amb = _ricci_inject_ambient(n, metric)
-    inject_ricci = [[f_amb[c][j] for j in range(s2.dim)]
-                    for c in r_space.free_columns]
+    inject_ricci = [f_amb[c] for c in r_space.free_columns]
     # safety: the injected tensor must satisfy every candidate symmetry
-    back = linalg.mat_mul([list(r) for r in r_space.ambient_from_coords], inject_ricci)
-    if back != [list(r) for r in f_amb]:
+    if mul(a_r, inject_ricci) != f_amb:
         raise AssertionError("metric-built curvature leaves the candidate space")
     # trace o inject = identity on symmetric tensors
-    if linalg.mat_mul(u_amb, f_amb) != linalg.identity(s2.dim):
+    if mul(u_amb, f_amb) != _unit_rows(s2.dim):
         raise AssertionError("trace does not invert the metric injection")
 
-    a_w = [list(row) for row in w_space.ambient_from_coords]
-    inject_weyl = [[a_w[c][j] for j in range(w_space.dim)]
-                   for c in r_space.free_columns]
-    if linalg.mat_mul([list(r) for r in r_space.ambient_from_coords], inject_weyl) != a_w:
+    a_w = list(w_space.ambient_from_coords)
+    inject_weyl = [a_w[c] for c in r_space.free_columns]
+    if mul(a_r, inject_weyl) != a_w:
         raise AssertionError("Weyl space is not inside the candidate space")
 
-    fu = linalg.mat_mul(f_amb, project_ricci)
-    resid_amb = [[a_r[c][j] - fu[c][j] for j in range(r_space.dim)]
-                 for c in range(len(a_r))]
-    project_weyl = [[resid_amb[c][j] for j in range(r_space.dim)]
-                    for c in w_space.free_columns]
-    if w_space.dim == 0:
-        if not linalg.is_zero_matrix(resid_amb):
-            raise AssertionError("trace-free remainder leaves the Weyl space")
-    elif linalg.mat_mul([list(r) for r in w_space.ambient_from_coords],
-                        project_weyl) != resid_amb:
+    resid_amb = [_difference(a, fu) for a, fu in zip(a_r, mul(f_amb, project_ricci))]
+    project_weyl = [resid_amb[c] for c in w_space.free_columns]
+    if mul(a_w, project_weyl) != resid_amb:
         raise AssertionError("trace-free remainder leaves the Weyl space")
 
-    ir_pr = linalg.mat_mul(inject_ricci, project_ricci)
-    if w_space.dim == 0:
-        iw_pw = [[ZERO] * r_space.dim for _ in range(r_space.dim)]
-    else:
-        iw_pw = linalg.mat_mul(inject_weyl, project_weyl)
-    total = [[ir_pr[i][j] + iw_pw[i][j] for j in range(r_space.dim)]
-             for i in range(r_space.dim)]
-    if total != linalg.identity(r_space.dim):
+    rest = [_difference(u, a) for u, a in zip(
+        _unit_rows(r_space.dim), mul(inject_ricci, project_ricci))]
+    if rest != mul(inject_weyl, project_weyl):
         raise AssertionError("splitting does not recompose to the identity")
-    if linalg.mat_mul(project_ricci, inject_ricci) != linalg.identity(s2.dim):
+    if mul(project_ricci, inject_ricci) != _unit_rows(s2.dim):
         raise AssertionError("Ricci projector is not a retraction")
-    if w_space.dim and linalg.mat_mul(project_weyl, inject_weyl) != linalg.identity(w_space.dim):
+    if mul(project_weyl, inject_weyl) != _unit_rows(w_space.dim):
         raise AssertionError("Weyl projector is not a retraction")
-    if w_space.dim and not linalg.is_zero_matrix(linalg.mat_mul(project_ricci, inject_weyl)):
+    if any(mul(project_ricci, inject_weyl)):
         raise AssertionError("Weyl image has nonzero trace")
-    if w_space.dim and not linalg.is_zero_matrix(linalg.mat_mul(project_weyl, inject_ricci)):
+    if any(mul(project_weyl, inject_ricci)):
         raise AssertionError("Ricci image has nonzero Weyl part")
 
-    freeze = lambda m: tuple(tuple(v for v in row) for row in m)
+    freeze = lambda rows: tuple(map(MappingProxyType, rows))
     return SplittingMaps(
         n=n,
         riemann_space=r_space,
@@ -448,45 +441,35 @@ def perm_sign(seq):
 
 
 def eps_contraction_matrix():
-    """Rows: directions l; columns: sorted triples; entry eps(l, triple).
+    """Sparse rows: directions l; columns: sorted triples; entry eps(l, triple).
 
     Realizes the volume-form relabeling L^3 T* -> T at n = 4 with
     eps_{1234} = +1; the matrix is a signed permutation and composing with
     its transpose gives the identity.
     """
-    return [[Fraction(perm_sign((l,) + t)) for t in ext_tuples(4, 3)] for l in range(1, 5)]
+    return [_signed_row((l,), ext_tuples(4, 3)) for l in range(1, 5)]
 
 
 def pair_complement_matrix():
-    """Signed involution of sorted pairs at n = 4: (a,b) -> eps(a,b,k,l) (k,l)."""
+    """Signed involution of sorted pairs at n = 4, as sparse rows:
+    (a,b) -> eps(a,b,k,l) (k,l)."""
     pairs = ext_tuples(4, 2)
-    return [[Fraction(perm_sign(p + q)) for q in pairs] for p in pairs]
+    return [_signed_row(p, pairs) for p in pairs]
+
+
+def _signed_row(head, tails):
+    """``{c: eps(head + tails[c])}`` over the nonzero signs."""
+    return {c: Fraction(s) for c, t in enumerate(tails) if (s := perm_sign(head + t))}
 
 
 def bianchi_to_potential_relabel():
     """Signed permutation carrying the second-identity space onto the
-    cyclic potential space at n = 4.
+    cyclic potential space at n = 4, as sparse rows.
 
     Acts as the pair complement on the value factor and the volume
     contraction on the form factor; basis order is pair-major on both
     sides, matching the ambient orders of the two constrained spaces.
     """
-    return kron(pair_complement_matrix(), eps_contraction_matrix())
-
-
-def kron(a, b):
-    """Kronecker product of dense rational matrices (a outer, b inner)."""
-    if not a or not b:
-        return []
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    out = [[ZERO] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            f = a[i][j]
-            if f:
-                for p in range(rb):
-                    for q in range(cb):
-                        if b[p][q]:
-                            out[i * rb + p][j * cb + q] = f * b[p][q]
-    return out
+    eps = eps_contraction_matrix()   # four triples per pair
+    return [{4 * j + q: f * v for j, f in prow.items() for q, v in erow.items()}
+            for prow in pair_complement_matrix() for erow in eps]

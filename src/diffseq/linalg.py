@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Elimination works on sparse rows (``dict`` column -> ``int`` or ``Fraction``)
-because the constraint and delta matrices handled here are large but very
-sparse.  Small dense helpers (products, inverses) operate on lists of
-lists of Fractions.
+Matrices are sparse rows (``dict`` column -> ``int`` or ``Fraction``)
+because the constraint, delta and constant matrices handled here are large
+but very sparse: ``product`` multiplies them, and the one dense helper,
+``invert``, serves the small metric matrices.
 
 All sparse elimination goes through one forward pass, ``_echelon``, which
 reduces each input row as it arrives against a map from pivot column to
@@ -147,49 +147,25 @@ def integer_kernel(rows, ncols):
     return basis, free
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    nk = len(b)
-    ncols = len(b[0]) if b else 0
+def product(a, b):
+    """Rows of the product of two sparse matrices, ``a[i]`` being
+    ``{k: a_ik}`` and ``b[k]`` ``{j: b_kj}``; zero entries are left out."""
     out = []
     for row in a:
-        acc = [ZERO] * ncols
-        for k in range(nk):
-            f = row[k]
-            if f:
-                brow = b[k]
-                for j in range(ncols):
-                    if brow[j]:
-                        acc[j] += f * brow[j]
-        out.append(acc)
+        acc = {}
+        for k, f in row.items():
+            for j, v in b[k].items():
+                acc[j] = acc.get(j, 0) + f * v
+        out.append({j: v for j, v in acc.items() if v})
     return out
-
-
-def mat_vec(a, v):
-    return [sum((row[k] * v[k] for k in range(len(v)) if v[k]), ZERO) for row in a]
-
-
-def identity(k):
-    return [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
-
-
-def is_zero_matrix(a):
-    return all(all(v == 0 for v in row) for row in a)
 
 
 def invert(a):
     """Inverse of a small dense rational matrix; raises on singular input."""
     k = len(a)
-    rows = [{c: v for c, v in enumerate(list(row) + unit) if v}
-            for row, unit in zip(a, identity(k))]
+    rows = [{c: v for c, v in enumerate(row) if v} | {k + i: ONE}
+            for i, row in enumerate(a)]
     reduced, pivot_cols = rref(rows, k)
     if len(pivot_cols) < k:
         raise ZeroDivisionError("singular matrix")
     return [[row.get(k + j, ZERO) for j in range(k)] for row in reduced]
-
-
-def dense_rank(a):
-    rows = [{j: v for j, v in enumerate(row) if v} for row in a]
-    ncols = len(a[0]) if a else 0
-    return rank(rows, ncols)

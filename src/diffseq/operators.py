@@ -219,8 +219,9 @@ def apply(op, sections):
     return out
 
 
-def from_scalar_matrix(name, n, source, target, matrix):
-    """Order-zero operator from a rational matrix (target dim x source dim)."""
+def from_scalar_matrix(name, n, source, target, rows):
+    """Order-zero operator from sparse rational rows ``{source column: value}``,
+    one per target component."""
     return OperatorMatrix(
         name=name, n=n, source=source, target=target,
-        vectors=tuple(_constant_row(n, dict(enumerate(row))) for row in matrix))
+        vectors=tuple(_constant_row(n, row) for row in rows))

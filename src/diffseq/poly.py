@@ -253,7 +253,10 @@ class ConstantMetric:
                     raise ValueError("metric matrix must be symmetric")
         self.n = n
         self.entries = tuple(rows)
-        inv = linalg.invert([list(r) for r in rows])
+        try:
+            inv = linalg.invert([list(r) for r in rows])
+        except ZeroDivisionError:
+            raise ValueError("metric matrix must be nondegenerate") from None
         self.inverse = tuple(tuple(v for v in row) for row in inv)
         self.name = name
 

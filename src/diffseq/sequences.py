@@ -10,6 +10,7 @@ contradiction, and the contracted-trace identity.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from types import MappingProxyType
 
 from . import bundles, config, groebner, linalg, operators
@@ -128,8 +129,7 @@ def bianchi(n, metric=None):
         raise ValueError("second identity needs n >= 3")
     src = riemann_candidate_space(n)
     tgt = bianchi_candidate_space(n, metric)
-    idx4 = bundles.all_tuples(n, 4)
-    rcol = {t: c for c, t in enumerate(idx4)}
+    _, rcol = bundles._riemann_ambient_index(n)
     a_r = src.ambient_from_coords
     ambient = []
     for k, l in ext_tuples(n, 2):
@@ -137,9 +137,8 @@ def bianchi(n, metric=None):
             row = {}
             for d, (a, b) in ((r, (i, j)), (i, (j, r)), (j, (r, i))):
                 mono = _mono(n, d)
-                for c, coef in enumerate(a_r[rcol[(k, l, a, b)]]):
-                    if coef:
-                        _add_term(row, (c, mono), coef)
+                for c, coef in a_r[rcol[(k, l, a, b)]].items():
+                    _add_term(row, (c, mono), coef)
             ambient.append(linalg._integral(row))
     return OperatorMatrix("bianchi", n, src, tgt, _constrained_rows(tgt, ambient, src.dim))
 
@@ -222,9 +221,8 @@ def lanczos_candidate(n=4, metric=None):
             if not slot_sign:
                 continue
             mono = _mono(n, d)
-            for col, coef in enumerate(a_l[lcol[(slot, c)]]):
-                if coef:
-                    _add_term(row, (col, mono), sign * slot_sign * coef)
+            for col, coef in a_l[lcol[(slot, c)]].items():
+                _add_term(row, (col, mono), sign * slot_sign * coef)
         ambient.append(linalg._integral(row))
     return OperatorMatrix("lanczos_candidate", n, src, tgt,
                           _constrained_rows(tgt, ambient, src.dim))
@@ -347,12 +345,22 @@ def parametrization_generators(op):
 
     The returned operator maps a fresh potential bundle into the source of
     ``op`` and satisfies ``op o result = 0``; its columns generate every
-    vector annihilated by ``op`` from the right.
+    vector annihilated by ``op`` from the right.  A zero column of ``op``
+    is a zero row of ``ad(op)``, whose one condition is its unit vector;
+    the other rows get the conditions among themselves.
     """
-    pot = adjoint(operators.compatibility_conditions(adjoint(op)))
+    ad = adjoint(op)
+    keep = [i for i, (_, vec) in enumerate(ad.vectors) if vec]
+    rows = bundles.free_basis(ad.target.label, op.n,
+                              [ad.target.element_labels[i] for i in keep])
+    cc = operators.compatibility_conditions(OperatorMatrix(
+        ad.name, op.n, ad.source, rows, tuple(ad.vectors[i] for i in keep)))
+    conds = [(den, {(keep[k], m): v for (k, m), v in vec.items()}) for den, vec in cc.vectors]
+    conds += [(1, {(i, (0,) * op.n): 1}) for i, (_, vec) in enumerate(ad.vectors) if not vec]
     src = bundles.free_basis(f"P({op.source.label})", op.n,
-                             [f"p{i}" for i in range(1, pot.source.dim + 1)])
-    return OperatorMatrix(f"potential({op.name})", op.n, src, op.source, pot.vectors)
+                             [f"p{i}" for i in range(1, len(conds) + 1)])
+    return OperatorMatrix(f"potential({op.name})", op.n, src, op.source,
+                          operators._transpose(conds, op.source.dim))
 
 
 @record
@@ -433,8 +441,7 @@ def weyl_relations_report(metric=None):
     w = resolve_metric(n, metric)
     split = split_riemann(n, w)
     inj = operators.from_scalar_matrix(
-        "inject_weyl", n, split.weyl_space, split.riemann_space,
-        [list(r) for r in split.inject_weyl])
+        "inject_weyl", n, split.weyl_space, split.riemann_space, split.inject_weyl)
     composed = compose(bianchi(n, w), inj)
     pres = operators.rows_presentation(composed)
     gens = groebner.minimal_graded_generators(pres).vectors
@@ -477,7 +484,7 @@ class TraceContractionReport:
 
 
 def _double_trace_matrix(n, w):
-    """Rows r: coefficients of S ω^{ij} ω^{sm} B_{(mi),(jrs)} over the
+    """Sparse rows r: coefficients of S ω^{ij} ω^{sm} B_{(mi),(jrs)} over the
     pair-triple ambient components."""
     pairs = ext_tuples(n, 2)
     triples = ext_tuples(n, 3)
@@ -485,7 +492,7 @@ def _double_trace_matrix(n, w):
         [(p, t) for p in pairs for t in triples])}
     rows = []
     for r in range(1, n + 1):
-        row = [ZERO] * (len(pairs) * len(triples))
+        row = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 wij = w.upper(i, j)
@@ -503,8 +510,7 @@ def _double_trace_matrix(n, w):
                         sg2 = bundles.perm_sign(trip)
                         if not sg2:
                             continue
-                        c = col[(slot, tuple(sorted(trip)))]
-                        row[c] += wij * wsm * sg1 * sg2
+                        _add_term(row, col[(slot, tuple(sorted(trip)))], wij * wsm * sg1 * sg2)
         rows.append(row)
     return rows
 
@@ -517,15 +523,21 @@ def trace_contraction_check(metric=None):
     minus the gradient of the scalar trace, an exact matrix identity.
     Part two: on the value space, the same double trace factors through the
     signed relabeling onto the potential space as a constant multiple of the
-    potential trace L_i = w^{jk} L_{ij,k}; the constant is recorded.
-    Implemented at n = 4, where the relabeling exists.
+    potential trace L_i = w^{jk} L_{ij,k}; the constant is recorded.  The
+    relabel carries the volume form, so row r of the potential trace picks
+    up det(w) w_rr; that holds for diagonal metrics with entries ±1, and
+    any other metric is refused.  Implemented at n = 4, where the
+    relabeling exists.
     """
     n = 4
     w = resolve_metric(n, metric)
+    diagonal = [w.lower(r, r) for r in range(1, n + 1)]
+    if any(w.lower(i, j) for i, j in ext_tuples(n, 2)) or \
+            any(d not in (1, -1) for d in diagonal):
+        raise ValueError("the relabeled trace needs a diagonal metric with entries ±1")
     b_space = bianchi_candidate_space(n, w)
-    tau_amb = _double_trace_matrix(n, w)
-    a_b = [list(r) for r in b_space.ambient_from_coords]
-    tau = linalg.mat_mul(tau_amb, a_b)   # 4 x dim(F2)
+    a_b = b_space.ambient_from_coords
+    tau = linalg.product(_double_trace_matrix(n, w), a_b)   # 4 rows over F2 coordinates
 
     covector = bundles.free_basis("T*", n, [f"a{i}" for i in range(1, n + 1)])
     tau_op = operators.from_scalar_matrix(
@@ -548,20 +560,16 @@ def trace_contraction_check(metric=None):
         operators._product_rows(div_grad, ric.vectors, n, ric.source.dim))
 
     l_space = lanczos_constraint_space(n)
-    relabel = bundles.bianchi_to_potential_relabel()
-    img = linalg.mat_mul(relabel, a_b)
-    for crow in bundles.constraint_rows(l_space):
-        for jdx in range(b_space.dim):
-            if sum(coef * img[cidx][jdx] for cidx, coef in crow.items()):
-                raise AssertionError(
-                    "relabeled second-identity space misses the potential space")
-    lam = [[img[c][jdx] for jdx in range(b_space.dim)]
-           for c in l_space.free_columns]
+    img = linalg.product(bundles.bianchi_to_potential_relabel(), a_b)
+    if any(linalg.product(bundles.constraint_rows(l_space), img)):
+        raise AssertionError(
+            "relabeled second-identity space misses the potential space")
+    lam = [img[c] for c in l_space.free_columns]
 
-    idx_l, lcol = lanczos_ambient_index(n)
+    _, lcol = lanczos_ambient_index(n)
     trace_amb = []
     for r in range(1, n + 1):
-        row = [ZERO] * len(idx_l)
+        row = {}
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 coef = w.upper(j, k)
@@ -570,33 +578,30 @@ def trace_contraction_check(metric=None):
                 slot, sg = bundles._pair_slot(r, j)
                 if not sg:
                     continue
-                row[lcol[(slot, k)]] += coef * sg
+                _add_term(row, lcol[(slot, k)], coef * sg)
         trace_amb.append(row)
-    a_l = [list(r) for r in l_space.ambient_from_coords]
-    trace_l = linalg.mat_mul(trace_amb, a_l)   # 4 x 20
+    trace_l = linalg.product(trace_amb, l_space.ambient_from_coords)   # 4 rows over 20 coordinates
 
-    composed = linalg.mat_mul(trace_l, lam)
+    det = prod(diagonal)
+    composed = [{j: det * d * v for j, v in row.items()}
+                for d, row in zip(diagonal, linalg.product(trace_l, lam))]
     factor = None
-    for i in range(4):
-        for j in range(b_space.dim):
-            if composed[i][j]:
-                factor = tau[i][j] / composed[i][j]
-                break
-        if factor is not None:
+    for t, row in zip(tau, composed):
+        if row:
+            j = min(row)
+            factor = t.get(j, ZERO) / row[j]
             break
-    relabel_matches = factor is not None and all(
-        tau[i][j] == factor * composed[i][j]
-        for i in range(4) for j in range(b_space.dim))
+    relabel_matches = factor is not None and tau == [
+        {j: factor * v for j, v in row.items() if factor} for row in composed]
 
-    kernel_dim = l_space.dim - linalg.dense_rank(trace_l)
+    kernel_dim = l_space.dim - linalg.rank(trace_l, l_space.dim)
 
-    probe_amb = [ZERO] * len(idx_l)
-    probe_amb[lcol[((1, 2), 2)]] = Fraction(1)
+    probe_amb = {lcol[((1, 2), 2)]: Fraction(1)}
     for crow in bundles.constraint_rows(l_space):
-        if sum(coef * probe_amb[cidx] for cidx, coef in crow.items()):
+        if sum(coef * probe_amb.get(cidx, 0) for cidx, coef in crow.items()):
             raise AssertionError("probe element violates the cyclic constraint")
     probe = l_space.from_ambient(probe_amb)
-    out = linalg.mat_vec(trace_l, probe)
+    out = [sum(v * probe.get(c, 0) for c, v in row.items()) for row in trace_l]
     probe_ok = out[0] != 0 and all(v == 0 for v in out[1:])
 
     ok = identity_ok and relabel_matches and kernel_dim == 16 and probe_ok

@@ -1,5 +1,6 @@
 """Tensor bundle bases: dimensions, embeddings, and the curvature split."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,20 @@ from diffseq.poly import ConstantMetric
 
 RIEMANN_DIMS = {2: 1, 3: 6, 4: 20, 5: 50}
 WEYL_DIMS = {3: 0, 4: 10, 5: 35}
+
+
+def apply_rows(rows, vec):
+    """The sparse image of the sparse vector ``vec`` under sparse rows."""
+    out = {}
+    for r, row in enumerate(rows):
+        s = sum(v * vec.get(c, 0) for c, v in row.items())
+        if s:
+            out[r] = s
+    return out
+
+
+def unit_rows(k):
+    return [{i: 1} for i in range(k)]
 
 
 def test_free_space_dimensions():
@@ -66,18 +81,18 @@ def test_bianchi_candidate_dimensions():
 
 def test_constrained_basis_round_trip():
     space = riemann_candidate_space(4)
-    coords = [Fraction(i + 1) for i in range(space.dim)]
-    ambient = linalg.mat_vec(space.ambient_from_coords, coords)
+    coords = {i: Fraction(i + 1) for i in range(space.dim)}
+    ambient = apply_rows(space.ambient_from_coords, coords)
     assert space.from_ambient(ambient) == coords
     for row in constraint_rows(space):
-        assert sum(row[c] * ambient[c] for c in row) == 0
+        assert sum(row[c] * ambient.get(c, 0) for c in row) == 0
 
 
 def test_constrained_basis_rejects_nothing_but_satisfies_all_rows():
     rows = [{0: Fraction(1), 1: Fraction(-1)}]
     space = constrained_basis("Pair", 2, ("a", "b"), rows)
     assert space.dim == 1
-    amb = linalg.mat_vec(space.ambient_from_coords, [Fraction(3)])
+    amb = apply_rows(space.ambient_from_coords, {0: Fraction(3)})
     assert amb[0] == amb[1]
 
 
@@ -88,17 +103,13 @@ def test_split_riemann_projector_identities():
             dim = split.riemann_space.dim
             pr, pw = split.project_ricci, split.project_weyl
             ir, iw = split.inject_ricci, split.inject_weyl
-            assert linalg.mat_mul(pr, ir) == linalg.identity(split.sym2_space.dim)
-            if split.weyl_space.dim:
-                assert linalg.mat_mul(pw, iw) == \
-                    linalg.identity(split.weyl_space.dim)
-                assert linalg.is_zero_matrix(linalg.mat_mul(pr, iw))
-            assert linalg.is_zero_matrix(linalg.mat_mul(pw, ir))
-            total = linalg.mat_mul(ir, pr)
-            if split.weyl_space.dim:
-                total = [[a + b for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(total, linalg.mat_mul(iw, pw))]
-            assert total == linalg.identity(dim)
+            assert linalg.product(pr, ir) == unit_rows(split.sym2_space.dim)
+            assert linalg.product(pw, iw) == unit_rows(split.weyl_space.dim)
+            assert not any(linalg.product(pr, iw))
+            assert not any(linalg.product(pw, ir))
+            total = [{c: r1.get(c, 0) + r2.get(c, 0) for c in r1.keys() | r2.keys()}
+                     for r1, r2 in zip(linalg.product(ir, pr), linalg.product(iw, pw))]
+            assert [{c: v for c, v in row.items() if v} for row in total] == unit_rows(dim)
 
 
 def test_split_riemann_dimension_bookkeeping():
@@ -115,13 +126,49 @@ def test_split_riemann_dimension_bookkeeping():
 
 def test_eps_contraction_is_orthogonal():
     e = eps_contraction_matrix()
-    et = [list(col) for col in zip(*e)]
-    assert linalg.mat_mul(e, et) == linalg.identity(4)
+    et = [{l: row[t] for l, row in enumerate(e) if t in row} for t in range(4)]
+    assert linalg.product(e, et) == unit_rows(4)
 
 
 def test_pair_complement_is_an_involution():
     p = pair_complement_matrix()
-    assert linalg.mat_mul(p, p) == linalg.identity(6)
+    assert linalg.product(p, p) == unit_rows(6)
+
+
+def _entries(rows):
+    """The nonzero entries of sparse rows as ``(row, col, "p/q")``."""
+    return [(r, c, f"{v.numerator}/{v.denominator}")
+            for r, row in enumerate(rows) for c, v in sorted(row.items()) if v]
+
+
+def test_constant_maps_are_pinned():
+    digest = hashlib.sha256()
+    for n in (3, 4, 5):
+        for metric in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n)):
+            spaces = [riemann_candidate_space(n), weyl_candidate_space(n, metric),
+                      trace_free_sym2(n, metric), bianchi_candidate_space(n, metric),
+                      lanczos_constraint_space(n)]
+            split = split_riemann(n, metric)
+            maps = [(s.label, s.ambient_from_coords) for s in spaces] + [
+                (k, getattr(split, k))
+                for k in ("inject_ricci", "project_ricci", "inject_weyl", "project_weyl")]
+            for name, rows in maps:
+                digest.update(f"{name} n={n} {metric.name}\n{_entries(rows)!r}\n".encode())
+    assert digest.hexdigest() == CONSTANT_MAPS_SHA256
+
+
+# nonzero entries of the embeddings of the five constrained spaces and of the
+# four splitting maps at n = 3..5 under both metrics, from the dense matrices
+# these rows replaced
+CONSTANT_MAPS_SHA256 = "e15190e564788dca0f284a3da8fb57175c73f35bf43dfcc188fb567871e5996b"
+
+
+def test_cached_rows_are_read_only():
+    space = riemann_candidate_space(4)
+    split = split_riemann(4)
+    for row in (space.ambient_from_coords[0], split.inject_ricci[0], split.project_weyl[0]):
+        with pytest.raises(TypeError):
+            row[0] = Fraction(1)
 
 
 def test_dual_unwraps_only_a_whole_adjoint_label():

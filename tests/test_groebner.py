@@ -212,7 +212,8 @@ def test_generic_rank_matches_evaluation_at_a_generic_point():
     rows = [list(r) for r in op.rows]
     pt = [Fraction(3), Fraction(-7), Fraction(11)]
     dense = [[p.evaluate(pt) for p in row] for row in rows]
-    assert generic_rank(rows) == linalg.dense_rank(dense)
+    assert generic_rank(rows) == linalg.rank(
+        [{c: v for c, v in enumerate(row) if v} for row in dense], len(rows[0]))
 
 
 def test_generic_rank_of_inhomogeneous_rows():
@@ -569,7 +570,8 @@ def test_generic_rank_is_exact_on_generators_and_syzygies(pres):
     rank = generic_rank(gens)
     assert rank + generic_rank(syzygies(pres).generators) == len(gens)
     point = [Fraction(p) for p in (3, -7, 11)[:pres.n]]
-    assert linalg.dense_rank([[p.evaluate(point) for p in g] for g in gens]) <= rank
+    values = [{c: v for c, p in enumerate(g) if (v := p.evaluate(point))} for g in gens]
+    assert linalg.rank(values, pres.ambient_rank) <= rank
 
 
 def _documented_key(term, shifts, block_start):

@@ -1,4 +1,4 @@
-"""Sparse and dense exact linear algebra."""
+"""Exact sparse linear algebra, checked against dense references."""
 
 import random
 from fractions import Fraction
@@ -29,8 +29,26 @@ def dense_of(rows, ncols):
     return [[row.get(c, ZERO) for c in range(ncols)] for row in rows]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
+def sparse_of(a):
+    return [{c: v for c, v in enumerate(row) if v} for row in a]
+
+
+def dense_mul(a, b):
+    """Reference product of dense matrices, ``a`` being m x k and ``b`` k x n."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), ZERO)
+             for j in range(len(b[0]))] for row in a]
+
+
+def sparse_transpose(rows, ncols):
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][i] = v
+    return out
+
+
+def unit_rows(k):
+    return [{i: 1} for i in range(k)]
 
 
 def test_rank_of_identity_blocks():
@@ -79,7 +97,7 @@ def test_dense_rank_matches_sparse_rank():
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         rows = random_sparse(rng, nrows, ncols)
-        assert linalg.dense_rank(dense_of(rows, ncols)) == linalg.rank(rows, ncols)
+        assert len(reference_rref(rows, ncols)[1]) == linalg.rank(rows, ncols)
 
 
 def test_invert_produces_a_two_sided_inverse():
@@ -88,30 +106,31 @@ def test_invert_produces_a_two_sided_inverse():
     while found < 8:
         k = rng.randint(1, 5)
         a = [[Fraction(rng.randint(-4, 4)) for _ in range(k)] for _ in range(k)]
-        if linalg.dense_rank([row[:] for row in a]) < k:
+        if len(reference_rref(sparse_of(a), k)[1]) < k:
             continue
         found += 1
         inv = linalg.invert(a)
-        assert linalg.mat_mul(a, inv) == linalg.identity(k)
-        assert linalg.mat_mul(inv, a) == linalg.identity(k)
+        assert linalg.product(sparse_of(a), sparse_of(inv)) == unit_rows(k)
+        assert linalg.product(sparse_of(inv), sparse_of(a)) == unit_rows(k)
 
 
-def test_mat_mul_associativity_and_transpose():
+def test_product_associativity_and_transpose():
     rng = random.Random(15)
-    a = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2)]
-    b = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(3)]
-    c = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(4)]
-    assert linalg.mat_mul(linalg.mat_mul(a, b), c) == \
-        linalg.mat_mul(a, linalg.mat_mul(b, c))
-    assert transpose(linalg.mat_mul(a, b)) == \
-        linalg.mat_mul(transpose(b), transpose(a))
+    for _ in range(25):
+        m, k, n, p = (rng.randint(1, 5) for _ in range(4))
+        a, b, c = (random_sparse(rng, r, w) for r, w in ((m, k), (k, n), (n, p)))
+        ab = linalg.product(a, b)
+        assert ab == sparse_of(dense_mul(dense_of(a, k), dense_of(b, n)))
+        assert linalg.product(ab, c) == linalg.product(a, linalg.product(b, c))
+        assert sparse_transpose(ab, n) == \
+            linalg.product(sparse_transpose(b, n), sparse_transpose(a, k))
 
 
-def test_mat_vec_matches_mat_mul():
+def test_product_with_a_column_matches_the_dense_reference():
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    v = [Fraction(5), Fraction(-1)]
-    col = linalg.mat_mul(a, [[v[0]], [v[1]]])
-    assert linalg.mat_vec(a, v) == [col[0][0], col[1][0]]
+    v = [[Fraction(5)], [Fraction(-1)]]
+    assert linalg.product(sparse_of(a), sparse_of(v)) == sparse_of(dense_mul(a, v))
+    assert linalg.product(sparse_of(a), sparse_of(v)) == [{0: 3}, {0: 11}]
 
 
 def test_invert_rejects_a_singular_matrix():
@@ -200,8 +219,7 @@ def test_sparse_elimination_matches_dense_gauss_jordan(matrix):
     for f, vec in zip(ref_free, kernel):
         assert [Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] == \
             reference_kernel_vector(ref_rows, ref_pivots, f, ncols)
-    if ncols:
-        assert linalg.dense_rank(dense_of(rows, ncols)) == len(ref_pivots)
+    assert linalg.rank(sparse_of(dense_of(rows, ncols)), ncols) == len(ref_pivots)
     assert rows == before
 
 

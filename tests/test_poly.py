@@ -106,6 +106,11 @@ def test_metric_set_up_eliminates_once(monkeypatch):
     assert calls == [2]
 
 
+def test_a_singular_metric_is_refused():
+    with pytest.raises(ValueError, match="nondegenerate"):
+        ConstantMetric([[1, 0], [0, 0]])
+
+
 def test_minkowski_metric_signature_and_inverse():
     w = ConstantMetric.minkowski(4)
     diag = [w.lower(i, i) for i in range(1, 5)]

@@ -213,6 +213,23 @@ def test_a_zero_row_of_the_candidate_is_refused():
         check_parametrization(riemann_linearized(2), _killing_without_column_0())
 
 
+def test_potentials_of_an_operator_with_a_zero_column():
+    # curl with an extra component it ignores: the gradient potentials, and
+    # one unit potential on the ignored component
+    curl = exterior_derivative(3, 1)
+    source = free_basis("T*+", 3, [*curl.source.element_labels, "z"])
+    op = make_operator("curl+", 3, source, curl.target,
+                       [[*row, Poly.zero(3)] for row in curl.rows])
+    pot = parametrization_generators(op)
+    x = [Poly.variable(3, i) for i in (1, 2, 3)]
+    zero, one = Poly.zero(3), Poly.one(3)
+    assert pot.rows == (
+        (-x[0], zero), (-x[1], zero), (-x[2], zero), (zero, one))
+    assert check_parametrization(op, pot).ok
+    assert compose(_killing_without_column_0(),
+                   parametrization_generators(_killing_without_column_0())).is_zero()
+
+
 def test_a_candidate_into_another_bundle_is_a_value_error():
     with pytest.raises(ValueError):
         check_parametrization(adjoint(killing(2)), adjoint(killing(2)))
@@ -315,6 +332,30 @@ def test_trace_contraction_identity():
     assert rep.trace_kernel_dim == 16
     assert rep.probe_ok
     assert rep.ok
+
+
+def _diagonal_metric(*entries):
+    return ConstantMetric([[v if i == j else 0 for j in range(4)]
+                           for i, v in enumerate(entries)])
+
+
+def test_trace_contraction_under_diagonal_sign_metrics():
+    # the relabel carries the volume form, so every ±1 diagonal metric gives
+    # the euclidean factor
+    for metric in (ConstantMetric.minkowski(4), _diagonal_metric(-1, 1, 1, 1),
+                   _diagonal_metric(1, -1, 1, -1)):
+        rep = trace_contraction_check(metric)
+        assert rep.relabel_matches and rep.relabel_factor == -2, metric.entries
+        assert rep.ok, metric.entries
+
+
+def test_trace_contraction_refuses_other_metrics():
+    with pytest.raises(ValueError, match="diagonal metric"):
+        trace_contraction_check(_diagonal_metric(2, 1, 3, -1))
+    with pytest.raises(ValueError, match="diagonal metric"):
+        # off-diagonal, though every entry is 0 or 1
+        trace_contraction_check(ConstantMetric(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
 def test_potential_contradiction():
