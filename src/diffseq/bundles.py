@@ -15,12 +15,11 @@ constraint ranks, never assumed.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, product
 from types import MappingProxyType
 
 from . import linalg
-from .config import record
+from .config import cached, record
 from .poly import metric_cache
 
 ZERO = Fraction(0)
@@ -73,6 +72,9 @@ class BundleBasis:
         return (self.label, self.element_labels)
 
     def __eq__(self, other):
+        """Label-based: a document holds labels only, and the space it loads
+        must equal the builder's, so embeddings are not compared here.
+        ``operators.compose`` compares them where both sides carry one."""
         return isinstance(other, BundleBasis) and self.key() == other.key()
 
     def __hash__(self):
@@ -166,7 +168,7 @@ def _pair_slot(i, j):
     return ((i, j), 1) if i < j else ((j, i), -1)
 
 
-@lru_cache(maxsize=None)
+@cached
 def riemann_candidate_space(n):
     """Solution space of the linearized curvature symmetries in (T*)^4.
 
@@ -239,7 +241,7 @@ def trace_free_sym2(n, metric=None):
         "S2T*_0", n, [f"s{_digits(p)}" for p in pairs], [row])
 
 
-@lru_cache(maxsize=None)
+@cached
 def lanczos_constraint_space(n):
     """Antisymmetric-pair potentials L_{ij,k} with vanishing cyclic sum."""
     idx, col = lanczos_ambient_index(n)

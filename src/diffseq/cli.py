@@ -40,21 +40,14 @@ def _build_named(name, n, metric_name, form_degree):
         raise UsageError(str(exc)) from None
 
 
-def _emit(text, out=None):
-    stream = sys.stdout if out is None else out
-    stream.write(text)
-    if not text.endswith("\n"):
-        stream.write("\n")
+def _emit(text):
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _format_flag(args):
-    if getattr(args, "json", False) and getattr(args, "markdown", False):
+    if args.json and args.markdown:
         raise UsageError("choose at most one of --json / --markdown")
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "markdown", False):
-        return "markdown"
-    return None
+    return "json" if args.json else "markdown" if args.markdown else None
 
 
 def _operator_markdown(op, metric_name):

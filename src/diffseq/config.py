@@ -1,12 +1,17 @@
-"""Run-wide limits for the exact engines.
+"""Run-wide limits for the exact engines, and the one process-wide cache.
 
 The caps exist to turn runaway computations into loud errors instead of
 silent multi-hour runs.  ``EXPONENT_CAP`` is a constant.  The degree cap
 on basis completion has one setting, the ``DIFFSEQ_DEGREE_CAP`` environment
 variable, which every completion reads, from the library and the CLI alike.
+
+``cached`` is the only memoizer in the package: an unbounded ``lru_cache``
+under a plain function that exposes ``cache_clear`` and ``cache_info``, so a
+cached public function is still a function to anything that wraps it.
 """
 
 import os
+from functools import lru_cache, update_wrapper
 
 EXPONENT_CAP = 32
 DEGREE_CAP_DEFAULT = 12
@@ -66,6 +71,21 @@ def record(cls):
         cls.__repr__ = lambda self: "%s(%s)" % (self.__class__.__qualname__, ", ".join(
             f"{k}={v!r}" for k, v in zip(names, fields(self))))
     return cls
+
+
+def cached(body):
+    """``body`` memoized for the life of the process, one entry per distinct
+    argument tuple (a keyword call is its own entry, as in ``lru_cache``), as
+    a plain function with ``body``'s name and docstring and the cache's
+    ``cache_clear`` and ``cache_info``.  Results are shared: do not mutate
+    them."""
+    memo = lru_cache(maxsize=None)(body)
+
+    def call(*args, **kwargs):
+        return memo(*args, **kwargs)
+
+    call.cache_clear, call.cache_info = memo.cache_clear, memo.cache_info
+    return update_wrapper(call, body)
 
 
 def degree_cap():

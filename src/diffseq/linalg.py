@@ -52,6 +52,26 @@ def _integral(row):
     return scale, {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
 
 
+def _clear(row, piv, col):
+    """Clear column ``col`` of the integer ``row`` with ``piv``, in place:
+    scale ``row`` by piv[col] / g and subtract row[col] / g times ``piv``,
+    g their gcd; a scaled row is divided back to primitive."""
+    a, f = piv[col], row[col]
+    g = gcd(a, f)
+    ma, mf = a // g, f // g
+    if ma != 1:
+        for c in row:
+            row[c] *= ma
+    for c, v in piv.items():
+        nv = row.get(c, 0) - mf * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+    if ma != 1:
+        _primitive(row)
+
+
 def _echelon(rows, ncols):
     """Forward elimination: ``[(pivot_col, row)]`` in increasing pivot column,
     each row a primitive integer dict that is zero left of its pivot."""
@@ -67,20 +87,7 @@ def _echelon(rows, ncols):
                 if col < ncols:
                     pivots[col] = _primitive(row)
                 break
-            a, f = piv[col], row[col]
-            g = gcd(a, f)
-            ma, mf = a // g, f // g
-            if ma != 1:
-                for c in row:
-                    row[c] *= ma
-            for c, v in piv.items():
-                nv = row.get(c, 0) - mf * v
-                if nv:
-                    row[c] = nv
-                else:
-                    del row[c]
-            if ma != 1:
-                _primitive(row)
+            _clear(row, piv, col)
     return sorted(pivots.items())
 
 
@@ -91,18 +98,7 @@ def _reduced(rows, ncols):
     pivot_row = dict(echelon)
     for col, row in reversed(echelon):
         for c in [c for c in row if c != col and c in pivot_row]:
-            other = pivot_row[c]
-            g = gcd(other[c], row[c])
-            mo, mf = other[c] // g, row[c] // g
-            if mo != 1:
-                for x in row:
-                    row[x] *= mo
-            for x, v in other.items():
-                nv = row.get(x, 0) - mf * v
-                if nv:
-                    row[x] = nv
-                else:
-                    del row[x]
+            _clear(row, pivot_row[c], c)
         _primitive(row)
     return echelon
 

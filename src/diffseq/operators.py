@@ -118,11 +118,16 @@ def compose(outer, inner):
 
     The product is summed on ints by :func:`_product_rows` from the rows'
     integer vectors; the zero test ``compose(outer, inner).is_zero()`` reads
-    one empty vector per row."""
-    if outer.source.key() != inner.target.key():
+    one empty vector per row.  Where both middle spaces are embedded in an
+    ambient bundle, their embeddings must agree as well as their labels."""
+    mid, other = outer.source, inner.target
+    if mid.key() != other.key():
         raise ValueError(
-            f"cannot compose {outer.name} o {inner.name}: "
-            f"{outer.source.label} != {inner.target.label}")
+            f"cannot compose {outer.name} o {inner.name}: {mid.label} != {other.label}")
+    if not (mid.is_free or other.is_free) and mid.ambient_from_coords != other.ambient_from_coords:
+        raise ValueError(
+            f"cannot compose {outer.name} o {inner.name}: the two {mid.label} "
+            "are cut out of their ambient bundle by different constraints")
     return OperatorMatrix(
         name=f"{outer.name} o {inner.name}", n=outer.n,
         source=inner.source, target=outer.target,

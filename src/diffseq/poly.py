@@ -14,11 +14,11 @@ engines rely on.
 """
 
 from fractions import Fraction
-from functools import lru_cache, update_wrapper
+from functools import update_wrapper
 from operator import le
 
 from . import linalg
-from .config import EXPONENT_CAP, ExponentCapExceeded
+from .config import EXPONENT_CAP, ExponentCapExceeded, cached
 
 Mono = tuple
 
@@ -261,7 +261,7 @@ class ConstantMetric:
         self.name = name
 
     @classmethod
-    @lru_cache(maxsize=None)
+    @cached
     def euclidean(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
                    name="euclidean")
@@ -303,14 +303,13 @@ def resolve_metric(n, metric):
 
 
 def metric_cache(body):
-    """``lru_cache`` for a pure function ``body(n, metric=None)``, keyed on
-    the resolved metric, so ``None`` and the euclidean metric share one entry.
-    The decorated function stays a plain function with ``body``'s defaults.
-    Results are shared for the life of the process: do not mutate them."""
-    cached = lru_cache(maxsize=None)(body)
+    """``config.cached`` for a pure function ``body(n, metric=None)``, keyed
+    on the resolved metric, so ``None`` and the euclidean metric share one
+    entry.  The decorated function keeps ``body``'s defaults."""
+    memo = cached(body)
 
     def call(n, metric=None):
-        return cached(n, resolve_metric(n, metric))
+        return memo(n, resolve_metric(n, metric))
 
     call.__defaults__ = body.__defaults__
-    return update_wrapper(call, body)
+    return update_wrapper(call, memo)   # copies cache_clear and cache_info too

@@ -9,7 +9,6 @@ contradiction, and the contracted-trace identity.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from types import MappingProxyType
 
@@ -27,7 +26,7 @@ from .bundles import (
     tangent_space,
     trace_free_sym2,
 )
-from .config import record
+from .config import cached, record
 from .operators import OperatorMatrix, adjoint, compose
 from .poly import metric_cache, resolve_metric
 
@@ -98,7 +97,7 @@ def conformal_killing(n, metric=None):
                           _constrained_rows(tgt, ambient, n))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _riemann_ambient_terms(n):
     """Ambient symbol rows of the linearized curvature, one per 4-tuple, as
     integer vectors with read-only term maps, shared by every caller."""
@@ -180,15 +179,11 @@ def einstein(n, metric=None):
         operators._product_rows(revert, ric.vectors, n, ric.source.dim)))
 
 
+@cached
 def exterior_derivative(n, r):
     """Alternating first-derivative map on r-forms."""
     if not 0 <= r < n:
         raise ValueError(f"form degree {r} out of range for n={n}")
-    return _exterior_derivative(n, r)
-
-
-@lru_cache(maxsize=None)
-def _exterior_derivative(n, r):
     src = ext_space(n, r)
     scol = {t: c for c, t in enumerate(ext_tuples(n, r))}
     rows = []

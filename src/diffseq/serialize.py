@@ -23,13 +23,6 @@ class DocumentError(ValueError):
     """Malformed or unsupported operator document."""
 
 
-def _coef_string(c):
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _integer(value, what, low=0):
     if type(value) is not int or value < low:
         raise DocumentError(f"{what} must be an integer >= {low}, got {value!r}")
@@ -56,7 +49,7 @@ def operator_to_document(op, metric="euclidean"):
         for (j, mono), v in vec.items():
             cells.setdefault(j, []).append((mono_key(mono), mono, v))
         for j in sorted(cells):
-            terms = [{"coef": _coef_string(Fraction(v, den)), "exp": list(mono)}
+            terms = [{"coef": str(Fraction(v, den)), "exp": list(mono)}
                      for _, mono, v in sorted(cells[j], reverse=True)]
             entries.append({"row": i, "col": j, "terms": terms})
     return {

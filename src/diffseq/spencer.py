@@ -18,43 +18,34 @@ each vector is contracted with each dx^i once and the results are placed
 per exterior index I.  The images are the rows of the transpose of delta's
 matrix, and rank(A) = rank(A^T), so their rank is the rank of delta.
 
-Jet coordinates here carry no multinomial factors: the component at a
-symmetric multi-index stands for the plain mixed partial.
+Columns are keyed by the exponent tuples that operator rows already hold.
+``_monomials(n, q)`` lists the degree-q monomials in ``sym_tuples(n, q)``
+order, and the monomial at position pos with fiber component k is column
+pos * m + k of S_q T* tensor a rank-m fiber.  Prolongation adds e_i to a
+monomial, contraction with dx^i subtracts it, and J_q stacks the degrees:
+column ``jet_fiber_dim(n, qq - 1, m) + pos * m + k`` for degree qq.
+Jet coordinates carry no multinomial factors: the component at a
+monomial stands for the plain mixed partial.
 """
 
-from functools import lru_cache
 from math import comb
 
 from . import linalg
 from .bundles import ext_tuples, sym_tuples
-from .config import record
+from .config import cached, record
 
 
-def _sorted_insert(mu, i):
-    return tuple(sorted(mu + (i,)))
+@cached
+def _monomials(n, q):
+    """The degree-q exponent tuples in ``sym_tuples(n, q)`` order, and the
+    position of each."""
+    monos = tuple(tuple(mu.count(i) for i in range(1, n + 1)) for mu in sym_tuples(n, q))
+    return monos, {mono: pos for pos, mono in enumerate(monos)}
 
 
-def _indices(mono):
-    """The symmetric multi-index (1-based, sorted) of an exponent tuple."""
-    return tuple(i + 1 for i, e in enumerate(mono) for _ in range(e))
-
-
-class _Indexer:
-    """Column enumeration of S_q T* tensor a rank-m fiber."""
-
-    def __init__(self, n, q, m):
-        self.n, self.q, self.m = n, q, m
-        self.mus = sym_tuples(n, q)
-        self.index = {}
-        c = 0
-        for mu in self.mus:
-            for k in range(m):
-                self.index[(mu, k)] = c
-                c += 1
-        self.dim = c
-
-    def __call__(self, mu, k):
-        return self.index[(mu, k)]
+def _shifted(mono, i, step):
+    """``mono`` with ``step`` added to exponent ``i`` (0-based)."""
+    return mono[:i] + (mono[i] + step,) + mono[i + 1:]
 
 
 @record
@@ -67,21 +58,17 @@ class SymbolSpace:
     constraints: tuple      # reduced integer rows over the S_q-fiber columns
     dim: int
 
+    @cached
     def basis(self):
         """Kernel basis, one sparse primitive integer vector ``{column: int}``
         per free column; eliminated once per distinct space, do not mutate it."""
-        return _symbol_basis(self)
-
-
-@lru_cache(maxsize=None)
-def _symbol_basis(g):
-    width = comb(g.n + g.q - 1, g.q) * g.fiber_dim
-    return linalg.integer_kernel([dict(r) for r in g.constraints], width)[0]
+        width = comb(self.n + self.q - 1, self.q) * self.fiber_dim
+        return linalg.integer_kernel([dict(r) for r in self.constraints], width)[0]
 
 
 def _make_symbol(n, q, m, rows):
     """The space cut out by ``rows``; one record per space (module docstring)."""
-    width = _Indexer(n, q, m).dim
+    width = comb(n + q - 1, q) * m
     echelon = linalg._reduced(rows, width)
     return SymbolSpace(
         n=n, q=q, fiber_dim=m, dim=width - len(echelon),
@@ -90,51 +77,32 @@ def _make_symbol(n, q, m, rows):
                           for col, row in echelon))
 
 
+@cached
 def symbol_of(op):
     """Symbol of the top-degree part of an operator (order must be >= 1).
     Built once per operator; the result is shared."""
-    return _symbol_of(op)
-
-
-@lru_cache(maxsize=None)
-def _symbol_of(op):
     q = op.order
     if q < 1:
         raise ValueError("symbol needs an operator of order at least 1")
-    n = op.n
     m = op.source.dim
-    idx = _Indexer(n, q, m)
-    rows = []
-    for _, vec in op.vectors:
-        # one column per (monomial, k); a row's scale changes no constraint
-        out = {idx(_indices(mono), k): v for (k, mono), v in vec.items() if sum(mono) == q}
-        if out:
-            rows.append(out)
+    pos = _monomials(op.n, q)[1]
+    # one column per (monomial, k); a row's scale changes no constraint
+    rows = [out for _, vec in op.vectors
+            if (out := {pos[mono] * m + k: v for (k, mono), v in vec.items() if sum(mono) == q})]
     if not rows:
         raise ValueError(f"{op.name}: zero principal part")
-    return _make_symbol(n, q, m, rows)
+    return _make_symbol(op.n, q, m, rows)
 
 
+@cached
 def prolong(g):
     """One prolongation: all first derivatives of the defining equations.
     Built once per symbol space; the result is shared."""
-    return _prolong(g)
-
-
-@lru_cache(maxsize=None)
-def _prolong(g):
     n, m = g.n, g.fiber_dim
-    idx_new = _Indexer(n, g.q + 1, m)
-    mus = sym_tuples(n, g.q)
-    rows = []
-    for crow in g.constraints:
-        for i in range(1, n + 1):
-            out = {}
-            for (col, coef) in crow:
-                pos, k = divmod(col, m)
-                c = idx_new(_sorted_insert(mus[pos], i), k)
-                out[c] = out.get(c, 0) + coef
-            rows.append(out)
+    monos, pos = _monomials(n, g.q)[0], _monomials(n, g.q + 1)[1]
+    # adding e_i is injective on monomials, so no two terms share a column
+    rows = [{pos[_shifted(monos[col // m], i, 1)] * m + col % m: coef for col, coef in crow}
+            for crow in g.constraints for i in range(n)]
     return _make_symbol(n, g.q + 1, m, rows)
 
 
@@ -160,12 +128,11 @@ def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
     Component J of wedge^{r+1} sits at columns J_pos * stride + offset + the
     S_{q-1}-fiber column (stride defaults to the S_{q-1}-fiber width)."""
     out_pos = {J: c for c, J in enumerate(ext_tuples(n, r + 1))}
-    mus = sym_tuples(n, q)
-    nu_pos = {nu: c for c, nu in enumerate(sym_tuples(n, q - 1))}
+    nu_pos = _monomials(n, q - 1)[1]
     stride = stride or len(nu_pos) * m
-    # contraction with dx^i: e_mu -> e_{mu - i} for each distinct i in mu
-    drops = [[(i, nu_pos[mu[:t] + mu[t + 1:]] * m)
-              for t, i in enumerate(mu) if not t or mu[t - 1] != i] for mu in mus]
+    # contraction with dx^i: x^mu -> x^(mu - e_i) for each i with mu_i > 0
+    drops = [[(i + 1, nu_pos[_shifted(mu, i, -1)] * m) for i, e in enumerate(mu) if e]
+             for mu in _monomials(n, q)[0]]
     contracted = []   # per vector: i -> its contraction with dx^i, as pairs
     for v in vectors:
         w = {}
@@ -263,7 +230,7 @@ def full_jet_column(n, q_top, m):
     """The delta sequence on full spaces: wedge^r tensor S_{q_top - r}
     tensor a rank-m fiber, for r = 0..q_top; checks exactness everywhere
     (injective at the left end, surjective at the right end)."""
-    dims = [comb(n, r) * _Indexer(n, q_top - r, m).dim for r in range(q_top + 1)]
+    dims = [comb(n, r) * comb(n + q_top - r - 1, q_top - r) * m for r in range(q_top + 1)]
     ranks = [linalg.rank(_delta_images(n, r, q_top - r, m, _units(n, q_top - r, m)),
                          dims[r + 1]) for r in range(q_top)]
     # exact at node r: the incoming and outgoing ranks add up to its dim
@@ -282,36 +249,29 @@ def _prolonged_equation_rows(op, q):
     """Constraint rows of the order-q jet system of ``op`` over the
     coordinates of J_q (source fiber), i.e. all derivatives of the
     equations up to order q - order(op)."""
-    n = op.n
-    m = op.source.dim
-    cols = {}
-    c = 0
-    for qq in range(q + 1):
-        for mu in sym_tuples(n, qq):
-            for k in range(m):
-                cols[(mu, k)] = c
-                c += 1
+    n, m = op.n, op.source.dim
+    offsets = [jet_fiber_dim(n, qq - 1, m) for qq in range(q + 1)]
+    tables = [_monomials(n, qq)[1] for qq in range(q + 1)]
+    shifts = [sigma for qq in range(q - op.order + 1) for sigma in _monomials(n, qq)[0]]
     rows = []
-    shifts = [mu for qq in range(q - op.order + 1)
-              for mu in sym_tuples(n, qq)]
     for _, vec in op.vectors:
-        base = [(_indices(mono), k, v) for (k, mono), v in vec.items()]
         for sigma in shifts:
+            # adding sigma is injective on monomials, so no two terms share a column
             out = {}
-            for mu, k, coef in base:
-                cc = cols[(tuple(sorted(mu + sigma)), k)]
-                out[cc] = out.get(cc, 0) + coef
-            out = {cc: v for cc, v in out.items() if v}
+            for (k, mono), coef in vec.items():
+                nu = tuple(a + b for a, b in zip(mono, sigma))
+                qq = sum(nu)
+                out[offsets[qq] + tables[qq][nu] * m + k] = coef
             if out:
                 rows.append(out)
-    return rows, c
+    return rows, offsets[q] + len(tables[q]) * m
 
 
 def jet_fiber_dim(n, q, m):
     return sum(comb(n + qq - 1, qq) for qq in range(q + 1)) * m
 
 
-@lru_cache(maxsize=None)
+@cached
 def _jet_system(op, q):
     """The part of a Janet/Spencer table that does not depend on r: the width
     of J_q, a basis of R_q (the order-q jet system of ``op``) and g_{q+1}."""

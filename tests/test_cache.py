@@ -4,9 +4,11 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 
 import pytest
 
+import diffseq
 from diffseq import bundles, golden, linalg, sequences, spencer
 from diffseq.poly import ConstantMetric
 
@@ -79,14 +81,14 @@ def test_prolong_is_built_once_per_symbol_space(monkeypatch):
     monkeypatch.setattr(spencer, "prolong",
                         lambda g: calls.append(g) or prolong(g))
     # the callers of prolong are cached too; a warm cache would skip it
-    for cache in (spencer._prolong, spencer._jet_system, spencer._symbol_of):
+    for cache in (prolong, spencer._jet_system, spencer.symbol_of):
         cache.cache_clear()
     for r in range(5):
         spencer.janet_spencer_bundle_dims("killing", r, 4)
     spencer.delta_cohomology_dims(sequences.killing(4), 4)
     spencer.delta_cohomology_detail(sequences.conformal_killing(4), 3, q=2)
     assert len(set(calls)) < len(calls)
-    assert spencer._prolong.cache_info().misses == len(set(calls))
+    assert prolong.cache_info().misses == len(set(calls))
     assert prolong(calls[0]) is prolong(calls[0])
 
 
@@ -95,10 +97,10 @@ def test_symbol_of_is_built_once_per_operator(monkeypatch):
     symbol_of = spencer.symbol_of
     monkeypatch.setattr(spencer, "symbol_of",
                         lambda op: calls.append(op) or symbol_of(op))
-    spencer._symbol_of.cache_clear()
+    symbol_of.cache_clear()
     assert golden.run_golden_checks(ns=(4,)).ok
     # killing and conformal_killing at n = 4, each asked for several times
-    assert spencer._symbol_of.cache_info().misses == len(set(calls)) == 2
+    assert symbol_of.cache_info().misses == len(set(calls)) == 2
     assert len(calls) > 2
     assert symbol_of(calls[0]) is symbol_of(calls[0])
 
@@ -122,3 +124,41 @@ def test_benchmark_trace_targets_are_plain_functions():
             obj = vars(obj)[attr]
         assert inspect.isfunction(obj), metric["name"]
         assert obj.__module__ == module.__name__, metric["name"]
+
+
+PROCESS_CACHES = {
+    "bundles.riemann_candidate_space", "bundles.weyl_candidate_space",
+    "bundles.trace_free_sym2", "bundles.lanczos_constraint_space",
+    "bundles.bianchi_candidate_space", "bundles.split_riemann",
+    "poly.ConstantMetric.euclidean",
+    "sequences.killing", "sequences.conformal_killing",
+    "sequences._riemann_ambient_terms", "sequences.riemann_linearized",
+    "sequences.bianchi", "sequences.ricci", "sequences.einstein",
+    "sequences.exterior_derivative", "sequences.lanczos_candidate",
+    "spencer._monomials", "spencer.SymbolSpace.basis", "spencer.symbol_of",
+    "spencer.prolong", "spencer._jet_system",
+}
+
+
+def test_every_process_cache_is_a_plain_function():
+    """``config.cached`` is the one memoizer: each cache in the package is a
+    plain function (so the benchmark tracer can wrap a public one) that
+    exposes ``cache_clear`` and ``cache_info``; a bare ``lru_cache`` object
+    or a cache missing from the list above fails."""
+    found = {}
+    for info in pkgutil.iter_modules(diffseq.__path__):
+        module = importlib.import_module(f"diffseq.{info.name}")
+        owners = [(info.name, module)] + [
+            (f"{info.name}.{attr}", value) for attr, value in vars(module).items()
+            if inspect.isclass(value) and value.__module__ == module.__name__]
+        for prefix, owner in owners:
+            for attr, value in vars(owner).items():
+                value = getattr(value, "__func__", value)   # a classmethod
+                if hasattr(value, "cache_info") and getattr(
+                        value, "__module__", None) == module.__name__:
+                    found[f"{prefix}.{attr}"] = value
+    assert set(found) == PROCESS_CACHES
+    for name, fn in found.items():
+        assert inspect.isfunction(fn), name
+        assert callable(fn.cache_clear), name
+        assert fn.cache_info().maxsize is None, name

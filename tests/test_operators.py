@@ -155,6 +155,20 @@ def test_compose_requires_matching_bases():
         compose(a, b)
 
 
+def test_compose_refuses_spaces_cut_out_by_different_constraints():
+    """The trace-free spaces of two metrics share their labels, so they
+    compare equal, but their coordinates stand for different tensors."""
+    mink = ConstantMetric.minkowski(4)
+    cc = compatibility_conditions(conformal_killing(4, mink))
+    assert cc.source == conformal_killing(4).target
+    with pytest.raises(ValueError, match="cut out of their ambient bundle by different constraints"):
+        compose(cc, conformal_killing(4))
+    assert compose(cc, conformal_killing(4, mink)).is_zero()
+    # a document holds labels only; it still composes with the builder's operator
+    loaded = serialize.document_to_operator(serialize.operator_to_document(conformal_killing(4)))
+    assert compose(compatibility_conditions(conformal_killing(4)), loaded).is_zero()
+
+
 def test_zero_operator_and_order():
     z = make_operator("z", 2, free_basis("A", 2, ("a1",)),
                       free_basis("B", 2, ("b1", "b2")), [[ZERO2]] * 2)
