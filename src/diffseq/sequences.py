@@ -100,15 +100,16 @@ def conformal_killing(n, metric=None):
 @cached
 def _riemann_ambient_terms(n):
     """Ambient symbol rows of the linearized curvature, one per 4-tuple, as
-    integer vectors with read-only term maps, shared by every caller."""
+    integer vectors with read-only term maps, shared by every caller: the
+    +-1/2 terms are summed as +-1 over the denominator 2."""
     pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
     rows = []
     for k, l, i, j in bundles.all_tuples(n, 4):
         row = {}
-        for a, b, h1, h2, coef in ((l, i, k, j, HALF), (l, j, k, i, -HALF),
-                                   (k, i, l, j, -HALF), (k, j, l, i, HALF)):
+        for a, b, h1, h2, coef in ((l, i, k, j, 1), (l, j, k, i, -1),
+                                   (k, i, l, j, -1), (k, j, l, i, 1)):
             _add_term(row, (pcol[(min(h1, h2), max(h1, h2))], _mono(n, a, b)), coef)
-        den, vec = linalg._integral(row)
+        den, vec = groebner._lowest_terms(2, row)
         rows.append((den, MappingProxyType(vec)))
     return tuple(rows)
 

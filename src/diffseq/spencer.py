@@ -26,8 +26,25 @@ monomial, contraction with dx^i subtracts it, and J_q stacks the degrees:
 column ``jet_fiber_dim(n, qq - 1, m) + pos * m + k`` for degree qq.
 Jet coordinates carry no multinomial factors: the component at a
 monomial stands for the plain mixed partial.
+
+On a full space wedge^r tensor S_q tensor E the route eliminates a basis
+of delta's image, not the image of every unit vector.  The full symbol is
+involutive, so with cls(mu) the least variable of x^mu (its multiplicative
+variables are x_1..x_cls(mu)), delta(dx^I tensor x^mu e_k) for the I made
+of non-multiplicative indices only, every index above cls(mu), is a basis
+of that image: m * sum_mu C(n - cls(mu), r) rows (Pommaret, "Systems of
+Partial Differential Equations and Lie Pseudogroups", Gordon and Breach
+1978; Seiler, "Involution", Springer 2010, ch. 6).  ``_pommaret_images``
+emits those rows, and the Janet tables quotient by the row space that
+every unit image spans.  The full-jet columns need no trust in the basis:
+each rank read is at most delta's rank, and since delta o delta = 0,
+rank delta_{r-1} + rank delta_r <= dim of node r; so when the read ranks
+fill every node exactly, each equals delta's rank and exactness is proven.
+Symbol spaces are not full spaces, so ``delta_map`` keeps the image of
+every basis vector.
 """
 
+from itertools import combinations
 from math import comb
 
 from . import linalg
@@ -118,8 +135,26 @@ def prolong_to(g, q):
 # ---------------------------------------------------------------------------
 # delta maps
 
-def _units(n, q, m):
-    return [{c: 1} for c in range(comb(n + q - 1, q) * m)]
+def _pommaret_images(n, r, q, m, stride=None, offset=0):
+    """delta(dx^I tensor x^mu e_k) on the full space wedge^r tensor S_q tensor
+    a rank-m fiber (q >= 1), for the I whose indices all exceed cls(mu), the
+    least variable of x^mu: a basis of delta's image there (module
+    docstring).  Columns, ``stride`` and ``offset`` are those of
+    ``_delta_images``."""
+    out_pos = {J: c for c, J in enumerate(ext_tuples(n, r + 1))}
+    nu_pos = _monomials(n, q - 1)[1]
+    stride = stride or len(nu_pos) * m
+    rows = []
+    for mu in _monomials(n, q)[0]:
+        cls = next(i for i, e in enumerate(mu) if e) + 1
+        drops = [(i, nu_pos[_shifted(mu, i - 1, -1)] * m + offset)
+                 for i in range(cls, n + 1) if mu[i - 1]]
+        for I in combinations(range(cls + 1, n + 1), r):
+            # dx^i wedge dx^I = sign dx^J, sign = (-1)^(number of I below i)
+            terms = [(out_pos[tuple(sorted(I + (i,)))] * stride + col,
+                      (-1) ** sum(j < i for j in I)) for i, col in drops if i not in I]
+            rows.extend({col + k: sign for col, sign in terms} for k in range(m))
+    return rows
 
 
 def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
@@ -229,10 +264,19 @@ class JetColumnReport:
 def full_jet_column(n, q_top, m):
     """The delta sequence on full spaces: wedge^r tensor S_{q_top - r}
     tensor a rank-m fiber, for r = 0..q_top; checks exactness everywhere
-    (injective at the left end, surjective at the right end)."""
+    (injective at the left end, surjective at the right end).
+
+    Each rank is that of ``_pommaret_images``, a subset of delta's image
+    that spans it when the Pommaret basis argument of the module docstring
+    holds.  When ``exact`` is True the ranks are proven to be delta's ranks;
+    when it is False they are only lower bounds."""
+    if q_top < 0:
+        raise ValueError(f"q_top must be non-negative, got {q_top}")
+    if m < 1:
+        raise ValueError(f"fiber rank m must be at least 1, got {m}")
     dims = [comb(n, r) * comb(n + q_top - r - 1, q_top - r) * m for r in range(q_top + 1)]
-    ranks = [linalg.rank(_delta_images(n, r, q_top - r, m, _units(n, q_top - r, m)),
-                         dims[r + 1]) for r in range(q_top)]
+    ranks = [linalg.rank(_pommaret_images(n, r, q_top - r, m), dims[r + 1])
+             for r in range(q_top)]
     # exact at node r: the incoming and outgoing ranks add up to its dim
     padded = [0] + ranks + [0]
     exact = not ranks or all(padded[r] + padded[r + 1] == dims[r]
@@ -289,6 +333,10 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
     """
     from . import sequences
 
+    if r < 0:
+        raise ValueError(f"exterior degree r must be non-negative, got {r}")
+    if q is not None and q < 0:
+        raise ValueError(f"jet order q must be non-negative, got {q}")
     if system == "killing":
         op = sequences.killing(n, metric)
         q = 2 if q is None else q
@@ -298,6 +346,8 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
     elif system == "jet":
         if q is None:
             raise ValueError("jet system needs an explicit order q")
+        if m < 1:
+            raise ValueError(f"fiber rank m must be at least 1, got {m}")
         op = None
     else:
         raise ValueError(f"unknown system {system!r}")
@@ -313,10 +363,10 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
     gens = [{pos * width + comp: v for comp, v in b.items()}
             for pos in range(comb(n, r)) for b in r_q_basis]
     if r >= 1:
-        # delta image generators of wedge^{r-1} x S_{q+1} x E, placed in jet
-        # coordinates (the top-order block of J_q)
-        gens.extend(_delta_images(n, r - 1, q + 1, msrc, _units(n, q + 1, msrc),
-                                  width, jet_fiber_dim(n, q - 1, msrc)))
+        # a basis of the delta image of wedge^{r-1} x S_{q+1} x E, placed in
+        # jet coordinates (the top-order block of J_q)
+        gens.extend(_pommaret_images(n, r - 1, q + 1, msrc,
+                                     width, jet_fiber_dim(n, q - 1, msrc)))
     f_dim = comb(n, r) * width - linalg.rank(gens, comb(n, r) * width)
     if op is None:
         return f_dim, f_dim

@@ -68,15 +68,19 @@ def test_symbol_requires_an_actual_operator():
         spencer.symbol_of(zero)
 
 
+def _units(n, q, m):
+    """Every unit vector of S_q tensor a rank-m fiber."""
+    return [{c: 1} for c in range(comb(n + q - 1, q) * m)]
+
+
 def test_delta_squared_vanishes_on_full_spaces():
     for n in (2, 3):
         for q in (2, 3):
             for r in range(n - 1):
-                first = spencer._delta_images(n, r, q, 2, spencer._units(n, q, 2))
+                first = spencer._delta_images(n, r, q, 2, _units(n, q, 2))
                 # unit-vector images list I outer, column inner, so the image of
                 # output column c of the first delta is row c of the second
-                second = spencer._delta_images(
-                    n, r + 1, q - 1, 2, spencer._units(n, q - 1, 2))
+                second = spencer._delta_images(n, r + 1, q - 1, 2, _units(n, q - 1, 2))
                 assert any(first)
                 for image in first:
                     acc = {}
@@ -84,6 +88,80 @@ def test_delta_squared_vanishes_on_full_spaces():
                         for c2, v in second[c].items():
                             acc[c2] = acc.get(c2, 0) + coef * v
                     assert not any(acc.values())
+
+
+def _cls(mu):
+    """The least variable (1-based) with a nonzero exponent in ``mu``."""
+    return next(i for i, e in enumerate(mu) if e) + 1
+
+
+def test_pommaret_rows_are_a_basis_of_the_delta_image():
+    for n in range(2, 6):
+        for q in range(1, 5):
+            for m in (1, 2):
+                count = [m * sum(comb(n - _cls(mu), r) for mu in spencer._monomials(n, q)[0])
+                         for r in range(n + 1)]
+                for r in range(n + 1):
+                    width = comb(n, r + 1) * comb(n + q - 2, q - 1) * m
+                    rows = spencer._pommaret_images(n, r, q, m)
+                    every = spencer._delta_images(n, r, q, m, _units(n, q, m))
+                    assert len(rows) == linalg.rank(rows, width) == count[r]
+                    assert linalg.rank(every, width) == count[r]
+                # delta_0 is injective on S_q tensor E for q >= 1, and
+                # wedge^{n+1} = 0 leaves delta_n nothing to hit
+                assert count[n] == 0 and count[0] == comb(n + q - 1, q) * m
+
+
+def unit_route_janet_dim(system, r, n, metric=None, m=1, q=None):
+    """The Janet bundle dim with the image of every unit vector of
+    wedge^{r-1} tensor S_{q+1} tensor E among the generators."""
+    if system == "jet":
+        width, r_q_basis = spencer.jet_fiber_dim(n, q, m), []
+    else:
+        op = {"killing": killing, "conformal_killing": conformal_killing}[system](n, metric)
+        m = op.source.dim
+        width, r_q_basis = spencer._jet_system(op, q)[:2]
+    gens = [{pos * width + comp: v for comp, v in b.items()}
+            for pos in range(comb(n, r)) for b in r_q_basis]
+    if r >= 1:
+        gens.extend(spencer._delta_images(n, r - 1, q + 1, m, _units(n, q + 1, m),
+                                          width, spencer.jet_fiber_dim(n, q - 1, m)))
+    return comb(n, r) * width - linalg.rank(gens, comb(n, r) * width)
+
+
+def test_janet_tables_match_the_unit_image_route():
+    for n in range(3, 6):
+        for metric in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n)):
+            for system, q in (("killing", 2), ("conformal_killing", 3)):
+                for r in range(n + 1):
+                    f_dim = spencer.janet_spencer_bundle_dims(system, r, n, metric)[0]
+                    assert f_dim == unit_route_janet_dim(system, r, n, metric, q=q)
+    for n, q, m in ((3, 2, 1), (4, 3, 2), (3, 3, 3)):
+        for r in range(n + 1):
+            f_dim, c_dim = spencer.janet_spencer_bundle_dims("jet", r, n, m=m, q=q)
+            assert f_dim == c_dim == unit_route_janet_dim("jet", r, n, m=m, q=q)
+
+
+def test_a_negative_column_height_is_refused():
+    with pytest.raises(ValueError, match="q_top"):
+        spencer.full_jet_column(3, -1, 1)
+
+
+def test_a_fiber_of_rank_below_one_is_refused():
+    with pytest.raises(ValueError, match="fiber rank m"):
+        spencer.full_jet_column(3, 2, 0)
+    with pytest.raises(ValueError, match="fiber rank m"):
+        spencer.janet_spencer_bundle_dims("jet", 1, 3, m=0, q=2)
+
+
+def test_a_negative_exterior_degree_is_refused():
+    with pytest.raises(ValueError, match="exterior degree r"):
+        spencer.janet_spencer_bundle_dims("killing", -1, 3)
+
+
+def test_a_negative_jet_order_is_refused():
+    with pytest.raises(ValueError, match="jet order q"):
+        spencer.janet_spencer_bundle_dims("jet", 1, 3, q=-1)
 
 
 def ambient_delta(n, r, q, m):
