@@ -1,33 +1,33 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Matrices are sparse rows (``dict`` column -> ``int`` or ``Fraction``)
-because the constraint, delta and constant matrices handled here are large
-but very sparse: ``product`` multiplies them, and the one dense helper,
-``invert``, serves the small metric matrices.
+A matrix is a list of rows ``{column: int or Fraction}``: the constraint,
+delta and constant matrices handled here are large but very sparse.
+``product`` multiplies them; ``invert`` serves the small metric matrices.
 
-All sparse elimination goes through one forward pass, ``_echelon``, which
-reduces each input row as it arrives against a map from pivot column to
-primitive integer row.  A row that is not all ``int`` is first scaled by
-the lcm of its denominators.  While the row's leading column (its least
-column) holds a pivot ``piv`` with entry ``a`` there, a row with entry
-``f`` becomes ``a*row - f*piv`` (both divided by ``gcd(a, f)``, and the row
-by the gcd of its entries when it was scaled).  A row left with a leading
-column below ``ncols`` becomes the primitive pivot there; every other row,
-zero or led by a column at or past ``ncols`` (the augmented block of
-``invert``), is dropped.  Most rows of the delta matrices reduce to zero,
-so this pass keeps no column index and searches no pivot.  ``rank`` stops
-after it.  ``_reduced`` back-substitutes once, from the last pivot to the
-first, to primitive integer rows, which ``spencer`` keeps as its symbol
-constraints; ``integer_kernel`` reads one primitive integer vector per free
-column off them.  Only ``rref`` (for ``invert``) divides by the pivot
-entries, so its rows are ``Fraction``.
+One integer kernel sits behind one rational boundary.  The kernel
+(``_echelon``, ``_reduced``, ``_kernel``) takes int rows with no zero entry
+and no negative column and consumes them, reducing them in place into its
+pivot rows; ``spencer``, which builds every row it eliminates, calls it
+directly.  The public ``rank``, ``integer_kernel`` and ``rref`` take
+rational rows, zeros allowed, and leave them unchanged: ``_integer_rows``
+hands the kernel a scaled copy of each and refuses a float (``TypeError``)
+or a negative column (``ValueError``).
 
-Determinism rests on the uniqueness of the reduced row echelon form, not on
-the order of the rows.  The forward rows depend on that order, but the
-pivot columns are the columns where the row space first gains a dimension,
-and a row space has one reduced row echelon form.  So any order of the
-same rows gives the same pivots, the same ``rref`` and the same kernel
-bases (``_reduced`` rows up to sign), run to run.
+``_echelon`` reduces each row as it arrives against a map from pivot column
+to primitive row: while the row's least column holds a pivot, the row
+becomes the integer combination that clears it (``_clear``).  A row left
+led by a column below ``ncols`` becomes the pivot there; a zero row, or one
+led by a column at or past ``ncols`` (the augmented block of ``invert``),
+is dropped.  Most delta rows reduce to zero, so the pass keeps no column
+index.  ``_reduced`` back-substitutes once, last pivot first, to primitive
+rows (``spencer``'s symbol constraints), ``_kernel`` reads one primitive
+vector per free column off them, and only ``rref`` divides, so its rows
+are ``Fraction``.
+
+Results do not depend on the order of the rows: the pivot columns are where
+the row space first gains a dimension, and a row space has one reduced row
+echelon form, so any order gives the same pivots, ``rref`` and kernel bases
+(``_reduced`` rows up to sign), run to run.
 """
 
 from fractions import Fraction
@@ -73,13 +73,11 @@ def _clear(row, piv, col):
 
 
 def _echelon(rows, ncols):
-    """Forward elimination: ``[(pivot_col, row)]`` in increasing pivot column,
-    each row a primitive integer dict that is zero left of its pivot."""
+    """Forward elimination of integer rows with no zero entry, which it
+    consumes: ``[(pivot_col, row)]`` in increasing pivot column, each row a
+    primitive integer dict that is zero left of its pivot."""
     pivots = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        if not all(type(v) is int for v in row.values()):
-            row = _integral(row)[1]
         while row:
             col = min(row)
             piv = pivots.get(col)
@@ -103,27 +101,8 @@ def _reduced(rows, ncols):
     return echelon
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form of sparse rows.
-
-    Returns ``(reduced, pivot_cols)`` where ``reduced[i]`` is a sparse row of
-    Fractions with leading coefficient 1 in column ``pivot_cols[i]`` and zeros
-    in every other pivot column.  Input rows are not mutated.
-    """
-    echelon = _reduced(rows, ncols)
-    reduced = [{c: Fraction(v, row[col]) for c, v in row.items()}
-               for col, row in echelon]
-    return reduced, [col for col, _ in echelon]
-
-
-def rank(rows, ncols):
-    return len(_echelon(rows, ncols))
-
-
-def integer_kernel(rows, ncols):
-    """``(kernel basis, free columns)`` from one elimination, without
-    ``Fraction``s: one sparse primitive integer vector ``{column: int}`` per
-    free column, positive there and 0 at the other free ones."""
+def _kernel(rows, ncols):
+    """``integer_kernel`` of kernel rows, which it consumes."""
     echelon = _reduced(rows, ncols)
     at = {}   # column -> (pivot column, pivot entry, entry) of the rows there
     for col, row in echelon:
@@ -141,6 +120,42 @@ def integer_kernel(rows, ncols):
             vec[col] = -v * (scale // a)
         basis.append(_primitive(vec))
     return basis, free
+
+
+def _integer_rows(rows):
+    """The kernel's copy of each rational row: zeros dropped, scaled by the lcm
+    of its denominators.  An entry whose type is not int or Fraction (a float,
+    a bool) is refused, and so is a negative column."""
+    for row in rows:
+        kinds = set(map(type, row.values()))
+        if kinds - {int, Fraction}:
+            c = next(c for c, v in row.items() if type(v) not in (int, Fraction))
+            raise TypeError(f"column {c} holds {row[c]!r}, not an int or Fraction")
+        if row and min(row) < 0:
+            raise ValueError(f"column {min(row)} is negative")
+        row = {c: v for c, v in row.items() if v}
+        yield _integral(row)[1] if Fraction in kinds else row
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form ``(reduced, pivot_cols)``: ``reduced[i]`` is a
+    sparse row of Fractions with leading coefficient 1 in column
+    ``pivot_cols[i]`` and zeros in every other pivot column."""
+    echelon = _reduced(_integer_rows(rows), ncols)
+    reduced = [{c: Fraction(v, row[col]) for c, v in row.items()}
+               for col, row in echelon]
+    return reduced, [col for col, _ in echelon]
+
+
+def rank(rows, ncols):
+    return len(_echelon(_integer_rows(rows), ncols))
+
+
+def integer_kernel(rows, ncols):
+    """``(kernel basis, free columns)`` from one elimination, without
+    ``Fraction``s: one sparse primitive integer vector ``{column: int}`` per
+    free column, positive there and 0 at the other free ones."""
+    return _kernel(_integer_rows(rows), ncols)
 
 
 def product(a, b):

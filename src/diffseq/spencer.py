@@ -7,15 +7,15 @@ into the exterior factor; its cohomology dimensions identify the value
 bundles of the condition sequences, and the full-jet columns give the
 exactness bookkeeping behind the dimension diagrams.
 
-The route runs on ints: it reads an operator's integer row vectors, whose
-scale changes no constraint and no kernel.
+The route runs on ints and builds every row it eliminates, each a fresh
+dict of nonzero ints, so it hands them to the integer kernel of ``linalg``
+(``_echelon``, ``_reduced``, ``_kernel``) with no copy and no type check.
 A symbol space stores its constraints as the reduced primitive rows of
-``linalg._reduced``, pivot entries positive, so equal spaces are equal
-records for the caches keyed on them.  Symbol and R_q bases are sparse
-primitive integer vectors (``linalg.integer_kernel``); scaling one changes
-no rank.  delta is applied column-wise in one place, ``_delta_images``:
-each vector is contracted with each dx^i once and the results are placed
-per exterior index I.  The images are the rows of the transpose of delta's
+``_reduced``, pivot entries positive, so equal spaces are equal records for
+the caches keyed on them.  delta rows come from ``_delta_images`` (each
+vector contracted with each dx^i once, then placed per exterior index I)
+and ``_pommaret_images`` (below), both signed by one table,
+``_wedge_signs``.  The images are the rows of the transpose of delta's
 matrix, and rank(A) = rank(A^T), so their rank is the rank of delta.
 
 Columns are keyed by the exponent tuples that operator rows already hold.
@@ -80,7 +80,7 @@ class SymbolSpace:
         """Kernel basis, one sparse primitive integer vector ``{column: int}``
         per free column; eliminated once per distinct space, do not mutate it."""
         width = comb(self.n + self.q - 1, self.q) * self.fiber_dim
-        return linalg.integer_kernel([dict(r) for r in self.constraints], width)[0]
+        return linalg._kernel([dict(r) for r in self.constraints], width)[0]
 
 
 def _make_symbol(n, q, m, rows):
@@ -135,13 +135,22 @@ def prolong_to(g, q):
 # ---------------------------------------------------------------------------
 # delta maps
 
+@cached
+def _wedge_signs(n, r):
+    """``I -> {i: (position of J, sign)}`` over wedge^r, for dx^i wedge dx^I =
+    sign dx^J (sign: -1 to the number of I below i); do not mutate it."""
+    out_pos = {J: c for c, J in enumerate(ext_tuples(n, r + 1))}
+    return {I: {i: (out_pos[tuple(sorted(I + (i,)))], (-1) ** sum(j < i for j in I))
+                for i in range(1, n + 1) if i not in I} for I in ext_tuples(n, r)}
+
+
 def _pommaret_images(n, r, q, m, stride=None, offset=0):
     """delta(dx^I tensor x^mu e_k) on the full space wedge^r tensor S_q tensor
     a rank-m fiber (q >= 1), for the I whose indices all exceed cls(mu), the
     least variable of x^mu: a basis of delta's image there (module
     docstring).  Columns, ``stride`` and ``offset`` are those of
     ``_delta_images``."""
-    out_pos = {J: c for c, J in enumerate(ext_tuples(n, r + 1))}
+    signs = _wedge_signs(n, r)
     nu_pos = _monomials(n, q - 1)[1]
     stride = stride or len(nu_pos) * m
     rows = []
@@ -150,9 +159,9 @@ def _pommaret_images(n, r, q, m, stride=None, offset=0):
         drops = [(i, nu_pos[_shifted(mu, i - 1, -1)] * m + offset)
                  for i in range(cls, n + 1) if mu[i - 1]]
         for I in combinations(range(cls + 1, n + 1), r):
-            # dx^i wedge dx^I = sign dx^J, sign = (-1)^(number of I below i)
-            terms = [(out_pos[tuple(sorted(I + (i,)))] * stride + col,
-                      (-1) ** sum(j < i for j in I)) for i, col in drops if i not in I]
+            wedge = signs[I]
+            terms = [(wedge[i][0] * stride + col, wedge[i][1])
+                     for i, col in drops if i in wedge]
             rows.extend({col + k: sign for col, sign in terms} for k in range(m))
     return rows
 
@@ -162,7 +171,6 @@ def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
     vector v over S_q tensor a rank-m fiber (inner loop), as sparse rows.
     Component J of wedge^{r+1} sits at columns J_pos * stride + offset + the
     S_{q-1}-fiber column (stride defaults to the S_{q-1}-fiber width)."""
-    out_pos = {J: c for c, J in enumerate(ext_tuples(n, r + 1))}
     nu_pos = _monomials(n, q - 1)[1]
     stride = stride or len(nu_pos) * m
     # contraction with dx^i: x^mu -> x^(mu - e_i) for each i with mu_i > 0
@@ -177,11 +185,8 @@ def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
                 w.setdefault(i, []).append((col + k, coef))
         contracted.append(w)
     rows = []
-    for I in ext_tuples(n, r):
-        # dx^i wedge dx^I = sign dx^J, sign = (-1)^(number of I below i)
-        steps = [(i, out_pos[tuple(sorted(I + (i,)))] * stride + offset,
-                  (-1) ** sum(j < i for j in I))
-                 for i in range(1, n + 1) if i not in I]
+    for wedge in _wedge_signs(n, r).values():
+        steps = [(i, pos * stride + offset, sign) for i, (pos, sign) in wedge.items()]
         # distinct (i, mu, k) land on distinct columns, so no key repeats
         rows.extend({base + col: sign * coef
                      for i, base, sign in steps for col, coef in w.get(i, ())}
@@ -206,7 +211,7 @@ def delta_map(r, g):
     S_{q-1} tensor the fiber."""
     n, q, m = g.n, g.q, g.fiber_dim
     codomain = comb(n, r + 1) * comb(n + q - 2, q - 1) * m
-    rank = linalg.rank(_delta_images(n, r, q, m, g.basis()), codomain) if g.dim else 0
+    rank = len(linalg._echelon(_delta_images(n, r, q, m, g.basis()), codomain)) if g.dim else 0
     return DeltaComplexSlice(
         n=n, r=r, q=q, domain_dim=comb(n, r) * g.dim, codomain_dim=codomain,
         rank=rank)
@@ -225,6 +230,8 @@ def delta_cohomology_detail(op, r_max, q=None):
     """Per-degree dimension, outgoing and incoming delta ranks, and the
     cohomology dimension at wedge^r tensor g_q for the symbol chain of
     ``op``."""
+    if r_max < 0:
+        raise ValueError(f"r_max must be non-negative, got {r_max}")
     g = symbol_of(op)
     if q is None:
         q = g.q
@@ -270,12 +277,14 @@ def full_jet_column(n, q_top, m):
     that spans it when the Pommaret basis argument of the module docstring
     holds.  When ``exact`` is True the ranks are proven to be delta's ranks;
     when it is False they are only lower bounds."""
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, got {n}")
     if q_top < 0:
         raise ValueError(f"q_top must be non-negative, got {q_top}")
     if m < 1:
         raise ValueError(f"fiber rank m must be at least 1, got {m}")
     dims = [comb(n, r) * comb(n + q_top - r - 1, q_top - r) * m for r in range(q_top + 1)]
-    ranks = [linalg.rank(_pommaret_images(n, r, q_top - r, m), dims[r + 1])
+    ranks = [len(linalg._echelon(_pommaret_images(n, r, q_top - r, m), dims[r + 1]))
              for r in range(q_top)]
     # exact at node r: the incoming and outgoing ranks add up to its dim
     padded = [0] + ranks + [0]
@@ -321,7 +330,7 @@ def _jet_system(op, q):
     of J_q, a basis of R_q (the order-q jet system of ``op``) and g_{q+1}."""
     eq_rows, width = _prolonged_equation_rows(op, q)
     g_next = prolong(prolong_to(symbol_of(op), q))
-    return width, linalg.integer_kernel(eq_rows, width)[0], g_next
+    return width, linalg._kernel(eq_rows, width)[0], g_next
 
 
 def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
@@ -333,6 +342,8 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
     """
     from . import sequences
 
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, got {n}")
     if r < 0:
         raise ValueError(f"exterior degree r must be non-negative, got {r}")
     if q is not None and q < 0:
@@ -367,7 +378,7 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
         # jet coordinates (the top-order block of J_q)
         gens.extend(_pommaret_images(n, r - 1, q + 1, msrc,
                                      width, jet_fiber_dim(n, q - 1, msrc)))
-    f_dim = comb(n, r) * width - linalg.rank(gens, comb(n, r) * width)
+    f_dim = comb(n, r) * width - len(linalg._echelon(gens, comb(n, r) * width))
     if op is None:
         return f_dim, f_dim
     # Spencer bundle: wedge^r x R_q modulo the delta image of g_{q+1}

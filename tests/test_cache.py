@@ -53,9 +53,9 @@ def test_janet_spencer_table_eliminates_its_jet_system_once(monkeypatch):
     # a metric no other test uses, so the caches below start empty for it
     w = ConstantMetric([[3, 0, 0], [0, 1, 0], [0, 0, 1]])
     widths = []
-    integer_kernel = linalg.integer_kernel
-    monkeypatch.setattr(linalg, "integer_kernel",
-                        lambda rows, ncols: widths.append(ncols) or integer_kernel(rows, ncols))
+    kernel = linalg._kernel   # the kernel entry the Spencer route calls
+    monkeypatch.setattr(linalg, "_kernel",
+                        lambda rows, ncols: widths.append(ncols) or kernel(rows, ncols))
     symbols = []
     symbol_of = spencer.symbol_of
     monkeypatch.setattr(spencer, "symbol_of",
@@ -136,7 +136,7 @@ PROCESS_CACHES = {
     "sequences.bianchi", "sequences.ricci", "sequences.einstein",
     "sequences.exterior_derivative", "sequences.lanczos_candidate",
     "spencer._monomials", "spencer.SymbolSpace.basis", "spencer.symbol_of",
-    "spencer.prolong", "spencer._jet_system",
+    "spencer.prolong", "spencer._jet_system", "spencer._wedge_signs",
 }
 
 

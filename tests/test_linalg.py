@@ -171,14 +171,14 @@ ENTRIES = st.one_of(st.integers(-9, 9),
 
 
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, entries=ENTRIES):
     """Sparse rows up to 10 x 10: int and Fraction entries with denominators
-    up to 7, stored zeros, empty rows."""
+    up to 7 (or ``entries``), stored zeros, empty rows."""
     ncols = draw(st.integers(0, 10))
     rows = []
     for _ in range(draw(st.integers(0, 10))):
         cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else ()
-        rows.append({c: draw(ENTRIES) for c in sorted(cols)})
+        rows.append({c: draw(entries) for c in sorted(cols)})
     return rows, ncols
 
 
@@ -264,7 +264,8 @@ def test_columns_at_or_past_ncols_never_pivot(matrix):
     reduced, pivots = linalg.rref(augmented, ncols)
     assert pivots == ref_pivots
     assert [[row.get(c, ZERO) for c in range(ncols)] for row in reduced] == ref_rows
-    assert [col for col, _ in linalg._echelon(augmented, ncols)] == ref_pivots
+    echelon = linalg._echelon(linalg._integer_rows(augmented), ncols)
+    assert [col for col, _ in echelon] == ref_pivots
     assert linalg.rank(augmented, ncols) == len(ref_pivots)
     assert linalg.integer_kernel(augmented, ncols) == linalg.integer_kernel(rows, ncols)
 
@@ -281,5 +282,39 @@ def test_row_order_changes_no_result(matrix, rng):
     assert linalg.integer_kernel(shuffled, ncols) == linalg.integer_kernel(rows, ncols)
     # the back-substituted integer rows agree up to sign
     signed = [[(col, {c: v * (1 if row[col] > 0 else -1) for c, v in row.items()})
-               for col, row in linalg._reduced(r, ncols)] for r in (shuffled, rows)]
+               for col, row in linalg._reduced(linalg._integer_rows(r), ncols)]
+              for r in (shuffled, rows)]
     assert signed[0] == signed[1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(sparse_matrices(st.integers(-9, 9)))
+@example(([{0: 2, 1: 4}, {0: 1, 2: 3}, {1: 0, 2: 6}], 3))
+def test_public_entries_leave_integer_rows_unchanged(matrix):
+    """The kernel consumes its rows; the public entries hand it copies, also
+    of rows that are already all int."""
+    rows, ncols = matrix
+    before = [dict(r) for r in rows]
+    ids = [id(r) for r in rows]
+    reduced = linalg.rref(rows, ncols)[0]
+    kernel = linalg.integer_kernel(rows, ncols)[0]
+    linalg.rank(rows, ncols)
+    assert rows == before and [id(r) for r in rows] == ids
+    assert not {id(r) for r in reduced + kernel} & set(ids)
+
+
+@pytest.mark.parametrize("entry", [1.5, 0.0, 2.0, True, "1"])
+def test_an_entry_that_is_not_rational_is_refused(entry):
+    rows = [{0: 1, 1: Fraction(1, 2)}, {0: 3, 2: entry}]
+    for fn in (linalg.rank, linalg.integer_kernel, linalg.rref):
+        with pytest.raises(TypeError, match="column 2"):
+            fn(rows, 3)
+    with pytest.raises(TypeError, match="column 0"):
+        linalg.integer_kernel([{0: entry}], 2)
+
+
+def test_a_negative_column_is_refused():
+    for rows in ([{-1: 1}], [{0: 2}, {1: Fraction(1, 3), -2: 1}], [{0: 1, -3: 0}]):
+        for fn in (linalg.rank, linalg.integer_kernel, linalg.rref):
+            with pytest.raises(ValueError, match="column -"):
+                fn(rows, 3)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from math import comb, gcd
 
@@ -162,6 +163,91 @@ def test_a_negative_exterior_degree_is_refused():
 def test_a_negative_jet_order_is_refused():
     with pytest.raises(ValueError, match="jet order q"):
         spencer.janet_spencer_bundle_dims("jet", 1, 3, q=-1)
+
+
+def test_a_dimension_below_one_is_refused():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension n"):
+            spencer.full_jet_column(n, 2, 1)
+        for system in ("killing", "conformal_killing"):
+            with pytest.raises(ValueError, match="dimension n"):
+                spencer.janet_spencer_bundle_dims(system, 1, n)
+        with pytest.raises(ValueError, match="dimension n"):
+            spencer.janet_spencer_bundle_dims("jet", 0, n, q=1)
+
+
+def test_a_negative_r_max_is_refused():
+    with pytest.raises(ValueError, match="r_max"):
+        spencer.delta_cohomology_detail(killing(3), -1)
+    with pytest.raises(ValueError, match="r_max"):
+        spencer.delta_cohomology_dims(conformal_killing(3), -2)
+    assert spencer.delta_cohomology_dims(killing(3), 0) == [0]
+
+
+def test_the_wedge_sign_table_matches_the_direct_computation():
+    for n in range(1, 7):
+        for r in range(n + 2):
+            out = ext_tuples(n, r + 1)
+            direct = {}
+            for I in ext_tuples(n, r):
+                direct[I] = {}
+                for i in range(1, n + 1):
+                    if i not in I:
+                        J = tuple(sorted(I + (i,)))
+                        # moving dx^i to its place in J passes J.index(i) factors
+                        direct[I][i] = (out.index(J), (-1) ** J.index(i))
+            assert spencer._wedge_signs(n, r) == direct
+
+
+def test_the_spencer_route_hands_the_kernel_fresh_nonzero_int_rows(monkeypatch):
+    """Every row that the delta images, the Pommaret images, the jet system's
+    equations, prolongation and the Janet generators hand to the kernel,
+    which consumes them: a dict of its own with nonzero int entries in
+    columns 0..ncols-1."""
+    systems = {"killing": killing, "conformal_killing": conformal_killing}
+    # built first: the operator builders reach the kernel through the boundary
+    ops = {(system, n): builder(n) for n in range(2, 6) for system, builder in systems.items()
+           if n >= 3 or system == "killing"}
+    for cache in (spencer.symbol_of, spencer.prolong, spencer._jet_system,
+                  spencer.SymbolSpace.basis):
+        cache.cache_clear()
+    callers, handed = set(), []
+    echelon = linalg._echelon
+
+    def checked(rows, ncols):
+        rows = list(rows)
+        handed.extend(rows)
+        for row in rows:
+            assert type(row) is dict
+            assert all(type(v) is int and v for v in row.values())
+            assert all(0 <= c < ncols for c in row)
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):   # a comprehension's own frame
+            caller = caller.f_back
+        callers.add(caller.f_code.co_name)
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", checked)
+    for (system, n), op in ops.items():
+        spencer.delta_cohomology_detail(op, n)   # symbol_of, prolong, delta_map
+        for r in range(n + 1):   # _prolonged_equation_rows, the Janet generators
+            spencer.janet_spencer_bundle_dims(system, r, n)
+    for n in range(2, 6):
+        for r in range(n + 1):
+            spencer.janet_spencer_bundle_dims("jet", r, n, m=2, q=2)
+        spencer.full_jet_column(n, 3, 2)   # _pommaret_images alone
+    assert spencer.prolong.cache_info().misses > 0
+    # each row is consumed once: no dict is handed over twice, and none is
+    # a basis vector that a cache keeps
+    handed_ids = {id(row) for row in handed}
+    assert len(handed_ids) == len(handed)
+    for (system, n), op in ops.items():
+        g = spencer.symbol_of(op)
+        q = {"killing": 2, "conformal_killing": 3}[system]   # the tables' jet orders
+        kept = spencer._jet_system(op, q)[1] + g.basis() + spencer.prolong(g).basis()
+        assert not {id(v) for v in kept} & handed_ids
+    # _reduced: symbols, prolongations, symbol bases and the R_q bases
+    assert callers == {"_reduced", "delta_map", "full_jet_column", "janet_spencer_bundle_dims"}
 
 
 def ambient_delta(n, r, q, m):
