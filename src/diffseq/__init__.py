@@ -4,138 +4,64 @@ Everything is computed over the rationals: polynomial matrices in commuting
 derivative symbols, their compatibility conditions via module syzygies,
 formal adjoints, Spencer delta-cohomology dimensions, and the curvature
 tensor bundles of a flat metric.
+
+Importing the package loads none of its modules.  Each exported name, and
+each submodule (``diffseq.spencer``), is imported on first use, so a CLI
+request that never touches the Spencer route does not pay for it.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .poly import Poly, ConstantMetric, compare_monomials
-from .groebner import (
-    GradedPresentation,
-    generic_rank,
-    minimal_graded_generators,
-    module_contains,
-    module_equality,
-    normal_form,
-    reduced_groebner,
-    syzygies,
-)
-from .config import DegreeCapExceeded, ExponentCapExceeded
-from .bundles import (
-    BundleBasis,
-    bianchi_candidate_space,
-    constrained_basis,
-    free_basis,
-    lanczos_constraint_space,
-    riemann_candidate_space,
-    split_riemann,
-    sym2_space,
-    tangent_space,
-    trace_free_sym2,
-    weyl_candidate_space,
-)
-from .operators import (
-    OperatorMatrix,
-    adjoint,
-    apply,
-    compatibility_conditions,
-    compose,
-    differential_rank,
-    make_operator,
-)
-from .sequences import (
-    DoubleDualityReport,
-    ParametrizationVerdict,
-    SequenceReport,
-    bianchi,
-    build_sequence,
-    check_parametrization,
-    conformal_killing,
-    double_duality_report,
-    einstein,
-    exterior_derivative,
-    is_self_adjoint_sym2,
-    killing,
-    lanczos_candidate,
-    parametrization_generators,
-    potential_contradiction_report,
-    ricci,
-    riemann_linearized,
-    trace_contraction_check,
-    weyl_relations_report,
-)
-from .spencer import (
-    SymbolSpace,
-    delta_cohomology_detail,
-    delta_cohomology_dims,
-    delta_map,
-    full_jet_column,
-    janet_spencer_bundle_dims,
-    prolong,
-    symbol_of,
-)
-from .serialize import document_to_operator, operator_to_document
-from .golden import run_golden_checks
+# exported name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(("Poly", "ConstantMetric", "compare_monomials"), "poly"),
+    **dict.fromkeys(("GradedPresentation", "reduced_groebner", "normal_form",
+                     "syzygies", "minimal_graded_generators", "module_contains",
+                     "module_equality", "generic_rank"), "groebner"),
+    **dict.fromkeys(("DegreeCapExceeded", "ExponentCapExceeded"), "config"),
+    **dict.fromkeys(("BundleBasis", "free_basis", "constrained_basis",
+                     "tangent_space", "sym2_space", "trace_free_sym2",
+                     "riemann_candidate_space", "weyl_candidate_space",
+                     "bianchi_candidate_space", "lanczos_constraint_space",
+                     "split_riemann"), "bundles"),
+    **dict.fromkeys(("OperatorMatrix", "make_operator", "compose", "adjoint",
+                     "apply", "compatibility_conditions",
+                     "differential_rank"), "operators"),
+    **dict.fromkeys(("killing", "conformal_killing", "riemann_linearized",
+                     "bianchi", "ricci", "einstein", "exterior_derivative",
+                     "lanczos_candidate", "build_sequence", "SequenceReport",
+                     "check_parametrization", "parametrization_generators",
+                     "ParametrizationVerdict", "double_duality_report",
+                     "DoubleDualityReport", "is_self_adjoint_sym2",
+                     "weyl_relations_report", "trace_contraction_check",
+                     "potential_contradiction_report"), "sequences"),
+    **dict.fromkeys(("SymbolSpace", "symbol_of", "prolong", "delta_map",
+                     "delta_cohomology_dims", "delta_cohomology_detail",
+                     "full_jet_column", "janet_spencer_bundle_dims"), "spencer"),
+    **dict.fromkeys(("operator_to_document", "document_to_operator"), "serialize"),
+    "run_golden_checks": "golden",
+}
 
-__all__ = [
-    "Poly",
-    "ConstantMetric",
-    "compare_monomials",
-    "GradedPresentation",
-    "reduced_groebner",
-    "normal_form",
-    "syzygies",
-    "minimal_graded_generators",
-    "module_contains",
-    "module_equality",
-    "generic_rank",
-    "DegreeCapExceeded",
-    "ExponentCapExceeded",
-    "BundleBasis",
-    "free_basis",
-    "constrained_basis",
-    "tangent_space",
-    "sym2_space",
-    "trace_free_sym2",
-    "riemann_candidate_space",
-    "weyl_candidate_space",
-    "bianchi_candidate_space",
-    "lanczos_constraint_space",
-    "split_riemann",
-    "OperatorMatrix",
-    "make_operator",
-    "compose",
-    "adjoint",
-    "apply",
-    "compatibility_conditions",
-    "differential_rank",
-    "killing",
-    "conformal_killing",
-    "riemann_linearized",
-    "bianchi",
-    "ricci",
-    "einstein",
-    "exterior_derivative",
-    "lanczos_candidate",
-    "build_sequence",
-    "SequenceReport",
-    "check_parametrization",
-    "parametrization_generators",
-    "ParametrizationVerdict",
-    "double_duality_report",
-    "DoubleDualityReport",
-    "is_self_adjoint_sym2",
-    "weyl_relations_report",
-    "trace_contraction_check",
-    "potential_contradiction_report",
-    "SymbolSpace",
-    "symbol_of",
-    "prolong",
-    "delta_map",
-    "delta_cohomology_dims",
-    "delta_cohomology_detail",
-    "full_jet_column",
-    "janet_spencer_bundle_dims",
-    "operator_to_document",
-    "document_to_operator",
-    "run_golden_checks",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import an exported name's module, or a submodule, on first use."""
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        globals()[name] = value
+        return value
+    if not name.startswith("_"):
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -4,12 +4,17 @@ Subcommands build operators, chain their conditions, take adjoints, and
 run the bundled verification suites.  Output is deterministic: the same
 invocation always produces the same bytes.  Exit codes: 0 success, 1 a
 check failed, 2 usage error, 3 a computation hit the degree cap.
+
+One table, ``COMMANDS``, gives each command its argument, options and help
+line; ``_parse`` reads argv by it and ``_help`` prints from it.  Argv the
+table does not describe, a repeated option or an abbreviated one prints
+``diffseq: <reason>`` on stderr and exits 2.
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
-from . import config, golden, groebner, operators, sequences, serialize
+from . import config, groebner, operators, sequences, serialize
 from .poly import ConstantMetric
 
 EXIT_OK = 0
@@ -17,9 +22,33 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+DESCRIPTION = "exact condition sequences for flat-space geometric operators"
 BUILDER_NAMES = sorted(sequences.BUILDERS) + ["exterior_derivative"]
 CHECK_NAMES = ("double-duality", "lanczos-contradiction", "lemma41",
                "golden-tables")
+
+_REQUIRED = object()   # the default of an option that must be given
+_HELP = ("-h", "--help")
+_FORMAT = (("--json", bool, False, "emit a JSON document"),
+           ("--markdown", bool, False, "emit a markdown report"))
+_BUILT_IN = (("--n", int, _REQUIRED, "dimension, 2..6"),
+             ("--metric", ("euclidean", "minkowski"), "euclidean", "flat metric"),
+             ("--form-degree", int, 0,
+              "r for exterior_derivative (ignored otherwise)")) + _FORMAT
+
+# command -> (positional field, its choices or None for a path, help line,
+# options); an option is (flag, kind, default, help), its kind bool for a
+# switch, int, or a tuple of choices
+COMMANDS = {
+    "build": ("name", BUILDER_NAMES, "emit a built-in operator", _BUILT_IN),
+    "cc": ("file", None, "conditions of an operator document", _FORMAT),
+    "adjoint": ("file", None, "formal adjoint of an operator document", _FORMAT),
+    "sequence": ("name", BUILDER_NAMES,
+                 "full condition chain of a built-in operator", _BUILT_IN),
+    "check": ("which", CHECK_NAMES, "run a bundled verification suite",
+              (("--n", int, None, "restrict golden tables to one dimension"),)
+              + _FORMAT),
+}
 
 
 class UsageError(ValueError):
@@ -34,8 +63,6 @@ def _build_named(name, n, metric_name, form_degree):
         if name == "exterior_derivative":
             return sequences.exterior_derivative(n, form_degree)
         return sequences.BUILDERS[name](n, metric)
-    except KeyError:
-        raise UsageError(f"unknown operator {name!r}") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -147,24 +174,27 @@ def _check_lines_lemma41():
     return lines, rep.ok, "trace of the second identity reduces to a divergence"
 
 
-def _check_lines_golden(ns):
-    rep = golden.run_golden_checks(ns=ns)
+def _check_lines_golden(n):
+    from . import golden   # the only check that needs the Spencer route
+    frozen = tuple(sorted({k for _, k in golden.CHAINS}))
+    if n is not None and n not in frozen:
+        raise UsageError(f"no frozen values exist for n={n}; "
+                         f"they exist for n={frozen[0]}..{frozen[-1]}")
+    rep = golden.run_golden_checks(ns=frozen if n is None else (n,))
     lines = [(r.key, r.ok,
               "" if r.ok else f"expected {r.expected}, got {r.got}")
              for r in rep.results]
     return lines, rep.ok, f"{len(rep.results)} frozen values recomputed"
 
 
-def _run_check(which, ns):
-    if which == "double-duality":
-        return _check_lines_double_duality()
-    if which == "lanczos-contradiction":
-        return _check_lines_contradiction()
-    if which == "lemma41":
-        return _check_lines_lemma41()
+def _run_check(which, n):
     if which == "golden-tables":
-        return _check_lines_golden(ns)
-    raise UsageError(f"unknown check {which!r}")
+        return _check_lines_golden(n)
+    if n is not None:
+        raise UsageError(f"check {which} takes no --n")
+    return {"double-duality": _check_lines_double_duality,
+            "lanczos-contradiction": _check_lines_contradiction,
+            "lemma41": _check_lines_lemma41}[which]()
 
 
 def _check_markdown(which, lines, ok, summary):
@@ -190,48 +220,102 @@ def _check_dict(which, lines, ok, summary):
     }
 
 
-def _parser():
-    p = argparse.ArgumentParser(
-        prog="diffseq",
-        description="exact condition sequences for flat-space geometric operators")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--json", action="store_true",
-                     help="emit a JSON document")
-    fmt.add_argument("--markdown", action="store_true",
-                     help="emit a markdown report")
-    sub = p.add_subparsers(dest="command", required=True)
+def _option_value(flag, kind, text):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"{flag} needs an integer, got {text!r}") from None
+    if text not in kind:
+        raise UsageError(f"{flag} must be one of {', '.join(kind)}, got {text!r}")
+    return text
 
-    b = sub.add_parser("build", parents=[fmt],
-                       help="emit a built-in operator")
-    b.add_argument("name", choices=BUILDER_NAMES)
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--metric", choices=("euclidean", "minkowski"),
-                   default="euclidean")
-    b.add_argument("--form-degree", type=int, default=0,
-                   help="r for exterior_derivative (ignored otherwise)")
 
-    c = sub.add_parser("cc", parents=[fmt],
-                       help="conditions of an operator document")
-    c.add_argument("file")
+def _parse(argv):
+    """Read ``argv`` into the fields ``main`` uses, by the ``COMMANDS`` table.
 
-    a = sub.add_parser("adjoint", parents=[fmt],
-                       help="formal adjoint of an operator document")
-    a.add_argument("file")
+    ``help`` is true when -h or --help asks for the help text instead.
+    Options come in any order, as ``--opt value`` or ``--opt=value``, each
+    at most once and spelled in full; anything else raises ``UsageError``.
+    """
+    if argv and argv[0] in _HELP:
+        return SimpleNamespace(command=None, help=True)
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise UsageError(f"{got}; choose one of {', '.join(COMMANDS)}")
+    command, rest = argv[0], iter(argv[1:])
+    field, choices, _, options = COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values, positional = {}, []
+    for arg in rest:
+        if arg in _HELP:
+            return SimpleNamespace(command=command, help=True)
+        if not arg.startswith("-"):
+            positional.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        kind = kinds.get(flag)
+        if kind is None:
+            raise UsageError(f"{command} has no option {flag}")
+        if flag in values:
+            raise UsageError(f"{flag} given more than once")
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+        values[flag] = _option_value(flag, kind, value)
+    if not positional:
+        raise UsageError(f"{command} needs {field.upper()}")
+    if len(positional) > 1:
+        raise UsageError(f"unexpected argument {positional[1]!r}")
+    if choices is not None and positional[0] not in choices:
+        raise UsageError(f"{field.upper()} must be one of {', '.join(choices)}, "
+                         f"got {positional[0]!r}")
+    fields = {"command": command, "help": False, field: positional[0]}
+    for flag, _, default, _ in options:
+        if flag not in values and default is _REQUIRED:
+            raise UsageError(f"{command} needs {flag}")
+        fields[flag[2:].replace("-", "_")] = values.get(flag, default)
+    return SimpleNamespace(**fields)
 
-    s = sub.add_parser("sequence", parents=[fmt],
-                       help="full condition chain of a built-in operator")
-    s.add_argument("name", choices=BUILDER_NAMES)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--metric", choices=("euclidean", "minkowski"),
-                   default="euclidean")
-    s.add_argument("--form-degree", type=int, default=0)
 
-    k = sub.add_parser("check", parents=[fmt],
-                       help="run a bundled verification suite")
-    k.add_argument("which", choices=CHECK_NAMES)
-    k.add_argument("--n", type=int, default=None,
-                   help="restrict golden tables to one dimension")
-    return p
+def _help(command=None):
+    """Usage and help text of one command, or of every command."""
+    from textwrap import fill
+
+    lines = [] if command else [
+        "usage: diffseq COMMAND ARGUMENT [OPTIONS]", "", DESCRIPTION, ""]
+    for name in [command] if command else COMMANDS:
+        field, choices, text, options = COMMANDS[name]
+        synopsis = ["usage: diffseq", name, field.upper()]
+        rows = [(field.upper(), ", ".join(choices))] if choices else []
+        for flag, kind, default, about in options:
+            usage = flag if kind is bool else f"{flag} {flag[2:].upper()}"
+            if isinstance(kind, tuple):
+                about += ": " + ", ".join(kind)
+            if default is _REQUIRED:
+                synopsis.append(usage)
+                about += " (required)"
+            elif default is not None and kind is not bool:
+                about += f" (default {default})"
+            rows.append((usage, about))
+        lines += [" ".join(synopsis + ["[OPTIONS]"]), f"  {text}"]
+        for key, about in rows:
+            if len(key) > 20:
+                lines.append(f"  {key}")
+                key = ""
+            lines.append(fill(f"  {key:<22}{about}", 79, subsequent_indent=" " * 24,
+                              break_on_hyphens=False))
+        lines.append("")
+    lines += ["Options come in any order, as --opt VALUE or --opt=VALUE, each at",
+              "most once and spelled in full.  Exit codes: 0 success, 1 a check",
+              "failed, 2 usage or document error, 3 degree cap exceeded."]
+    return "\n".join(lines)
 
 
 def _read_document(path):
@@ -243,13 +327,11 @@ def _read_document(path):
 
 
 def main(argv=None):
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-
-    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args.help:
+            _emit(_help(args.command))
+            return EXIT_OK
         fmt = _format_flag(args)
 
         if args.command == "build":
@@ -281,22 +363,13 @@ def main(argv=None):
                 _emit(_sequence_markdown(rep))
             return EXIT_OK
 
-        if args.command == "check":
-            if args.n is not None and args.which != "golden-tables":
-                raise UsageError(f"check {args.which} takes no --n")
-            frozen = tuple(sorted({n for _, n in golden.CHAINS}))
-            if args.n is not None and args.n not in frozen:
-                raise UsageError(f"no frozen values exist for n={args.n}; "
-                                 f"they exist for n={frozen[0]}..{frozen[-1]}")
-            ns = (args.n,) if args.n is not None else frozen
-            lines, ok, summary = _run_check(args.which, ns)
-            if (fmt or "markdown") == "json":
-                _emit(serialize.dumps(_check_dict(args.which, lines, ok, summary)))
-            else:
-                _emit(_check_markdown(args.which, lines, ok, summary))
-            return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-        raise UsageError(f"unknown command {args.command!r}")
+        # the table leaves "check" as the one command not handled above
+        lines, ok, summary = _run_check(args.which, args.n)
+        if (fmt or "markdown") == "json":
+            _emit(serialize.dumps(_check_dict(args.which, lines, ok, summary)))
+        else:
+            _emit(_check_markdown(args.which, lines, ok, summary))
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     except (UsageError, serialize.DocumentError, config.ConfigError) as exc:
         print(f"diffseq: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,10 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import diffseq
 from diffseq import cli, golden, serialize
 from diffseq.sequences import killing
 
@@ -306,6 +310,100 @@ def test_json_and_markdown_flags_conflict():
     code, _ = run_cli(["sequence", "killing", "--n", "3",
                        "--json", "--markdown"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                                      # no command
+    ["frobnicate"],                                          # unknown command
+    ["build", "nosuch", "--n", "3"],                         # unknown builder
+    ["check", "nosuch"],                                     # unknown check
+    ["build", "killing", "--n", "3", "--metric", "lorentz"], # bad --metric
+    ["build", "killing", "--n", "three"],                    # non-integer --n
+    ["build", "killing"],                                    # missing --n
+    ["sequence", "killing", "--metric", "minkowski"],        # missing --n
+    ["build", "killing", "--n"],                             # no value
+    ["build", "killing", "--metric", "--n", "3"],            # no value
+    ["cc"],                                                  # no FILE
+    ["cc", "op.json", "--verbose"],                          # unknown flag
+    ["check", "lemma41", "-x"],                              # unknown flag
+    ["build", "killing", "extra", "--n", "3"],               # extra positional
+    ["check", "golden-tables", "--n", "3", "--n", "4"],      # repeated option
+    ["sequence", "killing", "--n", "3", "--json", "--json"], # repeated switch
+    ["build", "killing", "--n", "3", "--js"],                # abbreviation
+    ["build", "killing", "--n", "3", "--met", "minkowski"],  # abbreviation
+    ["build", "killing", "--n", "3", "--json=yes"],          # value on a switch
+])
+def test_malformed_argv_exits_two_with_one_stderr_line(capsys, argv):
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("diffseq: ") and err.count("\n") == 1, err
+
+
+# every option and choice of each command, written out apart from cli.COMMANDS
+OPERATOR_OPTIONS = ["--n", "--metric", "--form-degree", "--json", "--markdown",
+                    "euclidean", "minkowski"]
+HELP_WORDS = {
+    "build": OPERATOR_OPTIONS + cli.BUILDER_NAMES,
+    "cc": ["--json", "--markdown"],
+    "adjoint": ["--json", "--markdown"],
+    "sequence": OPERATOR_OPTIONS + cli.BUILDER_NAMES,
+    "check": ["--n", "--json", "--markdown", "double-duality",
+              "lanczos-contradiction", "lemma41", "golden-tables"],
+}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["build", "killing", "-h"]]
+                         + [[command, "--help"] for command in HELP_WORDS])
+def test_help_exits_zero_and_names_every_command_option_and_choice(capsys, argv):
+    code, out = run_cli(argv)
+    assert code == 0 and capsys.readouterr().err == ""
+    commands = [argv[0]] if argv[0] in HELP_WORDS else list(HELP_WORDS)
+    for command in commands:
+        for word in [f"diffseq {command} "] + HELP_WORDS[command]:
+            assert word in out, (command, word)
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["sequence", "killing", "--n", "3", "--json"],
+     ["sequence", "killing", "--n=3", "--json"]),
+    (["build", "exterior_derivative", "--n", "3", "--form-degree", "1",
+      "--metric", "minkowski"],
+     ["build", "--metric=minkowski", "--form-degree=1", "exterior_derivative",
+      "--n=3"]),
+    (["check", "golden-tables", "--n", "2"], ["check", "--n=2", "golden-tables"]),
+])
+def test_option_spellings_and_order_give_the_same_bytes(spaced, joined):
+    assert run_cli(spaced) == run_cli(joined)
+
+
+FOOTPRINT = """
+import sys
+import diffseq.cli
+print(sorted(m for m in ("argparse", "diffseq.golden", "diffseq.spencer")
+             if m in sys.modules))
+import diffseq
+print(diffseq.spencer.__name__, diffseq.run_golden_checks.__module__)
+"""
+
+
+def test_cli_import_leaves_out_argparse_golden_and_spencer():
+    src = os.path.dirname(os.path.dirname(diffseq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "[]\ndiffseq.spencer diffseq.golden\n"
+
+
+def test_every_export_is_the_object_its_module_defines():
+    star = {}
+    exec("from diffseq import *", star)
+    for name in diffseq.__all__:
+        value = getattr(diffseq, name)
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("diffseq.") and getattr(module, name) is value
+        assert star[name] is value and name in dir(diffseq)
+    assert not hasattr(diffseq, "no_such_name")
 
 
 APPEND = object()   # marker: repeat the first element of the list at path
