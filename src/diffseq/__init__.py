@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 
 # exported name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(("Poly", "ConstantMetric", "compare_monomials"), "poly"),
+    **dict.fromkeys(("Poly", "ConstantMetric"), "poly"),
     **dict.fromkeys(("GradedPresentation", "reduced_groebner", "normal_form",
                      "syzygies", "minimal_graded_generators", "module_contains",
-                     "module_equality", "generic_rank"), "groebner"),
+                     "module_equality"), "groebner"),
     **dict.fromkeys(("DegreeCapExceeded", "ExponentCapExceeded"), "config"),
     **dict.fromkeys(("BundleBasis", "free_basis", "constrained_basis",
                      "tangent_space", "sym2_space", "trace_free_sym2",

@@ -58,7 +58,7 @@ Unpacking reads the exponent fields through a third table keyed by their
 bits.  The monomial tables fill on first use, so they hold only the
 monomials an order meets.
 
-``generic_rank`` counts lead components.  The zero-shift TOP degrevlex
+``_vector_rank`` counts lead components.  The zero-shift TOP degrevlex
 order is degree-compatible, so by Macaulay's basis theorem (Eisenbud,
 "Commutative Algebra", 1995, ch. 15) R^m/M and R^m/in(M) have the same
 Hilbert function, and in(M) is a sum of monomial ideals I_c e_c; hence
@@ -88,8 +88,15 @@ from .poly import Poly, mono_divides, mono_lcm
 # ---------------------------------------------------------------------------
 # rows: integer vectors, with Poly cells at the edges
 
-def _row_vector(row):
-    """The integer vector of a row of ``Poly`` cells."""
+def _row_vector(n, width, row):
+    """The integer vector of a row of ``width`` ``Poly`` cells in n variables,
+    the one edge from cells to vectors; another width or ring is refused."""
+    row = tuple(row)
+    if len(row) != width:
+        raise ValueError(f"row arity {len(row)} does not match width {width}")
+    for p in row:
+        if p.n != n:
+            raise ValueError(f"a cell in {p.n} variables in a row over n={n}")
     return _integral({(c, m): v for c, p in enumerate(row) for m, v in p.terms.items()})
 
 
@@ -214,10 +221,8 @@ class GradedPresentation:
     @classmethod
     def from_rows(cls, n, ambient_rank, rows, shifts=None):
         """The presentation of rows of ``Poly`` cells, ``ambient_rank`` each."""
-        rows = tuple(map(tuple, rows))
-        if any(len(g) != ambient_rank for g in rows):
-            raise ValueError("generator arity does not match ambient rank")
-        return cls(n, ambient_rank, tuple(map(_row_vector, rows)), shifts)
+        return cls(n, ambient_rank,
+                   tuple(_row_vector(n, ambient_rank, row) for row in rows), shifts)
 
     @cached_property
     def generators(self):
@@ -456,7 +461,7 @@ def normal_form(vec, basis):
     reduced basis; no cap is checked, so the packing is laid out for the
     highest shifted degree of the input and the basis, which reduction keeps."""
     elems = [e for _, e in basis.vectors]
-    den, ints = _row_vector(vec)
+    den, ints = _row_vector(basis.n, basis.ambient_rank, vec)
     lo = min(basis.shifts, default=0)
     order = _Order(basis.n, basis.shifts, max(
         (sum(m) + basis.shifts[c] - lo for s in elems + [ints] for c, m in s), default=0))
@@ -538,13 +543,6 @@ def module_contains(a, b):
 def module_equality(a, b):
     """Do two presentations generate the same submodule of R^m?"""
     return module_contains(a, b) and module_contains(b, a)
-
-
-def generic_rank(rows):
-    """Rank over the fraction field of a matrix of ``Poly`` rows."""
-    n = next((p.n for row in rows for p in row), 0)
-    return _vector_rank(n, len(rows[0]) if rows else 0,
-                        list(map(_row_vector, rows)))
 
 
 def _vector_rank(n, width, vectors):

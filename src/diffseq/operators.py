@@ -73,12 +73,8 @@ class OperatorMatrix:
 
 def make_operator(name, n, source, target, rows):
     """The operator with ``Poly`` entries ``rows[i][j]``."""
-    rows = tuple(map(tuple, rows))
-    for r in rows:
-        if len(r) != source.dim:
-            raise ValueError(f"{name}: row width {len(r)} for source of dim {source.dim}")
-    return OperatorMatrix(name=name, n=n, source=source, target=target,
-                          vectors=tuple(map(groebner._row_vector, rows)))
+    return OperatorMatrix(name=name, n=n, source=source, target=target, vectors=tuple(
+        groebner._row_vector(n, source.dim, row) for row in rows))
 
 
 def _constant_row(n, coefs):
@@ -215,6 +211,9 @@ def apply(op, sections):
     """
     if len(sections) != op.source.dim:
         raise ValueError("one section component per source basis element")
+    for p in sections:
+        if p.n != op.n:
+            raise ValueError(f"{op.name}: a section in {p.n} variables, operator over n={op.n}")
     out = []
     for den, vec in op.vectors:
         acc = Poly.zero(op.n)

@@ -1,16 +1,15 @@
-"""Multivariate polynomials with exact rational coefficients.
+"""``Poly``, the read-only view of one cell of an integer row, and constant
+metrics.
 
-A monomial is a tuple of non-negative exponents, one slot per commuting
-symbol.  The same representation serves two readings: formal derivative
-symbols (an operator entry ``chi^mu`` stands for the constant-coefficient
-derivative ``d_mu``) and ordinary coordinate polynomials that operators are
-applied to.
-
-The canonical term order is degree–reverse–lexicographic: compare total
-degree first; on ties the monomial whose *last* differing exponent is smaller
-wins.  So ``x1 > x2 > ... > xn`` as monomials, ``(1,1) < (2,0)``, and
-``(0,0)`` is minimal.  The order is multiplicative, which is what the basis
-engines rely on.
+A monomial is a tuple of non-negative exponents, one per commuting symbol:
+formal derivative symbols in an operator entry (``chi^mu`` stands for
+``d_mu``), or the coordinates of the sections ``operators.apply`` acts on.
+The engines store rows as integer vectors (``groebner``) and make ``Poly``
+cells only when a caller reads ``rows`` or ``generators``; a cell offers
+what those readers use, and no products.  Cells print in degrevlex order
+(``mono_key``): total degree first; on ties the monomial whose *last*
+differing exponent is smaller is the larger, so ``x1 > x2 > ... > xn`` and
+``(1,1) < (2,0)``.
 """
 
 from fractions import Fraction
@@ -18,27 +17,12 @@ from functools import update_wrapper
 from operator import le
 
 from . import linalg
-from .config import EXPONENT_CAP, ExponentCapExceeded, cached
-
-Mono = tuple
+from .config import cached
 
 
 def mono_key(m):
     """Sort key realizing degrevlex: ``a > b`` iff ``mono_key(a) > mono_key(b)``."""
     return (sum(m),) + tuple(-e for e in reversed(m))
-
-
-def compare_monomials(a, b):
-    """Return -1, 0, or 1 comparing two monomials in degrevlex."""
-    ka, kb = mono_key(a), mono_key(b)
-    return (ka > kb) - (ka < kb)
-
-
-def mono_mul(a, b):
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(e > EXPONENT_CAP for e in out):
-        raise ExponentCapExceeded(f"exponent above {EXPONENT_CAP} in {out}")
-    return out
 
 
 def mono_divides(a, b):
@@ -50,15 +34,16 @@ def mono_lcm(a, b):
 
 
 def _as_fraction(c):
+    """An int or a ``Fraction`` as a ``Fraction``; a bool is refused, as in ``linalg``."""
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
 
 
 class Poly:
-    """Immutable-by-convention polynomial: dict monomial -> nonzero Fraction."""
+    """Read-only polynomial: dict monomial -> nonzero Fraction."""
 
     __slots__ = ("n", "terms")
 
@@ -78,27 +63,6 @@ class Poly:
     def zero(cls, n):
         return cls(n)
 
-    @classmethod
-    def constant(cls, n, c):
-        return cls(n, {(0,) * n: _as_fraction(c)})
-
-    @classmethod
-    def one(cls, n):
-        return cls.constant(n, 1)
-
-    @classmethod
-    def variable(cls, n, i):
-        """The i-th symbol, 1-based."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        exps = [0] * n
-        exps[i - 1] = 1
-        return cls(n, {tuple(exps): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, n, exps, c=1):
-        return cls(n, {tuple(exps): _as_fraction(c)})
-
     def is_zero(self):
         return not self.terms
 
@@ -114,6 +78,8 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
+        if other.n != self.n:
+            raise ValueError(f"cannot add polynomials in {self.n} and {other.n} variables")
         out = dict(self.terms)
         for m, c in other.terms.items():
             v = out.get(m)
@@ -126,65 +92,12 @@ class Poly:
         r.n, r.terms = self.n, out
         return r
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        r = Poly.__new__(Poly)
-        r.n, r.terms = self.n, {m: -c for m, c in self.terms.items()}
-        return r
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                v = out.get(m)
-                s = c1 * c2 if v is None else v + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        r = Poly.__new__(Poly)
-        r.n, r.terms = self.n, out
-        return r
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, c):
         c = _as_fraction(c)
         r = Poly.__new__(Poly)
         r.n = self.n
         r.terms = {m: v * c for m, v in self.terms.items()} if c else {}
         return r
-
-    def negate_vars(self):
-        """Substitute every symbol by its negative: ``p(chi) -> p(-chi)``."""
-        r = Poly.__new__(Poly)
-        r.n = self.n
-        r.terms = {m: (c if sum(m) % 2 == 0 else -c) for m, c in self.terms.items()}
-        return r
-
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=mono_key)
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def diff(self, i):
         """Partial derivative with respect to the i-th symbol (1-based)."""

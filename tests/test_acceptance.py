@@ -33,6 +33,7 @@ from diffseq.sequences import (
     trace_contraction_check,
     weyl_relations_report,
 )
+from polyref import degree, monomial
 
 
 CLASSICAL = {
@@ -148,7 +149,7 @@ def test_criterion_08_curvature_splitting_and_einstein():
     cc = compatibility_conditions(einstein(4))
     assert cc.target.dim == 4
     assert cc.order == 1
-    assert all(p.degree() in (-1, 1) for row in cc.rows for p in row)
+    assert all(degree(p) in (-1, 1) for row in cc.rows for p in row)
     wr = weyl_relations_report()
     assert wr.relation_count == 16
     assert wr.cc_count == 6
@@ -186,7 +187,7 @@ def _random_section(rng, n, dim):
                 exps[rng.randrange(n)] += 1
             c = rng.randint(-9, 9)
             if c:
-                p = p + Poly.monomial(n, tuple(exps), Fraction(c))
+                p = p + monomial(n, tuple(exps), Fraction(c))
         out.append(p)
     return out
 

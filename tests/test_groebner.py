@@ -18,7 +18,6 @@ from diffseq import groebner, linalg
 from diffseq.config import EXPONENT_CAP, ConfigError, DegreeCapExceeded, ExponentCapExceeded
 from diffseq.groebner import (
     GradedPresentation,
-    generic_rank,
     minimal_graded_generators,
     module_contains,
     module_equality,
@@ -26,12 +25,12 @@ from diffseq.groebner import (
     reduced_groebner,
     syzygies,
 )
-from diffseq.operators import compatibility_conditions, rows_presentation
+from diffseq.bundles import free_basis
+from diffseq.operators import (compatibility_conditions, differential_rank, make_operator,
+                               rows_presentation)
 from diffseq.poly import ConstantMetric, Poly, mono_divides, mono_key
 from diffseq.sequences import build_sequence, conformal_killing, killing
-
-ZERO = Fraction(0)
-
+from polyref import degree, monomial, mul, sub, variable
 
 def monomials_of_degree(n, d):
     return [m for m in product(range(d + 1), repeat=n) if sum(m) == d]
@@ -41,7 +40,7 @@ def generator_degrees(pres):
     """Graded degree of each generator: entry degree plus component shift."""
     degs = []
     for g in pres.generators:
-        vals = {p.degree() + pres.shifts[c]
+        vals = {degree(p) + pres.shifts[c]
                 for c, p in enumerate(g) if not p.is_zero()}
         assert len(vals) == 1, "generator is not graded"
         degs.append(vals.pop())
@@ -65,7 +64,7 @@ def syzygy_slice_dim(pres, gendegs, d):
     rows = {}
     for (i, m), c in col_of.items():
         for comp, p in enumerate(pres.generators[i]):
-            shifted = Poly.monomial(n, m) * p
+            shifted = mul(monomial(n, m), p)
             for mono, coef in shifted.terms.items():
                 rows.setdefault((comp, mono), {})[c] = coef
     sparse = [r for r in rows.values() if r]
@@ -83,7 +82,7 @@ def span_slice_dim(syz, gendegs, d):
         for m in monomials_of_degree(n, d - s):
             vec = {}
             for i in range(k):
-                p = Poly.monomial(n, m) * g[i]
+                p = mul(monomial(n, m), g[i])
                 for mono, coef in p.terms.items():
                     vec[(i, mono)] = coef
             vectors.append(vec)
@@ -99,7 +98,7 @@ def assert_syzygies_complete(pres, max_degree):
         total = [Poly.zero(pres.n) for _ in range(pres.ambient_rank)]
         for i, p in enumerate(g):
             for comp in range(pres.ambient_rank):
-                total[comp] = total[comp] + p * pres.generators[i][comp]
+                total[comp] = total[comp] + mul(p, pres.generators[i][comp])
         assert all(t.is_zero() for t in total), "computed syzygy is not a relation"
     gendegs = generator_degrees(pres)
     assert tuple(syz.shifts) == tuple(gendegs)
@@ -110,7 +109,14 @@ def assert_syzygies_complete(pres, max_degree):
 
 
 def _vars(n):
-    return [Poly.variable(n, i) for i in range(1, n + 1)]
+    return [variable(n, i) for i in range(1, n + 1)]
+
+
+def _rank(n, width, rows):
+    """``differential_rank`` of the operator with ``Poly`` entries ``rows``."""
+    src, tgt = (free_basis(s, n, [f"{s}{i}" for i in range(k)])
+                for s, k in (("S", width), ("T", len(rows))))
+    return differential_rank(make_operator("m", n, src, tgt, rows))
 
 
 def test_syzygy_of_two_variables_is_the_koszul_relation():
@@ -141,15 +147,15 @@ def test_second_level_syzygies_match_the_degree_oracle():
 
 def test_free_rows_have_no_relations():
     n = 2
-    e1 = (Poly.one(n), Poly.zero(n))
-    e2 = (Poly.zero(n), Poly.one(n))
+    e1 = (monomial(n), Poly.zero(n))
+    e2 = (Poly.zero(n), monomial(n))
     pres = GradedPresentation.from_rows(n=n, ambient_rank=2, rows=(e1, e2), shifts=(0, 0))
     assert syzygies(pres).generators == ()
 
 
 def test_groebner_membership_of_original_generators():
     x1, x2, x3 = _vars(3)
-    gens = ((x1 * x2 + x3 * x3,), (x2 * x3,), (x1 + x2,))
+    gens = ((mul(x1, x2) + mul(x3, x3),), (mul(x2, x3),), (x1 + x2,))
     pres = GradedPresentation.from_rows(n=3, ambient_rank=1, rows=gens)
     gb = reduced_groebner(pres)
     for g in gens:
@@ -158,10 +164,10 @@ def test_groebner_membership_of_original_generators():
 
 def test_normal_form_is_idempotent_and_linear():
     x1, x2 = _vars(2)
-    pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1 * x1,), (x1 * x2,)))
+    pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((mul(x1, x1),), (mul(x1, x2),)))
     gb = reduced_groebner(pres)
-    u = [x1 * x1 * x2 + x2]
-    v = [x2 * x2 + x1]
+    u = [mul(x1, x1, x2) + x2]
+    v = [mul(x2, x2) + x1]
     nf_u = normal_form(u, gb)
     assert normal_form(list(nf_u), gb) == nf_u
     sum_nf = normal_form([u[0] + v[0]], gb)
@@ -190,9 +196,9 @@ def test_module_contains_is_one_inclusion():
 
 def test_minimal_generators_drop_redundant_ones():
     x1, x2 = _vars(2)
-    g1 = (x1 * x1,)
+    g1 = (mul(x1, x1),)
     g2 = (x2,)
-    g3 = (x1 * x1 + x1 * x2,)   # g1 + x1*g2
+    g3 = (mul(x1, x1) + mul(x1, x2),)   # g1 + x1*g2
     pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=(g1, g2, g3))
     minimal = minimal_graded_generators(pres)
     assert len(minimal.generators) == 2
@@ -201,10 +207,10 @@ def test_minimal_generators_drop_redundant_ones():
 
 def test_generic_rank_detects_dependent_rows():
     x1, x2 = _vars(2)
-    rows = [[x1, x2], [x1 * x2, x2 * x2]]
-    assert generic_rank(rows) == 1
+    rows = [[x1, x2], [mul(x1, x2), mul(x2, x2)]]
+    assert _rank(2, 2, rows) == 1
     rows2 = [[x1, x2], [x2, x1]]
-    assert generic_rank(rows2) == 2
+    assert _rank(2, 2, rows2) == 2
 
 
 def test_generic_rank_matches_evaluation_at_a_generic_point():
@@ -212,19 +218,19 @@ def test_generic_rank_matches_evaluation_at_a_generic_point():
     rows = [list(r) for r in op.rows]
     pt = [Fraction(3), Fraction(-7), Fraction(11)]
     dense = [[p.evaluate(pt) for p in row] for row in rows]
-    assert generic_rank(rows) == linalg.rank(
+    assert differential_rank(op) == linalg.rank(
         [{c: v for c, v in enumerate(row) if v} for row in dense], len(rows[0]))
 
 
 def test_generic_rank_of_inhomogeneous_rows():
     x1, x2 = _vars(2)
-    one, zero = Poly.one(2), Poly.zero(2)
+    unit, zero = monomial(2), Poly.zero(2)
     # rank 1: the second row is (x1 + 1) times the first
-    rows = [[x1 + one, x2 * x2], [(x1 + one) * (x1 + one), (x1 + one) * x2 * x2]]
-    assert generic_rank(rows) == 1
+    rows = [[x1 + unit, mul(x2, x2)], [mul(x1 + unit, x1 + unit), mul(x1 + unit, x2, x2)]]
+    assert _rank(2, 2, rows) == 1
     # rank 2, with a zero row: the 2x2 minor of the first two rows is x1^2 - 1 - x2^3
-    rows = [[x1 + one, x2, zero], [x2 * x2, x1 - one, one], [zero, zero, zero]]
-    assert generic_rank(rows) == 2
+    rows = [[x1 + unit, x2, zero], [mul(x2, x2), sub(x1, unit), unit], [zero, zero, zero]]
+    assert _rank(2, 3, rows) == 2
 
 
 def test_degree_cap_is_a_loud_error(monkeypatch):
@@ -240,7 +246,7 @@ def test_degree_cap_is_a_loud_error(monkeypatch):
 def test_exponent_cap_is_checked_on_inputs_and_s_pairs(monkeypatch):
     top = EXPONENT_CAP + 1
     pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=(
-        (Poly.monomial(2, (top, 0)),), (Poly.monomial(2, (0, top)),)))
+        (monomial(2, (top, 0)),), (monomial(2, (0, top)),)))
     monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", str(4 * top))
     with pytest.raises(ExponentCapExceeded):
         syzygies(pres)
@@ -263,7 +269,7 @@ def test_presentations_with_no_generators_have_empty_results():
 
 def test_engine_rows_are_graded_by_the_presentation_shifts():
     x1, x2 = _vars(2)
-    syz = syzygies(GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1,), (x2 * x2,))))
+    syz = syzygies(GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((x1,), (mul(x2, x2),))))
     assert syz.shifts == (1, 2) and syz._degrees == (3,)
     moved = GradedPresentation(n=2, ambient_rank=2, vectors=syz.vectors, shifts=(3, 4))
     assert moved._degrees == (5,)
@@ -279,7 +285,7 @@ def test_one_degree_cap_setting_governs_every_entry_point(monkeypatch):
     monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "1")
     for call in (lambda: syzygies(pres),
                  lambda: module_equality(pres, pres),
-                 lambda: generic_rank(killing(3).rows),
+                 lambda: differential_rank(killing(3)),
                  lambda: reduced_groebner(pres),
                  lambda: minimal_graded_generators(mixed)):
         with pytest.raises(DegreeCapExceeded):
@@ -295,9 +301,23 @@ def test_normal_form_is_exact_beyond_the_exponent_cap(e, want):
     # public normal_form admits no cap: the packing is sized from its data
     x1, x2 = _vars(2)
     gb = reduced_groebner(GradedPresentation.from_rows(n=2, ambient_rank=1,
-                                                       rows=((x1 * x1 + x2 * x2,),)))
-    vec = [Poly.monomial(2, (e, 0)) + Poly.monomial(2, (1, e - 1))]
+                                                       rows=((mul(x1, x1) + mul(x2, x2),),)))
+    vec = [monomial(2, (e, 0)) + monomial(2, (1, e - 1))]
     assert normal_form(vec, gb)[0].terms == want
+
+
+def test_rows_of_another_width_or_ring_are_refused():
+    x1, x2 = _vars(2)
+    with pytest.raises(ValueError, match="in 2 and 3 variables"):
+        x1 + variable(3, 1)   # would hold a 3-exponent term in an n=2 cell
+    with pytest.raises(ValueError, match="a cell in 3 variables in a row over n=2"):
+        GradedPresentation.from_rows(2, 1, [[variable(3, 1)], [variable(3, 2)]])
+    gb = reduced_groebner(GradedPresentation.from_rows(n=2, ambient_rank=2, rows=((x1, x2),)))
+    for row in ([x1], [x1, x2, x1]):
+        with pytest.raises(ValueError, match=f"arity {len(row)} does not match width 2"):
+            normal_form(row, gb)
+    with pytest.raises(ValueError, match="a cell in 3 variables in a row over n=2"):
+        normal_form([variable(3, 1), Poly.zero(3)], gb)
 
 
 def _non_unit_leads():
@@ -306,7 +326,7 @@ def _non_unit_leads():
     x1, x2, x3 = _vars(3)
     return GradedPresentation.from_rows(n=3, ambient_rank=2, rows=(
         (x1.scale(3) + x2.scale(2), x3.scale(4)),
-        (x2.scale(6), x1.scale(4) - x3.scale(10)),
+        (x2.scale(6), sub(x1.scale(4), x3.scale(10))),
         (x3.scale(9), x2.scale(3))))
 
 
@@ -316,10 +336,10 @@ def test_normal_form_is_the_exact_rational_remainder():
     gb = reduced_groebner(pres)
     assert any(v.denominator > 1 for e in gb.generators for p in e
                for v in p.terms.values())
-    vec = (x1 * x1.scale(Fraction(1, 2)) + x2 * x3.scale(Fraction(2, 7)),
-           x1 * x3.scale(Fraction(-5, 3)) + x2 * x2.scale(Fraction(3, 4)))
+    vec = (mul(x1, x1.scale(Fraction(1, 2))) + mul(x2, x3.scale(Fraction(2, 7))),
+           mul(x1, x3.scale(Fraction(-5, 3))) + mul(x2, x2.scale(Fraction(3, 4))))
     rem = normal_form(vec, gb)
-    diff = tuple(v - r for v, r in zip(vec, rem))
+    diff = tuple(sub(v, r) for v, r in zip(vec, rem))
     assert any(diff)
     grown = GradedPresentation.from_rows(n=3, ambient_rank=2, rows=pres.generators + (diff,))
     assert module_equality(pres, grown)
@@ -398,10 +418,10 @@ def test_minimal_syzygies_match_on_every_chain_step(builder):
 
 def test_one_degree_input_with_a_repeated_lead_is_swept(monkeypatch):
     x1, x2 = _vars(2)
-    a, b = (x1 * x1, x2 * x2), (x1 * x1 + x1 * x2, Poly.zero(2))
+    a, b = (mul(x1, x1), mul(x2, x2)), (mul(x1, x1) + mul(x1, x2), Poly.zero(2))
     # a and b both lead with x1^2 e0, and the third row is a - b
     pres = GradedPresentation.from_rows(n=2, ambient_rank=2, rows=(
-        a, b, (a[0] - b[0], a[1] - b[1])))
+        a, b, (sub(a[0], b[0]), sub(a[1], b[1]))))
     assert set(pres._degrees) == {2}
     made = _recording_bases(monkeypatch)
     out = minimal_graded_generators(pres).generators
@@ -410,7 +430,7 @@ def test_one_degree_input_with_a_repeated_lead_is_swept(monkeypatch):
 
 
 def test_one_degree_input_above_the_exponent_cap_raises():
-    big = Poly.monomial(2, (EXPONENT_CAP + 1, 0), Fraction(1))
+    big = monomial(2, (EXPONENT_CAP + 1, 0), Fraction(1))
     pres = GradedPresentation.from_rows(n=2, ambient_rank=1, rows=((big,),))
     with pytest.raises(ExponentCapExceeded):
         minimal_graded_generators(pres)
@@ -482,7 +502,7 @@ def test_coprime_leads_still_need_their_s_pair():
     pres = GradedPresentation.from_rows(n=2, ambient_rank=2, rows=((x1, zero), (x2, x2)))
     gb = reduced_groebner(pres)
     assert len(gb.generators) == 3
-    assert (zero, x1 * x2) in gb.generators
+    assert (zero, mul(x1, x2)) in gb.generators
 
 
 def test_chain_criterion_keeps_pairs_sharing_the_new_lcm():
@@ -492,10 +512,10 @@ def test_chain_criterion_keeps_pairs_sharing_the_new_lcm():
     x1, x2, x3 = _vars(3)
     pres = GradedPresentation.from_rows(
         n=3, ambient_rank=1,
-        rows=((x1 * x3,), (x1 * x2 + x3 * x3,), (x2 * x3,)))
+        rows=((mul(x1, x3),), (mul(x1, x2) + mul(x3, x3),), (mul(x2, x3),)))
     gb = reduced_groebner(pres)
     assert len(gb.generators) == 4
-    assert (x3 * x3 * x3,) in gb.generators
+    assert (mul(x3, x3, x3),) in gb.generators
 
 
 @st.composite
@@ -513,7 +533,7 @@ def homogeneous_presentations(draw):
             terms = draw(st.lists(st.tuples(st.sampled_from(monos),
                                             st.sampled_from((-2, -1, 1, 2))),
                                   max_size=2))
-            vec.append(sum((Poly.monomial(n, m, v) for m, v in terms),
+            vec.append(sum((monomial(n, m, v) for m, v in terms),
                            Poly.zero(n)))
         if any(vec):
             gens.append(tuple(vec))
@@ -543,9 +563,9 @@ def test_every_s_pair_of_the_reduced_basis_reduces_to_zero(pres):
             if cj != ci:
                 continue
             lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-            qi = Poly.monomial(n, tuple(a - b for a, b in zip(lcm, mi)))
-            qj = Poly.monomial(n, tuple(a - b for a, b in zip(lcm, mj)))
-            s = tuple(qi * p - qj * q
+            qi = monomial(n, tuple(a - b for a, b in zip(lcm, mi)))
+            qj = monomial(n, tuple(a - b for a, b in zip(lcm, mj)))
+            s = tuple(sub(mul(qi, p), mul(qj, q))
                       for p, q in zip(gb.generators[i], gb.generators[j]))
             assert not any(normal_form(s, gb))
     for g in pres.generators:
@@ -558,7 +578,7 @@ def test_every_syzygy_annihilates_the_generators(pres):
     for h in syzygies(pres).generators:
         total = [Poly.zero(pres.n)] * pres.ambient_rank
         for hi, g in zip(h, pres.generators):
-            total = [t + hi * p for t, p in zip(total, g)]
+            total = [t + mul(hi, p) for t, p in zip(total, g)]
         assert not any(total)
 
 
@@ -567,8 +587,8 @@ def test_every_syzygy_annihilates_the_generators(pres):
 def test_generic_rank_is_exact_on_generators_and_syzygies(pres):
     # under the zero-shift order these rows are inhomogeneous when shifts differ
     gens = pres.generators
-    rank = generic_rank(gens)
-    assert rank + generic_rank(syzygies(pres).generators) == len(gens)
+    rank = _rank(pres.n, pres.ambient_rank, gens)
+    assert rank + _rank(pres.n, len(gens), syzygies(pres).generators) == len(gens)
     point = [Fraction(p) for p in (3, -7, 11)[:pres.n]]
     values = [{c: v for c, p in enumerate(g) if (v := p.evaluate(point))} for g in gens]
     assert linalg.rank(values, pres.ambient_rank) <= rank
@@ -671,7 +691,7 @@ def _seeded_presentations(seed=7, count=40):
             for s in shifts:
                 monos = monomials_of_degree(n, deg - s)
                 picked = rng.sample(monos, min(len(monos), rng.randint(0, 3)))
-                vec.append(sum((Poly.monomial(n, m, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                vec.append(sum((monomial(n, m, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
                                                              rng.randint(1, 3)))
                                 for m in picked), Poly.zero(n)))
             if any(vec):

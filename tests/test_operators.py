@@ -22,24 +22,15 @@ from diffseq.operators import (
 )
 from diffseq.poly import ConstantMetric, Poly
 from diffseq.sequences import build_sequence, conformal_killing, exterior_derivative, killing
+from polyref import degree, monomial, mul, negate_vars, random_poly, sub, variable
 
 ZERO2 = Poly.zero(2)
-
-
-def rand_poly(rng, n, deg):
-    p = Poly.zero(n)
-    for _ in range(3):
-        mono = tuple(rng.randint(0, deg) for _ in range(n))
-        if sum(mono) > deg:
-            continue
-        p = p + Poly.monomial(n, mono, Fraction(rng.randint(-5, 5)))
-    return p
 
 
 def rand_operator(rng, n, rows, cols, deg, name, src_label, tgt_label):
     src = free_basis(src_label, n, [f"{src_label}{j}" for j in range(cols)])
     tgt = free_basis(tgt_label, n, [f"{tgt_label}{i}" for i in range(rows)])
-    mat = tuple(tuple(rand_poly(rng, n, deg) for _ in range(cols))
+    mat = tuple(tuple(random_poly(rng, n, deg, 3, 5) for _ in range(cols))
                 for _ in range(rows))
     return make_operator(name, n, src, tgt, mat)
 
@@ -83,7 +74,7 @@ def test_apply_matches_composition():
     rng = random.Random(24)
     a = rand_operator(rng, 2, 2, 3, 2, "a", "U", "V")
     b = rand_operator(rng, 2, 3, 2, 2, "b", "W", "U")
-    sections = [rand_poly(rng, 2, 4) for _ in range(2)]
+    sections = [random_poly(rng, 2, 4, 3, 5) for _ in range(2)]
     once = apply(b, sections)
     twice = apply(a, once)
     direct = apply(compose(a, b), sections)
@@ -143,8 +134,30 @@ def test_differential_rank_of_classical_operators(name, args, rank):
 def test_operator_shape_validation():
     src = free_basis("S", 2, ("s1", "s2"))
     tgt = free_basis("T", 2, ("t1",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arity 1 does not match width 2"):
         make_operator("bad", 2, src, tgt, ((ZERO2,),))
+    # unchecked, a cell in 3 variables passes as a 3-exponent monomial
+    with pytest.raises(ValueError, match="a cell in 3 variables in a row over n=2"):
+        make_operator("bad", 2, src, tgt, ((variable(3, 1), ZERO2),))
+
+
+def test_apply_refuses_sections_in_another_number_of_variables():
+    op = killing(2)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match=f"a section in {n} variables, operator over n=2"):
+            apply(op, [variable(n, 1), variable(n, 1)])
+
+
+def test_the_benchmark_read_surface_of_poly_cells():
+    """What the benchmark reads: ``is_zero`` and ``evaluate`` on every cell of
+    ``rows``, and ``len(generators)`` of a presentation."""
+    op = killing(3)
+    point = (3, -7, 11)
+    values = [[p.evaluate(point) for p in row if not p.is_zero()] for row in op.rows]
+    assert values == [[6], [-7, 3], [11, 3], [-14], [11, -7], [22]]
+    syz = groebner.syzygies(rows_presentation(op))
+    assert len(syz.generators) == len(syz.vectors) == 6
+    assert all(type(p.evaluate(point)) is Fraction for g in syz.generators for p in g)
 
 
 def test_compose_requires_matching_bases():
@@ -184,7 +197,7 @@ def test_equality_ignores_name_but_not_entries():
     clone = make_operator("two", 2, op.source, op.target, op.rows)
     assert op == clone
     bumped = [list(r) for r in op.rows]
-    bumped[0][0] = bumped[0][0] + Poly.one(2)
+    bumped[0][0] = bumped[0][0] + monomial(2)
     changed = make_operator("three", 2, op.source, op.target,
                             tuple(tuple(r) for r in bumped))
     assert op != changed
@@ -204,13 +217,13 @@ def _sparse_polys(n):
     return st.one_of(
         st.just(Poly.zero(n)),
         st.lists(term, min_size=1, max_size=3).map(
-            lambda ts: sum((Poly.monomial(n, m, c) for m, c in ts), Poly.zero(n))))
+            lambda ts: sum((monomial(n, m, c) for m, c in ts), Poly.zero(n))))
 
 
 def _dense_product(outer, inner):
     """``outer o inner`` by the triple loop over ``Poly`` products."""
     return tuple(
-        tuple(sum((row[k] * inner.rows[k][j] for k in range(len(row))),
+        tuple(sum((mul(row[k], inner.rows[k][j]) for k in range(len(row))),
                   Poly.zero(outer.n)) for j in range(inner.source.dim))
         for row in outer.rows)
 
@@ -247,7 +260,7 @@ def test_zero_test_on_koszul_pairs(data):
         for j in range(i + 1, b):
             f = data.draw(entry)
             row = [Poly.zero(n)] * b
-            row[i], row[j] = f * col[j], -(f * col[i])
+            row[i], row[j] = mul(f, col[j]), mul(f, col[i]).scale(-1)
             outer_rows.append(row)
     perturbed = data.draw(st.booleans())
     if perturbed:
@@ -269,7 +282,7 @@ def test_zero_test_on_a_chain_and_a_perturbed_condition():
     cc = compatibility_conditions(op)
     assert compose(cc, op).is_zero()
     rows = [list(r) for r in cc.rows]
-    rows[-1][-1] = rows[-1][-1] + Poly.monomial(3, (0, 1, 1), Fraction(1, 3))
+    rows[-1][-1] = rows[-1][-1] + monomial(3, (0, 1, 1), Fraction(1, 3))
     bumped = make_operator("bumped", 3, cc.source, cc.target, rows)
     assert not compose(bumped, op).is_zero()
     with pytest.raises(ValueError):
@@ -279,7 +292,7 @@ def test_zero_test_on_a_chain_and_a_perturbed_condition():
 def test_compose_is_exact_beyond_the_exponent_cap():
     # the product's packing is sized from the operands: exponents reach 80
     def mono(e1, e2, c=1):
-        return Poly.monomial(2, (e1, e2), c)
+        return monomial(2, (e1, e2), c)
 
     src, mid, tgt = (free_basis(lab, 2, [f"{lab}{i}" for i in range(d)])
                      for lab, d in (("U", 2), ("V", 2), ("W", 1)))
@@ -287,7 +300,7 @@ def test_compose_is_exact_beyond_the_exponent_cap():
                                              [mono(40, 0, -1), mono(34, 0)]])
     outer = make_operator("Q", 2, mid, tgt, [[mono(40, 0), mono(0, 30)]])
     got = compose(outer, inner)
-    assert got.rows == ((mono(70, 5) - mono(40, 30),
+    assert got.rows == ((sub(mono(70, 5), mono(40, 30)),
                          mono(40, 40, Fraction(3, 2)) + mono(34, 30)),)
     assert got.order == 80 and not got.is_zero()
     bumped = make_operator("R", 2, mid, tgt, [[mono(40, 30), mono(70, 5)]])
@@ -320,7 +333,7 @@ def test_engine_built_conditions_equal_user_built_ones(builder, n, metric):
         cells = [p for row in cc.rows for p in row]
         assert all(type(v) is Fraction and v and len(m) == n
                    for p in cells for m, v in p.terms.items())
-        assert cc.order == step.order == max(p.degree() for p in cells)
+        assert cc.order == step.order == max(degree(p) for p in cells)
 
 
 def _all_builders(n, w):
@@ -341,7 +354,7 @@ def test_adjoint_of_vectors_matches_the_cellwise_transpose(n, metric):
     w = ConstantMetric.minkowski(n) if metric == "minkowski" else None
     for op in _all_builders(n, w):
         ad = adjoint(op)
-        reference = tuple(tuple(op.rows[i][j].negate_vars() for i in range(op.target.dim))
+        reference = tuple(tuple(negate_vars(op.rows[i][j]) for i in range(op.target.dim))
                           for j in range(op.source.dim))
         assert ad.rows == reference
         rebuilt = make_operator(ad.name, n, ad.source, ad.target, reference)

@@ -1,18 +1,14 @@
-"""Exact polynomial arithmetic and the monomial order."""
+"""``Poly`` cells, the reference arithmetic in ``polyref``, the order, metrics."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffseq.config import EXPONENT_CAP, ExponentCapExceeded
-from diffseq.poly import (
-    ConstantMetric,
-    Poly,
-    compare_monomials,
-    mono_key,
-    mono_mul,
-)
+from diffseq.poly import ConstantMetric, Poly, mono_key
+from polyref import degree, leading_monomial, monomial, mul, negate_vars, variable
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -26,17 +22,17 @@ def polys(n, max_terms=5):
     coef = st.integers(-9, 9).map(Fraction)
     term = st.tuples(monos(n, 3), coef)
     return st.lists(term, max_size=max_terms).map(
-        lambda ts: sum((Poly.monomial(n, m, c) for m, c in ts), Poly.zero(n)))
+        lambda ts: sum((monomial(n, m, c) for m, c in ts), Poly.zero(n)))
 
 
 def test_degrevlex_on_degree_two_in_three_variables():
     chain = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     for hi, lo in zip(chain, chain[1:]):
-        assert compare_monomials(hi, lo) > 0
+        assert mono_key(hi) > mono_key(lo)
 
 
 def test_order_is_degree_first():
-    assert compare_monomials((0, 0, 3), (2, 1, 0)) < 0
+    assert mono_key((0, 0, 3)) < mono_key((2, 1, 0))
 
 
 @given(monos(3), monos(3), monos(3))
@@ -44,36 +40,36 @@ def test_order_respects_multiplication(a, b, c):
     if mono_key(a) == mono_key(b):
         assert a == b
         return
-    hi, lo = (a, b) if compare_monomials(a, b) > 0 else (b, a)
-    assert compare_monomials(mono_mul(hi, c), mono_mul(lo, c)) > 0
+    hi, lo = (a, b) if mono_key(a) > mono_key(b) else (b, a)
+    assert mono_key(tuple(map(add, hi, c))) > mono_key(tuple(map(add, lo, c)))
 
 
 @given(polys(3), polys(3), polys(3))
 def test_ring_axioms(p, q, r):
-    assert p * q == q * p
-    assert p * (q + r) == p * q + p * r
-    assert (p * q) * r == p * (q * r)
+    assert mul(p, q) == mul(q, p)
+    assert mul(p, q + r) == mul(p, q) + mul(p, r)
+    assert mul(mul(p, q), r) == mul(p, mul(q, r))
 
 
 @given(polys(3))
 def test_negate_vars_is_an_involution(p):
-    assert p.negate_vars().negate_vars() == p
+    assert negate_vars(negate_vars(p)) == p
 
 
 @given(polys(3), polys(3))
 def test_negate_vars_is_multiplicative(p, q):
-    assert (p * q).negate_vars() == p.negate_vars() * q.negate_vars()
+    assert negate_vars(mul(p, q)) == mul(negate_vars(p), negate_vars(q))
 
 
 @given(polys(2), polys(2))
 def test_diff_satisfies_leibniz(p, q):
-    lhs = (p * q).diff(1)
-    rhs = p.diff(1) * q + p * q.diff(1)
+    lhs = mul(p, q).diff(1)
+    rhs = mul(p.diff(1), q) + mul(p, q.diff(1))
     assert lhs == rhs
 
 
 def test_apply_derivation_matches_iterated_diff():
-    f = Poly.monomial(2, (3, 2), Fraction(5)) + Poly.variable(2, 1)
+    f = monomial(2, (3, 2), Fraction(5)) + variable(2, 1)
     expected = f.diff(1).diff(1).diff(2)
     assert f.apply_derivation((2, 1)) == expected
 
@@ -81,7 +77,7 @@ def test_apply_derivation_matches_iterated_diff():
 @given(polys(2), st.integers(-4, 4), st.integers(-4, 4))
 def test_evaluate_is_a_ring_map(p, a, b):
     pt = [Fraction(a), Fraction(b)]
-    assert (p * p).evaluate(pt) == p.evaluate(pt) ** 2
+    assert mul(p, p).evaluate(pt) == p.evaluate(pt) ** 2
 
 
 def test_euclidean_metric_is_the_identity():
@@ -122,21 +118,30 @@ def test_minkowski_metric_signature_and_inverse():
 
 
 def test_leading_monomial_and_coefficient():
-    p = Poly.monomial(3, (1, 1, 0), Fraction(3)) + Poly.monomial(3, (0, 0, 2))
-    assert p.leading_monomial() == (1, 1, 0)
-    assert p.coefficient(p.leading_monomial()) == 3
+    p = monomial(3, (1, 1, 0), Fraction(3)) + monomial(3, (0, 0, 2))
+    assert leading_monomial(p) == (1, 1, 0)
+    assert p.terms[leading_monomial(p)] == 3
 
 
 def test_zero_polynomial_properties():
     z = Poly.zero(3)
     assert z.is_zero()
-    assert z.degree() == -1
+    assert degree(z) == -1
 
 
 def test_products_past_the_exponent_cap_raise():
-    at_cap = Poly.monomial(2, (EXPONENT_CAP - 1, 0)) * Poly.variable(2, 1)
-    assert at_cap.leading_monomial() == (EXPONENT_CAP, 0)
+    at_cap = mul(monomial(2, (EXPONENT_CAP - 1, 0)), variable(2, 1))
+    assert leading_monomial(at_cap) == (EXPONENT_CAP, 0)
     with pytest.raises(ExponentCapExceeded):
-        at_cap * Poly.variable(2, 1)
+        mul(at_cap, variable(2, 1))
     with pytest.raises(ExponentCapExceeded):
-        mono_mul((EXPONENT_CAP, 1), (1, 0))
+        mul(monomial(2, (EXPONENT_CAP, 1)), variable(2, 1))
+
+
+def test_a_bool_coefficient_is_refused():
+    """``True`` is an int to Python; as a coefficient it would print ``x1``."""
+    for make in (lambda: Poly(2, {(1, 0): True}),
+                 lambda: variable(2, 1).scale(False),
+                 lambda: ConstantMetric([[True, 0], [0, 1]])):
+        with pytest.raises(TypeError, match="got bool"):
+            make()

@@ -34,6 +34,7 @@ from diffseq.sequences import (
     trace_contraction_check,
     weyl_relations_report,
 )
+from polyref import degree, monomial, mul, variable
 
 CHAINS = {
     ("killing", 2): ((2, 3, 1), (1, 2)),
@@ -122,15 +123,15 @@ def test_curvature_rows_generate_the_killing_conditions():
 
 def _two_orders():
     """Rows x1 and x2^2 on one unknown: its conditions mix orders in a row."""
-    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    x1, x2 = variable(2, 1), variable(2, 2)
     return make_operator("two", 2, free_basis("U", 2, ["u"]),
-                         free_basis("S", 2, ["s1", "s2"]), [[x1], [x2 * x2]])
+                         free_basis("S", 2, ["s1", "s2"]), [[x1], [mul(x2, x2)]])
 
 
 def test_a_row_of_two_orders_is_weighted_by_column():
-    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    x1, x2 = variable(2, 1), variable(2, 2)
     cc = compatibility_conditions(_two_orders())
-    assert cc.rows == ((-x2 * x2, x1),)
+    assert cc.rows == ((mul(x2, x2).scale(-1), x1),)
     assert rows_presentation(cc).shifts == (0, 1)
     rep = build_sequence(_two_orders())
     assert (rep.dims, rep.orders) == ((1, 2, 1), (2, 2))
@@ -138,10 +139,10 @@ def test_a_row_of_two_orders_is_weighted_by_column():
 
 
 def test_rows_that_no_column_weighting_makes_homogeneous_keep_the_first_error():
-    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    x1, x2 = variable(2, 1), variable(2, 2)
     src, tgt = free_basis("U", 2, ["u1", "u2"]), free_basis("S", 2, ["s1", "s2"])
     # row 0 ties w_1 = w_0 + 1, row 1 ties w_1 = w_0
-    op = make_operator("clash", 2, src, tgt, [[x1 * x1, x2], [x1, x2]])
+    op = make_operator("clash", 2, src, tgt, [[mul(x1, x1), x2], [x1, x2]])
     with pytest.raises(GeneratorError, match=r"row 0 mixes shifted degrees \[1, 2\]"):
         rows_presentation(op)
 
@@ -183,9 +184,9 @@ def test_a_candidate_that_misses_relations_is_refused():
     # x1 times the stress divergence: the Airy potential still composes to
     # zero with it, but its rows generate only x1 times the relations
     cauchy = adjoint(killing(2))
-    x1 = Poly.variable(2, 1)
+    x1 = variable(2, 1)
     scaled = make_operator("x1 ad(killing)", 2, cauchy.source, cauchy.target,
-                           [[p * x1 for p in row] for row in cauchy.rows])
+                           [[mul(p, x1) for p in row] for row in cauchy.rows])
     verdict = check_parametrization(scaled, adjoint(riemann_linearized(2)))
     assert (verdict.composes_to_zero, verdict.generates_all_relations, verdict.ok) == (
         True, False, False)
@@ -194,7 +195,7 @@ def test_a_candidate_that_misses_relations_is_refused():
 def _killing_without_column_0():
     k = killing(2)
     return make_operator("killing(2) no col 0", 2, k.source, k.target,
-                         [[p * 0 if j == 0 else p for j, p in enumerate(row)]
+                         [[p.scale(0) if j == 0 else p for j, p in enumerate(row)]
                           for row in k.rows])
 
 
@@ -221,10 +222,10 @@ def test_potentials_of_an_operator_with_a_zero_column():
     op = make_operator("curl+", 3, source, curl.target,
                        [[*row, Poly.zero(3)] for row in curl.rows])
     pot = parametrization_generators(op)
-    x = [Poly.variable(3, i) for i in (1, 2, 3)]
-    zero, one = Poly.zero(3), Poly.one(3)
-    assert pot.rows == (
-        (-x[0], zero), (-x[1], zero), (-x[2], zero), (zero, one))
+    x = [variable(3, i) for i in (1, 2, 3)]
+    zero, unit = Poly.zero(3), monomial(3)
+    assert pot.rows == ((x[0].scale(-1), zero), (x[1].scale(-1), zero),
+                        (x[2].scale(-1), zero), (zero, unit))
     assert check_parametrization(op, pot).ok
     assert compose(_killing_without_column_0(),
                    parametrization_generators(_killing_without_column_0())).is_zero()
@@ -287,7 +288,7 @@ def test_potentials_match_the_column_route():
     for op in ops:
         pot, ref = parametrization_generators(op), _column_route(op)
         assert pot.shape == (len(ref), len(ref[0])), op.name
-        assert pot.order == max((p.degree() for row in ref for p in row), default=0), op.name
+        assert pot.order == max((degree(p) for row in ref for p in row), default=0), op.name
         assert compose(op, pot).is_zero(), op.name
         assert module_equality(_columns_presentation(pot),
                                GradedPresentation.from_rows(op.n, op.source.dim, zip(*ref)))
@@ -311,7 +312,7 @@ def test_einstein_conditions_are_the_divergence():
     cc = compatibility_conditions(einstein(4))
     assert cc.target.dim == 4
     assert cc.order == 1
-    assert all(p.degree() in (-1, 1) for row in cc.rows for p in row)
+    assert all(degree(p) in (-1, 1) for row in cc.rows for p in row)
 
 
 def test_weyl_relations_bookkeeping():
@@ -394,10 +395,10 @@ def test_builders_are_cached():
 
 
 def test_rotation_field_is_killing():
-    rot = [Poly.variable(2, 2).scale(-1), Poly.variable(2, 1)]
+    rot = [variable(2, 2).scale(-1), variable(2, 1)]
     out = apply(killing(2), rot)
     assert all(p.is_zero() for p in out)
-    shear = [Poly.variable(2, 2), Poly.zero(2)]
+    shear = [variable(2, 2), Poly.zero(2)]
     assert any(not p.is_zero() for p in apply(killing(2), shear))
 
 
@@ -411,7 +412,7 @@ def test_flat_killing_solutions_of_low_degree():
     op = killing(n)
     for col, (k, m) in enumerate(unknowns):
         section = [Poly.zero(n), Poly.zero(n)]
-        section[k] = Poly.monomial(n, m)
+        section[k] = monomial(n, m)
         out = apply(op, section)
         for comp, p in enumerate(out):
             for mono, coef in p.terms.items():
@@ -437,8 +438,8 @@ def test_build_sequence_rejects_conditions_that_do_not_annihilate(monkeypatch):
     def perturbed(op):
         cc = real(op)
         rows = [list(r) for r in cc.rows]
-        rows[0][0] = rows[0][0] + Poly.monomial(op.n, (2,) + (0,) * (op.n - 1),
-                                                Fraction(1, 3))
+        rows[0][0] = rows[0][0] + monomial(op.n, (2,) + (0,) * (op.n - 1),
+                                           Fraction(1, 3))
         return operators.make_operator(cc.name, cc.n, cc.source, cc.target, rows)
 
     monkeypatch.setattr(operators, "compatibility_conditions", perturbed)

@@ -12,6 +12,7 @@ from diffseq import linalg, spencer
 from diffseq.bundles import ext_tuples, riemann_candidate_space, sym_tuples
 from diffseq.poly import ConstantMetric, Poly
 from diffseq.sequences import conformal_killing, exterior_derivative, killing
+from polyref import random_poly, sub
 
 
 def test_symbol_dimensions_of_the_classical_systems():
@@ -417,16 +418,6 @@ def test_alternating_sums_of_both_resolutions():
     assert sum((-1) ** r * p[0] for r, p in enumerate(con)) == 4
 
 
-def _rand_poly(rng, n, deg):
-    p = Poly.zero(n)
-    for _ in range(5):
-        mono = tuple(rng.randint(0, deg) for _ in range(n))
-        if sum(mono) > deg:
-            continue
-        p = p + Poly.monomial(n, mono, Fraction(rng.randint(-9, 9)))
-    return p
-
-
 def jet_section_prolongation(n, m, q, components):
     """Section of J_q from m base polynomials: component (mu, k) is the
     mu-th mixed partial of the k-th polynomial."""
@@ -463,8 +454,8 @@ def spencer_derivative(n, m, q, r, section):
                         i = J[t]
                         I = J[:t] + J[t + 1:]
                         sign = -1 if t % 2 else 1
-                        term = get(I, mu, k).diff(i) \
-                            - get(I, tuple(sorted(mu + (i,))), k)
+                        term = sub(get(I, mu, k).diff(i),
+                                   get(I, tuple(sorted(mu + (i,))), k))
                         if not term.is_zero():
                             acc = acc + term.scale(sign)
                     out[(J, mu, k)] = acc
@@ -478,7 +469,7 @@ def test_jet_comparison_operator_squares_to_zero():
     for qq in range(q + 2):
         for mu in sym_tuples(n, qq):
             for k in range(m):
-                section[(mu, k)] = _rand_poly(rng, n, 3)
+                section[(mu, k)] = random_poly(rng, n, 3, 5, 9)
     d1 = spencer_derivative(n, m, q + 1, 0, section)
     assert any(not p.is_zero() for p in d1.values())
     d2 = spencer_derivative(n, m, q, 1, d1)
@@ -488,7 +479,7 @@ def test_jet_comparison_operator_squares_to_zero():
 def test_jet_comparison_operator_kills_true_jets():
     rng = random.Random(32)
     n, m, q = 2, 2, 3
-    fs = [_rand_poly(rng, n, 4) for _ in range(m)]
+    fs = [random_poly(rng, n, 4, 5, 9) for _ in range(m)]
     jet = jet_section_prolongation(n, m, q, fs)
     dj = spencer_derivative(n, m, q, 0, jet)
     assert all(p.is_zero() for p in dj.values())
