@@ -229,14 +229,17 @@ def weyl_candidate_space(n, metric=None):
     return constrained_basis("WeylSpace", n, labels, rows)
 
 
+def pair_trace(n, metric):
+    """The metric trace w^{ij} T_ij as one coefficient per pair of
+    ``sym_tuples(n, 2)``: an off-diagonal pair stands for T_ij and T_ji, so
+    it counts twice."""
+    return [metric.upper(i, j) * (2 if i != j else 1) for i, j in sym_tuples(n, 2)]
+
+
 @metric_cache
 def trace_free_sym2(n, metric=None):
     pairs = sym_tuples(n, 2)
-    row = {}
-    for c, (i, j) in enumerate(pairs):
-        w = metric.upper(i, j)
-        if w:
-            row[c] = w * (2 if i != j else 1)
+    row = {c: t for c, t in enumerate(pair_trace(n, metric)) if t}
     return constrained_basis(
         "S2T*_0", n, [f"s{_digits(p)}" for p in pairs], [row])
 
@@ -327,6 +330,7 @@ def _ricci_inject_ambient(n, metric):
     pcol = {p: c for c, p in enumerate(pairs)}
     inv_nm2 = Fraction(1, n - 2)
     inv_sc = Fraction(1, (n - 1) * (n - 2))
+    trace = pair_trace(n, metric)
     rows = []
     for k, l, i, j in idx:
         row = {}
@@ -343,8 +347,8 @@ def _ricci_inject_ambient(n, metric):
         gterm = metric.lower(k, i) * metric.lower(l, j) \
             - metric.lower(k, j) * metric.lower(l, i)
         if gterm:
-            for a, b in pairs:
-                add_s(a, b, -inv_sc * gterm * metric.upper(a, b) * (2 if a != b else 1))
+            for (a, b), t in zip(pairs, trace):
+                add_s(a, b, -inv_sc * gterm * t)
         rows.append({c: v for c, v in row.items() if v})
     return rows
 

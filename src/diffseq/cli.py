@@ -347,8 +347,8 @@ def main(argv=None):
                 try:
                     out = operators.compatibility_conditions(op)
                 except groebner.GeneratorError as exc:
-                    raise UsageError(f"cc of {op.name} needs nonzero rows "
-                                     f"of one order each: {exc}") from None
+                    raise UsageError(f"cc of {op.name} needs rows of one order each: "
+                                     f"{exc}") from None
             else:
                 out = operators.adjoint(op)
             _emit_operator(out, metric_name, fmt or "json")

@@ -14,15 +14,13 @@ syzygy module.
 Completion is staged by degree.  Since all inputs are homogeneous, the basis
 completed through all S-pairs of degree <= d decides membership for any
 vector of degree <= d; ``minimal_graded_generators`` leans on that to filter
-candidates in one ascending sweep (graded Nakayama).  It reads off its input
-when that sweep would keep every generator and builds no basis then: the
-generators lie in one degree d and their leads are pairwise distinct.  Of
-one degree, a lead divides another only when the two are equal, so each
-generator reduces to a nonzero vector with its own lead, and every S-pair
-lies above d.  The generators are independent over Q, and nothing of lower
-degree can generate them, so they are minimal (Eisenbud, "The Geometry of
-Syzygies", 2005, ch. 1).  A reduced basis in one degree, as ``syzygies``
-returns at most chain steps, is such an input.
+candidates in one ascending sweep (graded Nakayama).  A reduced basis in one
+degree d is already minimal, with no sweep: its leads are distinct, and of
+one degree a lead divides another only when the two are equal, so the
+elements are independent over Q, and nothing of lower degree can generate
+them (Eisenbud, "The Geometry of Syzygies", 2005, ch. 1).
+``operators.compatibility_conditions`` is the one caller that knows its
+input is such a basis (``syzygies`` at most chain steps) and skips the sweep.
 
 The completion runs on integers: basis elements are primitive with a
 positive lead, S-pairs are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads
@@ -496,37 +494,17 @@ def minimal_graded_generators(pres):
     An element is kept exactly when it is not a combination of elements kept
     before it; processing degrees in increasing order makes the count per
     degree equal to dim M_d / (R_+ M)_d, which is the minimal possible.
-    Generators in one degree with distinct leads are all kept with no
-    completion (see the module docstring).
+    Within a degree, generators are taken in ``_canonical_rep`` order.
     """
-    vectors, degrees = pres.vectors, pres._degrees
-    decorated = sorted(((deg, _canonical_rep(v)), i)
-                       for i, (deg, v) in enumerate(zip(degrees, vectors)))
-    if len(set(degrees)) <= 1 and _distinct_leads(pres):
-        kept = [vectors[i] for _, i in decorated]
-    else:
-        gb = ModuleGB(pres.n, pres.shifts)
-        kept = []
-        for (deg, _), i in decorated:
-            gb.ensure_degree(deg)
-            if gb.add(vectors[i][1], deg):
-                kept.append(vectors[i])
+    vectors = pres.vectors
+    gb = ModuleGB(pres.n, pres.shifts)
+    kept = []
+    for (deg, _), i in sorted(((deg, _canonical_rep(v)), i)
+                              for i, (deg, v) in enumerate(zip(pres._degrees, vectors))):
+        gb.ensure_degree(deg)
+        if gb.add(vectors[i][1], deg):
+            kept.append(vectors[i])
     return GradedPresentation(pres.n, pres.ambient_rank, kept, pres.shifts)
-
-
-def _distinct_leads(pres):
-    """Are the leads of ``pres``'s generators, all of one degree, pairwise
-    distinct under the order of a ``ModuleGB`` on ``pres``?  A malformed cap
-    setting or a degree above the exponent cap raises as that basis would.
-    All terms of a row share its shifted degree, so its lead is the term
-    whose exponents, read from the last, then component are least (the sort
-    key of ``_Order`` below the degree field)."""
-    degree_cap()
-    degs = pres._degrees
-    if degs and degs[0] > EXPONENT_CAP + min(pres.shifts):
-        raise ExponentCapExceeded(f"degree {degs[0]} allows exponents above {EXPONENT_CAP}")
-    leads = {min((m[::-1], c) for c, m in vec) for _, vec in pres.vectors}
-    return len(leads) == len(pres.vectors)
 
 
 def module_contains(a, b):

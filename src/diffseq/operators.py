@@ -156,19 +156,17 @@ def adjoint(op):
 
 
 def rows_presentation(op):
-    """The rows of the symbol as a graded submodule of R^(source dim).  Its
-    columns weigh 0 unless a row then mixes degrees; then a row of degree d
-    with a term x^m in column c ties w_c = d - |m|, and the least weight is
-    0.  If no weighting works, the first error stands."""
-    return _presentation(op.n, op.source.dim, op.vectors)
-
-
-def _presentation(n, width, vectors):
-    """``rows_presentation`` of the integer row vectors ``vectors``."""
+    """The nonzero rows of the symbol as a graded submodule of R^(source dim);
+    a zero row generates nothing and is left out.  Its columns weigh 0
+    unless a row then mixes degrees; then a row of degree d with a term x^m
+    in column c ties w_c = d - |m|, and the least weight is 0.  If no
+    weighting works, the first error stands."""
+    n, width = op.n, op.source.dim
+    vectors = [v for v in op.vectors if v[1]]
     try:
         return groebner.GradedPresentation(n, width, vectors)
     except groebner.GeneratorError as error:
-        weights, rows = {}, [vec for _, vec in vectors if vec]
+        weights, rows = {}, [vec for _, vec in vectors]
         while rows:  # a row that meets a weighted column first, if one does
             vec = rows.pop(next((i for i, r in enumerate(rows)
                                  if any(c in weights for c, _ in r)), 0))
@@ -188,14 +186,26 @@ def compatibility_conditions(op):
 
     Any operator annihilating the image of ``op`` factors through the
     returned one; composing it with ``op`` gives the exact zero matrix.
+    The relations among the nonzero rows come from ``syzygies``, a reduced
+    basis: in one degree it is already minimal (the ``groebner`` module
+    docstring) and is only sorted by ``_canonical_rep``, and in several it
+    is swept by ``minimal_graded_generators``.  A zero row's one relation
+    is its unit vector; these conditions come last, in row order.
     """
-    gens = groebner.minimal_graded_generators(groebner.syzygies(rows_presentation(op)))
-    k = len(gens.vectors)
+    syz = groebner.syzygies(rows_presentation(op))
+    if len(set(syz._degrees)) > 1:
+        conds = groebner.minimal_graded_generators(syz).vectors
+    else:
+        conds = sorted(syz.vectors, key=groebner._canonical_rep)
+    nonzero = [i for i, (_, vec) in enumerate(op.vectors) if vec]
+    if len(nonzero) < len(op.vectors):
+        conds = [(den, {(nonzero[k], m): v for (k, m), v in vec.items()}) for den, vec in conds]
+        conds += [(1, {(i, (0,) * op.n): 1}) for i, (_, vec) in enumerate(op.vectors) if not vec]
     target = free_basis(f"CC({op.target.label})", op.n,
-                        [f"q{i}" for i in range(1, k + 1)])
+                        [f"q{i}" for i in range(1, len(conds) + 1)])
     return OperatorMatrix(
         name=f"cc({op.name})", n=op.n, source=op.target, target=target,
-        vectors=gens.vectors)
+        vectors=tuple(conds))
 
 
 def differential_rank(op):

@@ -56,6 +56,8 @@ class Poly:
                 if c:
                     if len(m) != n:
                         raise ValueError(f"monomial {m} has wrong arity for n={n}")
+                    if min(m, default=0) < 0:
+                        raise ValueError(f"monomial {m} has a negative exponent")
                     clean[m] = c
         self.terms = clean
 

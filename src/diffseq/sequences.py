@@ -155,16 +155,6 @@ def ricci(n, metric=None):
         traces, _riemann_ambient_terms(n), n, sym2.dim)))
 
 
-def _pair_trace(n, w):
-    """Coefficients of the metric trace w^{ab} T_ab over the pair components."""
-    pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
-    out = [ZERO] * len(pcol)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            out[pcol[(min(a, b), max(a, b))]] += w.upper(a, b)
-    return out
-
-
 @metric_cache
 def einstein(n, metric=None):
     """Trace-reverted curvature trace; divergence-free by construction:
@@ -172,7 +162,7 @@ def einstein(n, metric=None):
     applied to the rows of ``ricci``."""
     if n < 3:
         raise ValueError("trace-reverted operator needs n >= 3")
-    ric, trace = ricci(n, metric), _pair_trace(n, metric)
+    ric, trace = ricci(n, metric), bundles.pair_trace(n, metric)
     revert = [operators._constant_row(n, {k: (c == k) - HALF * metric.lower(i, j) * t
                                           for k, t in enumerate(trace)})
               for c, (i, j) in enumerate(sym_tuples(n, 2))]
@@ -317,17 +307,16 @@ def check_parametrization(target, candidate):
     """Does ``candidate`` parametrize the kernel of ``target``?
 
     True exactly when the composition vanishes and the rows of ``target``
-    generate every relation among the rows of ``candidate``; by module
-    duality this makes solutions of ``target`` precisely the image of
-    ``candidate``.  A zero composition makes every row of ``target`` such a
-    relation, so only the other inclusion is tested then.  Zero rows of
-    ``target`` generate nothing and are left out of that test.
+    generate every relation among the rows of ``candidate``, that is the
+    rows of its compatibility conditions; by module duality this makes
+    solutions of ``target`` precisely the image of ``candidate``.  A zero
+    composition makes every row of ``target`` such a relation, so only the
+    other inclusion is tested then.
     """
     zero = compose(target, candidate).is_zero()
     full = zero and groebner.module_contains(
-        operators._presentation(target.n, target.source.dim,
-                                [v for v in target.vectors if v[1]]),
-        groebner.syzygies(operators.rows_presentation(candidate)))
+        operators.rows_presentation(target),
+        operators.rows_presentation(operators.compatibility_conditions(candidate)))
     return ParametrizationVerdict(
         ok=full,
         composes_to_zero=zero,
@@ -341,22 +330,15 @@ def parametrization_generators(op):
 
     The returned operator maps a fresh potential bundle into the source of
     ``op`` and satisfies ``op o result = 0``; its columns generate every
-    vector annihilated by ``op`` from the right.  A zero column of ``op``
-    is a zero row of ``ad(op)``, whose one condition is its unit vector;
-    the other rows get the conditions among themselves.
+    vector annihilated by ``op`` from the right.  It is the transpose of
+    ``compatibility_conditions(adjoint(op))``, so a zero column of ``op``
+    gets its unit potential last.
     """
-    ad = adjoint(op)
-    keep = [i for i, (_, vec) in enumerate(ad.vectors) if vec]
-    rows = bundles.free_basis(ad.target.label, op.n,
-                              [ad.target.element_labels[i] for i in keep])
-    cc = operators.compatibility_conditions(OperatorMatrix(
-        ad.name, op.n, ad.source, rows, tuple(ad.vectors[i] for i in keep)))
-    conds = [(den, {(keep[k], m): v for (k, m), v in vec.items()}) for den, vec in cc.vectors]
-    conds += [(1, {(i, (0,) * op.n): 1}) for i, (_, vec) in enumerate(ad.vectors) if not vec]
+    cc = operators.compatibility_conditions(adjoint(op))
     src = bundles.free_basis(f"P({op.source.label})", op.n,
-                             [f"p{i}" for i in range(1, len(conds) + 1)])
+                             [f"p{i}" for i in range(1, cc.target.dim + 1)])
     return OperatorMatrix(f"potential({op.name})", op.n, src, op.source,
-                          operators._transpose(conds, op.source.dim))
+                          operators._transpose(cc.vectors, op.source.dim))
 
 
 @record
@@ -541,7 +523,7 @@ def trace_contraction_check(metric=None):
     lhs = compose(tau_op, compose(bianchi(n, w), riemann_linearized(n, w)))
 
     # 2 w^{sm} d_s Ric_{mr} - d_r S, a first-order operator applied to Ric
-    ric, trace = ricci(n, w), _pair_trace(n, w)
+    ric, trace = ricci(n, w), bundles.pair_trace(n, w)
     pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
     div_grad = []
     for r in range(1, n + 1):

@@ -17,9 +17,11 @@ from diffseq.bundles import (
     ext_space,
     lanczos_constraint_space,
     pair_complement_matrix,
+    pair_trace,
     riemann_candidate_space,
     split_riemann,
     sym2_space,
+    sym_tuples,
     tangent_space,
     trace_free_sym2,
     weyl_candidate_space,
@@ -59,6 +61,20 @@ def test_riemann_candidate_dimensions():
 def test_weyl_candidate_dimensions():
     for n, d in WEYL_DIMS.items():
         assert weyl_candidate_space(n).dim == d
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_pair_trace_sums_the_inverse_metric_over_ordered_index_pairs(n):
+    skew = [[2 if i == j == 0 else int(i == j or {i, j} == {0, 1}) for j in range(n)]
+            for i in range(n)]
+    pairs = sym_tuples(n, 2)
+    for w in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n), ConstantMetric(skew)):
+        want = [0] * len(pairs)
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                want[pairs.index((min(a, b), max(a, b)))] += w.upper(a, b)
+        assert pair_trace(n, w) == want
+    assert ConstantMetric(skew).upper(1, 2) != 0
 
 
 def test_trace_free_sym2_dimension():

@@ -12,6 +12,7 @@ import pytest
 
 import diffseq
 from diffseq import cli, golden, serialize
+from diffseq.operators import compose
 from diffseq.sequences import killing
 
 
@@ -166,11 +167,23 @@ def _mixed_order_document(tmp_path):
     return doc
 
 
+def test_cc_of_a_zero_row_exits_zero_with_its_unit_condition_last(tmp_path):
+    doc = _zero_row_document(tmp_path)
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(["cc", str(path)])
+    assert code == 0
+    cc = serialize.document_to_operator(serialize.loads(out))
+    last = cc.target.dim - 1
+    assert [e for e in json.loads(out)["entries"] if e["row"] == last] == [
+        {"row": last, "col": 0, "terms": [{"coef": "1", "exp": [0, 0]}]}]
+    assert compose(cc, serialize.document_to_operator(doc)).is_zero()
+
+
 @pytest.mark.parametrize("make, problem", [
-    (_zero_row_document, "ad(killing) needs nonzero rows of one order each: row 0 is zero"),
-    (_mixed_order_document, "killing needs nonzero rows of one order each: "
+    (_mixed_order_document, "killing needs rows of one order each: "
                             "row 0 mixes shifted degrees [1, 2]"),
-], ids=["zero-row", "mixed-orders"])
+], ids=["mixed-orders"])
 def test_cc_of_a_row_the_engine_cannot_take_exits_two(tmp_path, capsys, make, problem):
     path = tmp_path / "rows.json"
     path.write_text(json.dumps(make(tmp_path)), encoding="utf-8")

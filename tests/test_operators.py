@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,42 @@ def test_compatibility_conditions_annihilate_their_operator():
     cc = compatibility_conditions(op)
     assert compose(cc, op).is_zero()
     assert cc.source == op.target
+
+
+def _homogeneous_operator(rng, n, rows, cols):
+    """Rows of order 1 or 2 over ``cols`` columns, each cell up to two terms
+    of its row's order; every row is nonzero."""
+    monos = {d: [m for m in product(range(d + 1), repeat=n) if sum(m) == d] for d in (1, 2)}
+    cells = []
+    while len(cells) < rows:
+        d = rng.randint(1, 2)
+        row = [Poly(n, {m: rng.choice((-2, -1, 1, 3)) for m in
+                        rng.sample(monos[d], min(len(monos[d]), rng.randint(0, 2)))})
+               for _ in range(cols)]
+        if any(row):
+            cells.append(row)
+    return make_operator("rand", n, free_basis("U", n, [f"u{j}" for j in range(cols)]),
+                         free_basis("S", n, [f"s{i}" for i in range(rows)]), cells)
+
+
+def test_zero_rows_bring_their_unit_conditions_last():
+    rng = random.Random(26)
+    for _ in range(12):
+        n, rows, zeros = rng.randint(1, 3), rng.randint(2, 4), rng.randint(1, 2)
+        stripped = _homogeneous_operator(rng, n, rows, rng.randint(1, 2))
+        at = sorted(rng.sample(range(rows + zeros), zeros))
+        keep = [i for i in range(rows + zeros) if i not in at]
+        cells = iter(stripped.rows)
+        op = make_operator("padded", n, stripped.source,
+                           free_basis("S", n, [f"s{i}" for i in range(rows + zeros)]),
+                           [[Poly.zero(n)] * stripped.source.dim if i in at else next(cells)
+                            for i in range(rows + zeros)])
+        cc = compatibility_conditions(op)
+        want = [(den, {(keep[k], m): v for (k, m), v in vec.items()})
+                for den, vec in compatibility_conditions(stripped).vectors]
+        want += [(1, {(i, (0,) * n): 1}) for i in at]
+        assert cc.vectors == tuple(want), (n, at)
+        assert compose(cc, op).is_zero()
 
 
 def test_conditions_of_gradient_are_curl():

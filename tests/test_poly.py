@@ -6,6 +6,8 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffseq import groebner, operators
+from diffseq.bundles import free_basis
 from diffseq.config import EXPONENT_CAP, ExponentCapExceeded
 from diffseq.poly import ConstantMetric, Poly, mono_key
 from polyref import degree, leading_monomial, monomial, mul, negate_vars, variable
@@ -145,3 +147,18 @@ def test_a_bool_coefficient_is_refused():
                  lambda: ConstantMetric([[True, 0], [0, 1]])):
         with pytest.raises(TypeError, match="got bool"):
             make()
+
+
+def test_a_negative_exponent_is_refused_before_any_completion(monkeypatch):
+    """``Poly(2, {(-1, 2): 1})`` would print ``x1*x2^2``, and a basis holding
+    it would pack a term that borrows across its exponent fields."""
+    def no_completion(*args, **kwargs):
+        raise AssertionError("a completion ran")
+
+    monkeypatch.setattr(groebner, "ModuleGB", no_completion)
+    with pytest.raises(ValueError, match=r"monomial \(-1, 2\) has a negative exponent"):
+        operators.compatibility_conditions(operators.make_operator(
+            "neg", 2, free_basis("U", 2, ["u"]), free_basis("S", 2, ["s1", "s2"]),
+            [[Poly(2, {(-1, 2): 1})], [variable(2, 1)]]))
+    with pytest.raises(ValueError, match="negative exponent"):
+        monomial(3, (2, 0, -1))

@@ -138,6 +138,11 @@ def test_a_row_of_two_orders_is_weighted_by_column():
     assert rep.terminated and rep.euler_characteristic == 0
 
 
+def test_a_candidate_whose_conditions_mix_orders_gets_a_verdict():
+    op = _two_orders()
+    assert check_parametrization(compatibility_conditions(op), op).ok
+
+
 def test_rows_that_no_column_weighting_makes_homogeneous_keep_the_first_error():
     x1, x2 = variable(2, 1), variable(2, 2)
     src, tgt = free_basis("U", 2, ["u1", "u2"]), free_basis("S", 2, ["s1", "s2"])
@@ -209,9 +214,10 @@ def test_zero_rows_of_the_target_generate_nothing():
 
 
 def test_a_zero_row_of_the_candidate_is_refused():
-    # its unit syzygy is a relation the target would have to generate
-    with pytest.raises(GeneratorError, match="row 0 is zero"):
-        check_parametrization(riemann_linearized(2), _killing_without_column_0())
+    # its unit condition is a relation the target would have to generate
+    verdict = check_parametrization(riemann_linearized(2), _killing_without_column_0())
+    assert (verdict.composes_to_zero, verdict.generates_all_relations, verdict.ok) == (
+        True, False, False)
 
 
 def test_potentials_of_an_operator_with_a_zero_column():
