@@ -20,7 +20,8 @@ one degree a lead divides another only when the two are equal, so the
 elements are independent over Q, and nothing of lower degree can generate
 them (Eisenbud, "The Geometry of Syzygies", 2005, ch. 1).
 ``operators.compatibility_conditions`` is the one caller that knows its
-input is such a basis (``syzygies`` at most chain steps) and skips the sweep.
+input is such a basis (``syzygies`` at most chain steps) and skips the sweep;
+it then takes the basis in ``canonical_order``, the order the sweep keeps.
 
 The completion runs on integers: basis elements are primitive with a
 positive lead, S-pairs are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads
@@ -183,7 +184,11 @@ class _Order:
 # presentations
 
 class GeneratorError(ValueError):
-    """A generator row is zero or not homogeneous; the engines take neither."""
+    """Generator ``row`` is zero or not homogeneous; the engines take neither."""
+
+    def __init__(self, row, reason):
+        super().__init__(f"row {row} {reason}")
+        self.row, self.reason = row, reason
 
 
 @record
@@ -209,10 +214,10 @@ class GradedPresentation:
         vectors, degrees = tuple(self.vectors), []
         for i, (_, vec) in enumerate(vectors):
             if not vec:
-                raise GeneratorError(f"row {i} is zero")
+                raise GeneratorError(i, "is zero")
             degs = {sum(m) + shifts[c] for (c, m) in vec}
             if len(degs) > 1:
-                raise GeneratorError(f"row {i} mixes shifted degrees {sorted(degs)}")
+                raise GeneratorError(i, f"mixes shifted degrees {sorted(degs)}")
             degrees.append(degs.pop())
         self.__dict__.update(shifts=shifts, vectors=vectors, _degrees=tuple(degrees))
 
@@ -488,22 +493,28 @@ def syzygies(pres):
     return GradedPresentation(pres.n, len(degs), gb.reduced_elements(), degs)
 
 
+def canonical_order(pres):
+    """``(degree, vector)`` for each generator of ``pres``, ascending by
+    degree and by ``_canonical_rep`` within a degree; equal keys keep their
+    order.  Minimal generators are kept, and printed, in this order."""
+    return sorted(zip(pres._degrees, pres.vectors),
+                  key=lambda g: (g[0], _canonical_rep(g[1])))
+
+
 def minimal_graded_generators(pres):
     """Greedy minimal generating subset, ascending by degree (graded Nakayama).
 
     An element is kept exactly when it is not a combination of elements kept
     before it; processing degrees in increasing order makes the count per
     degree equal to dim M_d / (R_+ M)_d, which is the minimal possible.
-    Within a degree, generators are taken in ``_canonical_rep`` order.
+    Generators are taken in ``canonical_order``.
     """
-    vectors = pres.vectors
     gb = ModuleGB(pres.n, pres.shifts)
     kept = []
-    for (deg, _), i in sorted(((deg, _canonical_rep(v)), i)
-                              for i, (deg, v) in enumerate(zip(pres._degrees, vectors))):
+    for deg, vector in canonical_order(pres):
         gb.ensure_degree(deg)
-        if gb.add(vectors[i][1], deg):
-            kept.append(vectors[i])
+        if gb.add(vector[1], deg):
+            kept.append(vector)
     return GradedPresentation(pres.n, pres.ambient_rank, kept, pres.shifts)
 
 

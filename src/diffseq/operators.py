@@ -160,9 +160,11 @@ def rows_presentation(op):
     a zero row generates nothing and is left out.  Its columns weigh 0
     unless a row then mixes degrees; then a row of degree d with a term x^m
     in column c ties w_c = d - |m|, and the least weight is 0.  If no
-    weighting works, the first error stands."""
+    weighting works, the first error stands, naming its row by its index in
+    ``op.vectors``."""
     n, width = op.n, op.source.dim
-    vectors = [v for v in op.vectors if v[1]]
+    nonzero = [i for i, (_, vec) in enumerate(op.vectors) if vec]
+    vectors = [op.vectors[i] for i in nonzero]
     try:
         return groebner.GradedPresentation(n, width, vectors)
     except groebner.GeneratorError as error:
@@ -178,7 +180,7 @@ def rows_presentation(op):
         try:
             return groebner.GradedPresentation(n, width, vectors, shifts)
         except groebner.GeneratorError:
-            raise error from None
+            raise groebner.GeneratorError(nonzero[error.row], error.reason) from None
 
 
 def compatibility_conditions(op):
@@ -188,15 +190,16 @@ def compatibility_conditions(op):
     returned one; composing it with ``op`` gives the exact zero matrix.
     The relations among the nonzero rows come from ``syzygies``, a reduced
     basis: in one degree it is already minimal (the ``groebner`` module
-    docstring) and is only sorted by ``_canonical_rep``, and in several it
-    is swept by ``minimal_graded_generators``.  A zero row's one relation
-    is its unit vector; these conditions come last, in row order.
+    docstring) and is only put in ``canonical_order``, and in several it is
+    swept by ``minimal_graded_generators``.  A zero row's one relation is
+    its unit vector; these conditions come last, in row order.
     """
     syz = groebner.syzygies(rows_presentation(op))
-    if len(set(syz._degrees)) > 1:
+    order = groebner.canonical_order(syz)
+    if len({deg for deg, _ in order}) > 1:
         conds = groebner.minimal_graded_generators(syz).vectors
     else:
-        conds = sorted(syz.vectors, key=groebner._canonical_rep)
+        conds = [vector for _, vector in order]
     nonzero = [i for i, (_, vec) in enumerate(op.vectors) if vec]
     if len(nonzero) < len(op.vectors):
         conds = [(den, {(nonzero[k], m): v for (k, m), v in vec.items()}) for den, vec in conds]

@@ -180,10 +180,21 @@ def test_cc_of_a_zero_row_exits_zero_with_its_unit_condition_last(tmp_path):
     assert compose(cc, serialize.document_to_operator(doc)).is_zero()
 
 
+def _zero_row_then_mixed_document(tmp_path):
+    """Row 0 is zero and row 1 is the one cell x1 + x1^2."""
+    return {"schema_version": 1, "kind": "operator", "name": "zm", "n": 2,
+            "source": {"label": "U", "elements": ["u"]},
+            "target": {"label": "S", "elements": ["s1", "s2"]},
+            "entries": [{"row": 1, "col": 0, "terms": [{"coef": "1", "exp": [1, 0]},
+                                                       {"coef": "1", "exp": [2, 0]}]}]}
+
+
 @pytest.mark.parametrize("make, problem", [
     (_mixed_order_document, "killing needs rows of one order each: "
                             "row 0 mixes shifted degrees [1, 2]"),
-], ids=["mixed-orders"])
+    (_zero_row_then_mixed_document, "zm needs rows of one order each: "
+                                    "row 1 mixes shifted degrees [1, 2]"),
+], ids=["mixed-orders", "zero-row-then-mixed-orders"])
 def test_cc_of_a_row_the_engine_cannot_take_exits_two(tmp_path, capsys, make, problem):
     path = tmp_path / "rows.json"
     path.write_text(json.dumps(make(tmp_path)), encoding="utf-8")
