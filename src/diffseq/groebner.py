@@ -14,14 +14,14 @@ syzygy module.
 Completion is staged by degree.  Since all inputs are homogeneous, the basis
 completed through all S-pairs of degree <= d decides membership for any
 vector of degree <= d; ``minimal_graded_generators`` leans on that to filter
-candidates in one ascending sweep (graded Nakayama).  A reduced basis in one
-degree d is already minimal, with no sweep: its leads are distinct, and of
-one degree a lead divides another only when the two are equal, so the
-elements are independent over Q, and nothing of lower degree can generate
-them (Eisenbud, "The Geometry of Syzygies", 2005, ch. 1).
-``operators.compatibility_conditions`` is the one caller that knows its
-input is such a basis (``syzygies`` at most chain steps) and skips the sweep;
-it then takes the basis in ``canonical_order``, the order the sweep keeps.
+candidates in one ascending sweep (graded Nakayama).  ``minimal_syzygies``
+mostly skips it.  A syzygy is born from an input row or a pair led in the
+original block; one from a pair of syzygies lies in the module of those
+before it, so the born ones generate it.  If, once no original-block pair
+is due, all births have one degree d0, the minimal generators are the
+reduced elements of degree d0 (Eisenbud, "The Geometry of Syzygies", 2005,
+ch. 1), and the pairs left are not reduced.  Tracking-led pairs go first in
+a degree, so a birth above d0 is a minimal generator there: the sweep runs.
 
 The completion runs on integers: basis elements are primitive with a
 positive lead, S-pairs are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads
@@ -315,9 +315,10 @@ class ModuleGB:
     Reduction keeps the shifted degree of every term it replaces, so the
     exponent cap is checked once per vector that enters (input or S-pair),
     against its shifted degree less the lowest shift, and not per product.
-    The degree cap is read once, here, from ``config.degree_cap``.  ``stats``
-    counts S-pairs: ``queued`` formed, ``pruned`` dropped by the pair
-    criteria, ``processed`` reduced, ``zero`` of those reduced to zero.
+    The degree cap is read once, here, from ``config.degree_cap``.  Pairs
+    queue by (degree, block side, serial), tracking-led first in a degree.
+    ``stats`` counts S-pairs: ``queued``, ``pruned`` by the pair criteria,
+    ``processed`` (``zero`` of them to zero), ``skipped`` (due, unreduced).
     """
 
     def __init__(self, n, shifts, gens=(), block_start=None):
@@ -327,10 +328,13 @@ class ModuleGB:
         self.basis = []
         self.by_component = {}  # component -> [(packed lead, lead coef, tail)]
         self.leads = {}     # component -> [lead monomial], for the pair criteria
-        self.pairs = []     # heap of (degree, serial, component, a, b)
+        self.pairs = []     # heap of (degree, original side, serial, component, a, b)
         self.live = {}      # component -> {(a, b): lcm} of pairs still due
-        self.stats = {"queued": 0, "pruned": 0, "processed": 0, "zero": 0}
+        self.births = {}    # birth degree -> {component: [(packed lead, lead coef, tail)]}
+        self.stats = {"queued": 0, "pruned": 0, "processed": 0, "zero": 0, "skipped": 0}
         self._counter = 0
+        self._due = 0       # live pairs led in the original block
+        self._tracking = inf if block_start is None else block_start
         self._top = EXPONENT_CAP + min(shifts, default=0)
         for vec in gens:
             self.add(vec)
@@ -339,10 +343,14 @@ class ModuleGB:
         if deg > self._top:
             raise ExponentCapExceeded(f"degree {deg} allows exponents above {EXPONENT_CAP}")
 
-    def _register(self, vec):
+    def _register(self, vec, born=True):
         comp, member = _reducer(vec, self.order)
         mono = self.order.unpack(member[0])[1]
         self.basis.append(member)
+        original = comp < self._tracking
+        if born and not original:
+            deg = sum(mono) + self.order.shifts[comp]
+            self.births.setdefault(deg, {}).setdefault(comp, []).append(member)
         monos = self.leads.setdefault(comp, [])
         live = self.live.setdefault(comp, {})
         # B: a due pair whose lcm the new lead divides is covered by the two
@@ -362,8 +370,9 @@ class ModuleGB:
                 kept.append(lcm)
                 live[(a, len(monos))] = lcm
                 self._counter += 1
-                heapq.heappush(self.pairs, (deg + self.order.shifts[comp],
+                heapq.heappush(self.pairs, (deg + self.order.shifts[comp], original,
                                             self._counter, comp, a, len(monos)))
+        self._due += original * (len(kept) - len(covered))
         self.stats["queued"] += len(new)
         self.stats["pruned"] += len(covered) + len(new) - len(kept)
         self.by_component.setdefault(comp, []).append(member)
@@ -377,11 +386,12 @@ class ModuleGB:
         self._register(red)
         return True
 
-    def ensure_degree(self, deg):
+    def ensure_degree(self, deg, minimal=False):
         """Process every due S-pair of shifted degree <= deg; the lowest one
-        due above the degree cap raises ``DegreeCapExceeded``."""
+        due above the degree cap raises ``DegreeCapExceeded``.  ``minimal``
+        only cap-checks pairs of syzygies once births end in one degree."""
         while self.pairs and self.pairs[0][0] <= deg:
-            d, _, comp, a, b = heapq.heappop(self.pairs)
+            d, original, _, comp, a, b = heapq.heappop(self.pairs)
             lcm = self.live[comp].pop((a, b), None)
             if lcm is None:
                 continue  # pruned after it was queued
@@ -390,6 +400,10 @@ class ModuleGB:
                     f"completion needs S-pairs of degree {d}, above cap {self.cap}",
                     degree=d)
             self._admit(d)
+            self._due -= original
+            if minimal and not (original or self._due) and len(self.births) <= 1:
+                self.stats["skipped"] += 1
+                continue
             (pa, la, ta), (pb, lb, tb) = self.by_component[comp][a], self.by_component[comp][b]
             at = self.order.pack((comp, lcm))
             qa, qb = at - pa, at - pb
@@ -406,12 +420,12 @@ class ModuleGB:
             red = _reduce_sparse(s, self.by_component, self.order)[1]
             self.stats["processed"] += 1
             if red:
-                self._register(red)
+                self._register(red, original)
             else:
                 self.stats["zero"] += 1
 
-    def complete(self):
-        self.ensure_degree(inf)
+    def complete(self, minimal=False):
+        self.ensure_degree(inf, minimal)
 
     def normal_form(self, vec, deg=None):
         """Packed integer remainder of an incoming integer vector (a positive
@@ -423,7 +437,7 @@ class ModuleGB:
         return _reduce_sparse({comp[c] + mono[m]: v for (c, m), v in vec.items()},
                               self.by_component, order)[1]
 
-    def reduced_elements(self):
+    def reduced_elements(self, keep=None):
         """Unique reduced basis as integer vectors: minimal leads, tails fully
         reduced, monic.
 
@@ -431,12 +445,13 @@ class ModuleGB:
         An element never reduces its own tail, which lies below its lead.
         Under an elimination order only elements led from ``block_start`` on
         are kept: all their terms lie there, where no other lead divides them,
-        and their components are counted from there.
+        and their components are counted from there.  ``keep``, if given,
+        maps components to the elements kept instead.
         """
         self.complete()
         order = self.order
         start, guard = order.block_start or 0, order.guard
-        keep = {comp: [e for e in members if not any(
+        keep = keep or {comp: [e for e in members if not any(
                     p != e[0] and not e[0] - p & guard for p, _, _ in members)]
                 for comp, members in self.by_component.items() if comp >= start}
         final = []
@@ -477,20 +492,37 @@ def normal_form(vec, basis):
     return _cells(basis.n, basis.ambient_rank, _unpacked(den * scale, red, order))
 
 
+def _tagged(pres):
+    """A basis, not completed, of ``pres``'s rows tagged for syzygies: row i
+    enters as ``den * (g_i + e_i)``, tagged with ``den`` on component ``e_i``."""
+    m, one = pres.ambient_rank, (0,) * pres.n
+    gb = ModuleGB(pres.n, pres.shifts + pres._degrees, block_start=m)
+    for i, ((den, vec), deg) in enumerate(zip(pres.vectors, pres._degrees)):
+        gb.add({**vec, (m + i, one): den}, deg)
+    return gb
+
+
 def syzygies(pres):
     """Reduced generating set of the relation module of ``pres``'s generators.
 
     The result lives in R^k (k = number of generators) with shifts equal to
-    the generator degrees, so its own grading is honest.  Generator i enters
-    as ``den * (g_i + e_i)``, its integer vector tagged with ``den`` on its
-    tracking component ``e_i``, which spans the same module.
+    the generator degrees, so its own grading is honest.
     """
-    m, degs = pres.ambient_rank, pres._degrees
-    one = (0,) * pres.n
-    gb = ModuleGB(pres.n, pres.shifts + degs, block_start=m)
-    for i, ((den, vec), deg) in enumerate(zip(pres.vectors, degs)):
-        gb.add({**vec, (m + i, one): den}, deg)
-    return GradedPresentation(pres.n, len(degs), gb.reduced_elements(), degs)
+    degs = pres._degrees
+    return GradedPresentation(pres.n, len(degs), _tagged(pres).reduced_elements(), degs)
+
+
+def minimal_syzygies(pres):
+    """``minimal_graded_generators(syzygies(pres))``: with births in one
+    degree (the module docstring), the reduced syzygies of that degree in
+    ``canonical_order``, by ``_canonical_rep`` alone; else the sweep."""
+    gb, degs = _tagged(pres), pres._degrees
+    gb.complete(minimal=True)
+    if len(gb.births) > 1:
+        return minimal_graded_generators(
+            GradedPresentation(pres.n, len(degs), gb.reduced_elements(), degs))
+    vectors = sorted(gb.reduced_elements(*gb.births.values()), key=_canonical_rep)
+    return GradedPresentation(pres.n, len(degs), vectors, degs)
 
 
 def canonical_order(pres):

@@ -188,18 +188,11 @@ def compatibility_conditions(op):
 
     Any operator annihilating the image of ``op`` factors through the
     returned one; composing it with ``op`` gives the exact zero matrix.
-    The relations among the nonzero rows come from ``syzygies``, a reduced
-    basis: in one degree it is already minimal (the ``groebner`` module
-    docstring) and is only put in ``canonical_order``, and in several it is
-    swept by ``minimal_graded_generators``.  A zero row's one relation is
-    its unit vector; these conditions come last, in row order.
+    The relations among the nonzero rows are ``groebner.minimal_syzygies``,
+    their minimal generators in ``canonical_order``.  A zero row's one
+    relation is its unit vector; these conditions come last, in row order.
     """
-    syz = groebner.syzygies(rows_presentation(op))
-    order = groebner.canonical_order(syz)
-    if len({deg for deg, _ in order}) > 1:
-        conds = groebner.minimal_graded_generators(syz).vectors
-    else:
-        conds = [vector for _, vector in order]
+    conds = groebner.minimal_syzygies(rows_presentation(op)).vectors
     nonzero = [i for i, (_, vec) in enumerate(op.vectors) if vec]
     if len(nonzero) < len(op.vectors):
         conds = [(den, {(nonzero[k], m): v for (k, m), v in vec.items()}) for den, vec in conds]

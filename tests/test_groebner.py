@@ -26,10 +26,11 @@ from diffseq.groebner import (
     syzygies,
 )
 from diffseq.bundles import free_basis
-from diffseq.operators import (compatibility_conditions, differential_rank, make_operator,
+from diffseq.operators import (adjoint, compatibility_conditions, differential_rank, make_operator,
                                rows_presentation)
 from diffseq.poly import ConstantMetric, Poly, mono_divides, mono_key
-from diffseq.sequences import build_sequence, conformal_killing, killing
+from diffseq.sequences import (BUILDERS, build_sequence, conformal_killing,
+                               exterior_derivative, killing)
 from polyref import degree, monomial, mul, sub, variable
 
 def monomials_of_degree(n, d):
@@ -369,21 +370,25 @@ def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
     syzygies(rows_presentation(killing(4)))
     (gb,) = made
     stats = gb.stats
-    assert stats == {"queued": 75, "pruned": 20, "processed": 55, "zero": 25}
+    assert stats == {"queued": 75, "pruned": 20, "processed": 55, "zero": 25, "skipped": 0}
     assert stats["pruned"] > 0
     assert stats["zero"] < stats["processed"]
-    assert stats["queued"] == stats["pruned"] + stats["processed"]
+    assert stats["queued"] == stats["pruned"] + stats["processed"] + stats["skipped"]
 
 
 @pytest.mark.parametrize("builder, want", [
-    (killing, {"queued": 508, "pruned": 163, "processed": 345, "zero": 145}),
-    (conformal_killing, {"queued": 538, "pruned": 185, "processed": 319, "zero": 158}),
+    (killing, {"queued": 508, "pruned": 163, "processed": 215, "zero": 15, "skipped": 130}),
+    (conformal_killing, {"queued": 402, "pruned": 135, "processed": 228, "zero": 84,
+                         "skipped": 39}),
 ], ids=["killing", "conformal_killing"])
 def test_pair_counters_summed_over_a_chain_build(monkeypatch, builder, want):
     made = _recording_bases(monkeypatch)
     build_sequence(builder(5))
     total = {k: sum(gb.stats[k] for gb in made) for k in want}
     assert total == want
+    for gb in made:
+        assert gb.stats["queued"] == (gb.stats["pruned"] + gb.stats["processed"]
+                                      + gb.stats["skipped"])
 
 
 def _reference_minimal_generators(pres):
@@ -469,15 +474,100 @@ def test_one_degree_syzygies_build_one_basis(monkeypatch):
     assert calls == [] and len(made) == 1
 
 
-def test_mixed_degree_syzygies_are_filtered_by_minimal_generators(monkeypatch):
+def test_mixed_degree_syzygies_born_in_one_degree_need_no_sweep(monkeypatch):
     op = conformal_killing(4)
     syz = syzygies(rows_presentation(op))
     assert sorted(syz._degrees) == [3] * 10 + [4] * 6
+    want = minimal_graded_generators(syz).vectors
     calls = _recording_minimal_generators(monkeypatch)
     made = _recording_bases(monkeypatch)
     out = compatibility_conditions(op)
-    assert calls == [syz] and len(made) == 2
-    assert out.target.dim == 10 and out.order == 2
+    (gb,) = made
+    assert calls == [] and list(gb.births) == [3]
+    assert gb.stats["skipped"] > 0
+    assert out.vectors == want and out.target.dim == 10 and out.order == 2
+
+
+def test_syzygies_born_in_two_degrees_are_swept(monkeypatch):
+    x1, x2, x3 = _vars(3)
+    op = make_operator("koszul", 3, free_basis("U", 3, ["u"]),
+                       free_basis("S", 3, ["s1", "s2", "s3"]),
+                       [[x1], [x2], [mul(x3, x3)]])
+    assert sorted(syzygies(rows_presentation(op))._degrees) == [2, 3, 3]
+    calls = _recording_minimal_generators(monkeypatch)
+    made = _recording_bases(monkeypatch)
+    out = compatibility_conditions(op)
+    assert sorted(made[0].births) == [2, 3]
+    assert len(calls) == 1 and len(made) == 2
+    assert out.target.dim == 3 and out.vectors == minimal_graded_generators(calls[0]).vectors
+
+
+def test_an_input_row_gives_a_birth(monkeypatch):
+    (x1,) = _vars(1)
+    pres = GradedPresentation.from_rows(n=1, ambient_rank=1, rows=((x1,), (x1 + x1,)))
+    made = _recording_bases(monkeypatch)
+    out = groebner.minimal_syzygies(pres)
+    (gb,) = made
+    assert list(gb.births) == [1] and gb.stats["queued"] == 0
+    assert out == minimal_graded_generators(syzygies(pres))
+    assert out.generators == ((Poly(1, {(0,): Fraction(1)}), Poly(1, {(0,): Fraction(-1, 2)})),)
+
+
+def test_minimal_syzygies_equal_the_sweep_of_the_syzygies(monkeypatch):
+    calls = _recording_minimal_generators(monkeypatch)
+    certified = 0
+    for pres in _seeded_presentations():
+        before = len(calls)
+        out = groebner.minimal_syzygies(pres)
+        certified += len(calls) == before
+        want = minimal_graded_generators(syzygies(pres))
+        assert out == want and out.generators == want.generators
+        # the sweep runs exactly when minimal generators span several degrees
+        assert (len(calls) > before) == (len(set(want._degrees)) > 1)
+    assert certified == 31
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
+def test_minimal_syzygies_equal_the_sweep_on_every_builder(metric):
+    for n in range(2, 6):
+        w = ConstantMetric.minkowski(n) if metric == "minkowski" else None
+        ops = [exterior_derivative(n, r) for r in range(n)]
+        for builder in BUILDERS.values():
+            try:
+                ops.append(builder(n, w))
+            except ValueError:   # not defined at this n
+                pass
+        for op in ops:
+            for pres in (rows_presentation(op), rows_presentation(adjoint(op))):
+                assert (groebner.minimal_syzygies(pres)
+                        == minimal_graded_generators(syzygies(pres)))
+
+
+def test_the_degree_cap_is_checked_on_pairs_left_when_the_completion_stops(monkeypatch):
+    made = _recording_bases(monkeypatch)
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "3")
+    with pytest.raises(DegreeCapExceeded) as info:
+        compatibility_conditions(killing(3))
+    assert str(info.value) == "completion needs S-pairs of degree 4, above cap 3"
+    assert info.value.degree == 4
+    # the completion had stopped: nothing led in the original block was due
+    (gb,) = made
+    assert gb._due == 0 and list(gb.births) == [3]
+
+
+def test_the_exponent_cap_is_checked_on_pairs_left_when_the_completion_stops(monkeypatch):
+    # syzygies of x1^a, x2^a, x3^a are born in degree 2a, and the pair of
+    # syzygies left has degree 3a, above the exponent cap
+    a = EXPONENT_CAP // 2
+    rows = tuple((monomial(3, m),) for m in ((a, 0, 0), (0, a, 0), (0, 0, a)))
+    pres = GradedPresentation.from_rows(n=3, ambient_rank=1, rows=rows)
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", str(3 * a))
+    made = _recording_bases(monkeypatch)
+    message = f"degree {3 * a} allows exponents above {EXPONENT_CAP}"
+    for call in (groebner.minimal_syzygies, syzygies):
+        with pytest.raises(ExponentCapExceeded, match=message):
+            call(pres)
+    assert made[0]._due == 0 and list(made[0].births) == [2 * a]
 
 
 def test_basis_elements_are_primitive_integer_vectors():
