@@ -20,8 +20,17 @@ original block; one from a pair of syzygies lies in the module of those
 before it, so the born ones generate it.  If, once no original-block pair
 is due, all births have one degree d0, the minimal generators are the
 reduced elements of degree d0 (Eisenbud, "The Geometry of Syzygies", 2005,
-ch. 1), and the pairs left are not reduced.  Tracking-led pairs go first in
-a degree, so a birth above d0 is a minimal generator there: the sweep runs.
+ch. 1).  So a birth reduces later vectors at once, but its pairs wait: no
+pair of syzygies has degree <= d0 (two leads of one degree have a higher
+lcm), and original-block reduction never reads a syzygy lead, which lies on
+another component.  The waiting births pair, in arrival order, when (a) a
+pair of degree d > d0 leaves a syzygy, which is reduced again once every
+pair of syzygies through d is, so a birth above d0 is a minimal generator
+there and the sweep runs; (b) a full completion starts; (c) at the end, a
+pair of births could pass a cap: the pairs left are then only cap-checked.
+While completing, the syzygy block is only top-reduced: a reduction stops
+at its first term there that no lead divides, which keeps every lead and
+zero test; ``reduced_elements`` reduces fully.
 
 The completion runs on integers: basis elements are primitive with a
 positive lead, S-pairs are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads
@@ -164,6 +173,7 @@ class _Order:
         offsets, fields = range(c, deg_at, v + 1), range(0, deg_at - c, v + 1)
         emask = (1 << v) - 1
         self.shifts, self.block_start = shifts, block_start
+        self.block = inf if block_start is None else block  # the least block term
         self.cbits, self.cmask, self.fmask = c, (1 << c) - 1, (1 << deg_at - c) - 1
         self.guard = sum(1 << o + v for o in offsets)
         self.comp = tuple(i + (bias - s << deg_at)
@@ -243,11 +253,13 @@ class GradedPresentation:
 # ---------------------------------------------------------------------------
 # the worker
 
-def _reduce_sparse(vec, by_component, order):
+def _reduce_sparse(vec, by_component, order, stop=inf):
     """Pseudo-reduction of a packed integer vector: ``(scale, remainder)``,
     with ``scale * vec - remainder`` in the span of the reducers and no term
     of ``remainder`` divisible by a lead.  ``by_component`` maps a component
     to ``(packed lead, lead coefficient, tail)`` with integer leads above 0.
+    A term from ``stop`` on that no lead divides ends the reduction, and the
+    terms below it are returned as they stand (a top-reduction).
 
     To cancel a term ``f`` by a lead ``l``, the pending terms and ``scale``
     are first multiplied by ``l / gcd(l, f)``; finished terms catch up with
@@ -270,6 +282,8 @@ def _reduce_sparse(vec, by_component, order):
                 break
         else:
             out.append((term, coef, scale))
+            if term >= stop:
+                break
             continue
         if lc == 1:
             f = coef
@@ -294,7 +308,8 @@ def _reduce_sparse(vec, by_component, order):
                 work[t] = nv
             else:
                 del work[t]
-    return scale, {t: v * (scale // s) for t, v, s in out}
+    work.update((t, v * (scale // s)) for t, v, s in out)  # work holds what a stop left
+    return scale, work
 
 
 def _reducer(vec, order):
@@ -318,7 +333,8 @@ class ModuleGB:
     The degree cap is read once, here, from ``config.degree_cap``.  Pairs
     queue by (degree, block side, serial), tracking-led first in a degree.
     ``stats`` counts S-pairs: ``queued``, ``pruned`` by the pair criteria,
-    ``processed`` (``zero`` of them to zero), ``skipped`` (due, unreduced).
+    ``processed`` (``zero`` of them to zero), ``skipped`` (due, unreduced);
+    a birth's pairs count once it is paired.
     """
 
     def __init__(self, n, shifts, gens=(), block_start=None):
@@ -331,6 +347,7 @@ class ModuleGB:
         self.pairs = []     # heap of (degree, original side, serial, component, a, b)
         self.live = {}      # component -> {(a, b): lcm} of pairs still due
         self.births = {}    # birth degree -> {component: [(packed lead, lead coef, tail)]}
+        self._waiting = []  # (component, lead monomial) of births not yet paired
         self.stats = {"queued": 0, "pruned": 0, "processed": 0, "zero": 0, "skipped": 0}
         self._counter = 0
         self._due = 0       # live pairs led in the original block
@@ -347,10 +364,18 @@ class ModuleGB:
         comp, member = _reducer(vec, self.order)
         mono = self.order.unpack(member[0])[1]
         self.basis.append(member)
-        original = comp < self._tracking
-        if born and not original:
+        self.by_component.setdefault(comp, []).append(member)
+        if born and comp >= self._tracking:
             deg = sum(mono) + self.order.shifts[comp]
             self.births.setdefault(deg, {}).setdefault(comp, []).append(member)
+            if self._waiting is not None:
+                self._waiting.append((comp, mono))
+                return
+        self._pair(comp, mono)
+
+    def _pair(self, comp, mono):
+        """Queue, and prune, the pairs of a new lead ``mono`` of ``comp``."""
+        original = comp < self._tracking
         monos = self.leads.setdefault(comp, [])
         live = self.live.setdefault(comp, {})
         # B: a due pair whose lcm the new lead divides is covered by the two
@@ -375,8 +400,13 @@ class ModuleGB:
         self._due += original * (len(kept) - len(covered))
         self.stats["queued"] += len(new)
         self.stats["pruned"] += len(covered) + len(new) - len(kept)
-        self.by_component.setdefault(comp, []).append(member)
         monos.append(mono)
+
+    def _pair_births(self):
+        """Pair the waiting births in arrival order; later ones pair at once."""
+        for comp, mono in self._waiting or ():
+            self._pair(comp, mono)
+        self._waiting = None
 
     def add(self, vec, deg=None):
         """Reduce against the basis and insert if nonzero (``deg``: see ``normal_form``)."""
@@ -389,9 +419,22 @@ class ModuleGB:
     def ensure_degree(self, deg, minimal=False):
         """Process every due S-pair of shifted degree <= deg; the lowest one
         due above the degree cap raises ``DegreeCapExceeded``.  ``minimal``
-        only cap-checks pairs of syzygies once births end in one degree."""
-        while self.pairs and self.pairs[0][0] <= deg:
-            d, original, _, comp, a, b = heapq.heappop(self.pairs)
+        pairs births on demand (module docstring), and once they end in one
+        degree it only cap-checks the pairs of syzygies left."""
+        if not minimal:
+            self._pair_births()
+        self._process((deg, True), minimal)
+        if minimal and self._waiting and len(self.births) == 1:
+            ((d0, comps),) = self.births.items()  # (c): a pair of births has degree <= 2 d0 - shift
+            if 2 * d0 - min(self.order.shifts[c] for c in comps) > min(self.cap, self._top):
+                self._pair_births()
+                self._process((deg, True), minimal)
+
+    def _process(self, bound, minimal):
+        """Process the due pairs whose (degree, block side) is at most ``bound``."""
+        pairs, order = self.pairs, self.order
+        while pairs and pairs[0][:2] <= bound:
+            d, original, _, comp, a, b = heapq.heappop(pairs)
             lcm = self.live[comp].pop((a, b), None)
             if lcm is None:
                 continue  # pruned after it was queued
@@ -405,7 +448,7 @@ class ModuleGB:
                 self.stats["skipped"] += 1
                 continue
             (pa, la, ta), (pb, lb, tb) = self.by_component[comp][a], self.by_component[comp][b]
-            at = self.order.pack((comp, lcm))
+            at = order.pack((comp, lcm))
             qa, qb = at - pa, at - pb
             g = gcd(la, lb)
             fa, fb = lb // g, la // g  # fa * la == fb * lb: the leads cancel
@@ -417,8 +460,13 @@ class ModuleGB:
                     s[t] = nv
                 else:
                     del s[t]
-            red = _reduce_sparse(s, self.by_component, self.order)[1]
+            red = _reduce_sparse(s, self.by_component, order, order.block)[1]
             self.stats["processed"] += 1
+            if red and self._waiting and d > min(self.births) and min(red) >= order.block:
+                # (a): complete the syzygy block through d, skipping nothing
+                self._pair_births()
+                self._process((d, False), False)
+                red = _reduce_sparse(red, self.by_component, order, order.block)[1]
             if red:
                 self._register(red, original)
             else:
@@ -429,13 +477,17 @@ class ModuleGB:
 
     def normal_form(self, vec, deg=None):
         """Packed integer remainder of an incoming integer vector (a positive
-        multiple of its normal form).  ``deg`` is its highest shifted degree,
-        which a presentation holds, and is read off its terms if not given."""
-        order = self.order
-        comp, mono = order.comp, order.mono
+        multiple of its normal form; under a block, its top-reduction).  ``deg``
+        is its highest shifted degree, which a presentation holds, and is read
+        off its terms if not given.  A vector no lead reduces skips the heap."""
+        order, by_component = self.order, self.by_component
+        comp, mono, cmask, guard = order.comp, order.mono, order.cmask, order.guard
         self._admit(max(sum(m) + order.shifts[c] for c, m in vec) if deg is None else deg)
-        return _reduce_sparse({comp[c] + mono[m]: v for (c, m), v in vec.items()},
-                              self.by_component, order)[1]
+        packed = {comp[c] + mono[m]: v for (c, m), v in vec.items()}
+        if any(not t - lead & guard for t in packed
+               for lead, _, _ in by_component.get(t & cmask, ())):
+            return _reduce_sparse(packed, by_component, order, order.block)[1]
+        return packed
 
     def reduced_elements(self, keep=None):
         """Unique reduced basis as integer vectors: minimal leads, tails fully
@@ -446,14 +498,15 @@ class ModuleGB:
         Under an elimination order only elements led from ``block_start`` on
         are kept: all their terms lie there, where no other lead divides them,
         and their components are counted from there.  ``keep``, if given,
-        maps components to the elements kept instead.
+        maps components to the elements kept instead, and nothing is completed.
         """
-        self.complete()
         order = self.order
         start, guard = order.block_start or 0, order.guard
-        keep = keep or {comp: [e for e in members if not any(
-                    p != e[0] and not e[0] - p & guard for p, _, _ in members)]
-                for comp, members in self.by_component.items() if comp >= start}
+        if keep is None:
+            self.complete()
+            keep = {comp: [e for e in members if not any(
+                        p != e[0] and not e[0] - p & guard for p, _, _ in members)]
+                    for comp, members in self.by_component.items() if comp >= start}
         final = []
         for members in keep.values():
             for lead, lc, tail in members:
@@ -512,17 +565,24 @@ def syzygies(pres):
     return GradedPresentation(pres.n, len(degs), _tagged(pres).reduced_elements(), degs)
 
 
-def minimal_syzygies(pres):
-    """``minimal_graded_generators(syzygies(pres))``: with births in one
-    degree (the module docstring), the reduced syzygies of that degree in
+def _minimal_syzygy_vectors(pres):
+    """The vectors of ``minimal_syzygies(pres)``: with births in one degree
+    (the module docstring), the reduced syzygies of that degree in
     ``canonical_order``, by ``_canonical_rep`` alone; else the sweep."""
     gb, degs = _tagged(pres), pres._degrees
     gb.complete(minimal=True)
     if len(gb.births) > 1:
         return minimal_graded_generators(
-            GradedPresentation(pres.n, len(degs), gb.reduced_elements(), degs))
-    vectors = sorted(gb.reduced_elements(*gb.births.values()), key=_canonical_rep)
-    return GradedPresentation(pres.n, len(degs), vectors, degs)
+            GradedPresentation(pres.n, len(degs), gb.reduced_elements(), degs)).vectors
+    (keep,) = gb.births.values() or ({},)
+    return sorted(gb.reduced_elements(keep), key=_canonical_rep)
+
+
+def minimal_syzygies(pres):
+    """``minimal_graded_generators(syzygies(pres))`` from one completion, as
+    a checked presentation of the vectors a chain step reads unchecked."""
+    degs = pres._degrees
+    return GradedPresentation(pres.n, len(degs), _minimal_syzygy_vectors(pres), degs)
 
 
 def canonical_order(pres):

@@ -189,10 +189,11 @@ def compatibility_conditions(op):
     Any operator annihilating the image of ``op`` factors through the
     returned one; composing it with ``op`` gives the exact zero matrix.
     The relations among the nonzero rows are ``groebner.minimal_syzygies``,
-    their minimal generators in ``canonical_order``.  A zero row's one
+    their minimal generators in ``canonical_order``, whose vectors the next
+    step's ``rows_presentation`` checks.  A zero row's one
     relation is its unit vector; these conditions come last, in row order.
     """
-    conds = groebner.minimal_syzygies(rows_presentation(op)).vectors
+    conds = groebner._minimal_syzygy_vectors(rows_presentation(op))
     nonzero = [i for i, (_, vec) in enumerate(op.vectors) if vec]
     if len(nonzero) < len(op.vectors):
         conds = [(den, {(nonzero[k], m): v for (k, m), v in vec.items()}) for den, vec in conds]

@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diffseq import groebner, linalg
+from diffseq import groebner, linalg, operators
 from diffseq.config import EXPONENT_CAP, ConfigError, DegreeCapExceeded, ExponentCapExceeded
 from diffseq.groebner import (
     GradedPresentation,
@@ -377,9 +377,9 @@ def test_pair_counters_of_the_killing_syzygy_completion(monkeypatch):
 
 
 @pytest.mark.parametrize("builder, want", [
-    (killing, {"queued": 508, "pruned": 163, "processed": 215, "zero": 15, "skipped": 130}),
-    (conformal_killing, {"queued": 402, "pruned": 135, "processed": 228, "zero": 84,
-                         "skipped": 39}),
+    (killing, {"queued": 313, "pruned": 98, "processed": 215, "zero": 15, "skipped": 0}),
+    (conformal_killing, {"queued": 396, "pruned": 134, "processed": 228, "zero": 84,
+                         "skipped": 34}),
 ], ids=["killing", "conformal_killing"])
 def test_pair_counters_summed_over_a_chain_build(monkeypatch, builder, want):
     made = _recording_bases(monkeypatch)
@@ -484,8 +484,57 @@ def test_mixed_degree_syzygies_born_in_one_degree_need_no_sweep(monkeypatch):
     out = compatibility_conditions(op)
     (gb,) = made
     assert calls == [] and list(gb.births) == [3]
+    # a pair above degree 3 left a syzygy, so the births were paired
+    # and the syzygy block completed through its degree before deciding
+    assert gb._waiting is None
     assert gb.stats["skipped"] > 0
     assert out.vectors == want and out.target.dim == 10 and out.order == 2
+
+
+def test_no_killing_chain_step_pairs_a_birth(monkeypatch):
+    made = _recording_bases(monkeypatch)
+    build_sequence(killing(5))
+    assert len(made) == 5
+    for gb in made:
+        assert gb._waiting is not None
+        assert gb.stats["skipped"] == 0
+        assert gb.stats["queued"] == gb.stats["pruned"] + gb.stats["processed"]
+
+
+def test_a_degree_cap_above_every_pair_of_births_leaves_them_unpaired(monkeypatch):
+    want = compatibility_conditions(killing(3))
+    made = _recording_bases(monkeypatch)
+    monkeypatch.setenv("DIFFSEQ_DEGREE_CAP", "6")
+    out = compatibility_conditions(killing(3))
+    (gb,) = made
+    # births of degree 3 in components of shift 1 pair in degree <= 5
+    assert list(gb.births) == [3] and gb._waiting
+    assert gb.stats["skipped"] == 0
+    assert gb.stats["queued"] == gb.stats["pruned"] + gb.stats["processed"]
+    assert out == want
+
+
+def test_a_chain_step_checks_its_condition_rows_once(monkeypatch):
+    made, steps = [], []
+    init, cc = GradedPresentation.__init__, operators.compatibility_conditions
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_cc(op):
+        steps.append(op)
+        return cc(op)
+
+    monkeypatch.setattr(GradedPresentation, "__init__", counting_init)
+    monkeypatch.setattr(operators, "compatibility_conditions", counting_cc)
+    rep = build_sequence(killing(4))
+    # one presentation per step, its rows_presentation: the conditions are
+    # checked there, as the next step's rows, and not when they are made
+    assert len(steps) == len(rep.steps) == 4
+    assert len(made) == len(steps)
+    assert groebner.minimal_syzygies(rows_presentation(killing(4))).vectors == (
+        compatibility_conditions(killing(4)).vectors)
 
 
 def test_syzygies_born_in_two_degrees_are_swept(monkeypatch):

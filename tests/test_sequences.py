@@ -1,5 +1,6 @@
 """Condition chains, parametrizations, and the named verification reports."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -459,3 +460,26 @@ def test_constrained_rows_refuse_an_image_outside_the_space():
     ambient[0] = (2, {(0, (1, 0, 0)): 1})
     with pytest.raises(AssertionError, match="violates a constraint"):
         _constrained_rows(space, ambient, 3)
+
+
+# the chains the benchmark times: killing and conformal_killing at n = 4..6,
+# and both at n = 5 under the Minkowski metric
+BENCHMARKED_CHAINS = ([(killing, n, False) for n in (4, 5, 6)]
+                      + [(conformal_killing, n, False) for n in (4, 5, 6)]
+                      + [(killing, 5, True), (conformal_killing, 5, True)])
+
+
+def test_benchmarked_chains_are_pinned():
+    """Dims, orders and every step's integer vectors, each as sorted items."""
+    digest = hashlib.sha256()
+    for builder, n, minkowski in BENCHMARKED_CHAINS:
+        rep = build_sequence(builder(n, ConstantMetric.minkowski(n) if minkowski else None))
+        digest.update(repr((rep.dims, rep.orders)).encode("utf-8"))
+        for step in rep.steps:
+            for den, vec in step.operator.vectors:
+                digest.update(repr((den, sorted(vec.items()))).encode("utf-8"))
+    assert digest.hexdigest() == BENCHMARKED_CHAINS_SHA256
+
+
+# any change to a benchmarked chain's dims, orders or condition rows changes it
+BENCHMARKED_CHAINS_SHA256 = "93a292c06420e0782e79e36c1a85f93075b276d672e122c4c42d6fe4ffc1b238"
