@@ -17,20 +17,22 @@ vector of degree <= d; ``minimal_graded_generators`` leans on that to filter
 candidates in one ascending sweep (graded Nakayama).  ``minimal_syzygies``
 mostly skips it.  A syzygy is born from an input row or a pair led in the
 original block; one from a pair of syzygies lies in the module of those
-before it, so the born ones generate it.  If, once no original-block pair
-is due, all births have one degree d0, the minimal generators are the
-reduced elements of degree d0 (Eisenbud, "The Geometry of Syzygies", 2005,
-ch. 1).  So a birth reduces later vectors at once, but its pairs wait: no
-pair of syzygies has degree <= d0 (two leads of one degree have a higher
-lcm), and original-block reduction never reads a syzygy lead, which lies on
-another component.  The waiting births pair, in arrival order, when (a) a
-pair of degree d > d0 leaves a syzygy, which is reduced again once every
-pair of syzygies through d is, so a birth above d0 is a minimal generator
-there and the sweep runs; (b) a full completion starts; (c) at the end, a
-pair of births could pass a cap: the pairs left are then only cap-checked.
-While completing, the syzygy block is only top-reduced: a reduction stops
-at its first term there that no lead divides, which keeps every lead and
-zero test; ``reduced_elements`` reduces fully.
+before it, so the born ones generate it.  If all births have one degree d0,
+the minimal generators are the reduced elements of degree d0 (Eisenbud,
+"The Geometry of Syzygies", 2005, ch. 1).  So ``ensure_degree`` completes
+the original block only: a birth reduces later vectors at once, but its
+pairs wait, and a pair of syzygies is cap-checked and set aside.  No pair
+of syzygies has degree <= d0 (two leads of one degree have a higher lcm),
+and original-block reduction never reads a syzygy lead, which lies on
+another component.  The waiting births pair, in arrival order, and the
+pairs set aside queue again, when (a) a pair of degree d > d0 leaves a
+syzygy, which is reduced again once every pair of syzygies through d is,
+so a birth above d0 is a minimal generator there and the sweep runs; (b)
+``complete`` finishes; (c) at the end, a pair of births could pass a cap:
+they are then set aside too, once cap-checked.  While completing, the
+syzygy block is only top-reduced: a reduction stops at its first term
+there that no lead divides, which keeps every lead and zero test;
+``reduced_elements`` reduces fully.
 
 The completion runs on integers: basis elements are primitive with a
 positive lead, S-pairs are ``(lb/g) x^qa a - (la/g) x^qb b`` for leads
@@ -333,12 +335,11 @@ class ModuleGB:
     The degree cap is read once, here, from ``config.degree_cap``.  Pairs
     queue by (degree, block side, serial), tracking-led first in a degree.
     ``stats`` counts S-pairs: ``queued``, ``pruned`` by the pair criteria,
-    ``processed`` (``zero`` of them to zero), ``skipped`` (due, unreduced);
-    a birth's pairs count once it is paired.
+    ``processed`` (``zero`` of them to zero), ``skipped`` (set aside and
+    never queued again); a birth's pairs count once it is paired.
     """
 
     def __init__(self, n, shifts, gens=(), block_start=None):
-        self.n = n
         self.order = _Order(n, shifts, EXPONENT_CAP, block_start)
         self.cap = degree_cap()
         self.basis = []
@@ -349,8 +350,8 @@ class ModuleGB:
         self.births = {}    # birth degree -> {component: [(packed lead, lead coef, tail)]}
         self._waiting = []  # (component, lead monomial) of births not yet paired
         self.stats = {"queued": 0, "pruned": 0, "processed": 0, "zero": 0, "skipped": 0}
+        self._deferred = []  # (heap entry, lcm) of pairs of syzygies set aside
         self._counter = 0
-        self._due = 0       # live pairs led in the original block
         self._tracking = inf if block_start is None else block_start
         self._top = EXPONENT_CAP + min(shifts, default=0)
         for vec in gens:
@@ -397,16 +398,20 @@ class ModuleGB:
                 self._counter += 1
                 heapq.heappush(self.pairs, (deg + self.order.shifts[comp], original,
                                             self._counter, comp, a, len(monos)))
-        self._due += original * (len(kept) - len(covered))
         self.stats["queued"] += len(new)
         self.stats["pruned"] += len(covered) + len(new) - len(kept)
         monos.append(mono)
 
     def _pair_births(self):
-        """Pair the waiting births in arrival order; later ones pair at once."""
+        """Pair the waiting births in arrival order; queue those set aside again."""
         for comp, mono in self._waiting or ():
             self._pair(comp, mono)
         self._waiting = None
+        for pair, lcm in self._deferred:
+            heapq.heappush(self.pairs, pair)
+            self.live[pair[3]][pair[4:]] = lcm
+        self.stats["skipped"] -= len(self._deferred)
+        self._deferred = []
 
     def add(self, vec, deg=None):
         """Reduce against the basis and insert if nonzero (``deg``: see ``normal_form``)."""
@@ -416,25 +421,23 @@ class ModuleGB:
         self._register(red)
         return True
 
-    def ensure_degree(self, deg, minimal=False):
-        """Process every due S-pair of shifted degree <= deg; the lowest one
-        due above the degree cap raises ``DegreeCapExceeded``.  ``minimal``
-        pairs births on demand (module docstring), and once they end in one
-        degree it only cap-checks the pairs of syzygies left."""
-        if not minimal:
-            self._pair_births()
-        self._process((deg, True), minimal)
-        if minimal and self._waiting and len(self.births) == 1:
+    def ensure_degree(self, deg):
+        """Process every due original-block S-pair of shifted degree <= deg and
+        set the pairs of syzygies aside (module docstring); the lowest pair due
+        above the degree cap raises ``DegreeCapExceeded``."""
+        self._process((deg, True))
+        if self._waiting and len(self.births) == 1:
             ((d0, comps),) = self.births.items()  # (c): a pair of births has degree <= 2 d0 - shift
             if 2 * d0 - min(self.order.shifts[c] for c in comps) > min(self.cap, self._top):
                 self._pair_births()
-                self._process((deg, True), minimal)
+                self._process((deg, True))
 
-    def _process(self, bound, minimal):
-        """Process the due pairs whose (degree, block side) is at most ``bound``."""
+    def _process(self, bound):
+        """Process the due pairs whose (degree, block side) is at most
+        ``bound``; on the original side, pairs of syzygies are set aside."""
         pairs, order = self.pairs, self.order
         while pairs and pairs[0][:2] <= bound:
-            d, original, _, comp, a, b = heapq.heappop(pairs)
+            d, original, _, comp, a, b = pair = heapq.heappop(pairs)
             lcm = self.live[comp].pop((a, b), None)
             if lcm is None:
                 continue  # pruned after it was queued
@@ -443,8 +446,8 @@ class ModuleGB:
                     f"completion needs S-pairs of degree {d}, above cap {self.cap}",
                     degree=d)
             self._admit(d)
-            self._due -= original
-            if minimal and not (original or self._due) and len(self.births) <= 1:
+            if bound[1] and not original:
+                self._deferred.append((pair, lcm))
                 self.stats["skipped"] += 1
                 continue
             (pa, la, ta), (pb, lb, tb) = self.by_component[comp][a], self.by_component[comp][b]
@@ -462,18 +465,21 @@ class ModuleGB:
                     del s[t]
             red = _reduce_sparse(s, self.by_component, order, order.block)[1]
             self.stats["processed"] += 1
-            if red and self._waiting and d > min(self.births) and min(red) >= order.block:
-                # (a): complete the syzygy block through d, skipping nothing
+            if original and red and d > min(self.births, default=d) and min(red) >= order.block:
+                # (a): complete the syzygy block through d
                 self._pair_births()
-                self._process((d, False), False)
+                self._process((d, False))
                 red = _reduce_sparse(red, self.by_component, order, order.block)[1]
             if red:
                 self._register(red, original)
             else:
                 self.stats["zero"] += 1
 
-    def complete(self, minimal=False):
-        self.ensure_degree(inf, minimal)
+    def complete(self):
+        """``ensure_degree(inf)``, then (b): every pair of syzygies."""
+        self.ensure_degree(inf)
+        self._pair_births()
+        self._process((inf, False))
 
     def normal_form(self, vec, deg=None):
         """Packed integer remainder of an incoming integer vector (a positive
@@ -565,24 +571,18 @@ def syzygies(pres):
     return GradedPresentation(pres.n, len(degs), _tagged(pres).reduced_elements(), degs)
 
 
-def _minimal_syzygy_vectors(pres):
-    """The vectors of ``minimal_syzygies(pres)``: with births in one degree
-    (the module docstring), the reduced syzygies of that degree in
-    ``canonical_order``, by ``_canonical_rep`` alone; else the sweep."""
+def minimal_syzygies(pres):
+    """The vectors of ``minimal_graded_generators(syzygies(pres))``, from one
+    completion and not checked again: with births in one degree (the module
+    docstring), the reduced syzygies of that degree in ``canonical_order``,
+    by ``_canonical_rep`` alone; else the sweep."""
     gb, degs = _tagged(pres), pres._degrees
-    gb.complete(minimal=True)
+    gb.ensure_degree(inf)
     if len(gb.births) > 1:
         return minimal_graded_generators(
             GradedPresentation(pres.n, len(degs), gb.reduced_elements(), degs)).vectors
     (keep,) = gb.births.values() or ({},)
-    return sorted(gb.reduced_elements(keep), key=_canonical_rep)
-
-
-def minimal_syzygies(pres):
-    """``minimal_graded_generators(syzygies(pres))`` from one completion, as
-    a checked presentation of the vectors a chain step reads unchecked."""
-    degs = pres._degrees
-    return GradedPresentation(pres.n, len(degs), _minimal_syzygy_vectors(pres), degs)
+    return tuple(sorted(gb.reduced_elements(keep), key=_canonical_rep))
 
 
 def canonical_order(pres):

@@ -193,7 +193,7 @@ def compatibility_conditions(op):
     step's ``rows_presentation`` checks.  A zero row's one
     relation is its unit vector; these conditions come last, in row order.
     """
-    conds = groebner._minimal_syzygy_vectors(rows_presentation(op))
+    conds = groebner.minimal_syzygies(rows_presentation(op))
     nonzero = [i for i, (_, vec) in enumerate(op.vectors) if vec]
     if len(nonzero) < len(op.vectors):
         conds = [(den, {(nonzero[k], m): v for (k, m), v in vec.items()}) for den, vec in conds]

@@ -452,6 +452,12 @@ def test_one_degree_input_reads_the_degree_cap_setting(monkeypatch):
             call(pres)
 
 
+def _minimal_syzygies(pres):
+    """``groebner.minimal_syzygies`` as a presentation, its rows checked."""
+    return GradedPresentation(pres.n, len(pres._degrees), groebner.minimal_syzygies(pres),
+                              pres._degrees)
+
+
 def _recording_minimal_generators(monkeypatch):
     calls = []
 
@@ -533,8 +539,22 @@ def test_a_chain_step_checks_its_condition_rows_once(monkeypatch):
     # checked there, as the next step's rows, and not when they are made
     assert len(steps) == len(rep.steps) == 4
     assert len(made) == len(steps)
-    assert groebner.minimal_syzygies(rows_presentation(killing(4))).vectors == (
+    assert _minimal_syzygies(rows_presentation(killing(4))).vectors == (
         compatibility_conditions(killing(4)).vectors)
+
+
+def test_each_chain_step_calls_the_public_minimal_syzygies_once(monkeypatch):
+    calls, minimal_syzygies = [], groebner.minimal_syzygies
+
+    def counting(pres):
+        calls.append(pres)
+        return minimal_syzygies(pres)
+
+    monkeypatch.setattr(groebner, "minimal_syzygies", counting)
+    build_sequence(killing(4))
+    # one public call per compatibility_conditions step, which a tracer
+    # wrapping public names sees as the step's syzygy work
+    assert len(calls) == 4
 
 
 def test_syzygies_born_in_two_degrees_are_swept(monkeypatch):
@@ -549,13 +569,17 @@ def test_syzygies_born_in_two_degrees_are_swept(monkeypatch):
     assert sorted(made[0].births) == [2, 3]
     assert len(calls) == 1 and len(made) == 2
     assert out.target.dim == 3 and out.vectors == minimal_graded_generators(calls[0]).vectors
+    # the sweep's full completion queued again every pair of syzygies set aside
+    gb = made[0]
+    assert gb.stats["skipped"] == 0
+    assert gb.stats["queued"] == gb.stats["pruned"] + gb.stats["processed"] + gb.stats["skipped"]
 
 
 def test_an_input_row_gives_a_birth(monkeypatch):
     (x1,) = _vars(1)
     pres = GradedPresentation.from_rows(n=1, ambient_rank=1, rows=((x1,), (x1 + x1,)))
     made = _recording_bases(monkeypatch)
-    out = groebner.minimal_syzygies(pres)
+    out = _minimal_syzygies(pres)
     (gb,) = made
     assert list(gb.births) == [1] and gb.stats["queued"] == 0
     assert out == minimal_graded_generators(syzygies(pres))
@@ -567,7 +591,7 @@ def test_minimal_syzygies_equal_the_sweep_of_the_syzygies(monkeypatch):
     certified = 0
     for pres in _seeded_presentations():
         before = len(calls)
-        out = groebner.minimal_syzygies(pres)
+        out = _minimal_syzygies(pres)
         certified += len(calls) == before
         want = minimal_graded_generators(syzygies(pres))
         assert out == want and out.generators == want.generators
@@ -588,7 +612,7 @@ def test_minimal_syzygies_equal_the_sweep_on_every_builder(metric):
                 pass
         for op in ops:
             for pres in (rows_presentation(op), rows_presentation(adjoint(op))):
-                assert (groebner.minimal_syzygies(pres)
+                assert (_minimal_syzygies(pres)
                         == minimal_graded_generators(syzygies(pres)))
 
 
@@ -601,7 +625,8 @@ def test_the_degree_cap_is_checked_on_pairs_left_when_the_completion_stops(monke
     assert info.value.degree == 4
     # the completion had stopped: nothing led in the original block was due
     (gb,) = made
-    assert gb._due == 0 and list(gb.births) == [3]
+    assert not any(live for c, live in gb.live.items() if c < gb.order.block_start)
+    assert list(gb.births) == [3]
 
 
 def test_the_exponent_cap_is_checked_on_pairs_left_when_the_completion_stops(monkeypatch):
@@ -616,7 +641,8 @@ def test_the_exponent_cap_is_checked_on_pairs_left_when_the_completion_stops(mon
     for call in (groebner.minimal_syzygies, syzygies):
         with pytest.raises(ExponentCapExceeded, match=message):
             call(pres)
-    assert made[0]._due == 0 and list(made[0].births) == [2 * a]
+    assert not any(live for c, live in made[0].live.items() if c < made[0].order.block_start)
+    assert list(made[0].births) == [2 * a]
 
 
 def test_basis_elements_are_primitive_integer_vectors():
