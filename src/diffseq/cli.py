@@ -27,11 +27,12 @@ BUILDER_NAMES = sorted(sequences.BUILDERS) + ["exterior_derivative"]
 CHECK_NAMES = ("double-duality", "lanczos-contradiction", "lemma41",
                "golden-tables")
 
+SUPPORTED_N = range(2, 7)   # the n every command takes, built in or read from a document
 _REQUIRED = object()   # the default of an option that must be given
 _HELP = ("-h", "--help")
 _FORMAT = (("--json", bool, False, "emit a JSON document"),
            ("--markdown", bool, False, "emit a markdown report"))
-_BUILT_IN = (("--n", int, _REQUIRED, "dimension, 2..6"),
+_BUILT_IN = (("--n", int, _REQUIRED, f"dimension, {SUPPORTED_N[0]}..{SUPPORTED_N[-1]}"),
              ("--metric", ("euclidean", "minkowski"), "euclidean", "flat metric"),
              ("--form-degree", int, 0,
               "r for exterior_derivative (ignored otherwise)")) + _FORMAT
@@ -55,9 +56,13 @@ class UsageError(ValueError):
     pass
 
 
+def _supported(n):
+    if n not in SUPPORTED_N:
+        raise UsageError(f"n must be between {SUPPORTED_N[0]} and {SUPPORTED_N[-1]}, got {n}")
+
+
 def _build_named(name, n, metric_name, form_degree):
-    if not 2 <= n <= 6:
-        raise UsageError(f"n must be between 2 and 6, got {n}")
+    _supported(n)
     metric = ConstantMetric.minkowski(n) if metric_name == "minkowski" else None
     try:
         if name == "exterior_derivative":
@@ -110,23 +115,23 @@ def _sequence_dict(rep):
         "orders": list(rep.orders),
         "terminated": rep.terminated,
         "euler": rep.euler_characteristic,
-        "steps": [{"operator": s.operator.name,
-                   "source_dim": s.source_dim,
-                   "target_dim": s.target_dim,
-                   "order": s.order} for s in rep.steps],
+        "steps": [{"operator": op.name,
+                   "source_dim": op.source.dim,
+                   "target_dim": op.target.dim,
+                   "order": op.order} for op in (s.operator for s in rep.steps)],
     }
 
 
 def _sequence_markdown(rep):
     lines = [f"# sequence {rep.name} (n={rep.n})", "",
-             f"chain: {rep.chain_string()}",
+             "chain: " + " -> ".join(str(d) for d in rep.dims),
              "orders: " + ", ".join(str(o) for o in rep.orders),
              f"terminated: {'yes' if rep.terminated else 'no'}",
              f"euler characteristic: {rep.euler_characteristic}", "",
              "| step | operator | shape | order |", "|---|---|---|---|"]
-    for i, s in enumerate(rep.steps):
-        lines.append(f"| {i} | {s.operator.name} "
-                     f"| {s.target_dim} x {s.source_dim} | {s.order} |")
+    for i, op in enumerate(s.operator for s in rep.steps):
+        lines.append(f"| {i} | {op.name} "
+                     f"| {op.target.dim} x {op.source.dim} | {op.order} |")
     return "\n".join(lines) + "\n"
 
 
@@ -343,6 +348,7 @@ def main(argv=None):
             doc = _read_document(args.file)
             metric_name = serialize.document_metric_name(doc)
             op = serialize.document_to_operator(doc)
+            _supported(op.n)
             if args.command == "cc":
                 try:
                     out = operators.compatibility_conditions(op)

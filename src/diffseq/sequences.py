@@ -231,9 +231,6 @@ BUILDERS = {
 @record
 class SequenceStep:
     operator: OperatorMatrix
-    order: int
-    source_dim: int
-    target_dim: int
 
 
 @record
@@ -245,10 +242,6 @@ class SequenceReport:
     orders: tuple
     terminated: bool
     euler_characteristic: object   # int when terminated, else None
-    verdicts: dict
-
-    def chain_string(self):
-        return " -> ".join(str(d) for d in self.dims)
 
 
 def build_sequence(op, max_steps=None):
@@ -283,12 +276,9 @@ def build_sequence(op, max_steps=None):
     euler = None
     if terminated:
         euler = sum(d if i % 2 == 0 else -d for i, d in enumerate(dims))
-    steps = tuple(SequenceStep(o, d, o.source.dim, o.target.dim)
-                  for o, d in zip(ops, orders))
     return SequenceReport(
-        name=op.name, n=op.n, steps=steps, dims=dims, orders=orders,
-        terminated=terminated, euler_characteristic=euler,
-        verdicts={"zero_compositions": True, "terminated": terminated})
+        name=op.name, n=op.n, steps=tuple(map(SequenceStep, ops)), dims=dims,
+        orders=orders, terminated=terminated, euler_characteristic=euler)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,6 @@ def build_sequence(op, max_steps=None):
 class ParametrizationVerdict:
     ok: bool
     composes_to_zero: bool
-    generates_all_relations: bool
     target_name: str
     candidate_name: str
 
@@ -320,7 +309,6 @@ def check_parametrization(target, candidate):
     return ParametrizationVerdict(
         ok=full,
         composes_to_zero=zero,
-        generates_all_relations=full,
         target_name=target.name,
         candidate_name=candidate.name)
 
@@ -343,14 +331,14 @@ def parametrization_generators(op):
 
 @record
 class DoubleDualityReport:
+    """Value spaces and their adjoint-side counterparts share fiber dimensions
+    in fixed coordinates; transition-rule distinctions between the two are
+    not modeled here."""
+
     name: str
     n: int
-    depth: int
     verdicts: tuple   # one ParametrizationVerdict per adjoint position
     ok: bool
-    note: str = ("value spaces and their adjoint-side counterparts share "
-                 "fiber dimensions in fixed coordinates; transition-rule "
-                 "distinctions between the two are not modeled here")
 
 
 def double_duality_report(op, depth=2):
@@ -365,8 +353,7 @@ def double_duality_report(op, depth=2):
     ads = [adjoint(s.operator) for s in seq.steps]
     verdicts = tuple(map(check_parametrization, ads, ads[1:]))
     return DoubleDualityReport(
-        name=op.name, n=op.n, depth=len(ads) - 1,
-        verdicts=verdicts, ok=all(v.ok for v in verdicts))
+        name=op.name, n=op.n, verdicts=verdicts, ok=all(v.ok for v in verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +483,9 @@ def _double_trace_matrix(n, w):
 def trace_contraction_check(metric=None):
     """Verify the contracted second identity and the relabeled trace arrow.
 
-    Part one: the double metric trace of the second identity, applied to
-    linearized curvature, equals twice the divergence of the mixed trace
-    minus the gradient of the scalar trace, an exact matrix identity.
+    Part one: on curvature candidates, the double metric trace of the second
+    identity equals the gradient of the scalar trace minus twice the
+    divergence of the Ricci trace, an exact identity of first-order symbols.
     Part two: on the value space, the same double trace factors through the
     signed relabeling onto the potential space as a constant multiple of the
     potential trace L_i = w^{jk} L_{ij,k}; the constant is recorded.  The
@@ -520,22 +507,25 @@ def trace_contraction_check(metric=None):
     covector = bundles.free_basis("T*", n, [f"a{i}" for i in range(1, n + 1)])
     tau_op = operators.from_scalar_matrix(
         "double_trace", n, b_space, covector, tau)
-    lhs = compose(tau_op, compose(bianchi(n, w), riemann_linearized(n, w)))
+    lhs = compose(tau_op, bianchi(n, w))
 
-    # 2 w^{sm} d_s Ric_{mr} - d_r S, a first-order operator applied to Ric
-    ric, trace = ricci(n, w), bundles.pair_trace(n, w)
+    # d_r S - 2 w^{sm} d_s Ric_{mr}, a first-order operator on symmetric
+    # tensors, applied to the Ricci trace of a curvature candidate
+    r_space, trace = riemann_candidate_space(n), bundles.pair_trace(n, w)
     pcol = {p: c for c, p in enumerate(sym_tuples(n, 2))}
-    div_grad = []
+    grad_div = []
     for r in range(1, n + 1):
         row = {}
         for k, t in enumerate(trace):
-            _add_term(row, (k, _mono(n, r)), -t)
+            _add_term(row, (k, _mono(n, r)), t)
         for s in range(1, n + 1):
             for m in range(1, n + 1):
-                _add_term(row, (pcol[(min(m, r), max(m, r))], _mono(n, s)), 2 * w.upper(s, m))
-        div_grad.append(linalg._integral(row))
+                _add_term(row, (pcol[(min(m, r), max(m, r))], _mono(n, s)), -2 * w.upper(s, m))
+        grad_div.append(linalg._integral(row))
+    ricci_trace = [operators._constant_row(n, row) for row in linalg.product(
+        list(bundles.riemann_trace_rows(n, w).values()), r_space.ambient_from_coords)]
     identity_ok = lhs.vectors == tuple(
-        operators._product_rows(div_grad, ric.vectors, n, ric.source.dim))
+        operators._product_rows(grad_div, ricci_trace, n, r_space.dim))
 
     l_space = lanczos_constraint_space(n)
     img = linalg.product(bundles.bianchi_to_potential_relabel(), a_b)

@@ -125,7 +125,7 @@ def dumps(doc):
 def loads(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also too deep, or too many digits
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")

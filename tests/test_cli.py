@@ -98,8 +98,9 @@ def test_failing_check_exits_one_with_a_diff(monkeypatch):
 
 
 def test_usage_errors_exit_two():
-    code, _ = run_cli(["build", "killing", "--n", "9"])
-    assert code == 2
+    for n in ("1", "7", "9"):
+        code, _ = run_cli(["build", "killing", "--n", n])
+        assert code == 2
     code, _ = run_cli(["build", "lanczos_candidate", "--n", "3"])
     assert code == 2
     code, _ = run_cli(["check", "golden-tables", "--n", "1"])
@@ -252,6 +253,46 @@ def test_undecodable_document_is_a_usage_error(tmp_path, capsys):
         code, stdout = run_cli([command, str(bad)])
         assert (code, stdout) == (2, "")
         assert capsys.readouterr().err.startswith(f"diffseq: cannot read {bad}: ")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("cc", "[" * 100000),
+    ("adjoint", '{"a": ' * 3000 + "1" + "}" * 3000),
+    ("cc", '{"n": ' + "1" * 5000 + "}"),
+], ids=["cc-nested-array", "adjoint-nested-object", "cc-5000-digit-integer"])
+def test_a_document_past_the_json_reader_limits_exits_two(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, stdout = run_cli([command, str(path)])
+    assert (code, stdout) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("diffseq: ") and err.count("\n") == 1
+
+
+def _empty_document(n):
+    return {"schema_version": 1, "kind": "operator", "name": "empty", "n": n,
+            "source": {"label": "U", "elements": []},
+            "target": {"label": "S", "elements": []}, "entries": []}
+
+
+@pytest.mark.parametrize("n", [1, 7, 10 ** 30])
+def test_a_document_outside_the_supported_n_exits_two(tmp_path, capsys, n):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_empty_document(n)), encoding="utf-8")
+    for command in ("cc", "adjoint"):
+        code, stdout = run_cli([command, str(path)])
+        assert (code, stdout) == (2, "")
+        assert capsys.readouterr().err == f"diffseq: n must be between 2 and 6, got {n}\n"
+
+
+def test_documents_at_both_ends_of_the_supported_n_are_read(tmp_path):
+    assert (cli.SUPPORTED_N[0], cli.SUPPORTED_N[-1]) == (2, 6)
+    path = tmp_path / "empty.json"
+    for n in (2, 6):
+        path.write_text(json.dumps(_empty_document(n)), encoding="utf-8")
+        for command in ("cc", "adjoint"):
+            code, stdout = run_cli([command, str(path)])
+            assert code == 0 and json.loads(stdout)["n"] == n
 
 
 def test_adjoint_wraps_a_composed_label_and_a_second_adjoint_restores_it(tmp_path):

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from diffseq.bundles import free_basis, riemann_candidate_space
+from diffseq.bundles import BundleBasis, free_basis, riemann_candidate_space
 from diffseq.config import record
 from diffseq.groebner import GradedPresentation
 from diffseq.operators import make_operator
 from diffseq.poly import Poly
-from diffseq.sequences import DoubleDualityReport, killing
+from diffseq.sequences import (
+    DoubleDualityReport, ParametrizationVerdict, SequenceReport, SequenceStep, killing)
 from diffseq.spencer import CohomologyNode
 from polyref import variable
 
@@ -44,10 +45,25 @@ def test_wrong_arguments_raise_type_error():
 
 
 def test_class_level_defaults_fill_missing_fields():
-    rep = DoubleDualityReport(name="k", n=2, depth=1, verdicts=(), ok=True)
-    assert rep.note == DoubleDualityReport.note
-    assert rep.note.startswith("value spaces")
-    assert DoubleDualityReport("k", 2, 1, (), True, "x").note == "x"
+    basis = BundleBasis(label="T", n=2, element_labels=("v1", "v2"))
+    assert basis.ambient_labels is BundleBasis.ambient_labels is None
+    assert (basis.ambient_from_coords, basis.free_columns, basis.constraints) == (
+        None, None, None)
+    assert basis.is_free and basis.dim == basis.ambient_dim == 2
+    given = BundleBasis("T", 2, ("v1",), ("a1", "a2"), ({0: 1}, {}), (0,))
+    assert given.ambient_labels == ("a1", "a2") and given.constraints is None
+
+
+def test_chain_and_double_duality_records_hold_no_copies():
+    # each fact lives once: a step's order and dims are its operator's, a
+    # report's depth is len(verdicts), a verdict's containment is its ok
+    assert tuple(SequenceStep.__annotations__) == ("operator",)
+    assert tuple(SequenceReport.__annotations__) == (
+        "name", "n", "steps", "dims", "orders", "terminated", "euler_characteristic")
+    assert tuple(ParametrizationVerdict.__annotations__) == (
+        "ok", "composes_to_zero", "target_name", "candidate_name")
+    assert tuple(DoubleDualityReport.__annotations__) == ("name", "n", "verdicts", "ok")
+    assert not hasattr(SequenceReport, "chain_string")
 
 
 def test_post_init_normalises_presentation_shifts():

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from diffseq import linalg, operators
+from diffseq import linalg, operators, sequences
 from diffseq.config import DegreeCapExceeded
 from diffseq.bundles import ext_tuples, free_basis, perm_sign, trace_free_sym2
 from diffseq.groebner import (GeneratorError, GradedPresentation, minimal_graded_generators,
@@ -194,8 +194,7 @@ def test_a_candidate_that_misses_relations_is_refused():
     scaled = make_operator("x1 ad(killing)", 2, cauchy.source, cauchy.target,
                            [[mul(p, x1) for p in row] for row in cauchy.rows])
     verdict = check_parametrization(scaled, adjoint(riemann_linearized(2)))
-    assert (verdict.composes_to_zero, verdict.generates_all_relations, verdict.ok) == (
-        True, False, False)
+    assert (verdict.composes_to_zero, verdict.ok) == (True, False)
 
 
 def _killing_without_column_0():
@@ -210,15 +209,13 @@ def test_zero_rows_of_the_target_generate_nothing():
     # Airy potential composes to zero with it but misses the relation of row 0
     verdict = check_parametrization(adjoint(_killing_without_column_0()),
                                     adjoint(riemann_linearized(2)))
-    assert (verdict.composes_to_zero, verdict.generates_all_relations, verdict.ok) == (
-        True, False, False)
+    assert (verdict.composes_to_zero, verdict.ok) == (True, False)
 
 
 def test_a_zero_row_of_the_candidate_is_refused():
     # its unit condition is a relation the target would have to generate
     verdict = check_parametrization(riemann_linearized(2), _killing_without_column_0())
-    assert (verdict.composes_to_zero, verdict.generates_all_relations, verdict.ok) == (
-        True, False, False)
+    assert (verdict.composes_to_zero, verdict.ok) == (True, False)
 
 
 def test_potentials_of_an_operator_with_a_zero_column():
@@ -340,6 +337,19 @@ def test_trace_contraction_identity():
     assert rep.trace_kernel_dim == 16
     assert rep.probe_ok
     assert rep.ok
+
+
+@pytest.mark.parametrize("metric", [None, ConstantMetric.minkowski(4)],
+                         ids=["euclidean", "minkowski"])
+def test_trace_contraction_identity_sees_the_double_trace(monkeypatch, metric):
+    # part one compares nonzero symbols on curvature candidates, so a double
+    # trace taken twice over breaks it; the relabel factor follows tau
+    plain = sequences._double_trace_matrix
+    monkeypatch.setattr(sequences, "_double_trace_matrix", lambda n, w: [
+        {c: 2 * v for c, v in row.items()} for row in plain(n, w)])
+    rep = trace_contraction_check(metric)
+    assert not rep.identity_ok and not rep.ok
+    assert rep.relabel_matches and rep.relabel_factor == -4
 
 
 def _diagonal_metric(*entries):
