@@ -22,9 +22,6 @@ from . import linalg
 from .config import cached, record
 from .poly import metric_cache
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def sym_tuples(n, q):
     """Nondecreasing index tuples of length q over 1..n (basis of S_q)."""
@@ -54,7 +51,7 @@ class BundleBasis:
     ambient_labels: tuple = None
     ambient_from_coords: tuple = None   # one read-only row {coordinate: rational} per ambient component
     free_columns: tuple = None          # coordinate i = ambient component free_columns[i]
-    constraints: tuple = None           # sparse rows over ambient columns
+    constraints: tuple = None           # sparse integer rows over ambient columns
 
     @property
     def dim(self):
@@ -118,12 +115,13 @@ def constrained_basis(label, n, ambient_labels, constraint_rows):
     """Basis of the solution space of ``constraint_rows . x = 0``.
 
     Deterministic: pivots scan ambient columns left to right, so the free
-    components (and hence the labels) depend only on the constraints.
+    components (and hence the labels) depend only on the constraints,
+    which the space keeps as the integer rows the kernel reads.
     """
     ambient_labels = tuple(ambient_labels)
     ncols = len(ambient_labels)
-    rows = [dict(r) for r in constraint_rows if r]
-    kernel, free_cols = linalg.integer_kernel(rows, ncols)
+    rows = [r for r in linalg._integer_rows(constraint_rows) if r]
+    kernel, free_cols = linalg._kernel([dict(r) for r in rows], ncols)
     a_rows = [{} for _ in range(ncols)]
     for j, (f, vec) in enumerate(zip(free_cols, kernel)):
         for c, v in vec.items():
@@ -180,19 +178,19 @@ def riemann_candidate_space(n):
     rows = []
     for k, l, i, j in idx:
         if k <= l:
-            rows.append({col[(k, l, i, j)]: ONE, col[(l, k, i, j)]: ONE}
-                        if k != l else {col[(k, l, i, j)]: ONE})
+            rows.append({col[(k, l, i, j)]: 1, col[(l, k, i, j)]: 1}
+                        if k != l else {col[(k, l, i, j)]: 1})
         if i <= j:
-            rows.append({col[(k, l, i, j)]: ONE, col[(k, l, j, i)]: ONE}
-                        if i != j else {col[(k, l, i, j)]: ONE})
+            rows.append({col[(k, l, i, j)]: 1, col[(k, l, j, i)]: 1}
+                        if i != j else {col[(k, l, i, j)]: 1})
         if (k, l) < (i, j):
-            rows.append({col[(k, l, i, j)]: ONE, col[(i, j, k, l)]: -ONE})
+            rows.append({col[(k, l, i, j)]: 1, col[(i, j, k, l)]: -1})
     for k in range(1, n + 1):
         for l, i, j in ext_tuples(n, 3):
             row = {}
             for a, b, c, d in ((k, l, i, j), (k, i, j, l), (k, j, l, i)):
                 cidx = col[(a, b, c, d)]
-                row[cidx] = row.get(cidx, ZERO) + ONE
+                row[cidx] = row.get(cidx, 0) + 1
             rows.append({c: v for c, v in row.items() if v})
     labels = [f"R{_digits(t)}" for t in idx]
     return constrained_basis("RiemannSpace", n, labels, rows)
@@ -214,7 +212,7 @@ def riemann_trace_rows(n, metric):
                 w = metric.upper(r, k)
                 if w:
                     c = col[(k, i, r, j)]
-                    row[c] = row.get(c, ZERO) + w
+                    row[c] = row.get(c, 0) + w
         rows[(i, j)] = {c: v for c, v in row.items() if v}
     return rows
 
@@ -254,7 +252,7 @@ def lanczos_constraint_space(n):
         for (a, b), c in (((i, j), k), ((j, k), i), ((k, i), j)):
             slot, sign = _pair_slot(a, b)
             cc = col[(slot, c)]
-            row[cc] = row.get(cc, ZERO) + sign
+            row[cc] = row.get(cc, 0) + sign
         rows.append({c: v for c, v in row.items() if v})
     labels = [f"L{_digits(p)}_{k}" for p, k in idx]
     return constrained_basis("LanczosSpace", n, labels, rows)
@@ -285,7 +283,7 @@ def bianchi_candidate_space(n, metric=None):
             for pos in range(4):
                 l = quad[pos]
                 triple = tuple(q for q in quad if q != l)
-                alt = -ONE if pos % 2 else ONE
+                alt = -1 if pos % 2 else 1
                 for m in range(1, n + 1):
                     w = metric.upper(k, m)
                     if not w:
@@ -294,7 +292,7 @@ def bianchi_candidate_space(n, metric=None):
                     if not sign:
                         continue
                     c = col[(slot, triple)]
-                    row[c] = row.get(c, ZERO) + alt * w * sign
+                    row[c] = row.get(c, 0) + alt * w * sign
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
@@ -338,7 +336,7 @@ def _ricci_inject_ambient(n, metric):
         def add_s(a, b, coef):
             if coef:
                 c = pcol[(min(a, b), max(a, b))]
-                row[c] = row.get(c, ZERO) + coef
+                row[c] = row.get(c, 0) + coef
 
         add_s(l, j, inv_nm2 * metric.lower(k, i))
         add_s(l, i, -inv_nm2 * metric.lower(k, j))
@@ -354,7 +352,7 @@ def _ricci_inject_ambient(n, metric):
 
 
 def _unit_rows(k):
-    return [{i: ONE} for i in range(k)]
+    return [{i: 1} for i in range(k)]
 
 
 def _difference(a, b):
@@ -435,15 +433,9 @@ def split_riemann(n, metric=None):
 
 def perm_sign(seq):
     """Sign of a permutation given as a tuple; 0 if any index repeats."""
-    seq = list(seq)
     if len(set(seq)) != len(seq):
         return 0
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
 
 
 def eps_contraction_matrix():

@@ -14,10 +14,11 @@ hands the kernel a scaled copy of each and refuses a float (``TypeError``)
 or a negative column (``ValueError``).
 
 ``_echelon`` reduces each row as it arrives against a map from pivot column
-to primitive row: while the row's least column holds a pivot, the row
-becomes the integer combination that clears it (``_clear``).  A row left
-led by a column below ``ncols`` becomes the pivot there; a zero row, or one
-led by a column at or past ``ncols`` (the augmented block of ``invert``),
+to pivot row: while the row's least column holds a pivot, the row becomes
+the integer combination that clears it (``_clear``, which divides a row it
+scales back to primitive).  A row left led by a column below ``ncols``
+becomes the pivot there as it is (few have a common factor); a zero row,
+or one led by a column at or past ``ncols`` (``invert``'s augmented block),
 is dropped.  Most delta rows reduce to zero, so the pass keeps no column
 index.  ``_reduced`` back-substitutes once, last pivot first, to primitive
 rows (``spencer``'s symbol constraints), ``_kernel`` reads one primitive
@@ -74,8 +75,8 @@ def _clear(row, piv, col):
 
 def _echelon(rows, ncols):
     """Forward elimination of integer rows with no zero entry, which it
-    consumes: ``[(pivot_col, row)]`` in increasing pivot column, each row a
-    primitive integer dict that is zero left of its pivot."""
+    consumes: ``[(pivot_col, row)]`` in increasing pivot column, each row an
+    integer dict, not always primitive, that is zero left of its pivot."""
     pivots = {}
     for row in rows:
         while row:
@@ -83,7 +84,7 @@ def _echelon(rows, ncols):
             piv = pivots.get(col)
             if piv is None:
                 if col < ncols:
-                    pivots[col] = _primitive(row)
+                    pivots[col] = row
                 break
             _clear(row, piv, col)
     return sorted(pivots.items())

@@ -54,10 +54,10 @@ def _add_term(terms, key, coef):
 def _constrained_rows(space, rows, width):
     """Coordinate rows of an operator landing in a constrained space: checks
     on integers that the ambient rows (integer vectors over ``width``
-    columns) satisfy every constraint of the space, then keeps the rows at
-    the free components."""
-    constraints = [operators._constant_row(space.n, crow)
-                   for crow in bundles.constraint_rows(space)]
+    columns) satisfy every integer constraint row of the space, then keeps
+    the rows at the free components."""
+    one = (0,) * space.n
+    constraints = [(1, {(c, one): v for c, v in crow}) for crow in space.constraints]
     if any(vec for _, vec in operators._product_rows(constraints, rows, space.n, width)):
         raise AssertionError(
             f"operator image violates a constraint of {space.label}")
@@ -565,9 +565,8 @@ def trace_contraction_check(metric=None):
     kernel_dim = l_space.dim - linalg.rank(trace_l, l_space.dim)
 
     probe_amb = {lcol[((1, 2), 2)]: Fraction(1)}
-    for crow in bundles.constraint_rows(l_space):
-        if sum(coef * probe_amb.get(cidx, 0) for cidx, coef in crow.items()):
-            raise AssertionError("probe element violates the cyclic constraint")
+    if any(sum(v * probe_amb.get(c, 0) for c, v in crow) for crow in l_space.constraints):
+        raise AssertionError("probe element violates the cyclic constraint")
     probe = l_space.from_ambient(probe_amb)
     out = [sum(v * probe.get(c, 0) for c, v in row.items()) for row in trace_l]
     probe_ok = out[0] != 0 and all(v == 0 for v in out[1:])

@@ -1,15 +1,19 @@
 """Lossless JSON documents for operators, with deterministic bytes.
 
-Coefficients travel as "p/q" strings so no float ever appears; exponent
-lists have fixed length n; entries are sorted by (row, col) and terms by
-the same monomial order the algebra uses.  Parsing a document built from
-an operator yields an operator that compares equal to the original.  The
+Coefficients travel as "p/q" strings so no float ever appears, and only
+those or JSON integers are read back; exponent lists have fixed length n;
+entries are sorted by (row, col) and terms by the monomial order the algebra
+uses.  A document built from an operator parses to an equal operator.  The
 name must be a string, and the name and labels must be ones that two
 ``bundles.dual_label`` calls give back, so two adjoints restore a document.
+``dumps`` writes ``json.dumps(doc, indent=2)`` without its Python encoder.
 """
 
 import json
+import re
 from fractions import Fraction
+from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bundles import dual_label, free_basis
 from .linalg import _integral
@@ -17,6 +21,8 @@ from .operators import OperatorMatrix
 from .poly import mono_key
 
 SCHEMA_VERSION = 1
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_SCALARS = {str: _quote, int: int.__repr__, bool: json.dumps, type(None): json.dumps}
 
 
 class DocumentError(ValueError):
@@ -29,13 +35,18 @@ def _integer(value, what, low=0):
     return value
 
 
-def _parse_coef(s):
-    if type(s) not in (str, int):
-        raise DocumentError(f"coefficient must be a string or an integer, got {s!r}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rational {s!r}") from exc
+def _parse_coef(s, parsed):
+    """The value of a ``coef``; ``parsed`` maps each string read so far to its value."""
+    if type(s) is int:
+        return s
+    if type(s) is not str or not _RATIONAL.fullmatch(s):
+        raise DocumentError(f"bad rational {s!r}: a coef is an integer or a p or p/q string")
+    if s not in parsed:
+        try:
+            parsed[s] = Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:   # q = 0, or too many digits
+            raise DocumentError(f"bad rational {s!r}") from exc
+    return parsed[s]
 
 
 def _basis_block(basis):
@@ -43,13 +54,14 @@ def _basis_block(basis):
 
 
 def operator_to_document(op, metric="euclidean"):
+    key, text = cache(mono_key), cache(lambda v, den: str(Fraction(v, den)))
     entries = []
     for i, (den, vec) in enumerate(op.vectors):
         cells = {}
         for (j, mono), v in vec.items():
-            cells.setdefault(j, []).append((mono_key(mono), mono, v))
+            cells.setdefault(j, []).append((key(mono), mono, v))
         for j in sorted(cells):
-            terms = [{"coef": str(Fraction(v, den)), "exp": list(mono)}
+            terms = [{"coef": text(v, den), "exp": list(mono)}
                      for _, mono, v in sorted(cells[j], reverse=True)]
             entries.append({"row": i, "col": j, "terms": terms})
     return {
@@ -87,7 +99,7 @@ def document_to_operator(doc):
             if dual_label(dual_label(text)) != text:
                 raise DocumentError(f"two adjoints would not give back {text!r}")
         rows = [{} for _ in range(target.dim)]
-        seen = set()
+        seen, parsed = set(), {}
         for entry in doc["entries"]:
             i, j = _integer(entry["row"], "row"), _integer(entry["col"], "col")
             if i >= target.dim or j >= source.dim or (i, j) in seen:
@@ -101,7 +113,7 @@ def document_to_operator(doc):
                 if exp in exps:
                     raise DocumentError(f"exponent {list(exp)} repeated in entry ({i},{j})")
                 exps.add(exp)
-                coef = _parse_coef(term["coef"])
+                coef = _parse_coef(term["coef"], parsed)
                 if coef:
                     rows[i][j, exp] = coef
     except (KeyError, TypeError) as exc:
@@ -117,9 +129,25 @@ def document_metric_name(doc):
     return m
 
 
+def _text(value, nl):
+    """``json.dumps(value, indent=2)`` for ``value`` nested where lines start
+    with ``nl``: dicts with str keys, lists, tuples, str, int, bool, None."""
+    scalar = _SCALARS.get(type(value))
+    if scalar:
+        return scalar(value)
+    inner = nl + "  "
+    if type(value) is dict:   # _quote refuses a key that is not a str
+        items, ends = [f"{inner}{_quote(k)}: {_text(v, inner)}" for k, v in value.items()], "{}"
+    elif type(value) in (list, tuple):
+        items, ends = [inner + _text(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} {value!r:.60} as JSON")
+    return f"{ends[0]}{','.join(items)}{nl}{ends[1]}" if items else ends
+
+
 def dumps(doc):
     """Canonical text for any report dict: fixed key order, trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    return _text(doc, "\n") + "\n"
 
 
 def loads(text):

@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diffseq
 from diffseq import cli, golden, serialize
@@ -511,6 +513,58 @@ def test_malformed_document_fields_exit_two(tmp_path, capsys, path, value):
         code, stdout = run_cli([command, str(bad)])
         assert (code, stdout) == (2, "")
         assert capsys.readouterr().err.startswith("diffseq: ")
+
+
+@pytest.mark.parametrize("coef", ["1e4400", "1e10000000", "0.5", " 1/2 ", "+1", "1/0"])
+def test_a_coef_not_of_the_writer_form_exits_two_at_once(tmp_path, capsys, coef):
+    # Fraction would read every one of these but the last; an exponent form
+    # costs time superlinear in its exponent, and "1e4400" has more digits
+    # than str() writes
+    _, out = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(out)
+    doc["entries"][0]["terms"][0]["coef"] = coef
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("adjoint", "cc"):
+        start = time.perf_counter()
+        code, stdout = run_cli([command, str(bad)])
+        assert time.perf_counter() - start < 1
+        assert (code, stdout) == (2, "")
+        assert capsys.readouterr().err.startswith(f"diffseq: bad rational {coef!r}")
+
+
+def test_a_coef_reads_as_a_json_integer_or_any_p_over_q_string():
+    _, out = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(out)
+    want = serialize.document_to_operator(doc)
+    term = doc["entries"][0]["terms"][0]
+    assert term["coef"] == "2"
+    for same in (2, "02", "4/2", "0006/003"):
+        term["coef"] = same
+        assert serialize.document_to_operator(doc) == want
+
+
+_characters = st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é😀')
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    | st.text(_characters),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(_characters), inner),
+    max_leaves=20)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_json_values)
+def test_dumps_writes_the_bytes_of_json_dumps_with_indent_two(value):
+    assert serialize.dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [0.5, {"a": [1, 2.0]}, {1: "a"}, {"a": {1, 2}}],
+                         ids=["float", "nested-float", "int-key", "set"])
+def test_dumps_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        serialize.dumps(value)
 
 
 def _pinned_invocations(tmp_path):
