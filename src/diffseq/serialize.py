@@ -98,17 +98,19 @@ def document_to_operator(doc):
         for text in (name, source.label, target.label):
             if dual_label(dual_label(text)) != text:
                 raise DocumentError(f"two adjoints would not give back {text!r}")
-        rows = [{} for _ in range(target.dim)]
+        rows, width = [{} for _ in range(target.dim)], source.dim
         seen, parsed = set(), {}
         for entry in doc["entries"]:
             i, j = _integer(entry["row"], "row"), _integer(entry["col"], "col")
-            if i >= target.dim or j >= source.dim or (i, j) in seen:
+            if i >= len(rows) or j >= width or (i, j) in seen:
                 raise DocumentError(f"entry ({i},{j}) repeated or outside the matrix shape")
             seen.add((i, j))
             exps = set()
             for term in entry["terms"]:
-                exp = tuple(_integer(e, "exponent") for e in term["exp"])
-                if len(exp) != n:
+                exp = tuple(term["exp"])
+                if len(exp) != n or set(map(type, exp)) != {int} or min(exp) < 0:
+                    for e in exp:   # names the first bad exponent, if any
+                        _integer(e, "exponent")
                     raise DocumentError(f"bad exponent list {term['exp']!r}")
                 if exp in exps:
                     raise DocumentError(f"exponent {list(exp)} repeated in entry ({i},{j})")

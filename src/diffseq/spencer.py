@@ -22,26 +22,36 @@ Columns are keyed by the exponent tuples that operator rows already hold.
 ``_monomials(n, q)`` lists the degree-q monomials in ``sym_tuples(n, q)``
 order, and the monomial at position pos with fiber component k is column
 pos * m + k of S_q T* tensor a rank-m fiber.  Prolongation adds e_i to a
-monomial, contraction with dx^i subtracts it, and J_q stacks the degrees:
-column ``jet_fiber_dim(n, qq - 1, m) + pos * m + k`` for degree qq.
-Jet coordinates carry no multinomial factors: the component at a
-monomial stands for the plain mixed partial.
+monomial and contraction with dx^i subtracts it.
 
 On a full space wedge^r tensor S_q tensor E the route eliminates a basis
-of delta's image, not the image of every unit vector.  The full symbol is
-involutive, so with cls(mu) the least variable of x^mu (its multiplicative
-variables are x_1..x_cls(mu)), delta(dx^I tensor x^mu e_k) for the I made
-of non-multiplicative indices only, every index above cls(mu), is a basis
-of that image: m * sum_mu C(n - cls(mu), r) rows (Pommaret, "Systems of
-Partial Differential Equations and Lie Pseudogroups", Gordon and Breach
-1978; Seiler, "Involution", Springer 2010, ch. 6).  ``_pommaret_images``
-emits those rows, and the Janet tables quotient by the row space that
-every unit image spans.  The full-jet columns need no trust in the basis:
-each rank read is at most delta's rank, and since delta o delta = 0,
-rank delta_{r-1} + rank delta_r <= dim of node r; so when the read ranks
-fill every node exactly, each equals delta's rank and exactness is proven.
-Symbol spaces are not full spaces, so ``delta_map`` keeps the image of
-every basis vector.
+of delta's image, not the image of every unit vector, and for one fiber
+component only: delta there is delta tensor id_E, so scalar column c is
+column c * m + k of component k, and a rank is m times the scalar rank.
+The full symbol is involutive, so with cls(mu) the least variable of x^mu
+(its multiplicative variables are x_1..x_cls(mu)), delta(dx^I tensor x^mu)
+for the I made of non-multiplicative indices only, every index above
+cls(mu), is a basis of the scalar image: sum_mu C(n - cls(mu), r) rows
+(Pommaret, "Systems of Partial Differential Equations and Lie
+Pseudogroups", Gordon and Breach 1978; Seiler, "Involution", Springer
+2010, ch. 6).  ``_pommaret_images`` emits those rows, and the Janet tables
+quotient by the row space that every unit image spans.  The full-jet
+columns need no trust in the basis: each rank read is at most delta's
+rank, and since delta o delta = 0, rank delta_{r-1} + rank delta_r <= dim
+of node r; so when the read ranks fill every node exactly, each equals
+delta's rank and exactness is proven.  Symbol spaces are not full spaces,
+so ``delta_map`` keeps the image of every basis vector.
+
+The Janet and Spencer tables are symbol-dimension sums.  Every row of the
+operators they serve has one order s, so the equations of the order-q jet
+system R_q split by jet order, and those of order j >= s are the
+constraints of g_j: dim R_q is sum_{j<s} C(n+j-1, j) * m plus dim g_s + ...
++ dim g_q, read off the prolongation chain, and a zero space prolongs to
+the zero space.  delta's image B_r of wedge^{r-1} tensor S_{q+1} tensor E
+lies in the top jet order, which wedge^r tensor R_q meets in wedge^r tensor
+g_q, so the Janet bundle is C(n, r) * (dim J_q - dim R_q + dim g_q) minus
+the rank of B_r + wedge^r tensor g_q: m times the scalar rank of B_r when
+g_q = 0 (the tables' own orders), else one elimination over the top block.
 """
 
 from itertools import combinations
@@ -116,6 +126,9 @@ def prolong(g):
     """One prolongation: all first derivatives of the defining equations.
     Built once per symbol space; the result is shared."""
     n, m = g.n, g.fiber_dim
+    if not g.dim:   # g_{q+1} lies in T* tensor g_q: every column is constrained
+        return SymbolSpace(n=n, q=g.q + 1, fiber_dim=m, dim=0, constraints=tuple(
+            ((c, 1),) for c in range(comb(n + g.q, g.q + 1) * m)))
     monos, pos = _monomials(n, g.q)[0], _monomials(n, g.q + 1)[1]
     # adding e_i is injective on monomials, so no two terms share a column
     rows = [{pos[_shifted(monos[col // m], i, 1)] * m + col % m: coef for col, coef in crow}
@@ -144,35 +157,36 @@ def _wedge_signs(n, r):
                 for i in range(1, n + 1) if i not in I} for I in ext_tuples(n, r)}
 
 
-def _pommaret_images(n, r, q, m, stride=None, offset=0):
-    """delta(dx^I tensor x^mu e_k) on the full space wedge^r tensor S_q tensor
-    a rank-m fiber (q >= 1), for the I whose indices all exceed cls(mu), the
-    least variable of x^mu: a basis of delta's image there (module
-    docstring).  Columns, ``stride`` and ``offset`` are those of
-    ``_delta_images``."""
+def _pommaret_images(n, r, q):
+    """delta(dx^I tensor x^mu) on the full scalar space wedge^r tensor S_q
+    (q >= 1), for the I whose indices all exceed cls(mu), the least variable
+    of x^mu: a basis of delta's image there (module docstring), in the
+    columns of ``_delta_images`` with m = 1."""
     signs = _wedge_signs(n, r)
     nu_pos = _monomials(n, q - 1)[1]
-    stride = stride or len(nu_pos) * m
+    stride = len(nu_pos)
     rows = []
     for mu in _monomials(n, q)[0]:
         cls = next(i for i, e in enumerate(mu) if e) + 1
-        drops = [(i, nu_pos[_shifted(mu, i - 1, -1)] * m + offset)
-                 for i in range(cls, n + 1) if mu[i - 1]]
+        drops = [(i, nu_pos[_shifted(mu, i - 1, -1)]) for i in range(cls, n + 1) if mu[i - 1]]
         for I in combinations(range(cls + 1, n + 1), r):
             wedge = signs[I]
-            terms = [(wedge[i][0] * stride + col, wedge[i][1])
-                     for i, col in drops if i in wedge]
-            rows.extend({col + k: sign for col, sign in terms} for k in range(m))
+            rows.append({wedge[i][0] * stride + col: wedge[i][1]
+                         for i, col in drops if i in wedge})
     return rows
 
 
-def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
+def _scalar_delta_echelon(n, r, q):
+    """The echelon rows of ``_pommaret_images(n, r, q)`` (module docstring)."""
+    return linalg._echelon(_pommaret_images(n, r, q), comb(n, r + 1) * comb(n + q - 2, q - 1))
+
+
+def _delta_images(n, r, q, m, vectors):
     """delta(I tensor v) for every I in wedge^r (outer loop) and every sparse
     vector v over S_q tensor a rank-m fiber (inner loop), as sparse rows.
-    Component J of wedge^{r+1} sits at columns J_pos * stride + offset + the
-    S_{q-1}-fiber column (stride defaults to the S_{q-1}-fiber width)."""
+    Component J of wedge^{r+1} starts at J_pos times the S_{q-1}-fiber width."""
     nu_pos = _monomials(n, q - 1)[1]
-    stride = stride or len(nu_pos) * m
+    stride = len(nu_pos) * m
     # contraction with dx^i: x^mu -> x^(mu - e_i) for each i with mu_i > 0
     drops = [[(i + 1, nu_pos[_shifted(mu, i, -1)] * m) for i, e in enumerate(mu) if e]
              for mu in _monomials(n, q)[0]]
@@ -186,7 +200,7 @@ def _delta_images(n, r, q, m, vectors, stride=None, offset=0):
         contracted.append(w)
     rows = []
     for wedge in _wedge_signs(n, r).values():
-        steps = [(i, pos * stride + offset, sign) for i, (pos, sign) in wedge.items()]
+        steps = [(i, pos * stride, sign) for i, (pos, sign) in wedge.items()]
         # distinct (i, mu, k) land on distinct columns, so no key repeats
         rows.extend({base + col: sign * coef
                      for i, base, sign in steps for col, coef in w.get(i, ())}
@@ -284,8 +298,7 @@ def full_jet_column(n, q_top, m):
     if m < 1:
         raise ValueError(f"fiber rank m must be at least 1, got {m}")
     dims = [comb(n, r) * comb(n + q_top - r - 1, q_top - r) * m for r in range(q_top + 1)]
-    ranks = [len(linalg._echelon(_pommaret_images(n, r, q_top - r, m), dims[r + 1]))
-             for r in range(q_top)]
+    ranks = [m * len(_scalar_delta_echelon(n, r, q_top - r)) for r in range(q_top)]
     # exact at node r: the incoming and outgoing ranks add up to its dim
     padded = [0] + ranks + [0]
     exact = not ranks or all(padded[r] + padded[r + 1] == dims[r]
@@ -298,39 +311,25 @@ def full_jet_column(n, q_top, m):
 # ---------------------------------------------------------------------------
 # jet systems and the two canonical resolutions
 
-def _prolonged_equation_rows(op, q):
-    """Constraint rows of the order-q jet system of ``op`` over the
-    coordinates of J_q (source fiber), i.e. all derivatives of the
-    equations up to order q - order(op)."""
-    n, m = op.n, op.source.dim
-    offsets = [jet_fiber_dim(n, qq - 1, m) for qq in range(q + 1)]
-    tables = [_monomials(n, qq)[1] for qq in range(q + 1)]
-    shifts = [sigma for qq in range(q - op.order + 1) for sigma in _monomials(n, qq)[0]]
-    rows = []
-    for _, vec in op.vectors:
-        for sigma in shifts:
-            # adding sigma is injective on monomials, so no two terms share a column
-            out = {}
-            for (k, mono), coef in vec.items():
-                nu = tuple(a + b for a, b in zip(mono, sigma))
-                qq = sum(nu)
-                out[offsets[qq] + tables[qq][nu] * m + k] = coef
-            if out:
-                rows.append(out)
-    return rows, offsets[q] + len(tables[q]) * m
-
-
 def jet_fiber_dim(n, q, m):
     return sum(comb(n + qq - 1, qq) for qq in range(q + 1)) * m
 
 
 @cached
 def _jet_system(op, q):
-    """The part of a Janet/Spencer table that does not depend on r: the width
-    of J_q, a basis of R_q (the order-q jet system of ``op``) and g_{q+1}."""
-    eq_rows, width = _prolonged_equation_rows(op, q)
-    g_next = prolong(prolong_to(symbol_of(op), q))
-    return width, linalg._kernel(eq_rows, width)[0], g_next
+    """The part of a Janet/Spencer table that does not depend on r: dim J_q,
+    dim R_q (the order-q jet system of ``op``), g_q and g_{q+1}.  dim R_q is
+    a sum of symbol dims (module docstring) only when every row of ``op``
+    has one order, so an operator whose rows mix orders is refused."""
+    if any(sum(mono) != op.order for _, vec in op.vectors for _, mono in vec):
+        raise ValueError(f"{op.name}: the jet system needs rows of one order")
+    chain = [symbol_of(op)]
+    while chain[-1].q < q:
+        chain.append(prolong(chain[-1]))
+    g_q = prolong_to(chain[-1], q)   # refuses a q below the order
+    m = g_q.fiber_dim
+    r_q_dim = jet_fiber_dim(op.n, chain[0].q - 1, m) + sum(g.dim for g in chain)
+    return jet_fiber_dim(op.n, q, m), r_q_dim, g_q, prolong(g_q)
 
 
 def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
@@ -348,39 +347,34 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
         raise ValueError(f"exterior degree r must be non-negative, got {r}")
     if q is not None and q < 0:
         raise ValueError(f"jet order q must be non-negative, got {q}")
-    if system == "killing":
-        op = sequences.killing(n, metric)
-        q = 2 if q is None else q
-    elif system == "conformal_killing":
-        op = sequences.conformal_killing(n, metric)
-        q = 3 if q is None else q
-    elif system == "jet":
+    if system == "jet":
         if q is None:
             raise ValueError("jet system needs an explicit order q")
         if m < 1:
             raise ValueError(f"fiber rank m must be at least 1, got {m}")
-        op = None
+        op, width, r_q_dim, g_dim = None, jet_fiber_dim(n, q, m), 0, 0   # R_q = 0
+    elif system in ("killing", "conformal_killing"):
+        op = getattr(sequences, system)(n, metric)
+        q = (2 if system == "killing" else 3) if q is None else q
+        m = op.source.dim
+        width, r_q_dim, g_q, g_next = _jet_system(op, q)
+        g_dim = g_q.dim
     else:
         raise ValueError(f"unknown system {system!r}")
 
-    if op is None:
-        # R_q = 0: the Janet bundle is the full quotient by the delta image
-        msrc, width, r_q_basis = m, jet_fiber_dim(n, q, m), []
-    else:
-        msrc = op.source.dim
-        width, r_q_basis, g_next = _jet_system(op, q)
-
-    # Janet bundle: full jet space modulo (wedge^r x R_q + delta image)
-    gens = [{pos * width + comp: v for comp, v in b.items()}
-            for pos in range(comb(n, r)) for b in r_q_basis]
-    if r >= 1:
-        # a basis of the delta image of wedge^{r-1} x S_{q+1} x E, placed in
-        # jet coordinates (the top-order block of J_q)
-        gens.extend(_pommaret_images(n, r - 1, q + 1, msrc,
-                                     width, jet_fiber_dim(n, q - 1, msrc)))
-    f_dim = comb(n, r) * width - len(linalg._echelon(gens, comb(n, r) * width))
+    # Janet bundle: wedge^r x J_q modulo wedge^r x R_q + B_r (module
+    # docstring); B_r's fiber components come from one scalar elimination
+    echelon = _scalar_delta_echelon(n, r - 1, q + 1) if r >= 1 else []
+    rank = m * len(echelon)
+    if g_dim:
+        top = comb(n + q - 1, q) * m
+        gens = [{c * m + k: v for c, v in row.items()} for k in range(m) for _, row in echelon]
+        gens.extend({pos * top + c: v for c, v in b.items()}
+                    for pos in range(comb(n, r)) for b in g_q.basis())
+        rank = len(linalg._echelon(gens, comb(n, r) * top))
+    f_dim = comb(n, r) * (width - r_q_dim + g_dim) - rank
     if op is None:
         return f_dim, f_dim
     # Spencer bundle: wedge^r x R_q modulo the delta image of g_{q+1}
     rank_dg = delta_map(r - 1, g_next).rank if r >= 1 else 0
-    return f_dim, comb(n, r) * len(r_q_basis) - rank_dg
+    return f_dim, comb(n, r) * r_q_dim - rank_dg

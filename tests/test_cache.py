@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import pkgutil
+from math import comb
 
 import pytest
 
@@ -47,32 +48,40 @@ def test_ricci_reuses_the_curvature_ambient_rows():
         rows[0][1][0, (0, 0, 2)] = 1
 
 
-def test_janet_spencer_table_eliminates_its_jet_system_once(monkeypatch):
+def test_janet_spencer_table_eliminates_each_symbol_once(monkeypatch):
+    """A table reads dim R_q off the symbol chain: it eliminates no jet
+    system, each symbol space once, and a basis only where g_q != 0."""
     n = 3
-    euclidean = [spencer.janet_spencer_bundle_dims("killing", r, n) for r in range(n + 1)]
-    # a metric no other test uses, so the caches below start empty for it
     w = ConstantMetric([[3, 0, 0], [0, 1, 0], [0, 0, 1]])
-    widths = []
-    kernel = linalg._kernel   # the kernel entry the Spencer route calls
+    tables = {system: [spencer.janet_spencer_bundle_dims(system, r, n, w, q=2)
+                       for r in range(n + 1)] for system in ("killing", "conformal_killing")}
+    for cache in (spencer.symbol_of, spencer.prolong, spencer._jet_system,
+                  spencer.SymbolSpace.basis):
+        cache.cache_clear()
+    made, widths, symbols = [], [], []
+    make = spencer._make_symbol
+    monkeypatch.setattr(spencer, "_make_symbol",
+                        lambda n, q, m, rows: made.append(q) or make(n, q, m, rows))
+    kernel = linalg._kernel   # the kernel entry of a symbol basis
     monkeypatch.setattr(linalg, "_kernel",
                         lambda rows, ncols: widths.append(ncols) or kernel(rows, ncols))
-    symbols = []
     symbol_of = spencer.symbol_of
     monkeypatch.setattr(spencer, "symbol_of",
                         lambda op: symbols.append(op) or symbol_of(op))
 
-    table = [spencer.janet_spencer_bundle_dims("killing", r, n, w) for r in range(n + 1)]
-    assert table == euclidean
-    assert widths.count(spencer.jet_fiber_dim(n, 2, n)) == 1   # the R_2 kernel
-    assert len(symbols) == 1
-    # each symbol space is eliminated once: a second table eliminates nothing
-    seen = len(widths)
-    for r in range(n + 1):
-        spencer.janet_spencer_bundle_dims("killing", r, n, w)
-    assert len(widths) == seen
-    g = symbol_of(sequences.killing(n, w))
-    assert g.basis() is g.basis()
-    assert len(widths) == seen + 1
+    for _ in range(2):   # the second pass eliminates nothing
+        assert [spencer.janet_spencer_bundle_dims("killing", r, n, w, q=2)
+                for r in range(n + 1)] == tables["killing"]
+        # g_1 and g_2; g_2 = 0, so g_3 is built as the zero space and no
+        # basis is eliminated
+        assert made == [1, 2] and widths == [] and len(symbols) == 1
+    for _ in range(2):
+        assert [spencer.janet_spencer_bundle_dims("conformal_killing", r, n, w, q=2)
+                for r in range(n + 1)] == tables["conformal_killing"]
+        # g_1, g_2 and g_3 of the conformal symbol, and the one basis of
+        # g_2 != 0 that every exterior degree reads
+        assert made == [1, 2, 1, 2, 3] and widths == [comb(n + 1, 2) * n]
+        assert len(symbols) == 2
 
 
 def test_prolong_is_built_once_per_symbol_space(monkeypatch):

@@ -515,6 +515,25 @@ def test_malformed_document_fields_exit_two(tmp_path, capsys, path, value):
         assert capsys.readouterr().err.startswith("diffseq: ")
 
 
+@pytest.mark.parametrize("exp, message", [
+    ([True, 0], "exponent must be an integer >= 0, got True"),
+    ([-1, 0], "exponent must be an integer >= 0, got -1"),
+    ([0, "1"], "exponent must be an integer >= 0, got '1'"),
+    ([0, -1, 0], "exponent must be an integer >= 0, got -1"),   # named before the length
+    ([0], "bad exponent list [0]"),
+    ([0, 0, 0], "bad exponent list [0, 0, 0]"),
+    ("ab", "exponent must be an integer >= 0, got 'a'"),
+    (5, "missing or malformed field: 'int' object is not iterable"),
+])
+def test_a_bad_exponent_list_names_its_first_fault(exp, message):
+    _, out = run_cli(["build", "killing", "--n", "2"])
+    doc = json.loads(out)
+    doc["entries"][0]["terms"][0]["exp"] = exp
+    with pytest.raises(serialize.DocumentError) as err:
+        serialize.document_to_operator(doc)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("coef", ["1e4400", "1e10000000", "0.5", " 1/2 ", "+1", "1/0"])
 def test_a_coef_not_of_the_writer_form_exits_two_at_once(tmp_path, capsys, coef):
     # Fraction would read every one of these but the last; an exponent form

@@ -4,12 +4,15 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
 
 from diffseq import linalg, spencer
-from diffseq.bundles import ext_tuples, riemann_candidate_space, sym_tuples
+from diffseq.bundles import ext_tuples, free_basis, riemann_candidate_space, sym_tuples
+from diffseq.operators import make_operator
 from diffseq.poly import ConstantMetric, Poly
 from diffseq.sequences import conformal_killing, exterior_derivative, killing
 from polyref import random_poly, sub
@@ -97,51 +100,182 @@ def _cls(mu):
     return next(i for i, e in enumerate(mu) if e) + 1
 
 
+def fiber_pommaret_images(n, r, q, m):
+    """The Pommaret rows of wedge^r tensor S_q tensor a rank-m fiber, built
+    directly for every fiber component, in the columns of ``_delta_images``."""
+    signs = spencer._wedge_signs(n, r)
+    nu_pos = spencer._monomials(n, q - 1)[1]
+    stride = len(nu_pos) * m
+    rows = []
+    for mu in spencer._monomials(n, q)[0]:
+        drops = [(i, nu_pos[spencer._shifted(mu, i - 1, -1)] * m)
+                 for i in range(_cls(mu), n + 1) if mu[i - 1]]
+        for I in combinations(range(_cls(mu) + 1, n + 1), r):
+            wedge = signs[I]
+            terms = [(wedge[i][0] * stride + col, wedge[i][1]) for i, col in drops if i in wedge]
+            rows.extend({col + k: sign for col, sign in terms} for k in range(m))
+    return rows
+
+
 def test_pommaret_rows_are_a_basis_of_the_delta_image():
     for n in range(2, 6):
         for q in range(1, 5):
+            assert fiber_pommaret_images(n, 0, q, 1) == spencer._pommaret_images(n, 0, q)
             for m in (1, 2):
                 count = [m * sum(comb(n - _cls(mu), r) for mu in spencer._monomials(n, q)[0])
                          for r in range(n + 1)]
                 for r in range(n + 1):
                     width = comb(n, r + 1) * comb(n + q - 2, q - 1) * m
-                    rows = spencer._pommaret_images(n, r, q, m)
+                    rows = fiber_pommaret_images(n, r, q, m)
                     every = spencer._delta_images(n, r, q, m, _units(n, q, m))
                     assert len(rows) == linalg.rank(rows, width) == count[r]
                     assert linalg.rank(every, width) == count[r]
+                    if m == 1:
+                        assert rows == spencer._pommaret_images(n, r, q)
                 # delta_0 is injective on S_q tensor E for q >= 1, and
                 # wedge^{n+1} = 0 leaves delta_n nothing to hit
                 assert count[n] == 0 and count[0] == comb(n + q - 1, q) * m
 
 
-def unit_route_janet_dim(system, r, n, metric=None, m=1, q=None):
-    """The Janet bundle dim with the image of every unit vector of
-    wedge^{r-1} tensor S_{q+1} tensor E among the generators."""
+def test_full_jet_column_ranks_are_fiber_rank_times_the_scalar_ranks():
+    """delta on wedge^r tensor S_q tensor E is delta tensor id_E: the ranks
+    of a rank-m column are m times those of m = 1, and equal the ranks of
+    the Pommaret rows of every fiber component eliminated together."""
+    for n in range(1, 6):
+        for q in range(6):
+            scalar = spencer.full_jet_column(n, q, 1)
+            for m in range(1, 5):
+                col = spencer.full_jet_column(n, q, m)
+                assert col.ranks == tuple(m * rank for rank in scalar.ranks)
+                assert col.ranks == tuple(
+                    linalg.rank(fiber_pommaret_images(n, r, q - r, m),
+                                comb(n, r + 1) * comb(n + q - r - 2, q - r - 1) * m)
+                    for r in range(q))
+                assert col.exact
+
+
+def prolonged_equation_rows(op, q):
+    """Constraint rows of the order-q jet system of ``op`` over the
+    coordinates of J_q (source fiber), i.e. all derivatives of the
+    equations up to order q - order(op): column
+    ``jet_fiber_dim(n, qq - 1, m) + pos * m + k`` for the monomial at
+    position pos of degree qq, fiber component k."""
+    n, m = op.n, op.source.dim
+    offsets = [spencer.jet_fiber_dim(n, qq - 1, m) for qq in range(q + 1)]
+    tables = [spencer._monomials(n, qq)[1] for qq in range(q + 1)]
+    shifts = [sigma for qq in range(q - op.order + 1) for sigma in spencer._monomials(n, qq)[0]]
+    rows = []
+    for _, vec in op.vectors:
+        for sigma in shifts:
+            # adding sigma is injective on monomials, so no two terms share a column
+            out = {}
+            for (k, mono), coef in vec.items():
+                nu = tuple(a + b for a, b in zip(mono, sigma))
+                qq = sum(nu)
+                out[offsets[qq] + tables[qq][nu] * m + k] = coef
+            if out:
+                rows.append(out)
+    return rows, offsets[q] + len(tables[q]) * m
+
+
+@cache
+def jet_system_basis(op, q):
+    """A basis of R_q: the kernel of every prolonged equation row."""
+    rows, width = prolonged_equation_rows(op, q)
+    return linalg.integer_kernel(rows, width)[0]
+
+
+def unit_route_tables(system, r, n, metric=None, m=1, q=None):
+    """(Janet dim, Spencer dim) from the whole jet system: R_q the kernel of
+    every prolonged equation, and the image of every unit vector of
+    wedge^{r-1} tensor S_{q+1} tensor E among the Janet generators."""
     if system == "jet":
         width, r_q_basis = spencer.jet_fiber_dim(n, q, m), []
     else:
         op = {"killing": killing, "conformal_killing": conformal_killing}[system](n, metric)
         m = op.source.dim
-        width, r_q_basis = spencer._jet_system(op, q)[:2]
+        width, r_q_basis = spencer.jet_fiber_dim(n, q, m), jet_system_basis(op, q)
     gens = [{pos * width + comp: v for comp, v in b.items()}
             for pos in range(comb(n, r)) for b in r_q_basis]
     if r >= 1:
-        gens.extend(spencer._delta_images(n, r - 1, q + 1, m, _units(n, q + 1, m),
-                                          width, spencer.jet_fiber_dim(n, q - 1, m)))
-    return comb(n, r) * width - linalg.rank(gens, comb(n, r) * width)
+        # delta's columns J_pos * stride + c sit at J_pos * width + offset + c
+        stride, offset = comb(n + q - 1, q) * m, spencer.jet_fiber_dim(n, q - 1, m)
+        gens.extend({c // stride * width + offset + c % stride: v for c, v in row.items()}
+                    for row in spencer._delta_images(n, r - 1, q + 1, m, _units(n, q + 1, m)))
+    f_dim = comb(n, r) * width - linalg.rank(gens, comb(n, r) * width)
+    if system == "jet":
+        return f_dim, f_dim
+    g_next = spencer.prolong(spencer.prolong_to(spencer.symbol_of(op), q))
+    rank_dg = spencer.delta_map(r - 1, g_next).rank if r >= 1 else 0
+    return f_dim, comb(n, r) * len(r_q_basis) - rank_dg
 
 
 def test_janet_tables_match_the_unit_image_route():
-    for n in range(3, 6):
+    """Both tables of killing (n = 2..6) and conformal_killing (n = 3..6),
+    under both metrics, at q = 1..3 and at their default orders."""
+    for n in range(2, 7):
+        systems = ["killing"] + (["conformal_killing"] if n >= 3 else [])
         for metric in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n)):
-            for system, q in (("killing", 2), ("conformal_killing", 3)):
-                for r in range(n + 1):
-                    f_dim = spencer.janet_spencer_bundle_dims(system, r, n, metric)[0]
-                    assert f_dim == unit_route_janet_dim(system, r, n, metric, q=q)
-    for n, q, m in ((3, 2, 1), (4, 3, 2), (3, 3, 3)):
-        for r in range(n + 1):
-            f_dim, c_dim = spencer.janet_spencer_bundle_dims("jet", r, n, m=m, q=q)
-            assert f_dim == c_dim == unit_route_janet_dim("jet", r, n, m=m, q=q)
+            for system in systems:
+                default = {"killing": 2, "conformal_killing": 3}[system]
+                for q in range(1, 4):   # both systems have order 1
+                    want = [unit_route_tables(system, r, n, metric, q=q) for r in range(n + 2)]
+                    assert [spencer.janet_spencer_bundle_dims(system, r, n, metric, q=q)
+                            for r in range(n + 2)] == want
+                    if q == default:
+                        assert [spencer.janet_spencer_bundle_dims(system, r, n, metric)
+                                for r in range(n + 2)] == want
+
+
+def test_jet_tables_match_the_unit_image_route():
+    for n in range(1, 5):
+        for q in range(4):
+            for m in range(1, 4):
+                for r in range(n + 2):
+                    assert (spencer.janet_spencer_bundle_dims("jet", r, n, m=m, q=q)
+                            == unit_route_tables("jet", r, n, m=m, q=q))
+
+
+def test_prolong_of_a_zero_space_is_the_zero_space():
+    """A zero symbol space prolongs to the record that eliminating its
+    prolonged unit rows gives."""
+    ops = [exterior_derivative(3, 0)] + [builder(n, metric) for n in (3, 4)
+                                         for builder in (killing, conformal_killing)
+                                         for metric in (None, ConstantMetric.minkowski(n))]
+    for op in ops:
+        g = spencer.symbol_of(op)
+        while g.dim:
+            g = spencer.prolong(g)
+        for _ in range(2):
+            n, m = g.n, g.fiber_dim
+            monos, pos = spencer._monomials(n, g.q)[0], spencer._monomials(n, g.q + 1)[1]
+            rows = [{pos[spencer._shifted(monos[col // m], i, 1)] * m + col % m: coef
+                     for col, coef in crow} for crow in g.constraints for i in range(n)]
+            eliminated = spencer._make_symbol(n, g.q + 1, m, rows)
+            g = spencer.prolong(g)
+            assert g == eliminated and g.dim == 0
+
+
+def test_a_jet_order_below_the_symbol_is_refused_at_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spencer, "prolong", lambda g: calls.append(g))
+    monkeypatch.setattr(spencer, "_pommaret_images", lambda *args: calls.append(args))
+    for system in ("killing", "conformal_killing"):
+        for n in (3, 4):
+            for r in (0, 2):
+                with pytest.raises(ValueError, match="below the symbol's order 1"):
+                    spencer.janet_spencer_bundle_dims(system, r, n, q=0)
+    assert calls == []
+
+
+def test_the_jet_system_refuses_rows_of_mixed_order():
+    """dim R_q is a sum of symbol dims only when every row has one order."""
+    x, xx = Poly(2, {(1, 0): 1}), Poly(2, {(0, 2): 1})
+    src, tgt = free_basis("U", 2, ["u"]), free_basis("S", 2, ["s1", "s2"])
+    for rows in ([[x], [xx]], [[x + xx], [xx]]):
+        op = make_operator("mixed", 2, src, tgt, rows)
+        with pytest.raises(ValueError, match="rows of one order"):
+            spencer._jet_system(op, 3)
 
 
 def test_a_negative_column_height_is_refused():
@@ -201,10 +335,10 @@ def test_the_wedge_sign_table_matches_the_direct_computation():
 
 
 def test_the_spencer_route_hands_the_kernel_fresh_nonzero_int_rows(monkeypatch):
-    """Every row that the delta images, the Pommaret images, the jet system's
-    equations, prolongation and the Janet generators hand to the kernel,
-    which consumes them: a dict of its own with nonzero int entries in
-    columns 0..ncols-1."""
+    """Every row that the delta images, the scalar Pommaret images,
+    prolongation and the Janet generators hand to the kernel, which consumes
+    them: a dict of its own with nonzero int entries in columns
+    0..ncols-1.  No jet system is eliminated."""
     systems = {"killing": killing, "conformal_killing": conformal_killing}
     # built first: the operator builders reach the kernel through the boundary
     ops = {(system, n): builder(n) for n in range(2, 6) for system, builder in systems.items()
@@ -231,24 +365,25 @@ def test_the_spencer_route_hands_the_kernel_fresh_nonzero_int_rows(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", checked)
     for (system, n), op in ops.items():
         spencer.delta_cohomology_detail(op, n)   # symbol_of, prolong, delta_map
-        for r in range(n + 1):   # _prolonged_equation_rows, the Janet generators
-            spencer.janet_spencer_bundle_dims(system, r, n)
+        for q in (1, None):   # at q = 1, g_1 != 0 joins the Janet generators
+            for r in range(n + 1):
+                spencer.janet_spencer_bundle_dims(system, r, n, q=q)
     for n in range(2, 6):
         for r in range(n + 1):
             spencer.janet_spencer_bundle_dims("jet", r, n, m=2, q=2)
-        spencer.full_jet_column(n, 3, 2)   # _pommaret_images alone
+        spencer.full_jet_column(n, 3, 2)   # _scalar_delta_echelon alone
     assert spencer.prolong.cache_info().misses > 0
     # each row is consumed once: no dict is handed over twice, and none is
     # a basis vector that a cache keeps
     handed_ids = {id(row) for row in handed}
     assert len(handed_ids) == len(handed)
-    for (system, n), op in ops.items():
+    for op in ops.values():
         g = spencer.symbol_of(op)
-        q = {"killing": 2, "conformal_killing": 3}[system]   # the tables' jet orders
-        kept = spencer._jet_system(op, q)[1] + g.basis() + spencer.prolong(g).basis()
+        kept = g.basis() + spencer.prolong(g).basis()
         assert not {id(v) for v in kept} & handed_ids
-    # _reduced: symbols, prolongations, symbol bases and the R_q bases
-    assert callers == {"_reduced", "delta_map", "full_jet_column", "janet_spencer_bundle_dims"}
+    # _reduced: symbols, prolongations and symbol bases
+    assert callers == {"_reduced", "delta_map", "_scalar_delta_echelon",
+                       "janet_spencer_bundle_dims"}
 
 
 def ambient_delta(n, r, q, m):
@@ -505,9 +640,8 @@ def test_spencer_columns_are_pinned():
                               _sorted_rows(spencer._delta_images(
                                   n, 1, q, g.fiber_dim, g_q.basis()))]
                 for q in (2, 3):
-                    width, r_q_basis = spencer._jet_system(op, q)[:2]
-                    rows, jet_width = spencer._prolonged_equation_rows(op, q)
-                    parts += [width, _sorted_rows(r_q_basis), jet_width,
+                    rows, width = prolonged_equation_rows(op, q)
+                    parts += [width, _sorted_rows(jet_system_basis(op, q)), width,
                               _sorted_rows(rows)]
                 digest.update(f"{op.name} n={n} {metric.name}\n{parts!r}\n".encode())
     assert digest.hexdigest() == SPENCER_COLUMNS_SHA256
