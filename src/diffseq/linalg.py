@@ -13,17 +13,17 @@ rational rows, zeros allowed, and leave them unchanged: ``_integer_rows``
 hands the kernel a scaled copy of each and refuses a float (``TypeError``)
 or a negative column (``ValueError``).
 
-``_echelon`` reduces each row as it arrives against a map from pivot column
-to pivot row: while the row's least column holds a pivot, the row becomes
-the integer combination that clears it (``_clear``, which divides a row it
-scales back to primitive).  A row left led by a column below ``ncols``
-becomes the pivot there as it is (few have a common factor); a zero row,
-or one led by a column at or past ``ncols`` (``invert``'s augmented block),
-is dropped.  Most delta rows reduce to zero, so the pass keeps no column
-index.  ``_reduced`` back-substitutes once, last pivot first, to primitive
-rows (``spencer``'s symbol constraints), ``_kernel`` reads one primitive
-vector per free column off them, and only ``rref`` divides, so its rows
-are ``Fraction``.
+``_echelon`` takes the rows sparsest first, to keep fill-in down, and
+reduces each against a map from pivot column to pivot row: while the row's
+least column holds a pivot, the row becomes the integer combination that
+clears it (``_clear``, which divides a row it scales back to primitive).  A
+row left led by a column below ``ncols`` becomes the pivot there as it is
+(few have a common factor); a zero row, or one led by a column at or past
+``ncols`` (``invert``'s augmented block), is dropped.  The pass keeps no
+column index.  ``_reduced`` back-substitutes once, last pivot first, to
+primitive rows (``spencer``'s symbol constraints), ``_kernel`` reads one
+primitive vector per free column off them, and only ``rref`` divides, so
+its rows are ``Fraction``.
 
 Results do not depend on the order of the rows: the pivot columns are where
 the row space first gains a dimension, and a row space has one reduced row
@@ -74,11 +74,11 @@ def _clear(row, piv, col):
 
 
 def _echelon(rows, ncols):
-    """Forward elimination of integer rows with no zero entry, which it
-    consumes: ``[(pivot_col, row)]`` in increasing pivot column, each row an
-    integer dict, not always primitive, that is zero left of its pivot."""
+    """Forward elimination, sparsest row first, of integer rows with no zero
+    entry, which it consumes: ``[(pivot_col, row)]`` by increasing pivot
+    column, each an integer dict, not always primitive, zero left of its pivot."""
     pivots = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         while row:
             col = min(row)
             piv = pivots.get(col)

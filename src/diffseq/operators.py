@@ -47,7 +47,7 @@ class OperatorMatrix:
     def shape(self):
         return (self.target.dim, self.source.dim)
 
-    @property
+    @cached_property
     def order(self):
         """Largest total degree appearing in the symbol (zero operator: 0)."""
         return max((sum(m) for _, vec in self.vectors for _, m in vec), default=0)

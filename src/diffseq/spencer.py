@@ -12,11 +12,11 @@ dict of nonzero ints, so it hands them to the integer kernel of ``linalg``
 (``_echelon``, ``_reduced``, ``_kernel``) with no copy and no type check.
 A symbol space stores its constraints as the reduced primitive rows of
 ``_reduced``, pivot entries positive, so equal spaces are equal records for
-the caches keyed on them.  delta rows come from ``_delta_images`` (each
-vector contracted with each dx^i once, then placed per exterior index I)
-and ``_pommaret_images`` (below), both signed by one table,
-``_wedge_signs``.  The images are the rows of the transpose of delta's
-matrix, and rank(A) = rank(A^T), so their rank is the rank of delta.
+the caches keyed on them.  delta rows come from ``_delta_images`` (the
+images, rows of the transpose of delta's matrix), ``_delta_matrix`` (the
+matrix's rows, one per codomain coordinate), which share one contraction
+step, and ``_pommaret_images`` (below), all signed by ``_wedge_signs``.
+rank(A) = rank(A^T), so ``delta_map`` eliminates on the shorter side.
 
 Columns are keyed by the exponent tuples that operator rows already hold.
 ``_monomials(n, q)`` lists the degree-q monomials in ``sym_tuples(n, q)``
@@ -40,7 +40,7 @@ columns need no trust in the basis: each rank read is at most delta's
 rank, and since delta o delta = 0, rank delta_{r-1} + rank delta_r <= dim
 of node r; so when the read ranks fill every node exactly, each equals
 delta's rank and exactness is proven.  Symbol spaces are not full spaces,
-so ``delta_map`` keeps the image of every basis vector.
+so ``delta_map`` takes delta of every basis vector.
 
 The Janet and Spencer tables are symbol-dimension sums.  Every row of the
 operators they serve has one order s, so the equations of the order-q jet
@@ -181,23 +181,25 @@ def _scalar_delta_echelon(n, r, q):
     return linalg._echelon(_pommaret_images(n, r, q), comb(n, r + 1) * comb(n + q - 2, q - 1))
 
 
+def _contractions(n, q, m, vectors):
+    """``(v, i, column, coef)`` for every term of the contraction of the v-th
+    sparse vector over S_q tensor a rank-m fiber with dx^i, x^mu -> x^(mu -
+    e_i) for each i with mu_i > 0, in the columns of S_{q-1} tensor the fiber."""
+    nu_pos = _monomials(n, q - 1)[1]
+    drops = [[(i + 1, nu_pos[_shifted(mu, i, -1)] * m) for i, e in enumerate(mu) if e]
+             for mu in _monomials(n, q)[0]]
+    return [(v, i, col + c % m, coef) for v, vec in enumerate(vectors)
+            for c, coef in vec.items() for i, col in drops[c // m]]
+
+
 def _delta_images(n, r, q, m, vectors):
     """delta(I tensor v) for every I in wedge^r (outer loop) and every sparse
     vector v over S_q tensor a rank-m fiber (inner loop), as sparse rows.
     Component J of wedge^{r+1} starts at J_pos times the S_{q-1}-fiber width."""
-    nu_pos = _monomials(n, q - 1)[1]
-    stride = len(nu_pos) * m
-    # contraction with dx^i: x^mu -> x^(mu - e_i) for each i with mu_i > 0
-    drops = [[(i + 1, nu_pos[_shifted(mu, i, -1)] * m) for i, e in enumerate(mu) if e]
-             for mu in _monomials(n, q)[0]]
-    contracted = []   # per vector: i -> its contraction with dx^i, as pairs
-    for v in vectors:
-        w = {}
-        for c, coef in v.items():
-            pos, k = divmod(c, m)
-            for i, col in drops[pos]:
-                w.setdefault(i, []).append((col + k, coef))
-        contracted.append(w)
+    stride = comb(n + q - 2, q - 1) * m
+    contracted = [{} for _ in vectors]   # per vector: i -> its contraction with dx^i
+    for v, i, col, coef in _contractions(n, q, m, vectors):
+        contracted[v].setdefault(i, []).append((col, coef))
     rows = []
     for wedge in _wedge_signs(n, r).values():
         steps = [(i, pos * stride, sign) for i, (pos, sign) in wedge.items()]
@@ -206,6 +208,22 @@ def _delta_images(n, r, q, m, vectors):
                      for i, base, sign in steps for col, coef in w.get(i, ())}
                     for w in contracted)
     return rows
+
+
+def _delta_matrix(n, r, q, m, vectors):
+    """The transpose of ``_delta_images``: a sparse row per codomain
+    coordinate (J, nu, k) that an image reaches, with delta(I tensor v)'s
+    entry in column I_pos * len(vectors) + v; J and i fix I, so no key repeats."""
+    into = {}   # (i, codomain column) -> [(v, coef)]
+    for v, i, col, coef in _contractions(n, q, m, vectors):
+        into.setdefault((i, col), []).append((v, coef))
+    faces = {}   # J_pos -> [(i, I_pos * len(vectors), sign)], dx^i wedge dx^I = sign dx^J
+    for I_pos, wedge in enumerate(_wedge_signs(n, r).values()):
+        for i, (J_pos, sign) in wedge.items():
+            faces.setdefault(J_pos, []).append((i, I_pos * len(vectors), sign))
+    return [row for steps in faces.values() for col in range(comb(n + q - 2, q - 1) * m)
+            if (row := {base + v: sign * coef
+                        for i, base, sign in steps for v, coef in into.get((i, col), ())})]
 
 
 @record
@@ -224,11 +242,11 @@ def delta_map(r, g):
     """delta on wedge^r tensor g, with ambient codomain wedge^{r+1} tensor
     S_{q-1} tensor the fiber."""
     n, q, m = g.n, g.q, g.fiber_dim
-    codomain = comb(n, r + 1) * comb(n + q - 2, q - 1) * m
-    rank = len(linalg._echelon(_delta_images(n, r, q, m, g.basis()), codomain)) if g.dim else 0
-    return DeltaComplexSlice(
-        n=n, r=r, q=q, domain_dim=comb(n, r) * g.dim, codomain_dim=codomain,
-        rank=rank)
+    domain, codomain = comb(n, r) * g.dim, comb(n, r + 1) * comb(n + q - 2, q - 1) * m
+    # rank A = rank A^T: one row per coordinate on the shorter side, over the longer
+    side = _delta_images if domain <= codomain else _delta_matrix
+    rank = len(linalg._echelon(side(n, r, q, m, g.basis()), max(domain, codomain))) if g.dim else 0
+    return DeltaComplexSlice(n=n, r=r, q=q, domain_dim=domain, codomain_dim=codomain, rank=rank)
 
 
 @record

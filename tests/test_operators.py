@@ -228,6 +228,22 @@ def test_zero_operator_and_order():
     assert killing(4).order == 1
 
 
+def test_order_scans_the_terms_once():
+    op = sequences.riemann_linearized(4)
+    scans = []
+
+    class Counted(dict):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    counted = OperatorMatrix(name=op.name, n=op.n, source=op.source, target=op.target,
+                             vectors=tuple((den, Counted(vec)) for den, vec in op.vectors))
+    assert counted.order == op.order == 2
+    assert len(scans) == op.target.dim
+    assert counted.order == 2 and len(scans) == op.target.dim
+
+
 def test_equality_ignores_name_but_not_entries():
     rng = random.Random(26)
     op = rand_operator(rng, 2, 2, 2, 1, "one", "S", "T")

@@ -14,7 +14,10 @@ from diffseq import linalg, spencer
 from diffseq.bundles import ext_tuples, free_basis, riemann_candidate_space, sym_tuples
 from diffseq.operators import make_operator
 from diffseq.poly import ConstantMetric, Poly
-from diffseq.sequences import conformal_killing, exterior_derivative, killing
+from diffseq.sequences import (
+    BUILDERS, bianchi, conformal_killing, einstein, exterior_derivative, killing,
+    lanczos_candidate, ricci, riemann_linearized,
+)
 from polyref import random_poly, sub
 
 
@@ -424,14 +427,34 @@ def ambient_route_rank(r, g):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_delta_ranks_match_the_ambient_matrix_route(n):
-    for builder in (killing, conformal_killing):
+    """delta_map eliminates on the shorter side of delta's matrix: the image
+    rows when the domain is at most the codomain, else the transposed rows.
+    Both give the ambient route's rank and the rank of the image rows."""
+    builders = {killing: 3, conformal_killing: 3}   # prolongations past the order
+    if n <= 4:
+        builders.update({riemann_linearized: 2, bianchi: 2, ricci: 2, einstein: 2})
+    sides = set()
+    for builder, count in builders.items():
         for metric in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n)):
             g = spencer.symbol_of(builder(n, metric))
-            for q in range(g.q, g.q + 3):
+            for q in range(g.q, g.q + count):
                 g_q = spencer.prolong_to(g, q)
                 assert g_q.basis() is g_q.basis()
                 for r in range(n):
-                    assert spencer.delta_map(r, g_q).rank == ambient_route_rank(r, g_q)
+                    delta = spencer.delta_map(r, g_q)
+                    sides.add(delta.domain_dim <= delta.codomain_dim)
+                    assert delta.rank == ambient_route_rank(r, g_q)
+    assert sides == {True, False}
+    if n <= 5:
+        for builder in BUILDERS.values():
+            for metric in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n)):
+                if builder is lanczos_candidate and n != 4:
+                    continue
+                g = spencer.symbol_of(builder(n, metric))
+                for r in range(n):
+                    codomain = comb(n, r + 1) * comb(n + g.q - 2, g.q - 1) * g.fiber_dim
+                    images = spencer._delta_images(n, r, g.q, g.fiber_dim, g.basis())
+                    assert spencer.delta_map(r, g).rank == len(linalg._echelon(images, codomain))
     for q_top, m in ((3, 1), (2, 2)):
         ranks = []
         for r in range(q_top):
