@@ -35,12 +35,17 @@ cls(mu), is a basis of the scalar image: sum_mu C(n - cls(mu), r) rows
 (Pommaret, "Systems of Partial Differential Equations and Lie
 Pseudogroups", Gordon and Breach 1978; Seiler, "Involution", Springer
 2010, ch. 6).  ``_pommaret_images`` emits those rows, and the Janet tables
-quotient by the row space that every unit image spans.  The full-jet
-columns need no trust in the basis: each rank read is at most delta's
-rank, and since delta o delta = 0, rank delta_{r-1} + rank delta_r <= dim
-of node r; so when the read ranks fill every node exactly, each equals
-delta's rank and exactness is proven.  Symbol spaces are not full spaces,
-so ``delta_map`` takes delta of every basis vector.
+quotient by the row space that every unit image spans.  Where g_q = 0
+(the tables' own orders) a Janet table builds no rows: it takes the rank
+as the count of the rows, ``_image_rank``, so it trusts that they are
+independent as well as that they span.  The full-jet columns need no
+trust in the basis: they eliminate the rows, each rank read is at most
+delta's rank, and since delta o delta = 0, rank delta_{r-1} + rank
+delta_r <= dim of node r; so when the read ranks fill every node exactly,
+each equals delta's rank and exactness is proven; the tests compare the
+count with those eliminated ranks.  Symbol spaces are not full
+spaces, so ``delta_map`` takes delta of every basis vector, once per
+(r, g) in a process.
 
 The Janet and Spencer tables are symbol-dimension sums.  Every row of the
 operators they serve has one order s, so the equations of the order-q jet
@@ -50,15 +55,15 @@ constraints of g_j: dim R_q is sum_{j<s} C(n+j-1, j) * m plus dim g_s + ...
 the zero space.  delta's image B_r of wedge^{r-1} tensor S_{q+1} tensor E
 lies in the top jet order, which wedge^r tensor R_q meets in wedge^r tensor
 g_q, so the Janet bundle is C(n, r) * (dim J_q - dim R_q + dim g_q) minus
-the rank of B_r + wedge^r tensor g_q: m times the scalar rank of B_r when
-g_q = 0 (the tables' own orders), else one elimination over the top block.
+the rank of B_r + wedge^r tensor g_q: m times the Pommaret count of B_r
+when g_q = 0, else one elimination over the top block.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from . import linalg
-from .bundles import ext_tuples, sym_tuples
+from .bundles import ext_tuples
 from .config import cached, record
 
 
@@ -66,8 +71,13 @@ from .config import cached, record
 def _monomials(n, q):
     """The degree-q exponent tuples in ``sym_tuples(n, q)`` order, and the
     position of each."""
-    monos = tuple(tuple(mu.count(i) for i in range(1, n + 1)) for mu in sym_tuples(n, q))
-    return monos, {mono: pos for pos, mono in enumerate(monos)}
+    monos = []
+    for mu in combinations_with_replacement(range(n), q):
+        exps = [0] * n
+        for i in mu:
+            exps[i] += 1
+        monos.append(tuple(exps))
+    return tuple(monos), {mono: pos for pos, mono in enumerate(monos)}
 
 
 def _shifted(mono, i, step):
@@ -181,6 +191,14 @@ def _scalar_delta_echelon(n, r, q):
     return linalg._echelon(_pommaret_images(n, r, q), comb(n, r + 1) * comb(n + q - 2, q - 1))
 
 
+def _image_rank(n, r, q):
+    """The rank of delta from wedge^{r-1} tensor S_{q+1} into wedge^r tensor
+    S_q on the scalar fiber, 0 at r = 0: the number of its Pommaret rows, sum
+    over the class k of C(n - k + q, q) monomials times C(n - k, r - 1)
+    index sets (module docstring)."""
+    return sum(comb(n - k + q, q) * comb(n - k, r - 1) for k in range(1, n + 1)) if r else 0
+
+
 def _contractions(n, q, m, vectors):
     """``(v, i, column, coef)`` for every term of the contraction of the v-th
     sparse vector over S_q tensor a rank-m fiber with dx^i, x^mu -> x^(mu -
@@ -238,9 +256,11 @@ class DeltaComplexSlice:
     rank: int
 
 
+@cached
 def delta_map(r, g):
     """delta on wedge^r tensor g, with ambient codomain wedge^{r+1} tensor
-    S_{q-1} tensor the fiber."""
+    S_{q-1} tensor the fiber.  Eliminated once per (r, g); the result is
+    shared."""
     n, q, m = g.n, g.q, g.fiber_dim
     domain, codomain = comb(n, r) * g.dim, comb(n, r + 1) * comb(n + q - 2, q - 1) * m
     # rank A = rank A^T: one row per coordinate on the shorter side, over the longer
@@ -381,15 +401,17 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
         raise ValueError(f"unknown system {system!r}")
 
     # Janet bundle: wedge^r x J_q modulo wedge^r x R_q + B_r (module
-    # docstring); B_r's fiber components come from one scalar elimination
-    echelon = _scalar_delta_echelon(n, r - 1, q + 1) if r >= 1 else []
-    rank = m * len(echelon)
+    # docstring); B_r's rank is m times its Pommaret count, unless g_q != 0
+    # meets it, when its fiber components join g_q's basis in one elimination
     if g_dim:
         top = comb(n + q - 1, q) * m
+        echelon = _scalar_delta_echelon(n, r - 1, q + 1) if r >= 1 else []
         gens = [{c * m + k: v for c, v in row.items()} for k in range(m) for _, row in echelon]
         gens.extend({pos * top + c: v for c, v in b.items()}
                     for pos in range(comb(n, r)) for b in g_q.basis())
         rank = len(linalg._echelon(gens, comb(n, r) * top))
+    else:
+        rank = m * _image_rank(n, r, q)
     f_dim = comb(n, r) * (width - r_q_dim + g_dim) - rank
     if op is None:
         return f_dim, f_dim

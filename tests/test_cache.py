@@ -101,6 +101,23 @@ def test_prolong_is_built_once_per_symbol_space(monkeypatch):
     assert prolong(calls[0]) is prolong(calls[0])
 
 
+def test_delta_map_eliminates_each_slice_once(monkeypatch):
+    """A scan over consecutive q meets delta on g_{q+1} twice, as rank_in at
+    q and rank_out at q + 1; its rows are built once."""
+    op = sequences.einstein(4)
+    spencer.delta_map.cache_clear()
+    built = []
+    for name in ("_delta_images", "_delta_matrix"):
+        side = getattr(spencer, name)
+        monkeypatch.setattr(spencer, name,
+                            lambda *args, side=side: built.append(args[1:3]) or side(*args))
+    scan = [spencer.delta_cohomology_detail(op, 4, q=q) for q in (2, 3)]
+    # r = 0..3 on each of g_2, g_3 and g_4
+    assert sorted(built) == [(r, q) for r in range(4) for q in (2, 3, 4)]
+    assert [spencer.delta_cohomology_detail(op, 4, q=q) for q in (2, 3)] == scan
+    assert len(built) == 12
+
+
 def test_symbol_of_is_built_once_per_operator(monkeypatch):
     calls = []
     symbol_of = spencer.symbol_of
@@ -146,6 +163,7 @@ PROCESS_CACHES = {
     "sequences.exterior_derivative", "sequences.lanczos_candidate",
     "spencer._monomials", "spencer.SymbolSpace.basis", "spencer.symbol_of",
     "spencer.prolong", "spencer._jet_system", "spencer._wedge_signs",
+    "spencer.delta_map",
 }
 
 

@@ -39,7 +39,8 @@ def test_prolongation_chains_terminate():
 def test_symbol_constraints_are_reduced_primitive_integer_rows(monkeypatch):
     ops = [builder(n, metric) for n in (3, 4) for builder in (killing, conformal_killing)
            for metric in (None, ConstantMetric.minkowski(n))]
-    for cache in (spencer.symbol_of, spencer.prolong, spencer.SymbolSpace.basis):
+    for cache in (spencer.symbol_of, spencer.prolong, spencer.SymbolSpace.basis,
+                  spencer.delta_map):
         cache.cache_clear()
     made = []
     new = Fraction.__new__
@@ -155,6 +156,40 @@ def test_full_jet_column_ranks_are_fiber_rank_times_the_scalar_ranks():
                                 comb(n, r + 1) * comb(n + q - r - 2, q - r - 1) * m)
                     for r in range(q))
                 assert col.exact
+
+
+def test_monomials_match_the_index_tuples():
+    for n in range(1, 8):
+        for q in range(7):
+            monos, pos = spencer._monomials(n, q)
+            assert monos == tuple(tuple(mu.count(i) for i in range(1, n + 1))
+                                  for mu in sym_tuples(n, q))
+            assert pos == {mono: p for p, mono in enumerate(monos)}
+
+
+def test_the_image_rank_is_the_count_of_the_eliminated_pommaret_rows():
+    for n in range(1, 7):
+        for q in range(6):
+            for r in range(n + 2):
+                rows = spencer._scalar_delta_echelon(n, r - 1, q + 1) if r else []
+                assert spencer._image_rank(n, r, q) == len(rows)
+
+
+def test_janet_tables_build_pommaret_rows_only_where_g_q_is_not_zero(monkeypatch):
+    """At the tables' own orders g_q = 0 and the rank of delta's image is
+    its count; at q = 1 the killing symbol g_1 != 0 joins the elimination."""
+    calls = []
+    images = spencer._pommaret_images
+    monkeypatch.setattr(spencer, "_pommaret_images",
+                        lambda *args: calls.append(args) or images(*args))
+    for n in (4, 5):
+        for system, q in (("killing", 2), ("conformal_killing", 3)):
+            for r in range(n + 2):
+                spencer.janet_spencer_bundle_dims(system, r, n, q=q)
+    assert calls == []
+    assert [spencer.janet_spencer_bundle_dims("killing", r, 4, q=1) for r in range(6)] == [
+        (10, 10), (0, 40), (0, 60), (0, 40), (0, 10), (0, 0)]
+    assert calls == [(4, r, 2) for r in range(5)]
 
 
 def prolonged_equation_rows(op, q):
@@ -347,7 +382,7 @@ def test_the_spencer_route_hands_the_kernel_fresh_nonzero_int_rows(monkeypatch):
     ops = {(system, n): builder(n) for n in range(2, 6) for system, builder in systems.items()
            if n >= 3 or system == "killing"}
     for cache in (spencer.symbol_of, spencer.prolong, spencer._jet_system,
-                  spencer.SymbolSpace.basis):
+                  spencer.SymbolSpace.basis, spencer.delta_map):
         cache.cache_clear()
     callers, handed = set(), []
     echelon = linalg._echelon
