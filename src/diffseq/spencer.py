@@ -34,16 +34,12 @@ for the I made of non-multiplicative indices only, every index above
 cls(mu), is a basis of the scalar image: sum_mu C(n - cls(mu), r) rows
 (Pommaret, "Systems of Partial Differential Equations and Lie
 Pseudogroups", Gordon and Breach 1978; Seiler, "Involution", Springer
-2010, ch. 6).  ``_pommaret_images`` emits those rows, and the Janet tables
-quotient by the row space that every unit image spans.  Where g_q = 0
-(the tables' own orders) a Janet table builds no rows: it takes the rank
-as the count of the rows, ``_image_rank``, so it trusts that they are
-independent as well as that they span.  The full-jet columns need no
-trust in the basis: they eliminate the rows, each rank read is at most
-delta's rank, and since delta o delta = 0, rank delta_{r-1} + rank
+2010, ch. 6).  ``_pommaret_images`` emits those rows and ``_image_rank``
+counts them.  The full-jet columns eliminate the rows: each rank read is
+at most delta's rank, and since delta o delta = 0, rank delta_{r-1} + rank
 delta_r <= dim of node r; so when the read ranks fill every node exactly,
-each equals delta's rank and exactness is proven; the tests compare the
-count with those eliminated ranks.  Symbol spaces are not full
+each equals delta's rank and the full complex is proven exact; the tests
+compare the count with those eliminated ranks.  Symbol spaces are not full
 spaces, so ``delta_map`` takes delta of every basis vector, once per
 (r, g) in a process.
 
@@ -55,8 +51,14 @@ constraints of g_j: dim R_q is sum_{j<s} C(n+j-1, j) * m plus dim g_s + ...
 the zero space.  delta's image B_r of wedge^{r-1} tensor S_{q+1} tensor E
 lies in the top jet order, which wedge^r tensor R_q meets in wedge^r tensor
 g_q, so the Janet bundle is C(n, r) * (dim J_q - dim R_q + dim g_q) minus
-the rank of B_r + wedge^r tensor g_q: m times the Pommaret count of B_r
-when g_q = 0, else one elimination over the top block.
+the rank of B_r + wedge^r tensor g_q.  Two facts give that rank, both
+checked by elimination in ``full_jet_column`` and in the tests: B_r has
+rank m * ``_image_rank(n, r, q)``, the Pommaret count, and the full complex
+is exact, so for r >= 1 B_r is the kernel of delta on wedge^r tensor S_q
+tensor E (at r = 0, B_0 = 0 and delta is injective on S_q for q >= 1).
+B_r meets wedge^r tensor g_q in delta's kernel there, so the sum has rank
+m * ``_image_rank(n, r, q)`` + ``delta_map(r, g_q).rank``, the cached
+rank that the cohomology reads too.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -400,18 +402,9 @@ def janet_spencer_bundle_dims(system, r, n, metric=None, m=1, q=None):
     else:
         raise ValueError(f"unknown system {system!r}")
 
-    # Janet bundle: wedge^r x J_q modulo wedge^r x R_q + B_r (module
-    # docstring); B_r's rank is m times its Pommaret count, unless g_q != 0
-    # meets it, when its fiber components join g_q's basis in one elimination
-    if g_dim:
-        top = comb(n + q - 1, q) * m
-        echelon = _scalar_delta_echelon(n, r - 1, q + 1) if r >= 1 else []
-        gens = [{c * m + k: v for c, v in row.items()} for k in range(m) for _, row in echelon]
-        gens.extend({pos * top + c: v for c, v in b.items()}
-                    for pos in range(comb(n, r)) for b in g_q.basis())
-        rank = len(linalg._echelon(gens, comb(n, r) * top))
-    else:
-        rank = m * _image_rank(n, r, q)
+    # Janet bundle: wedge^r x J_q modulo wedge^r x R_q + B_r; B_r + wedge^r
+    # x g_q has rank m * P(n, r, q) + rank delta_r(g_q) (module docstring)
+    rank = m * _image_rank(n, r, q) + (delta_map(r, g_q).rank if g_dim else 0)
     f_dim = comb(n, r) * (width - r_q_dim + g_dim) - rank
     if op is None:
         return f_dim, f_dim
