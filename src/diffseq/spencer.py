@@ -13,10 +13,10 @@ dict of nonzero ints, so it hands them to the integer kernel of ``linalg``
 A symbol space stores its constraints as the reduced primitive rows of
 ``_reduced``, pivot entries positive, so equal spaces are equal records for
 the caches keyed on them.  delta rows come from ``_delta_images`` (the
-images, rows of the transpose of delta's matrix), ``_delta_matrix`` (the
+images, rows of the transpose of delta's matrix) and ``_delta_matrix`` (the
 matrix's rows, one per codomain coordinate), which share one contraction
-step, and ``_pommaret_images`` (below), all signed by ``_wedge_signs``.
-rank(A) = rank(A^T), so ``delta_map`` eliminates on the shorter side.
+step and are signed by ``_wedge_signs``.  rank(A) = rank(A^T), so
+``delta_map`` eliminates on the shorter side.
 
 Columns are keyed by the exponent tuples that operator rows already hold.
 ``_monomials(n, q)`` lists the degree-q monomials in ``sym_tuples(n, q)``
@@ -24,24 +24,19 @@ order, and the monomial at position pos with fiber component k is column
 pos * m + k of S_q T* tensor a rank-m fiber.  Prolongation adds e_i to a
 monomial and contraction with dx^i subtracts it.
 
-On a full space wedge^r tensor S_q tensor E the route eliminates a basis
-of delta's image, not the image of every unit vector, and for one fiber
-component only: delta there is delta tensor id_E, so scalar column c is
-column c * m + k of component k, and a rank is m times the scalar rank.
-The full symbol is involutive, so with cls(mu) the least variable of x^mu
-(its multiplicative variables are x_1..x_cls(mu)), delta(dx^I tensor x^mu)
-for the I made of non-multiplicative indices only, every index above
-cls(mu), is a basis of the scalar image: sum_mu C(n - cls(mu), r) rows
-(Pommaret, "Systems of Partial Differential Equations and Lie
-Pseudogroups", Gordon and Breach 1978; Seiler, "Involution", Springer
-2010, ch. 6).  ``_pommaret_images`` emits those rows and ``_image_rank``
-counts them.  The full-jet columns eliminate the rows: each rank read is
-at most delta's rank, and since delta o delta = 0, rank delta_{r-1} + rank
-delta_r <= dim of node r; so when the read ranks fill every node exactly,
-each equals delta's rank and the full complex is proven exact; the tests
-compare the count with those eliminated ranks.  Symbol spaces are not full
-spaces, so ``delta_map`` takes delta of every basis vector, once per
-(r, g) in a process.
+On a full space wedge^r tensor S_q tensor E no row is eliminated: delta
+there is delta tensor id_E, so a rank is m times the scalar rank, and the
+scalar rank is a count.  The full symbol is involutive, so with cls(mu) the
+least variable of x^mu (its multiplicative variables are x_1..x_cls(mu)),
+delta(dx^I tensor x^mu) for the I made of non-multiplicative indices only,
+every index above cls(mu), is a basis of the scalar image: sum_mu
+C(n - cls(mu), r) rows (Pommaret, "Systems of Partial Differential
+Equations and Lie Pseudogroups", Gordon and Breach 1978; Seiler,
+"Involution", Springer 2010, ch. 6).  ``_image_rank`` counts them, and the
+tests eliminate the rows against that count.  The counts fill every node,
+so the full complex is exact.  Symbol spaces are not full spaces, so
+``delta_map`` takes delta of every basis vector, once per (r, g) in a
+process.
 
 The Janet and Spencer tables are symbol-dimension sums.  Every row of the
 operators they serve has one order s, so the equations of the order-q jet
@@ -51,17 +46,16 @@ constraints of g_j: dim R_q is sum_{j<s} C(n+j-1, j) * m plus dim g_s + ...
 the zero space.  delta's image B_r of wedge^{r-1} tensor S_{q+1} tensor E
 lies in the top jet order, which wedge^r tensor R_q meets in wedge^r tensor
 g_q, so the Janet bundle is C(n, r) * (dim J_q - dim R_q + dim g_q) minus
-the rank of B_r + wedge^r tensor g_q.  Two facts give that rank, both
-checked by elimination in ``full_jet_column`` and in the tests: B_r has
-rank m * ``_image_rank(n, r, q)``, the Pommaret count, and the full complex
-is exact, so for r >= 1 B_r is the kernel of delta on wedge^r tensor S_q
-tensor E (at r = 0, B_0 = 0 and delta is injective on S_q for q >= 1).
-B_r meets wedge^r tensor g_q in delta's kernel there, so the sum has rank
-m * ``_image_rank(n, r, q)`` + ``delta_map(r, g_q).rank``, the cached
-rank that the cohomology reads too.
+the rank of B_r + wedge^r tensor g_q.  Two facts of the full spaces give
+that rank: B_r has rank m * ``_image_rank(n, r, q)``, the Pommaret count,
+and the full complex is exact, so for r >= 1 B_r is the kernel of delta on
+wedge^r tensor S_q tensor E (at r = 0, B_0 = 0 and delta is injective on
+S_q for q >= 1).  B_r meets wedge^r tensor g_q in delta's kernel there, so
+the sum has rank m * ``_image_rank(n, r, q)`` + ``delta_map(r, g_q).rank``,
+the cached rank that the cohomology reads too.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 from . import linalg
@@ -167,30 +161,6 @@ def _wedge_signs(n, r):
     out_pos = {J: c for c, J in enumerate(ext_tuples(n, r + 1))}
     return {I: {i: (out_pos[tuple(sorted(I + (i,)))], (-1) ** sum(j < i for j in I))
                 for i in range(1, n + 1) if i not in I} for I in ext_tuples(n, r)}
-
-
-def _pommaret_images(n, r, q):
-    """delta(dx^I tensor x^mu) on the full scalar space wedge^r tensor S_q
-    (q >= 1), for the I whose indices all exceed cls(mu), the least variable
-    of x^mu: a basis of delta's image there (module docstring), in the
-    columns of ``_delta_images`` with m = 1."""
-    signs = _wedge_signs(n, r)
-    nu_pos = _monomials(n, q - 1)[1]
-    stride = len(nu_pos)
-    rows = []
-    for mu in _monomials(n, q)[0]:
-        cls = next(i for i, e in enumerate(mu) if e) + 1
-        drops = [(i, nu_pos[_shifted(mu, i - 1, -1)]) for i in range(cls, n + 1) if mu[i - 1]]
-        for I in combinations(range(cls + 1, n + 1), r):
-            wedge = signs[I]
-            rows.append({wedge[i][0] * stride + col: wedge[i][1]
-                         for i, col in drops if i in wedge})
-    return rows
-
-
-def _scalar_delta_echelon(n, r, q):
-    """The echelon rows of ``_pommaret_images(n, r, q)`` (module docstring)."""
-    return linalg._echelon(_pommaret_images(n, r, q), comb(n, r + 1) * comb(n + q - 2, q - 1))
 
 
 def _image_rank(n, r, q):
@@ -324,13 +294,10 @@ class JetColumnReport:
 
 def full_jet_column(n, q_top, m):
     """The delta sequence on full spaces: wedge^r tensor S_{q_top - r}
-    tensor a rank-m fiber, for r = 0..q_top; checks exactness everywhere
-    (injective at the left end, surjective at the right end).
-
-    Each rank is that of ``_pommaret_images``, a subset of delta's image
-    that spans it when the Pommaret basis argument of the module docstring
-    holds.  When ``exact`` is True the ranks are proven to be delta's ranks;
-    when it is False they are only lower bounds."""
+    tensor a rank-m fiber, for r = 0..q_top.  Each rank is m times the
+    Pommaret count ``_image_rank`` (module docstring), with no elimination;
+    ``exact`` checks that the incoming and outgoing ranks fill every node
+    (injective at the left end, surjective at the right end)."""
     if n < 1:
         raise ValueError(f"dimension n must be at least 1, got {n}")
     if q_top < 0:
@@ -338,7 +305,7 @@ def full_jet_column(n, q_top, m):
     if m < 1:
         raise ValueError(f"fiber rank m must be at least 1, got {m}")
     dims = [comb(n, r) * comb(n + q_top - r - 1, q_top - r) * m for r in range(q_top + 1)]
-    ranks = [m * len(_scalar_delta_echelon(n, r, q_top - r)) for r in range(q_top)]
+    ranks = [m * _image_rank(n, r + 1, q_top - r - 1) for r in range(q_top)]
     # exact at node r: the incoming and outgoing ranks add up to its dim
     padded = [0] + ranks + [0]
     exact = not ranks or all(padded[r] + padded[r + 1] == dims[r]

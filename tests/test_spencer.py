@@ -15,8 +15,8 @@ from diffseq.bundles import ext_tuples, free_basis, riemann_candidate_space, sym
 from diffseq.operators import make_operator
 from diffseq.poly import ConstantMetric, Poly
 from diffseq.sequences import (
-    BUILDERS, bianchi, conformal_killing, einstein, exterior_derivative, killing,
-    lanczos_candidate, ricci, riemann_linearized,
+    BUILDERS, bianchi, build_sequence, conformal_killing, einstein, exterior_derivative,
+    killing, lanczos_candidate, ricci, riemann_linearized,
 )
 from polyref import random_poly, sub
 
@@ -124,7 +124,6 @@ def fiber_pommaret_images(n, r, q, m):
 def test_pommaret_rows_are_a_basis_of_the_delta_image():
     for n in range(2, 6):
         for q in range(1, 5):
-            assert fiber_pommaret_images(n, 0, q, 1) == spencer._pommaret_images(n, 0, q)
             for m in (1, 2):
                 count = [m * sum(comb(n - _cls(mu), r) for mu in spencer._monomials(n, q)[0])
                          for r in range(n + 1)]
@@ -134,8 +133,6 @@ def test_pommaret_rows_are_a_basis_of_the_delta_image():
                     every = spencer._delta_images(n, r, q, m, _units(n, q, m))
                     assert len(rows) == linalg.rank(rows, width) == count[r]
                     assert linalg.rank(every, width) == count[r]
-                    if m == 1:
-                        assert rows == spencer._pommaret_images(n, r, q)
                 # delta_0 is injective on S_q tensor E for q >= 1, and
                 # wedge^{n+1} = 0 leaves delta_n nothing to hit
                 assert count[n] == 0 and count[0] == comb(n + q - 1, q) * m
@@ -171,8 +168,9 @@ def test_the_image_rank_is_the_count_of_the_eliminated_pommaret_rows():
     for n in range(1, 7):
         for q in range(6):
             for r in range(n + 2):
-                rows = spencer._scalar_delta_echelon(n, r - 1, q + 1) if r else []
-                assert spencer._image_rank(n, r, q) == len(rows)
+                rows = fiber_pommaret_images(n, r - 1, q + 1, 1) if r else []
+                width = comb(n, r) * comb(n + q - 1, q)
+                assert spencer._image_rank(n, r, q) == linalg.rank(rows, width) == len(rows)
 
 
 def test_the_counts_fill_every_node_of_the_full_complex():
@@ -222,20 +220,28 @@ def test_the_janet_rank_is_the_count_plus_the_delta_rank_on_g_q():
 
 
 def test_janet_tables_build_no_pommaret_rows(monkeypatch):
-    """A Janet table takes the count of delta's full image and delta's rank
-    on wedge^r tensor g_q: it builds no Pommaret row at the tables' own
-    orders (g_q = 0) or at q = 1, where the killing symbol g_1 != 0."""
-    calls = []
-    images = spencer._pommaret_images
-    monkeypatch.setattr(spencer, "_pommaret_images",
-                        lambda *args: calls.append(args) or images(*args))
-    for n in (4, 5):
-        for system, q in (("killing", 2), ("conformal_killing", 3)):
-            for r in range(n + 2):
-                spencer.janet_spencer_bundle_dims(system, r, n, q=q)
+    """No rank on a full space is eliminated.  A full-jet column reads every
+    rank off the Pommaret count, and a Janet table at its own order
+    (g_q = 0) takes that count and delta's rank on the zero space wedge^r
+    tensor g_q, so neither calls the kernel once the symbol chain is built.
+    At q = 1, where the killing symbol g_1 != 0, only delta_map eliminates."""
+    tables = [(system, r, n) for n in (4, 5) for system in ("killing", "conformal_killing")
+              for r in range(n + 2)]
+    for system, r, n in tables:   # builds the symbol chains
+        spencer.janet_spencer_bundle_dims(system, r, n)
+    spencer.delta_map.cache_clear()
+    callers = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, ncols: callers.append(
+        sys._getframe(1).f_code.co_name) or echelon(rows, ncols))
+    for n, q_top, m in ((4, 3, 4), (4, 4, 4), (5, 5, 5), (6, 4, 6)):
+        spencer.full_jet_column(n, q_top, m)
+    for system, r, n in tables:
+        spencer.janet_spencer_bundle_dims(system, r, n)
+    assert callers == []
     assert [spencer.janet_spencer_bundle_dims("killing", r, 4, q=1) for r in range(6)] == [
         (10, 10), (0, 40), (0, 60), (0, 40), (0, 10), (0, 0)]
-    assert calls == []
+    assert set(callers) == {"delta_map"}
 
 
 def prolonged_equation_rows(op, q):
@@ -343,7 +349,7 @@ def test_prolong_of_a_zero_space_is_the_zero_space():
 def test_a_jet_order_below_the_symbol_is_refused_at_once(monkeypatch):
     calls = []
     monkeypatch.setattr(spencer, "prolong", lambda g: calls.append(g))
-    monkeypatch.setattr(spencer, "_pommaret_images", lambda *args: calls.append(args))
+    monkeypatch.setattr(spencer, "delta_map", lambda *args: calls.append(args))
     for system in ("killing", "conformal_killing"):
         for n in (3, 4):
             for r in (0, 2):
@@ -419,10 +425,9 @@ def test_the_wedge_sign_table_matches_the_direct_computation():
 
 
 def test_the_spencer_route_hands_the_kernel_fresh_nonzero_int_rows(monkeypatch):
-    """Every row that the delta images, the scalar Pommaret images and
-    prolongation hand to the kernel, which consumes them: a dict of its own
-    with nonzero int entries in columns 0..ncols-1.  No jet system is
-    eliminated."""
+    """Every row that the delta images and prolongation hand to the kernel,
+    which consumes them: a dict of its own with nonzero int entries in
+    columns 0..ncols-1.  No jet system and no full space is eliminated."""
     systems = {"killing": killing, "conformal_killing": conformal_killing}
     # built first: the operator builders reach the kernel through the boundary
     ops = {(system, n): builder(n) for n in range(2, 6) for system, builder in systems.items()
@@ -455,7 +460,7 @@ def test_the_spencer_route_hands_the_kernel_fresh_nonzero_int_rows(monkeypatch):
     for n in range(2, 6):
         for r in range(n + 1):
             spencer.janet_spencer_bundle_dims("jet", r, n, m=2, q=2)
-        spencer.full_jet_column(n, 3, 2)   # _scalar_delta_echelon alone
+        spencer.full_jet_column(n, 3, 2)   # counts: hands the kernel nothing
     assert spencer.prolong.cache_info().misses > 0
     # each row is consumed once: no dict is handed over twice, and none is
     # a basis vector that a cache keeps
@@ -466,7 +471,7 @@ def test_the_spencer_route_hands_the_kernel_fresh_nonzero_int_rows(monkeypatch):
         kept = g.basis() + spencer.prolong(g).basis()
         assert not {id(v) for v in kept} & handed_ids
     # _reduced: symbols, prolongations and symbol bases
-    assert callers == {"_reduced", "delta_map", "_scalar_delta_echelon"}
+    assert callers == {"_reduced", "delta_map"}
 
 
 def ambient_delta(n, r, q, m):
@@ -535,7 +540,9 @@ def test_delta_ranks_match_the_ambient_matrix_route(n):
                     codomain = comb(n, r + 1) * comb(n + g.q - 2, g.q - 1) * g.fiber_dim
                     images = spencer._delta_images(n, r, g.q, g.fiber_dim, g.basis())
                     assert spencer.delta_map(r, g).rank == len(linalg._echelon(images, codomain))
-    for q_top, m in ((3, 1), (2, 2)):
+    # with the golden columns (n = 4) and the benchmark's (n = 5, 6)
+    columns = {4: ((3, 4), (4, 4)), 5: ((5, 5),), 6: ((4, 6),)}
+    for q_top, m in ((3, 1), (2, 2)) + columns.get(n, ()):
         ranks = []
         for r in range(q_top):
             amb, width = ambient_delta(n, r, q_top - r, m)
@@ -550,6 +557,16 @@ def test_delta_cohomology_closed_forms():
         assert dims[2] == n * n * (n * n - 1) // 12
         if n >= 3:
             assert dims[3] == n * n * (n * n - 1) * (n - 2) // 24
+
+
+def test_the_killing_chain_dims_are_its_delta_cohomology():
+    """Two routes to the killing chain: from step 2 on, its dims from the
+    module syzygies equal the delta cohomology of the killing symbol."""
+    for n in range(2, 7):
+        for metric in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n)):
+            op = killing(n, metric)
+            assert (spencer.delta_cohomology_dims(op, n)[2:]
+                    == list(build_sequence(op).dims[2:]))
 
 
 def test_cohomology_matches_candidate_space_dimension():
