@@ -493,3 +493,23 @@ def test_benchmarked_chains_are_pinned():
 
 # any change to a benchmarked chain's dims, orders or condition rows changes it
 BENCHMARKED_CHAINS_SHA256 = "93a292c06420e0782e79e36c1a85f93075b276d672e122c4c42d6fe4ffc1b238"
+
+
+# metrics no other pin covers: a whole diagonal one with entries other than
+# +-1, and one whose inverse is not whole (3/5, -1/5, 2/5)
+NON_UNIT_METRICS = (ConstantMetric([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]]),
+                    ConstantMetric([[2, 1, 0], [1, 3, 0], [0, 0, 1]]))
+
+
+def test_builders_under_non_unit_metrics_are_pinned():
+    """Every row, as sorted items, of the metric builders under both metrics."""
+    digest = hashlib.sha256()
+    for metric in NON_UNIT_METRICS:
+        for builder in (killing, conformal_killing, ricci, einstein, bianchi):
+            for den, vec in builder(metric.n, metric).vectors:
+                digest.update(repr((den, sorted(vec.items()))).encode("utf-8"))
+    assert digest.hexdigest() == NON_UNIT_METRICS_SHA256
+
+
+# any change to a row of those builders under those metrics changes it
+NON_UNIT_METRICS_SHA256 = "e410a8d3b3e37e04ee7c0ad2999dd96298a90c8be4774ddd2117d4a0060a642a"
