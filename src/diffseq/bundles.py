@@ -116,7 +116,8 @@ def constrained_basis(label, n, ambient_labels, constraint_rows):
 
     Deterministic: pivots scan ambient columns left to right, so the free
     components (and hence the labels) depend only on the constraints,
-    which the space keeps as the integer rows the kernel reads.
+    which the space keeps as the integer rows the kernel reads; a whole
+    entry of ``ambient_from_coords`` is an int.
     """
     ambient_labels = tuple(ambient_labels)
     ncols = len(ambient_labels)
@@ -125,7 +126,7 @@ def constrained_basis(label, n, ambient_labels, constraint_rows):
     a_rows = [{} for _ in range(ncols)]
     for j, (f, vec) in enumerate(zip(free_cols, kernel)):
         for c, v in vec.items():
-            a_rows[c][j] = Fraction(v, vec[f])
+            a_rows[c][j] = Fraction(v, vec[f]) if v % vec[f] else v // vec[f]
     return BundleBasis(
         label=label,
         n=n,

@@ -47,10 +47,11 @@ def _primitive(row):
     return row
 
 
-def _integral(row):
-    """``(lcm of the denominators, the row times it with int entries)``."""
+def _integral(row, den=1):
+    """``row / den`` as ``(den * the lcm of its denominators, int entries)``,
+    in lowest terms when ``den`` is 1."""
     scale = lcm(*(v.denominator for v in row.values()))
-    return scale, {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+    return den * scale, {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
 
 
 def _clear(row, piv, col):

@@ -77,10 +77,10 @@ def make_operator(name, n, source, target, rows):
         groebner._row_vector(n, source.dim, row) for row in rows))
 
 
-def _constant_row(n, coefs):
-    """The integer vector of an order-zero row given as ``{column: rational}``."""
+def _constant_row(n, coefs, den=1):
+    """The integer vector of an order-zero row ``{column: rational}`` over ``den``."""
     one = (0,) * n
-    return _integral({(j, one): c for j, c in coefs.items() if c})
+    return _integral({(j, one): c for j, c in coefs.items() if c}, den)
 
 
 def _product_rows(outer_rows, inner_rows, n, width):

@@ -153,26 +153,27 @@ class Poly:
 
 
 class ConstantMetric:
-    """Symmetric nondegenerate rational matrix with cached inverse."""
+    """Symmetric nondegenerate rational matrix with cached inverse.  Each
+    entry of both is an ``int`` when it is whole, else a ``Fraction``, which
+    equality and hashing do not see: ``Fraction(k)`` equals and hashes like ``k``."""
 
     __slots__ = ("n", "entries", "inverse", "name")
 
     def __init__(self, entries, name="custom"):
-        rows = [tuple(_as_fraction(v) for v in row) for row in entries]
+        whole = lambda c: c.numerator if c.denominator == 1 else c
+        rows = [tuple(whole(_as_fraction(v)) for v in row) for row in entries]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("metric matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("metric matrix must be symmetric")
+        if rows != list(zip(*rows)):
+            raise ValueError("metric matrix must be symmetric")
         self.n = n
         self.entries = tuple(rows)
         try:
             inv = linalg.invert([list(r) for r in rows])
         except ZeroDivisionError:
             raise ValueError("metric matrix must be nondegenerate") from None
-        self.inverse = tuple(tuple(v for v in row) for row in inv)
+        self.inverse = tuple(tuple(map(whole, row)) for row in inv)
         self.name = name
 
     @classmethod
@@ -184,11 +185,9 @@ class ConstantMetric:
     @classmethod
     def minkowski(cls, n):
         """diag(1, .., 1, -1): the last direction carries the minus sign."""
-        ent = [[0] * n for _ in range(n)]
-        for i in range(n):
-            ent[i][i] = 1
-        ent[n - 1][n - 1] = -1
-        return cls(ent, name="minkowski")
+        signs = [1] * (n - 1) + [-1]
+        return cls([[signs[i] if i == j else 0 for j in range(n)] for i in range(n)],
+                   name="minkowski")
 
     def lower(self, i, j):
         """Entry with 1-based indices."""

@@ -30,9 +30,6 @@ from .config import cached, record
 from .operators import OperatorMatrix, adjoint, compose
 from .poly import metric_cache, resolve_metric
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-
 
 def _mono(n, *symbols):
     """Exponent tuple of the product of the given 1-based symbols."""
@@ -83,16 +80,17 @@ def killing(n, metric=None):
 @metric_cache
 def conformal_killing(n, metric=None):
     """Trace-free part of the Killing operator (needs n >= 3): each row of
-    ``killing`` less 2/n w_ij times the divergence."""
+    ``killing`` less 2/n w_ij times the divergence, summed over n·den as
+    n·vec - 2·den·w_ij·Σ_k x_k e_k for the row (den, vec) of ``killing``."""
     if n < 3:
         raise ValueError("conformal variant needs n >= 3")
-    tgt, frac = trace_free_sym2(n, metric), Fraction(2, n)
+    tgt = trace_free_sym2(n, metric)
     ambient = []
     for (i, j), (den, vec) in zip(sym_tuples(n, 2), killing(n, metric).vectors):
-        row = {t: Fraction(v, den) for t, v in vec.items()}
+        row, coef = {t: n * v for t, v in vec.items()}, -2 * den * metric.lower(i, j)
         for k in range(n):
-            _add_term(row, (k, _mono(n, k + 1)), -frac * metric.lower(i, j))
-        ambient.append(linalg._integral(row))
+            _add_term(row, (k, _mono(n, k + 1)), coef)
+        ambient.append(groebner._lowest_terms(*linalg._integral(row, n * den)))
     return OperatorMatrix("conformal_killing", n, tangent_space(n), tgt,
                           _constrained_rows(tgt, ambient, n))
 
@@ -159,12 +157,13 @@ def ricci(n, metric=None):
 def einstein(n, metric=None):
     """Trace-reverted curvature trace; divergence-free by construction:
     Ric - (1/2) w S, with S the metric trace of Ric, one constant matrix
-    applied to the rows of ``ricci``."""
+    applied to the rows of ``ricci``.  Its row for the pair (i, j) is summed
+    over 2, as 2·e_ij - w_ij·S."""
     if n < 3:
         raise ValueError("trace-reverted operator needs n >= 3")
     ric, trace = ricci(n, metric), bundles.pair_trace(n, metric)
-    revert = [operators._constant_row(n, {k: (c == k) - HALF * metric.lower(i, j) * t
-                                          for k, t in enumerate(trace)})
+    revert = [operators._constant_row(n, {k: 2 * (c == k) - metric.lower(i, j) * t
+                                          for k, t in enumerate(trace)}, 2)
               for c, (i, j) in enumerate(sym_tuples(n, 2))]
     return OperatorMatrix("einstein", n, ric.source, ric.target, tuple(
         operators._product_rows(revert, ric.vectors, n, ric.source.dim)))
@@ -557,7 +556,7 @@ def trace_contraction_check(metric=None):
     for t, row in zip(tau, composed):
         if row:
             j = min(row)
-            factor = t.get(j, ZERO) / row[j]
+            factor = Fraction(t.get(j, 0), row[j])
             break
     relabel_matches = factor is not None and tau == [
         {j: factor * v for j, v in row.items() if factor} for row in composed]

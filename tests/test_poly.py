@@ -104,6 +104,29 @@ def test_metric_set_up_eliminates_once(monkeypatch):
     assert calls == [2]
 
 
+def test_whole_metric_entries_are_ints():
+    for w in (ConstantMetric.euclidean(4), ConstantMetric.minkowski(4),
+              ConstantMetric([[Fraction(-1), 0], [0, Fraction(6, 3)]])):
+        assert all(type(v) is int for row in w.entries for v in row)
+    for w in (ConstantMetric.euclidean(4), ConstantMetric.minkowski(4)):
+        assert all(type(v) is int for row in w.inverse for v in row)
+    w = ConstantMetric([[2, 1], [1, 3]])
+    assert all(type(v) is int for row in w.entries for v in row)
+    assert w.upper(1, 1) == Fraction(3, 5) and type(w.upper(1, 1)) is Fraction
+    assert w.inverse == ((Fraction(3, 5), Fraction(-1, 5)), (Fraction(-1, 5), Fraction(2, 5)))
+
+
+def test_fraction_and_int_entries_give_one_metric():
+    from diffseq.sequences import killing
+
+    a = ConstantMetric([[2, 1, 0], [1, 3, 0], [0, 0, -1]])
+    b = ConstantMetric([[Fraction(4, 2), Fraction(1), 0], [1, Fraction(3), 0],
+                        [0, 0, Fraction(-1)]])
+    assert a == b and hash(a) == hash(b)
+    assert a.entries == b.entries and a.inverse == b.inverse
+    assert killing(3, a) is killing(3, b)
+
+
 def test_a_singular_metric_is_refused():
     with pytest.raises(ValueError, match="nondegenerate"):
         ConstantMetric([[1, 0], [0, 0]])

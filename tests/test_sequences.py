@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from diffseq import linalg, operators, sequences
+from diffseq import bundles, linalg, operators, sequences
 from diffseq.config import DegreeCapExceeded
 from diffseq.bundles import ext_tuples, free_basis, perm_sign, trace_free_sym2
 from diffseq.groebner import (GeneratorError, GradedPresentation, minimal_graded_generators,
@@ -513,3 +513,32 @@ def test_builders_under_non_unit_metrics_are_pinned():
 
 # any change to a row of those builders under those metrics changes it
 NON_UNIT_METRICS_SHA256 = "e410a8d3b3e37e04ee7c0ad2999dd96298a90c8be4774ddd2117d4a0060a642a"
+
+
+def test_builders_under_whole_metrics_make_no_fraction(monkeypatch):
+    """With the metrics made first, every builder at n = 2..6 under both
+    metrics, and every exterior derivative, sums ints only."""
+    metrics = [(n, w) for n in range(2, 7)
+               for w in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n))]
+    for module in (bundles, sequences):
+        for fn in vars(module).values():
+            if callable(getattr(fn, "cache_clear", None)):
+                fn.cache_clear()
+    made, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for n, w in metrics:
+        for builder in BUILDERS.values():
+            try:
+                builder(n, w)
+            except ValueError:   # a builder outside its dimensions
+                pass
+        for r in range(n):
+            exterior_derivative(n, r)
+    monkeypatch.undo()
+    assert sequences.bianchi.cache_info().currsize == 8   # n = 3..6, both metrics
+    assert made == []

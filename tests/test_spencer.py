@@ -569,6 +569,48 @@ def test_the_killing_chain_dims_are_its_delta_cohomology():
                     == list(build_sequence(op).dims[2:]))
 
 
+def _hilbert_identity_holds(op, dims, orders):
+    """(sum_d dim g_d t^d) (1 - t)^n = sum_i (-1)^i dims[i] t^deg_i through
+    degree deg_last + 1, deg_i being the sum of the first i orders; g_d is
+    all of S_d (x) E below the order of ``op`` and its symbol's prolongation
+    from it."""
+    n, m, q = op.n, op.source.dim, op.order
+    degs = [0]
+    for order in orders:
+        degs.append(degs[-1] + order)
+    top = degs[-1] + 1
+    g = [comb(n + d - 1, d) * m if d < q
+         else spencer.prolong_to(spencer.symbol_of(op), d).dim for d in range(top + 1)]
+    lhs = [sum((-1) ** k * comb(n, k) * g[d - k] for k in range(min(n, d) + 1))
+           for d in range(top + 1)]
+    rhs = [0] * (top + 1)
+    for i, (dim, deg) in enumerate(zip(dims, degs)):
+        rhs[deg] += (-1) ** i * dim
+    return lhs == rhs
+
+
+def test_every_chain_satisfies_the_hilbert_identity_of_its_symbol():
+    """A second route for every chain: its dims and orders from the module
+    syzygies against the dimensions of the symbol's prolongations."""
+    ops = [exterior_derivative(n, r) for n in range(2, 6) for r in range(n)]
+    for n in range(2, 6):
+        for metric in (ConstantMetric.euclidean(n), ConstantMetric.minkowski(n)):
+            for builder in BUILDERS.values():
+                try:
+                    ops.append(builder(n, metric))
+                except ValueError:   # a builder outside its dimensions
+                    pass
+    assert len(ops) == 56
+    for op in ops:
+        rep = build_sequence(op)
+        assert rep.terminated and _hilbert_identity_holds(op, rep.dims, rep.orders), op.name
+    op = conformal_killing(4)
+    rep = build_sequence(op)
+    assert (rep.dims, rep.orders) == ((4, 9, 10, 9, 4), (1, 2, 2, 1))
+    assert not _hilbert_identity_holds(op, (4, 9, 11, 9, 4), rep.orders)
+    assert not _hilbert_identity_holds(op, rep.dims, (1, 2, 1, 1))
+
+
 def test_cohomology_matches_candidate_space_dimension():
     for n in range(2, 6):
         dims = spencer.delta_cohomology_dims(killing(n), 2)
